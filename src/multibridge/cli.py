@@ -5,21 +5,25 @@ tag, evaluate, run. Exit codes: 0 success, 1 usage error, 2 data error.
 
 Line-oriented subcommands (preprocess, apply-bpe, tag) read stdin and
 write stdout, one sentence per line, so they compose in shell pipelines.
+Every text input is strict UTF-8 with LF line endings; anything else is a
+data error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from .bpe import BpeSegmenter, learn_bpe, load_bpe, save_bpe
 from .config import load_config
-from .corpus import BitextCorpus, load_bitext, write_bitext
+from .corpus import BitextCorpus, decode_line, load_bitext, write_bitext
 from .errors import MultibridgeError
-from .languages import REGISTRY, indic_codes
+from .languages import PIVOT, REGISTRY, indic_codes
 from .metrics import bleu, chrf2, cosine_batch, load_embeddings
 from .mining import DEFAULT_XPROD_CAP, build_pivot_index, extraction_stats, mine_pairs_detailed
 from .pipeline import run_pipeline
@@ -59,16 +63,24 @@ def _parse_pair_list(text: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def _discover_english_corpora(inputs: Path, pivot: str) -> dict[str, BitextCorpus]:
+def _input_lines(path: str | None = None) -> Iterator[str]:
+    """The lines of ``path`` (stdin when None) without their LF, strictly decoded."""
+    name = path or "<stdin>"
+    with open(path, "rb") if path else contextlib.nullcontext(sys.stdin.buffer) as f:
+        for line_no, raw in enumerate(f, start=1):
+            yield decode_line(raw.removesuffix(b"\n"), name, line_no)
+
+
+def _discover_english_corpora(inputs: Path) -> dict[str, BitextCorpus]:
     corpora = {}
-    for en_file in sorted(inputs.glob(f"{pivot}-??.{pivot}")):
+    for en_file in sorted(inputs.glob(f"{PIVOT}-??.{PIVOT}")):
         lang = en_file.stem.split("-")[1]
         x_file = en_file.with_suffix(f".{lang}")
         if not x_file.exists():
             raise MultibridgeError(f"missing counterpart file for {en_file}")
-        corpora[lang] = load_bitext(en_file, x_file, pivot, lang)
+        corpora[lang] = load_bitext(en_file, x_file, PIVOT, lang)
     if not corpora:
-        raise MultibridgeError(f"no {pivot}-xx corpora found in {inputs}")
+        raise MultibridgeError(f"no {PIVOT}-xx corpora found in {inputs}")
     return corpora
 
 
@@ -88,8 +100,8 @@ def _load_mined_corpora(mined_dir: Path) -> dict[tuple[str, str], BitextCorpus]:
 
 def _cmd_extract(args) -> int:
     inputs = Path(args.inputs)
-    corpora = _discover_english_corpora(inputs, args.pivot)
-    index = build_pivot_index(corpora.values(), args.pivot)
+    corpora = _discover_english_corpora(inputs)
+    index = build_pivot_index(corpora.values())
     languages = sorted(corpora)
     if args.pairs:
         pairs = [tuple(sorted(p)) for p in _parse_pair_list(args.pairs)]
@@ -107,9 +119,9 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    corpora = _discover_english_corpora(Path(args.inputs), args.pivot)
+    corpora = _discover_english_corpora(Path(args.inputs))
     mined = _load_mined_corpora(Path(args.mined))
-    matrix = extraction_stats(corpora.values(), mined, pivot=args.pivot)
+    matrix = extraction_stats(corpora.values(), mined)
     tsv = matrix.to_tsv()
     if args.out == "-":
         sys.stdout.write(tsv)
@@ -128,9 +140,9 @@ def _cmd_sample(args) -> int:
     else:
         strategy = TrainAll()
     plan = SamplingPlan(strategy, args.seed)
-    english = _discover_english_corpora(Path(args.inputs), args.pivot)
+    english = _discover_english_corpora(Path(args.inputs))
     mined = _load_mined_corpora(Path(args.mined))
-    manifest = assemble_training_set(english.values(), mined, plan, args.out, args.pivot)
+    manifest = assemble_training_set(english.values(), mined, plan, args.out)
     logging.info("wrote %d manifest entries, %d pairs total",
                  len(manifest.entries), manifest.total_pairs())
     return 0
@@ -146,8 +158,7 @@ def _cmd_preprocess(args) -> int:
         raise MultibridgeError("forward and reverse operations cannot be combined")
     if not forward and not reverse:
         raise MultibridgeError("nothing to do: pass --tokenize, --to-devanagari, ...")
-    for line in sys.stdin:
-        text = line.rstrip("\n")
+    for text in _input_lines():
         if reverse:
             if args.detokenize:
                 text = detokenize(text.split(), lang)
@@ -166,12 +177,8 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_learn_bpe(args) -> int:
     def lines():
-        if args.input:
-            for path in args.input:
-                with open(path, encoding="utf-8") as f:
-                    yield from f
-        else:
-            yield from sys.stdin
+        for path in args.input or [None]:
+            yield from _input_lines(path)
 
     model = learn_bpe(lines(), args.merges, args.min_freq, args.merge_floor)
     save_bpe(model, args.model, args.vocab)
@@ -181,33 +188,25 @@ def _cmd_learn_bpe(args) -> int:
 
 def _cmd_apply_bpe(args) -> int:
     model = load_bpe(args.model, args.vocab)
-    fin = open(args.input, encoding="utf-8") if args.input else sys.stdin
     fout = open(args.output, "w", encoding="utf-8", newline="\n") if args.output else sys.stdout
     try:
         segmenter = BpeSegmenter(model)
-        for line in fin:
+        for line in _input_lines(args.input):
             fout.write(" ".join(segmenter.segment(line.split())) + "\n")
     finally:
-        if args.input:
-            fin.close()
         if args.output:
             fout.close()
     return 0
 
 
 def _cmd_tag(args) -> int:
-    for line in sys.stdin:
+    for line in _input_lines():
         if args.strip:
             _, _, tokens = untag(line.split())
             sys.stdout.write(" ".join(tokens) + "\n")
         else:
             sys.stdout.write(" ".join(tag_tokens_op(line.split(), args.src, args.tgt)) + "\n")
     return 0
-
-
-def _read_lines(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as f:
-        return [line.rstrip("\n") for line in f]
 
 
 def _cmd_evaluate(args) -> int:
@@ -220,8 +219,8 @@ def _cmd_evaluate(args) -> int:
     else:
         if not (args.hyp and args.ref):
             raise MultibridgeError(f"{args.metric} needs --hyp and --ref")
-        hyps = _read_lines(args.hyp)
-        refs = _read_lines(args.ref)
+        hyps = list(_input_lines(args.hyp))
+        refs = list(_input_lines(args.ref))
         n = len(hyps)
         score = bleu(hyps, refs, args.tok) if args.metric == "bleu" else chrf2(hyps, refs)
     line = f"{score.metric}\t{score.value:.1f}\t{score.signature}\t{n}"
@@ -250,8 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("extract", help="mine X-Y corpora from English-centric bitext")
-    p.add_argument("--pivot", default="en")
-    p.add_argument("--inputs", required=True, help="directory of <pivot>-xx.<pivot>/<xx> files")
+    p.add_argument("--inputs", required=True, help="directory of en-xx.en/en-xx.xx files")
     p.add_argument("--out", required=True)
     p.add_argument("--pairs", help="comma-separated subset, e.g. bn-hi,gu-ta")
     p.add_argument("--xprod-cap", type=int, default=DEFAULT_XPROD_CAP,
@@ -259,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("stats", help="emit the pair-count statistics table")
-    p.add_argument("--pivot", default="en")
     p.add_argument("--inputs", required=True)
     p.add_argument("--mined", required=True)
     p.add_argument("--out", default="-", help="TSV output path, - for stdout")
@@ -270,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", help="pairs for sample-pairs, e.g. bn-hi,gu-ta")
     p.add_argument("--per-pair", type=int, default=DEFAULT_PER_PAIR_TARGET)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--pivot", default="en")
     p.add_argument("--inputs", required=True)
     p.add_argument("--mined", required=True)
     p.add_argument("--out", required=True)

@@ -6,7 +6,6 @@ Validation resolves every referenced input before any stage runs.
 Example::
 
     {
-      "pivot": "en",
       "languages": ["bn", "hi", "ta"],
       "raw_dir": "raw",
       "mined_dir": "out/mined",
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .languages import Language, REGISTRY, register
+from .languages import PIVOT, REGISTRY, Language, register
 from .sampling import (
     DEFAULT_PER_PAIR_TARGET,
     SampleFraction,
@@ -38,7 +37,6 @@ from .sampling import (
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    pivot: str
     languages: tuple[str, ...]
     raw_dir: Path
     mined_dir: Path
@@ -51,12 +49,16 @@ class PipelineConfig:
     seed: int = 1
     registry_path: Path | None = None
     eval_tokenization: str = "13a"
-    workers: int = 1
 
     def raw_paths(self, lang: str) -> tuple[Path, Path]:
         """The English-centric corpus files for one language."""
-        prefix = self.raw_dir / f"{self.pivot}-{lang}"
-        return Path(f"{prefix}.{self.pivot}"), Path(f"{prefix}.{lang}")
+        prefix = self.raw_dir / f"{PIVOT}-{lang}"
+        return Path(f"{prefix}.{PIVOT}"), Path(f"{prefix}.{lang}")
+
+
+#: Keys that no longer change output. Old configs still carry them, so each
+#: is accepted at the one value the pipeline always had and rejected otherwise.
+_LEGACY_KEYS = {"pivot": PIVOT, "workers": 1}
 
 
 def _parse_strategy(doc: dict, seed: int) -> SamplingPlan:
@@ -112,8 +114,12 @@ def load_config(path: str | Path) -> PipelineConfig:
     bpe = doc.get("bpe", {})
     registry_path = (base / doc["registry"]).resolve() if "registry" in doc else None
     cap = doc.get("xprod_cap", 64)
+    for key, only_value in _LEGACY_KEYS.items():
+        if key in doc and doc[key] != only_value:
+            raise ConfigError(
+                f"{key!r} was removed; it is accepted only as {only_value!r}, not {doc[key]!r}"
+            )
     return PipelineConfig(
-        pivot=doc.get("pivot", "en"),
         languages=tuple(doc.get("languages", ())),
         raw_dir=resolve("raw_dir"),
         mined_dir=resolve("mined_dir"),
@@ -126,7 +132,6 @@ def load_config(path: str | Path) -> PipelineConfig:
         seed=seed,
         registry_path=registry_path,
         eval_tokenization=doc.get("eval", {}).get("bleu_tokenization", "13a"),
-        workers=int(doc.get("workers", 1)),
     )
 
 
@@ -154,12 +159,10 @@ def validate_config(config: PipelineConfig) -> None:
         if not config.registry_path.exists():
             raise ConfigError(f"registry file not found: {config.registry_path}")
         load_registry_file(config.registry_path)
-    if config.pivot not in REGISTRY:
-        raise ConfigError(f"pivot language {config.pivot!r} is not registered")
     if len(config.languages) < 2:
         raise ConfigError("need at least two non-pivot languages")
     for code in config.languages:
-        if code == config.pivot:
+        if code == PIVOT:
             raise ConfigError("the pivot cannot appear in 'languages'")
         if code not in REGISTRY:
             raise ConfigError(f"language {code!r} is not registered")
@@ -171,5 +174,3 @@ def validate_config(config: PipelineConfig) -> None:
                 raise ConfigError(f"missing corpus file: {file_path}")
     if config.eval_tokenization not in ("13a", "none"):
         raise ConfigError(f"unknown eval tokenization {config.eval_tokenization!r}")
-    if config.workers < 1:
-        raise ConfigError("workers must be >= 1")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import MultibridgeError
 
@@ -34,6 +34,14 @@ class InvalidUtf8(CorpusError):
 
     def __init__(self, path: str | Path, line_no: int):
         super().__init__(f"{path}:{line_no}: invalid UTF-8")
+        self.line_no = line_no
+
+
+class CarriageReturn(CorpusError):
+    """A line contains a CR, as CRLF files do; lines must end in a bare LF."""
+
+    def __init__(self, path: str | Path, line_no: int):
+        super().__init__(f"{path}:{line_no}: carriage return (CRLF line ending?); lines must end in LF")
         self.line_no = line_no
 
 
@@ -123,21 +131,26 @@ class TranslationDirection:
         return f"{self.src}-{self.tgt}"
 
 
+def decode_line(raw: bytes, path: str | Path, line_no: int) -> str:
+    """Decode one line (without its LF) strictly: UTF-8 only, no CR."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise InvalidUtf8(path, line_no) from None
+    if "\r" in text:
+        raise CarriageReturn(path, line_no)
+    return text
+
+
 def _read_lines(path: str | Path) -> list[str]:
-    """Read a one-sentence-per-line file, validating UTF-8 and non-emptiness."""
-    lines: list[str] = []
+    """Read a one-sentence-per-line file, validating UTF-8, LF endings and non-emptiness."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     if not raw:
-        return lines
-    for line_no, chunk in enumerate(raw.split(b"\n"), start=1):
-        try:
-            text = chunk.decode("utf-8")
-        except UnicodeDecodeError:
-            raise InvalidUtf8(path, line_no) from None
-        lines.append(text)
+        return []
+    lines = [decode_line(chunk, path, line_no) for line_no, chunk in enumerate(raw.split(b"\n"), start=1)]
     # A trailing LF produces one final empty chunk; drop it. A genuinely
     # empty last line is then caught by the emptiness check below.
     if lines and lines[-1] == "":
@@ -291,12 +304,3 @@ def verify_manifest(manifest: TrainingManifest, base_dir: str | Path) -> None:
                     f"{file_path}: {n} lines on disk but manifest says {entry.count}"
                 )
 
-
-def corpus_line_count(path: str | Path) -> int:
-    """Number of sentences in a one-per-line corpus file."""
-    return len(_read_lines(path))
-
-
-def iter_directions(corpora: Iterable[BitextCorpus]) -> Iterator[TranslationDirection]:
-    for corpus in corpora:
-        yield TranslationDirection(corpus.src_lang, corpus.tgt_lang)

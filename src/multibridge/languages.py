@@ -82,7 +82,3 @@ def get_language(code: str) -> Language:
 def indic_codes() -> list[str]:
     """Codes of all registered Indic languages, in registry order."""
     return [lang.code for lang in REGISTRY.values() if lang.is_indic]
-
-
-def is_known(code: str) -> bool:
-    return code in REGISTRY

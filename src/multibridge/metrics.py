@@ -356,46 +356,34 @@ def nway_compare(
             if src != tgt and TranslationDirection(src, tgt) not in by_direction:
                 missing.append(TranslationDirection(src, tgt))
 
+    reported = sorted(by_direction)
+    tset_directions = sorted(tset)
+
+    def values_for(src: str, metric: str) -> list[tuple[float, int]]:
+        """(score, sentence count) of each of ``src``'s directions into non-English targets."""
+        if metric == "tset_sim":
+            return [
+                (tset[d], by_direction[d].n_sentences if d in by_direction else 1)
+                for d in tset_directions
+                if d.src == src and d.tgt != pivot and d.tgt in non_english
+            ]
+        values = []
+        for d in reported:
+            if d.src == src and d.tgt != pivot and d.tgt in non_english:
+                score = by_direction[d].score(metric)
+                if score is not None:
+                    values.append((score.value, by_direction[d].n_sentences))
+        return values
+
     def row_for(src: str) -> dict[str, float | None]:
-        row: dict[str, float | None] = {}
-        outgoing = [
-            d for d in sorted(by_direction) if d.src == src and d.tgt != pivot and d.tgt in non_english
-        ]
-        for metric in metric_names:
-            if metric == "tset_sim":
-                values = [
-                    (tset[d], by_direction[d].n_sentences if d in by_direction else 1)
-                    for d in sorted(tset)
-                    if d.src == src and d.tgt != pivot and d.tgt in non_english
-                ]
-            else:
-                values = []
-                for d in outgoing:
-                    score = by_direction[d].score(metric)
-                    if score is not None:
-                        values.append((score.value, by_direction[d].n_sentences))
-            row[metric] = _aggregate(values, average)
-        return row
+        return {metric: _aggregate(values_for(src, metric), average) for metric in metric_names}
 
     rows = tuple((src, row_for(src)) for src in non_english)
 
     avg_row: dict[str, float | None] = {}
     for metric in metric_names:
         if average == "micro":
-            pooled = []
-            for src in non_english:
-                if metric == "tset_sim":
-                    pooled.extend(
-                        (tset[d], by_direction[d].n_sentences if d in by_direction else 1)
-                        for d in sorted(tset)
-                        if d.src == src and d.tgt != pivot and d.tgt in non_english
-                    )
-                else:
-                    for d in sorted(by_direction):
-                        if d.src == src and d.tgt != pivot and d.tgt in non_english:
-                            score = by_direction[d].score(metric)
-                            if score is not None:
-                                pooled.append((score.value, by_direction[d].n_sentences))
+            pooled = [value for src in non_english for value in values_for(src, metric)]
             avg_row[metric] = _aggregate(pooled, "micro")
         else:
             row_values = [row[metric] for _, row in rows if row[metric] is not None]

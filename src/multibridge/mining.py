@@ -6,15 +6,12 @@ Join equality is defined by :func:`normalize_pivot` (NFC plus whitespace
 collapse) rather than raw string equality, which would miss trivially
 variant duplicates.
 
-The index holds every English sentence's per-language translation sets,
-keyed by a 64-bit hash of the normalized sentence with full-key
-verification on collision; millions of keys fit in memory this way and
-the join stays linear.
+The index is a plain dict from each normalized English sentence to its
+per-language translation sets, so the join stays linear.
 """
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import unicodedata
 from dataclasses import dataclass, field
@@ -23,6 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import BitextCorpus, SentencePair
 from .errors import MultibridgeError
+from .languages import PIVOT
 
 logger = logging.getLogger(__name__)
 
@@ -39,8 +37,8 @@ class MiningError(MultibridgeError):
 class NonPivotCorpus(MiningError):
     """An input corpus does not include the pivot language."""
 
-    def __init__(self, src_lang: str, tgt_lang: str, pivot: str):
-        super().__init__(f"corpus {src_lang}-{tgt_lang} has no {pivot} side")
+    def __init__(self, src_lang: str, tgt_lang: str):
+        super().__init__(f"corpus {src_lang}-{tgt_lang} has no {PIVOT} side")
         self.direction = (src_lang, tgt_lang)
 
 
@@ -58,87 +56,38 @@ def normalize_pivot(text: str) -> str:
     return " ".join(unicodedata.normalize("NFC", text).split())
 
 
-def _hash_key(key: str) -> int:
-    # blake2b rather than hash(): stable across processes and platforms.
-    return int.from_bytes(hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest(), "big")
-
-
-class _Entry:
-    __slots__ = ("key", "by_lang")
-
-    def __init__(self, key: str):
-        self.key = key
-        self.by_lang: dict[str, set[str]] = {}
-
-
 class PivotIndex:
     """Inverted index: normalized English sentence -> per-language translations."""
 
-    __slots__ = ("pivot_lang", "_buckets", "_n_keys")
+    __slots__ = ("_by_key",)
 
-    def __init__(self, pivot_lang: str = "en"):
-        self.pivot_lang = pivot_lang
-        self._buckets: dict[int, list[_Entry]] = {}
-        self._n_keys = 0
+    def __init__(self) -> None:
+        self._by_key: dict[str, dict[str, set[str]]] = {}
 
     def __len__(self) -> int:
-        return self._n_keys
-
-    def _entry(self, key: str, create: bool) -> _Entry | None:
-        digest = _hash_key(key)
-        bucket = self._buckets.get(digest)
-        if bucket is not None:
-            for entry in bucket:
-                if entry.key == key:
-                    return entry
-        if not create:
-            return None
-        entry = _Entry(key)
-        if bucket is None:
-            self._buckets[digest] = [entry]
-        else:
-            bucket.append(entry)
-        self._n_keys += 1
-        return entry
+        return len(self._by_key)
 
     def add(self, english_text: str, lang: str, translation: str) -> None:
         """Record one observed (english, translation) pair; duplicates collapse."""
-        entry = self._entry(normalize_pivot(english_text), create=True)
-        entry.by_lang.setdefault(lang, set()).add(translation)
+        by_lang = self._by_key.setdefault(normalize_pivot(english_text), {})
+        by_lang.setdefault(lang, set()).add(translation)
 
     def translations(self, key: str, lang: str) -> frozenset[str]:
-        entry = self._entry(key, create=False)
-        if entry is None:
-            return frozenset()
-        return frozenset(entry.by_lang.get(lang, ()))
-
-    def keys(self) -> list[str]:
-        """All pivot keys, sorted for deterministic traversal."""
-        return sorted(entry.key for bucket in self._buckets.values() for entry in bucket)
-
-    def entries(self) -> Iterable[_Entry]:
-        for bucket in self._buckets.values():
-            yield from bucket
-
-    def languages(self) -> set[str]:
-        langs: set[str] = set()
-        for entry in self.entries():
-            langs.update(entry.by_lang)
-        return langs
+        return frozenset(self._by_key.get(key, {}).get(lang, ()))
 
 
-def build_pivot_index(corpora: Iterable[BitextCorpus], pivot: str = "en") -> PivotIndex:
+def build_pivot_index(corpora: Iterable[BitextCorpus]) -> PivotIndex:
     """One-pass index construction over English-centric corpora.
 
     Each corpus must have the pivot on one side; the pivot side is detected
     so both en-X and X-en orientations load correctly.
     """
-    index = PivotIndex(pivot)
+    index = PivotIndex()
     for corpus in corpora:
-        if not corpus.has_language(pivot):
-            raise NonPivotCorpus(corpus.src_lang, corpus.tgt_lang, pivot)
-        other = corpus.other_side(pivot)
-        pivot_is_src = corpus.src_lang == pivot
+        if not corpus.has_language(PIVOT):
+            raise NonPivotCorpus(corpus.src_lang, corpus.tgt_lang)
+        other = corpus.other_side(PIVOT)
+        pivot_is_src = corpus.src_lang == PIVOT
         for pair in corpus.pairs:
             if pivot_is_src:
                 index.add(pair.src_text, other, pair.tgt_text)
@@ -169,17 +118,17 @@ def mine_pairs_detailed(
     pairs and global duplicates. Traversal is sorted by pivot key and
     lexicographic within each cross product, so output is deterministic.
     """
-    if index.pivot_lang in (l1, l2):
-        raise PivotLanguageRequested(f"cannot mine the pivot language {index.pivot_lang!r}")
+    if PIVOT in (l1, l2):
+        raise PivotLanguageRequested(f"cannot mine the pivot language {PIVOT!r}")
     if l1 == l2:
         raise MiningError(f"cannot mine a language against itself: {l1!r}")
 
     candidates = []
-    for entry in index.entries():
-        side1 = entry.by_lang.get(l1)
-        side2 = entry.by_lang.get(l2)
+    for key, by_lang in index._by_key.items():
+        side1 = by_lang.get(l1)
+        side2 = by_lang.get(l2)
         if side1 and side2:
-            candidates.append((entry.key, side1, side2))
+            candidates.append((key, side1, side2))
     candidates.sort(key=lambda item: item[0])
 
     pairs: list[SentencePair] = []
@@ -236,8 +185,8 @@ def mine_all_detailed(
 ) -> dict[tuple[str, str], MiningOutcome]:
     """Mine every unordered pair among ``languages``."""
     langs = list(dict.fromkeys(languages))
-    if index.pivot_lang in langs:
-        raise PivotLanguageRequested(f"language list includes the pivot {index.pivot_lang!r}")
+    if PIVOT in langs:
+        raise PivotLanguageRequested(f"language list includes the pivot {PIVOT!r}")
     if len(langs) < 2:
         raise MiningError("need at least two non-pivot languages to mine pairs")
     results: dict[tuple[str, str], MiningOutcome] = {}
@@ -269,7 +218,7 @@ class StatsMatrix:
     def cell(self, row: str, col: str) -> int:
         if row == col:
             return 0
-        if col == "en":
+        if col == PIVOT:
             return self.english_counts.get(row, 0)
         return self.pair_counts.get(canonical_pair(row, col), 0)
 
@@ -277,7 +226,7 @@ class StatsMatrix:
         return sum(self.cell(row, col) for row in self.languages)
 
     def column_sums(self) -> dict[str, int]:
-        return {col: self.column_sum(col) for col in ("en", *self.languages)}
+        return {col: self.column_sum(col) for col in (PIVOT, *self.languages)}
 
     def grand_total(self) -> int:
         """Sum of the non-English block: counts every mined pair twice."""
@@ -288,13 +237,13 @@ class StatsMatrix:
 
     def to_tsv(self) -> str:
         """Render the matrix in the layout of the dataset statistics table."""
-        header = "\t".join(("", "en", *self.languages))
+        header = "\t".join(("", PIVOT, *self.languages))
         rows = [header]
         for row in self.languages:
-            cells = [str(self.cell(row, col)) for col in ("en", *self.languages)]
+            cells = [str(self.cell(row, col)) for col in (PIVOT, *self.languages)]
             rows.append("\t".join((row, *cells)))
         sums = self.column_sums()
-        rows.append("\t".join(("SUM", *(str(sums[col]) for col in ("en", *self.languages)))))
+        rows.append("\t".join(("SUM", *(str(sums[col]) for col in (PIVOT, *self.languages)))))
         rows.append("\t".join(("TOTAL", "", str(self.grand_total()))))
         if self.raw_pair_counts is not None:
             rows.append("")
@@ -308,7 +257,6 @@ def extraction_stats(
     english_corpora: Iterable[BitextCorpus],
     mined: Mapping[tuple[str, str], BitextCorpus] | Mapping[tuple[str, str], MiningOutcome],
     languages: Sequence[str] | None = None,
-    pivot: str = "en",
 ) -> StatsMatrix:
     """Build the statistics matrix from loaded corpora.
 
@@ -319,9 +267,9 @@ def extraction_stats(
     """
     english_counts: dict[str, int] = {}
     for corpus in english_corpora:
-        if not corpus.has_language(pivot):
-            raise NonPivotCorpus(corpus.src_lang, corpus.tgt_lang, pivot)
-        other = corpus.other_side(pivot)
+        if not corpus.has_language(PIVOT):
+            raise NonPivotCorpus(corpus.src_lang, corpus.tgt_lang)
+        other = corpus.other_side(PIVOT)
         english_counts[other] = english_counts.get(other, 0) + len(corpus)
 
     pair_counts: dict[tuple[str, str], int] = {}

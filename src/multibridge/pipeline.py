@@ -12,16 +12,15 @@ from __future__ import annotations
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
-from .bpe import BpeModel, BpeSegmenter, learn_bpe, save_bpe
+from .bpe import BpeSegmenter, learn_bpe, save_bpe
 from .config import PipelineConfig, validate_config
 from .corpus import TrainingManifest, load_bitext, write_bitext
 from .errors import MultibridgeError
-from .languages import get_language
+from .languages import PIVOT, get_language
 from .mining import MiningOutcome, StatsMatrix, build_pivot_index, extraction_stats, mine_pairs_detailed
 from .sampling import assemble_training_set
 from .scripts import normalize_unicode, to_devanagari
@@ -98,15 +97,12 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
         english = {}
         for lang in sorted(config.languages):
             en_path, x_path = config.raw_paths(lang)
-            english[lang] = load_bitext(en_path, x_path, config.pivot, lang)
-        index = build_pivot_index(english.values(), config.pivot)
-
-        pairs = list(combinations(sorted(config.languages), 2))
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(
-                lambda p: (p, mine_pairs_detailed(index, p[0], p[1], config.xprod_cap)), pairs
-            ))
-        mined: dict[tuple[str, str], MiningOutcome] = dict(outcomes)
+            english[lang] = load_bitext(en_path, x_path, PIVOT, lang)
+        index = build_pivot_index(english.values())
+        mined: dict[tuple[str, str], MiningOutcome] = {
+            (a, b): mine_pairs_detailed(index, a, b, config.xprod_cap)
+            for a, b in combinations(sorted(config.languages), 2)
+        }
 
         config.mined_dir.mkdir(parents=True, exist_ok=True)
         for (a, b), outcome in sorted(mined.items()):
@@ -119,14 +115,14 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
         }
 
     with _StageTimer("stats"):
-        stats = extraction_stats(english.values(), mined, sorted(config.languages), config.pivot)
+        stats = extraction_stats(english.values(), mined, sorted(config.languages))
         (config.mined_dir / "stats.tsv").write_text(stats.to_tsv(), encoding="utf-8")
         stages["stats"] = {"grand_total": stats.grand_total(), "unique_pairs": stats.unique_unordered_total()}
 
     with _StageTimer("sample"):
         mined_corpora = {pair: outcome.corpus for pair, outcome in mined.items()}
         manifest = assemble_training_set(
-            english.values(), mined_corpora, config.sampling, config.sampled_dir, config.pivot
+            english.values(), mined_corpora, config.sampling, config.sampled_dir
         )
         stages["sample"] = {
             "strategy": config.sampling.strategy.name,
@@ -193,8 +189,3 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
         f.write("\n")
     return report
 
-
-def load_bpe_model_for(config: PipelineConfig) -> BpeModel:
-    from .bpe import load_bpe
-
-    return load_bpe(config.preprocessed_dir / "bpe.codes", config.preprocessed_dir / "bpe.vocab")

@@ -30,6 +30,7 @@ from .corpus import (
     write_bitext,
 )
 from .errors import MultibridgeError
+from .languages import PIVOT
 from .mining import canonical_pair
 from .rng import Xoshiro256StarStar, derive_seed
 
@@ -92,11 +93,6 @@ Strategy = SamplePairs | SampleFraction | TrainAll
 class SamplingPlan:
     strategy: Strategy
     seed: int
-    always_include_english_centric: bool = True
-
-    def __post_init__(self) -> None:
-        if not self.always_include_english_centric:
-            raise SamplingError("English-centric data is always included; the flag is fixed true")
 
 
 def spans_all_languages(pairs: Iterable[tuple[str, str]], languages: Iterable[str]) -> bool:
@@ -115,7 +111,7 @@ def select_spanning_pairs(languages: Sequence[str], n_pairs: int, seed: int) -> 
     unused pairs. Deterministic for a fixed seed.
     """
     langs = sorted(set(languages))
-    if "en" in langs:
+    if PIVOT in langs:
         raise SamplingError("spanning pairs are selected among non-English languages only")
     if len(langs) < 2:
         raise SamplingError("need at least two languages to form pairs")
@@ -162,16 +158,16 @@ def sample_fraction(corpus: BitextCorpus, target_n: int, seed: int) -> BitextCor
     return BitextCorpus(corpus.src_lang, corpus.tgt_lang, tuple(corpus.pairs[i] for i in keep))
 
 
-def _merge_english_corpora(english_corpora: Iterable[BitextCorpus], pivot: str) -> dict[str, BitextCorpus]:
+def _merge_english_corpora(english_corpora: Iterable[BitextCorpus]) -> dict[str, BitextCorpus]:
     """Orient every English-centric corpus as pivot->X and merge duplicates."""
     merged: dict[str, BitextCorpus] = {}
     for corpus in english_corpora:
-        if not corpus.has_language(pivot):
-            raise SamplingError(f"corpus {corpus.src_lang}-{corpus.tgt_lang} has no {pivot} side")
-        oriented = corpus if corpus.src_lang == pivot else corpus.swapped()
+        if not corpus.has_language(PIVOT):
+            raise SamplingError(f"corpus {corpus.src_lang}-{corpus.tgt_lang} has no {PIVOT} side")
+        oriented = corpus if corpus.src_lang == PIVOT else corpus.swapped()
         other = oriented.tgt_lang
         if other in merged:
-            merged[other] = BitextCorpus(pivot, other, merged[other].pairs + oriented.pairs)
+            merged[other] = BitextCorpus(PIVOT, other, merged[other].pairs + oriented.pairs)
         else:
             merged[other] = oriented
     return merged
@@ -181,7 +177,6 @@ def build_training_set(
     english_corpora: Iterable[BitextCorpus],
     mined_corpora: Mapping[tuple[str, str], BitextCorpus],
     plan: SamplingPlan,
-    pivot: str = "en",
 ) -> list[tuple[TranslationDirection, BitextCorpus, str]]:
     """Select the directional corpora a plan admits, without touching disk.
 
@@ -200,7 +195,7 @@ def build_training_set(
 
     if isinstance(plan.strategy, SamplePairs):
         for pair in plan.strategy.pairs:
-            if pivot in pair:
+            if PIVOT in pair:
                 raise SamplingError(f"sample-pairs list may not include the pivot: {pair}")
             if pair not in mined:
                 raise MissingCorpus(pair)
@@ -215,11 +210,11 @@ def build_training_set(
         selected = dict(mined)
 
     entries: list[tuple[TranslationDirection, BitextCorpus, str]] = []
-    english = _merge_english_corpora(english_corpora, pivot)
+    english = _merge_english_corpora(english_corpora)
     for other in sorted(english):
         oriented = english[other]
-        entries.append((TranslationDirection(pivot, other), oriented, "english-centric"))
-        entries.append((TranslationDirection(other, pivot), oriented.swapped(), "english-centric"))
+        entries.append((TranslationDirection(PIVOT, other), oriented, "english-centric"))
+        entries.append((TranslationDirection(other, PIVOT), oriented.swapped(), "english-centric"))
 
     for pair in sorted(selected):
         corpus = selected[pair]
@@ -236,13 +231,12 @@ def assemble_training_set(
     mined_corpora: Mapping[tuple[str, str], BitextCorpus],
     plan: SamplingPlan,
     out_dir: str | Path,
-    pivot: str = "en",
 ) -> TrainingManifest:
     """Materialize a training set: corpus files plus ``manifest.json``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest_entries = []
-    for direction, corpus, label in build_training_set(english_corpora, mined_corpora, plan, pivot):
+    for direction, corpus, label in build_training_set(english_corpora, mined_corpora, plan):
         prefix = direction.label()
         write_bitext(corpus, out / f"{prefix}.src", out / f"{prefix}.tgt")
         manifest_entries.append(ManifestEntry(direction, prefix, len(corpus), label))

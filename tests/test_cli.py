@@ -79,6 +79,58 @@ class TestExtractStatsSample:
         )
         assert proc.returncode == 2
 
+    def test_crlf_bitext_is_data_error(self, tmp_path, raw_dir):
+        en_bn = raw_dir / "en-bn.en"
+        en_bn.write_bytes(en_bn.read_bytes().replace(b"\n", b"\r\n"))
+        proc = run_cli("extract", "--inputs", str(raw_dir), "--out", str(tmp_path / "mined"))
+        assert proc.returncode == 2
+        assert f"{en_bn}:1: carriage return" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def _run_cli_bytes(*args, stdin: bytes):
+    return subprocess.run(
+        [sys.executable, "-m", "multibridge.cli", *args], input=stdin, capture_output=True,
+    )
+
+
+@pytest.fixture()
+def bpe_codes(tmp_path):
+    codes = tmp_path / "codes.txt"
+    train = tmp_path / "train.txt"
+    train.write_text("low low lower\n")
+    assert main(["learn-bpe", "--merges", "5", "--min-freq", "1",
+                 "--input", str(train), "--model", str(codes)]) == 0
+    return codes
+
+
+class TestStrictStdin:
+    SUBCOMMANDS = [
+        ["preprocess", "--lang", "en", "--tokenize"],
+        ["learn-bpe", "--model", "{tmp}/new-codes.txt"],
+        ["apply-bpe", "--model", "{codes}"],
+        ["tag", "--src", "bn", "--tgt", "hi"],
+    ]
+
+    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("stdin,message", [
+        (b"fine\nab\xffc\n", "<stdin>:2: invalid UTF-8"),
+        (b"fine\r\n", "<stdin>:1: carriage return"),
+    ], ids=["invalid-utf8", "crlf"])
+    def test_bad_stdin_is_data_error(self, tmp_path, bpe_codes, argv, stdin, message):
+        argv = [arg.format(tmp=tmp_path, codes=bpe_codes) for arg in argv]
+        proc = _run_cli_bytes(*argv, stdin=stdin)
+        assert proc.returncode == 2
+        assert message in proc.stderr.decode()
+        assert b"\xef\xbf\xbd" not in proc.stdout  # no U+FFFD replacement leaked through
+
+    def test_bad_input_file_is_data_error(self, tmp_path, bpe_codes):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"ok\n\xff\n")
+        proc = run_cli("apply-bpe", "--model", str(bpe_codes), "--input", str(bad))
+        assert proc.returncode == 2
+        assert f"{bad}:2: invalid UTF-8" in proc.stderr
+
 
 class TestPreprocess:
     def test_to_devanagari_tokenize(self):

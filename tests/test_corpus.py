@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from multibridge.corpus import (
     BitextCorpus,
+    CarriageReturn,
     EmptyLine,
     InvalidUtf8,
     LineCountMismatch,
@@ -87,6 +88,17 @@ class TestLoadBitext:
         with pytest.raises(InvalidUtf8) as exc:
             load_bitext(src, tgt, "en", "hi")
         assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize(
+        "content", [b"one\ntwo\r\nthree\n", b"one\ntwo\rmore\nthree\n"], ids=["crlf", "lone-cr"]
+    )
+    def test_carriage_return_is_a_typed_error(self, tmp_path, content):
+        src = _write(tmp_path / "f.en", content)
+        tgt = _write(tmp_path / "f.hi", b"a\nb\nc\n")
+        with pytest.raises(CarriageReturn) as exc:
+            load_bitext(src, tgt, "en", "hi")
+        assert exc.value.line_no == 2
+        assert str(exc.value).startswith(f"{src}:2: carriage return")
 
     def test_missing_trailing_newline_ok(self, tmp_path):
         src = _write(tmp_path / "f.en", b"one\ntwo")

@@ -41,15 +41,6 @@ class TestRunPipeline:
         second = _tree(_run_fixture(tmp_path, "b"))
         assert first == second
 
-    def test_workers_do_not_change_outputs(self, tmp_path):
-        work = tmp_path / "w"
-        shutil.copytree(FIXTURE, work)
-        doc = json.loads((work / "config.json").read_text())
-        doc["workers"] = 4
-        (work / "config.json").write_text(json.dumps(doc))
-        run_pipeline(load_config(work / "config.json"))
-        assert _tree(work / "out") == _tree(GOLDEN)
-
     def test_missing_corpus_fails_validation_before_work(self, tmp_path):
         work = tmp_path / "broken"
         shutil.copytree(FIXTURE, work)
@@ -90,6 +81,25 @@ class TestConfig:
         (work / "config.json").write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
             validate_config(load_config(work / "config.json"))
+
+    def test_removed_keys_accepted_at_old_default(self, tmp_path):
+        work = tmp_path / "legacy"
+        shutil.copytree(FIXTURE, work)
+        doc = json.loads((work / "config.json").read_text())
+        assert doc["pivot"] == "en"
+        doc["workers"] = 1
+        (work / "config.json").write_text(json.dumps(doc))
+        config = load_config(work / "config.json")
+        assert not hasattr(config, "pivot") and not hasattr(config, "workers")
+
+    @pytest.mark.parametrize("key,value", [("pivot", "hi"), ("workers", 0), ("workers", 4)])
+    def test_removed_keys_rejected_at_other_values(self, tmp_path, key, value):
+        bad = tmp_path / "bad.json"
+        doc = json.loads((FIXTURE / "config.json").read_text())
+        doc[key] = value
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=key):
+            load_config(bad)
 
     def test_pivot_in_languages_rejected(self, tmp_path):
         work = tmp_path / "cfg3"

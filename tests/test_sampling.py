@@ -164,10 +164,6 @@ class TestBuildTrainingSet:
             for d, c, label in build_training_set(corpora.values(), mined, SamplingPlan(strategy, 5)):
                 assert set(c.pairs) <= all_entries[d], (strategy, d, label)
 
-    def test_always_include_english_flag_fixed(self):
-        with pytest.raises(SamplingError):
-            SamplingPlan(TrainAll(), seed=1, always_include_english_centric=False)
-
 
 class TestAssembleTrainingSet:
     def test_manifest_counts_match_disk(self, tmp_path):
