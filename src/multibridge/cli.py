@@ -16,8 +16,9 @@ import contextlib
 import json
 import logging
 import sys
+from itertools import combinations
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .bpe import BpeSegmenter, learn_bpe, load_bpe, save_bpe
 from .config import load_config
@@ -84,15 +85,15 @@ def _discover_english_corpora(inputs: Path) -> dict[str, BitextCorpus]:
     return corpora
 
 
-def _load_mined_corpora(mined_dir: Path) -> dict[tuple[str, str], BitextCorpus]:
+def _load_mined_corpora(mined_dir: Path, languages: Iterable[str]) -> dict[tuple[str, str], BitextCorpus]:
+    """The ``a-b.a``/``a-b.b`` pairs among ``languages``; other files in ``mined_dir`` are ignored."""
     mined = {}
-    for a_file in sorted(mined_dir.glob("??-??.*")):
-        a, b = a_file.stem.split("-")
-        if a_file.suffix != f".{a}":
-            continue
-        b_file = a_file.with_suffix(f".{b}")
-        if b_file.exists():
+    for a, b in combinations(sorted(languages), 2):
+        a_file, b_file = mined_dir / f"{a}-{b}.{a}", mined_dir / f"{a}-{b}.{b}"
+        if a_file.exists() and b_file.exists():
             mined[(a, b)] = load_bitext(a_file, b_file, a, b)
+        elif a_file.exists() or b_file.exists():
+            raise MultibridgeError(f"mined pair {a}-{b} in {mined_dir} has only one of its two files")
     if not mined:
         raise MultibridgeError(f"no mined corpora found in {mined_dir}")
     return mined
@@ -120,7 +121,7 @@ def _cmd_extract(args) -> int:
 
 def _cmd_stats(args) -> int:
     corpora = _discover_english_corpora(Path(args.inputs))
-    mined = _load_mined_corpora(Path(args.mined))
+    mined = _load_mined_corpora(Path(args.mined), corpora)
     matrix = extraction_stats(corpora.values(), mined)
     tsv = matrix.to_tsv()
     if args.out == "-":
@@ -141,7 +142,7 @@ def _cmd_sample(args) -> int:
         strategy = TrainAll()
     plan = SamplingPlan(strategy, args.seed)
     english = _discover_english_corpora(Path(args.inputs))
-    mined = _load_mined_corpora(Path(args.mined))
+    mined = _load_mined_corpora(Path(args.mined), english)
     manifest = assemble_training_set(english.values(), mined, plan, args.out)
     logging.info("wrote %d manifest entries, %d pairs total",
                  len(manifest.entries), manifest.total_pairs())

@@ -48,7 +48,6 @@ class PipelineConfig:
     xprod_cap: int | None = 64
     seed: int = 1
     registry_path: Path | None = None
-    eval_tokenization: str = "13a"
 
     def raw_paths(self, lang: str) -> tuple[Path, Path]:
         """The English-centric corpus files for one language."""
@@ -58,11 +57,29 @@ class PipelineConfig:
 
 #: Keys that no longer change output. Old configs still carry them, so each
 #: is accepted at the one value the pipeline always had and rejected otherwise.
-_LEGACY_KEYS = {"pivot": PIVOT, "workers": 1}
+_LEGACY_KEYS = {"pivot": PIVOT, "workers": 1, "eval": {"bleu_tokenization": "13a"}}
+
+#: Every key a config may hold, per table; anything else is a typo.
+_TOP_KEYS = {
+    "languages", "raw_dir", "mined_dir", "sampled_dir", "preprocessed_dir",
+    "sampling", "bpe", "xprod_cap", "seed", "registry", *_LEGACY_KEYS,
+}
+_SAMPLING_KEYS = {"strategy", "pairs", "per_pair_target"}
+_BPE_KEYS = {"num_merges", "min_frequency"}
+
+
+def _table(value: object, known: set[str], where: str) -> dict:
+    """``value`` as a table whose keys are all in ``known``; ``where`` prefixes key names."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where or 'config'} must be a table, not {type(value).__name__}")
+    unknown = sorted(set(value) - known)
+    if unknown:
+        raise ConfigError("unknown config key " + ", ".join(repr(where + key) for key in unknown))
+    return value
 
 
 def _parse_strategy(doc: dict, seed: int) -> SamplingPlan:
-    sampling = doc.get("sampling", {"strategy": "train-all"})
+    sampling = _table(doc.get("sampling", {"strategy": "train-all"}), _SAMPLING_KEYS, "sampling.")
     name = sampling.get("strategy")
     if name == "sample-pairs":
         raw_pairs = sampling.get("pairs")
@@ -96,13 +113,17 @@ def load_config(path: str | Path) -> PipelineConfig:
             import tomllib
         except ImportError:
             raise ConfigError("TOML configs need Python 3.11+; use JSON instead") from None
-        doc = tomllib.loads(raw.decode("utf-8"))
+        try:
+            doc = tomllib.loads(raw.decode("utf-8"))
+        except ValueError as exc:  # TOMLDecodeError or UnicodeDecodeError
+            raise ConfigError(f"{path}: invalid TOML: {exc}") from exc
     else:
         try:
             doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
+    _table(doc, _TOP_KEYS, "")
     base = path.parent
 
     def resolve(key: str) -> Path:
@@ -111,7 +132,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         return (base / doc[key]).resolve() if not Path(doc[key]).is_absolute() else Path(doc[key])
 
     seed = int(doc.get("seed", 1))
-    bpe = doc.get("bpe", {})
+    bpe = _table(doc.get("bpe", {}), _BPE_KEYS, "bpe.")
     registry_path = (base / doc["registry"]).resolve() if "registry" in doc else None
     cap = doc.get("xprod_cap", 64)
     for key, only_value in _LEGACY_KEYS.items():
@@ -131,7 +152,6 @@ def load_config(path: str | Path) -> PipelineConfig:
         xprod_cap=None if cap in (None, 0) else int(cap),
         seed=seed,
         registry_path=registry_path,
-        eval_tokenization=doc.get("eval", {}).get("bleu_tokenization", "13a"),
     )
 
 
@@ -172,5 +192,3 @@ def validate_config(config: PipelineConfig) -> None:
         for file_path in config.raw_paths(code):
             if not file_path.is_file():
                 raise ConfigError(f"missing corpus file: {file_path}")
-    if config.eval_tokenization not in ("13a", "none"):
-        raise ConfigError(f"unknown eval tokenization {config.eval_tokenization!r}")

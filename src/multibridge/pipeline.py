@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
+from typing import Iterable
 
 from .bpe import BpeSegmenter, learn_bpe, save_bpe
 from .config import PipelineConfig, validate_config
@@ -24,7 +25,7 @@ from .languages import PIVOT, get_language
 from .mining import MiningOutcome, StatsMatrix, build_pivot_index, extraction_stats, mine_pairs_detailed
 from .sampling import assemble_training_set
 from .scripts import normalize_unicode, to_devanagari
-from .tags import tag
+from .tags import src_tag, tag, tgt_tag
 from .tokenizers import tokenize
 
 logger = logging.getLogger(__name__)
@@ -76,14 +77,9 @@ def preprocess_line(text: str, lang: str) -> list[str]:
     return tokenize(text, lang)
 
 
-def _preprocess_corpus(src_path: Path, out_path: Path, lang: str) -> int:
-    n = 0
-    with open(src_path, encoding="utf-8") as fin, \
-            open(out_path, "w", encoding="utf-8", newline="\n") as fout:
-        for line in fin:
-            fout.write(" ".join(preprocess_line(line.rstrip("\n"), lang)) + "\n")
-            n += 1
-    return n
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write("".join(line + "\n" for line in lines))
 
 
 def run_pipeline(config: PipelineConfig) -> RunReport:
@@ -129,16 +125,34 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
             "entries": len(manifest.entries),
             "total_pairs": manifest.total_pairs(),
         }
+        # Nothing below reads the corpora or the index; dropping them makes
+        # room for the memos, so peak memory stays where sampling left it.
+        del english, index, mined, mined_corpora
 
+    # Mirrored directions (a-b and b-a), en-X and X-en, and mined pairs that
+    # reuse a pivot-linked sentence all carry the same text, so from here on
+    # each step runs once per distinct input and every file is written from
+    # memory. Each memo holds distinct lines only and is dropped as soon as
+    # no later stage reads it.
     with _StageTimer("preprocess"):
         config.preprocessed_dir.mkdir(parents=True, exist_ok=True)
-        line_counts = {}
+        prepped: dict[tuple[str, str], str] = {}
+        prep_lines: dict[str, list[str]] = {}
         for entry in manifest.entries:
             for side, lang in (("src", entry.direction.src), ("tgt", entry.direction.tgt)):
-                in_path = config.sampled_dir / f"{entry.path}.{side}"
-                out_path = config.preprocessed_dir / f"{entry.path}.{side}"
-                line_counts[f"{entry.path}.{side}"] = _preprocess_corpus(in_path, out_path, lang)
-        stages["preprocess"] = {"files": len(line_counts)}
+                name = f"{entry.path}.{side}"
+                lines = []
+                with open(config.sampled_dir / name, encoding="utf-8") as f:
+                    for line in f:
+                        key = (lang, line.rstrip("\n"))
+                        out = prepped.get(key)
+                        if out is None:
+                            out = prepped[key] = " ".join(preprocess_line(key[1], lang))
+                        lines.append(out)
+                _write_lines(config.preprocessed_dir / name, lines)
+                prep_lines[name] = lines
+        stages["preprocess"] = {"files": len(prep_lines)}
+        del prepped
 
     with _StageTimer("learn-bpe"):
         def training_lines():
@@ -146,11 +160,9 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
             # mirror each other, so counting both would just double every
             # frequency and shift the vocabulary threshold).
             for entry in manifest.entries:
-                if entry.direction.src > entry.direction.tgt:
-                    continue
-                for side in ("src", "tgt"):
-                    with open(config.preprocessed_dir / f"{entry.path}.{side}", encoding="utf-8") as f:
-                        yield from f
+                if entry.direction.src < entry.direction.tgt:
+                    yield from prep_lines[f"{entry.path}.src"]
+                    yield from prep_lines[f"{entry.path}.tgt"]
 
         model = learn_bpe(training_lines(), config.bpe_num_merges, config.bpe_min_frequency)
         save_bpe(model, config.preprocessed_dir / "bpe.codes", config.preprocessed_dir / "bpe.vocab")
@@ -158,28 +170,38 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
 
     with _StageTimer("apply-bpe"):
         segmenter = BpeSegmenter(model)
+        segmented: dict[str, str] = {}
+        bpe_lines: dict[str, list[str]] = {}
         for entry in manifest.entries:
             for side in ("src", "tgt"):
-                in_path = config.preprocessed_dir / f"{entry.path}.{side}"
-                out_path = config.preprocessed_dir / f"{entry.path}.bpe.{side}"
-                with open(in_path, encoding="utf-8") as fin, \
-                        open(out_path, "w", encoding="utf-8", newline="\n") as fout:
-                    for line in fin:
-                        fout.write(" ".join(segmenter.segment(line.split())) + "\n")
-        stages["apply-bpe"] = {"files": 2 * len(manifest.entries)}
+                name = f"{entry.path}.{side}"
+                lines = []
+                for line in prep_lines[name]:
+                    out = segmented.get(line)
+                    if out is None:
+                        out = segmented[line] = " ".join(segmenter.segment(line.split()))
+                    lines.append(out)
+                _write_lines(config.preprocessed_dir / f"{entry.path}.bpe.{side}", lines)
+                bpe_lines[name] = lines
+        stages["apply-bpe"] = {"files": len(bpe_lines)}
+        del segmented, prep_lines
 
     with _StageTimer("tag"):
         final_dir = config.preprocessed_dir / "final"
         final_dir.mkdir(parents=True, exist_ok=True)
+        checked: set[str] = set()
         for entry in manifest.entries:
             direction = entry.direction
-            src_in = config.preprocessed_dir / f"{entry.path}.bpe.src"
-            with open(src_in, encoding="utf-8") as fin, \
-                    open(final_dir / f"{entry.path}.src", "w", encoding="utf-8", newline="\n") as fout:
-                for line in fin:
-                    fout.write(" ".join(tag(line.split(), direction.src, direction.tgt)) + "\n")
-            tgt_in = config.preprocessed_dir / f"{entry.path}.bpe.tgt"
-            (final_dir / f"{entry.path}.tgt").write_bytes(tgt_in.read_bytes())
+            head = f"{src_tag(direction.src)} {tgt_tag(direction.tgt)}"
+            src_lines = bpe_lines[f"{entry.path}.src"]
+            for line in src_lines:
+                if line not in checked:  # tag() rejects reserved tokens in the payload
+                    tag(line.split(), direction.src, direction.tgt)
+                    checked.add(line)
+            # The two tags, then the payload if there is one: tag()'s output, joined.
+            tagged = (f"{head} {line}" if line else head for line in src_lines)
+            _write_lines(final_dir / f"{entry.path}.src", tagged)
+            _write_lines(final_dir / f"{entry.path}.tgt", bpe_lines[f"{entry.path}.tgt"])
         stages["tag"] = {"directions": len(manifest.entries)}
 
     report = RunReport(stages, manifest, stats)

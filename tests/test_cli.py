@@ -12,6 +12,7 @@ from multibridge.cli import main
 from multibridge.corpus import load_bitext, load_manifest
 
 FIXTURE = Path(__file__).parent / "data" / "pipeline_fixture"
+GOLDEN_MINED = Path(__file__).parent / "data" / "pipeline_golden" / "out" / "mined"
 
 
 def run_cli(*args, stdin: str | None = None):
@@ -78,6 +79,29 @@ class TestExtractStatsSample:
             "--inputs", str(raw_dir), "--mined", str(raw_dir), "--out", str(tmp_path / "s"),
         )
         assert proc.returncode == 2
+
+    def test_stats_ignores_stale_pair_files(self, tmp_path, raw_dir, capsys):
+        clean = tmp_path / "clean"
+        shutil.copytree(GOLDEN_MINED, clean)
+        stale = tmp_path / "stale"
+        shutil.copytree(GOLDEN_MINED, stale)
+        shutil.copy(stale / "bn-hi.bn", stale / "gu-hi.gu")
+        shutil.copy(stale / "bn-hi.hi", stale / "gu-hi.hi")
+        tables = []
+        for mined in (clean, stale):
+            assert main(["stats", "--inputs", str(raw_dir), "--mined", str(mined)]) == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[0] == tables[1]
+        assert tables[0].splitlines()[0].split("\t") == ["", "en", "bn", "hi", "ta"]
+
+    def test_half_written_pair_is_data_error(self, tmp_path, raw_dir):
+        mined = tmp_path / "mined"
+        shutil.copytree(GOLDEN_MINED, mined)
+        (mined / "bn-ta.ta").unlink()
+        proc = run_cli("stats", "--inputs", str(raw_dir), "--mined", str(mined))
+        assert proc.returncode == 2
+        assert "bn-ta" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_crlf_bitext_is_data_error(self, tmp_path, raw_dir):
         en_bn = raw_dir / "en-bn.en"

@@ -4,9 +4,12 @@ from pathlib import Path
 
 import pytest
 
+from multibridge import pipeline
 from multibridge.config import load_config, validate_config
+from multibridge.corpus import load_manifest
 from multibridge.errors import ConfigError
 from multibridge.pipeline import PipelineStageError, preprocess_line, run_pipeline
+from multibridge.tags import tag
 
 FIXTURE = Path(__file__).parent / "data" / "pipeline_fixture"
 GOLDEN = Path(__file__).parent / "data" / "pipeline_golden" / "out"
@@ -58,6 +61,51 @@ class TestRunPipeline:
         assert set(doc["stages"]) >= {"extract", "stats", "sample", "preprocess", "learn-bpe", "apply-bpe", "tag"}
 
 
+class TestComputeOnce:
+    def test_each_distinct_sentence_preprocessed_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = pipeline.preprocess_line
+
+        def counting(text, lang):
+            calls.append((lang, text))
+            return real(text, lang)
+
+        monkeypatch.setattr(pipeline, "preprocess_line", counting)
+        out = _run_fixture(tmp_path, "memo")
+
+        manifest = load_manifest(out / "sampled" / "manifest.json")
+        inputs = []
+        for entry in manifest.entries:
+            for side, lang in (("src", entry.direction.src), ("tgt", entry.direction.tgt)):
+                text = (out / "sampled" / f"{entry.path}.{side}").read_text(encoding="utf-8")
+                inputs += [(lang, line) for line in text.split("\n")[:-1]]
+        assert len(calls) == len(set(calls)) == len(set(inputs))
+        assert len(calls) < len(inputs)
+
+        for entry in manifest.entries:
+            mirror = f"{entry.direction.tgt}-{entry.direction.src}"
+            assert (out / "prep" / f"{entry.path}.src").read_bytes() == (out / "prep" / f"{mirror}.tgt").read_bytes()
+
+    def test_final_files_equal_tag_of_segmented_files(self, tmp_path):
+        # "<skipped>" tokenizes to nothing, so one payload is empty.
+        work = tmp_path / "empty_payload"
+        shutil.copytree(FIXTURE, work)
+        en = work / "raw" / "en-bn.en"
+        en.write_text("<skipped>\n" + en.read_text(encoding="utf-8").split("\n", 1)[1], encoding="utf-8")
+        run_pipeline(load_config(work / "config.json"))
+        prep = work / "out" / "prep"
+
+        empty_payloads = 0
+        for entry in load_manifest(work / "out" / "sampled" / "manifest.json").entries:
+            src, tgt = entry.direction.src, entry.direction.tgt
+            bpe_src = (prep / f"{entry.path}.bpe.src").read_text(encoding="utf-8").split("\n")[:-1]
+            expected = "".join(" ".join(tag(line.split(), src, tgt)) + "\n" for line in bpe_src)
+            assert (prep / "final" / f"{entry.path}.src").read_text(encoding="utf-8") == expected
+            assert (prep / "final" / f"{entry.path}.tgt").read_bytes() == (prep / f"{entry.path}.bpe.tgt").read_bytes()
+            empty_payloads += bpe_src.count("")
+        assert empty_payloads > 0
+
+
 class TestConfig:
     def test_relative_paths_resolve_against_config(self, tmp_path):
         work = tmp_path / "cfg"
@@ -99,6 +147,57 @@ class TestConfig:
         doc[key] = value
         bad.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match=key):
+            load_config(bad)
+
+    def test_eval_key_accepted_at_old_default(self, tmp_path):
+        work = tmp_path / "legacy_eval"
+        shutil.copytree(FIXTURE, work)
+        doc = json.loads((work / "config.json").read_text())
+        doc["eval"] = {"bleu_tokenization": "13a"}
+        (work / "config.json").write_text(json.dumps(doc))
+        config = load_config(work / "config.json")
+        assert not hasattr(config, "eval_tokenization")
+
+    @pytest.mark.parametrize("value", [{"bleu_tokenization": "none"}, {"bleu_tokenization": "intl"}, {}])
+    def test_eval_key_rejected_at_other_values(self, tmp_path, value):
+        bad = tmp_path / "bad.json"
+        doc = json.loads((FIXTURE / "config.json").read_text())
+        doc["eval"] = value
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="'eval'"):
+            load_config(bad)
+
+    @pytest.mark.parametrize("table,key,name", [
+        (None, "xprod-cap", "'xprod-cap'"),
+        ("bpe", "num_merge", "'bpe.num_merge'"),
+        ("sampling", "per_pair", "'sampling.per_pair'"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, table, key, name):
+        bad = tmp_path / "bad.json"
+        doc = json.loads((FIXTURE / "config.json").read_text())
+        (doc if table is None else doc[table])[key] = 0
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"unknown config key {name}"):
+            load_config(bad)
+
+    @pytest.mark.parametrize("name,content", [
+        ("list.json", b"[]"),
+        ("bytes.json", b'{"seed": "\xff"}'),
+        ("bytes.toml", b'seed = "\xff"'),
+        ("syntax.toml", b"seed = = 1"),
+    ])
+    def test_malformed_document_rejected(self, tmp_path, name, content):
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        with pytest.raises(ConfigError):
+            load_config(bad)
+
+    def test_section_that_is_not_a_table_rejected(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        doc = json.loads((FIXTURE / "config.json").read_text())
+        doc["bpe"] = 5
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="bpe"):
             load_config(bad)
 
     def test_pivot_in_languages_rejected(self, tmp_path):
