@@ -64,7 +64,6 @@ from .mining import (
     build_pivot_index,
     extraction_stats,
     mine_all,
-    mine_all_detailed,
     mine_pairs,
     mine_pairs_detailed,
     normalize_pivot,
@@ -134,7 +133,6 @@ __all__ = [
     "load_embeddings",
     "load_manifest",
     "mine_all",
-    "mine_all_detailed",
     "mine_pairs",
     "mine_pairs_detailed",
     "normalize_pivot",

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .corpus import iter_lines, write_lines
 from .errors import MultibridgeError
 
 SEPARATOR = "@@"
@@ -260,40 +261,43 @@ def revert_bpe(subwords: Sequence[str]) -> list[str]:
 
 def save_bpe(model: BpeModel, codes_path: str | Path, vocab_path: str | Path | None = None) -> None:
     """Write the codes file (and optionally the vocabulary file)."""
-    with open(codes_path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"#bpe num_merges={model.num_merges} min_frequency={model.min_frequency}\n")
-        for left, right in model.merges:
-            f.write(f"{left} {right}\n")
+    header = f"#bpe num_merges={model.num_merges} min_frequency={model.min_frequency}"
+    write_lines(codes_path, [header, *(f"{left} {right}" for left, right in model.merges)])
     if vocab_path is not None:
         if model.vocab is None:
             raise BpeError("model has no vocabulary to save")
-        with open(vocab_path, "w", encoding="utf-8", newline="\n") as f:
-            for sym, count in sorted(model.vocab.items(), key=lambda kv: (-kv[1], kv[0])):
-                f.write(f"{sym} {count}\n")
+        ranked = sorted(model.vocab.items(), key=lambda kv: (-kv[1], kv[0]))
+        write_lines(vocab_path, (f"{sym} {count}" for sym, count in ranked))
+
+
+def _parse_int(text: str, path: str | Path, line_no: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise BpeError(f"{path}:{line_no}: expected an integer, got {text!r}") from None
 
 
 def load_bpe(codes_path: str | Path, vocab_path: str | Path | None = None) -> BpeModel:
     """Load a model saved by :func:`save_bpe`."""
-    with open(codes_path, encoding="utf-8") as f:
-        header = f.readline().rstrip("\n")
-        fields = dict(
-            part.split("=", 1) for part in header.removeprefix("#bpe").split() if "=" in part
-        )
-        if not header.startswith("#bpe") or "num_merges" not in fields or "min_frequency" not in fields:
-            raise BpeError(f"{codes_path}: not a BPE codes file")
-        merges = []
-        for line_no, line in enumerate(f, start=2):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != 2:
-                raise BpeError(f"{codes_path}:{line_no}: expected 'left right'")
-            merges.append((parts[0], parts[1]))
+    lines = iter_lines(codes_path)
+    header = next(lines, "")
+    fields = dict(part.split("=", 1) for part in header.removeprefix("#bpe").split() if "=" in part)
+    if not header.startswith("#bpe") or "num_merges" not in fields or "min_frequency" not in fields:
+        raise BpeError(f"{codes_path}:1: not a BPE codes file")
+    num_merges = _parse_int(fields["num_merges"], codes_path, 1)
+    min_frequency = _parse_int(fields["min_frequency"], codes_path, 1)
+    merges = []
+    for line_no, line in enumerate(lines, start=2):
+        parts = line.split(" ")
+        if len(parts) != 2:
+            raise BpeError(f"{codes_path}:{line_no}: expected 'left right'")
+        merges.append((parts[0], parts[1]))
     vocab = None
     if vocab_path is not None:
         vocab = {}
-        with open(vocab_path, encoding="utf-8") as f:
-            for line_no, line in enumerate(f, start=1):
-                parts = line.rstrip("\n").rsplit(" ", 1)
-                if len(parts) != 2:
-                    raise BpeError(f"{vocab_path}:{line_no}: expected 'symbol count'")
-                vocab[parts[0]] = int(parts[1])
-    return BpeModel(tuple(merges), vocab, int(fields["num_merges"]), int(fields["min_frequency"]))
+        for line_no, line in enumerate(iter_lines(vocab_path), start=1):
+            parts = line.rsplit(" ", 1)
+            if len(parts) != 2:
+                raise BpeError(f"{vocab_path}:{line_no}: expected 'symbol count'")
+            vocab[parts[0]] = _parse_int(parts[1], vocab_path, line_no)
+    return BpeModel(tuple(merges), vocab, num_merges, min_frequency)

@@ -12,17 +12,16 @@ data error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import logging
 import sys
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .bpe import BpeSegmenter, learn_bpe, load_bpe, save_bpe
 from .config import load_config
-from .corpus import BitextCorpus, decode_line, load_bitext, write_bitext
+from .corpus import BitextCorpus, iter_lines, load_bitext, write_bitext, write_lines, write_text
 from .errors import MultibridgeError
 from .languages import PIVOT, REGISTRY, indic_codes
 from .metrics import bleu, chrf2, cosine_batch, load_embeddings
@@ -62,14 +61,6 @@ def _parse_pair_list(text: str) -> list[tuple[str, str]]:
             raise MultibridgeError(f"malformed pair {item!r} (want xx-yy)")
         pairs.append((parts[0], parts[1]))
     return pairs
-
-
-def _input_lines(path: str | None = None) -> Iterator[str]:
-    """The lines of ``path`` (stdin when None) without their LF, strictly decoded."""
-    name = path or "<stdin>"
-    with open(path, "rb") if path else contextlib.nullcontext(sys.stdin.buffer) as f:
-        for line_no, raw in enumerate(f, start=1):
-            yield decode_line(raw.removesuffix(b"\n"), name, line_no)
 
 
 def _discover_english_corpora(inputs: Path) -> dict[str, BitextCorpus]:
@@ -127,7 +118,7 @@ def _cmd_stats(args) -> int:
     if args.out == "-":
         sys.stdout.write(tsv)
     else:
-        Path(args.out).write_text(tsv, encoding="utf-8")
+        write_text(args.out, tsv)
     return 0
 
 
@@ -143,7 +134,7 @@ def _cmd_sample(args) -> int:
     plan = SamplingPlan(strategy, args.seed)
     english = _discover_english_corpora(Path(args.inputs))
     mined = _load_mined_corpora(Path(args.mined), english)
-    manifest = assemble_training_set(english.values(), mined, plan, args.out)
+    manifest, _ = assemble_training_set(english.values(), mined, plan, args.out)
     logging.info("wrote %d manifest entries, %d pairs total",
                  len(manifest.entries), manifest.total_pairs())
     return 0
@@ -159,7 +150,7 @@ def _cmd_preprocess(args) -> int:
         raise MultibridgeError("forward and reverse operations cannot be combined")
     if not forward and not reverse:
         raise MultibridgeError("nothing to do: pass --tokenize, --to-devanagari, ...")
-    for text in _input_lines():
+    for text in iter_lines():
         if reverse:
             if args.detokenize:
                 text = detokenize(text.split(), lang)
@@ -179,7 +170,7 @@ def _cmd_preprocess(args) -> int:
 def _cmd_learn_bpe(args) -> int:
     def lines():
         for path in args.input or [None]:
-            yield from _input_lines(path)
+            yield from iter_lines(path)
 
     model = learn_bpe(lines(), args.merges, args.min_freq, args.merge_floor)
     save_bpe(model, args.model, args.vocab)
@@ -188,20 +179,18 @@ def _cmd_learn_bpe(args) -> int:
 
 
 def _cmd_apply_bpe(args) -> int:
-    model = load_bpe(args.model, args.vocab)
-    fout = open(args.output, "w", encoding="utf-8", newline="\n") if args.output else sys.stdout
-    try:
-        segmenter = BpeSegmenter(model)
-        for line in _input_lines(args.input):
-            fout.write(" ".join(segmenter.segment(line.split())) + "\n")
-    finally:
-        if args.output:
-            fout.close()
+    segmenter = BpeSegmenter(load_bpe(args.model, args.vocab))
+    segmented = (" ".join(segmenter.segment(line.split())) for line in iter_lines(args.input))
+    if args.output:
+        write_lines(args.output, segmented)
+    else:
+        for line in segmented:
+            sys.stdout.write(line + "\n")
     return 0
 
 
 def _cmd_tag(args) -> int:
-    for line in _input_lines():
+    for line in iter_lines():
         if args.strip:
             _, _, tokens = untag(line.split())
             sys.stdout.write(" ".join(tokens) + "\n")
@@ -220,17 +209,17 @@ def _cmd_evaluate(args) -> int:
     else:
         if not (args.hyp and args.ref):
             raise MultibridgeError(f"{args.metric} needs --hyp and --ref")
-        hyps = list(_input_lines(args.hyp))
-        refs = list(_input_lines(args.ref))
+        hyps = list(iter_lines(args.hyp))
+        refs = list(iter_lines(args.ref))
         n = len(hyps)
         score = bleu(hyps, refs, args.tok) if args.metric == "bleu" else chrf2(hyps, refs)
     line = f"{score.metric}\t{score.value:.1f}\t{score.signature}\t{n}"
     print(line)
     if args.json:
         doc = {"metric": score.metric, "value": score.value, "signature": score.signature, "n_sentences": n}
-        Path(args.json).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_text(args.json, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     if args.tsv:
-        Path(args.tsv).write_text("metric\tvalue\tsignature\tn\n" + line + "\n", encoding="utf-8")
+        write_lines(args.tsv, ["metric\tvalue\tsignature\tn", line])
     return 0
 
 

@@ -1,17 +1,24 @@
-"""Sentence pairs, bitext corpora, and training manifests.
+"""Sentence pairs, bitext corpora, training manifests, and the line-file format.
+
+Every text file the toolkit reads or writes line by line (bitext, BPE
+codes and vocabularies, embedding tables, stage outputs) goes through
+:func:`iter_lines` and :func:`write_lines`: UTF-8, one line per LF, no CR.
+Anything else is a typed :class:`CorpusError` naming the file and line.
 
 Bitext lives on disk as a pair of line-aligned plain-text files (one
-sentence per line, UTF-8, LF endings), the format used by shared-task
-data, or as a two-column TSV for mined output. Whitespace-only lines are
-hard errors: silently dropping them would desynchronize the alignment.
+sentence per line), the format used by shared-task data, or as a
+two-column TSV for mined output. Whitespace-only lines are hard errors:
+silently dropping them would desynchronize the alignment.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import MultibridgeError
 
@@ -142,19 +149,34 @@ def decode_line(raw: bytes, path: str | Path, line_no: int) -> str:
     return text
 
 
+def iter_lines(path: str | Path | None = None) -> Iterator[str]:
+    """The lines of ``path`` (stdin when None) without their LF, strictly decoded."""
+    name = "<stdin>" if path is None else path
+    try:
+        with contextlib.nullcontext(sys.stdin.buffer) if path is None else open(path, "rb") as f:
+            for line_no, raw in enumerate(f, start=1):
+                yield decode_line(raw.removesuffix(b"\n"), name, line_no)
+    except OSError as exc:
+        raise IoFailure(f"cannot read {name}: {exc}") from exc
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write a whole document as UTF-8, with no newline translation."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            f.write(text)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each line followed by one LF; the inverse of :func:`iter_lines`."""
+    write_text(path, "".join(line + "\n" for line in lines))
+
+
 def _read_lines(path: str | Path) -> list[str]:
     """Read a one-sentence-per-line file, validating UTF-8, LF endings and non-emptiness."""
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if not raw:
-        return []
-    lines = [decode_line(chunk, path, line_no) for line_no, chunk in enumerate(raw.split(b"\n"), start=1)]
-    # A trailing LF produces one final empty chunk; drop it. A genuinely
-    # empty last line is then caught by the emptiness check below.
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = list(iter_lines(path))
     for line_no, text in enumerate(lines, start=1):
         if not text.strip():
             raise EmptyLine(path, line_no)
@@ -177,15 +199,8 @@ def load_bitext(src_path: str | Path, tgt_path: str | Path, src_lang: str, tgt_l
 
 def write_bitext(corpus: BitextCorpus, src_path: str | Path, tgt_path: str | Path) -> None:
     """Write a corpus as two line-aligned files; inverse of :func:`load_bitext`."""
-    try:
-        with open(src_path, "w", encoding="utf-8", newline="\n") as f_src:
-            for pair in corpus.pairs:
-                f_src.write(pair.src_text + "\n")
-        with open(tgt_path, "w", encoding="utf-8", newline="\n") as f_tgt:
-            for pair in corpus.pairs:
-                f_tgt.write(pair.tgt_text + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write bitext: {exc}") from exc
+    write_lines(src_path, (pair.src_text for pair in corpus.pairs))
+    write_lines(tgt_path, (pair.tgt_text for pair in corpus.pairs))
 
 
 class TsvFormatError(CorpusError):
@@ -210,15 +225,14 @@ def load_bitext_tsv(path: str | Path, src_lang: str, tgt_lang: str) -> BitextCor
 
 
 def write_bitext_tsv(corpus: BitextCorpus, path: str | Path) -> None:
-    """Write a corpus as a two-column TSV; texts must not contain tabs."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            for pair in corpus.pairs:
-                if "\t" in pair.src_text or "\t" in pair.tgt_text:
-                    raise TsvFormatError(path, 0)
-                f.write(f"{pair.src_text}\t{pair.tgt_text}\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write TSV bitext: {exc}") from exc
+    """Write a corpus as a two-column TSV; texts must not contain tabs.
+
+    Every row is checked first, so a rejected corpus writes nothing.
+    """
+    for line_no, pair in enumerate(corpus.pairs, start=1):
+        if "\t" in pair.src_text or "\t" in pair.tgt_text:
+            raise TsvFormatError(path, line_no)
+    write_lines(path, (f"{pair.src_text}\t{pair.tgt_text}" for pair in corpus.pairs))
 
 
 @dataclass(frozen=True)
@@ -239,7 +253,6 @@ class TrainingManifest:
 
     entries: tuple[ManifestEntry, ...]
     seed: int
-    extra: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -249,9 +262,6 @@ class TrainingManifest:
 
     def total_pairs(self) -> int:
         return sum(e.count for e in self.entries)
-
-    def by_direction(self) -> dict[TranslationDirection, ManifestEntry]:
-        return {e.direction: e for e in self.entries}
 
 
 def save_manifest(manifest: TrainingManifest, path: str | Path) -> None:
@@ -268,9 +278,7 @@ def save_manifest(manifest: TrainingManifest, path: str | Path) -> None:
         ],
         "seed": manifest.seed,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(doc, f, ensure_ascii=False, indent=2, sort_keys=True)
-        f.write("\n")
+    write_text(path, json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
 
 
 def load_manifest(path: str | Path) -> TrainingManifest:

@@ -21,8 +21,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import TranslationDirection
+from .corpus import TranslationDirection, iter_lines, write_lines
 from .errors import MultibridgeError
+from .languages import PIVOT
 from .tokenizers import tokenize_13a
 from .version import __version__
 
@@ -236,19 +237,25 @@ class EmbeddingTable:
 
 def load_embeddings(path) -> EmbeddingTable:
     """Read a TSV embedding file: header ``d n``, then ``id v1 ... vd`` rows."""
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().split()
-        if len(header) != 2:
-            raise MetricError(f"{path}: expected 'd n' header")
+    lines = iter_lines(path)
+    header = next(lines, "").split()
+    if len(header) != 2:
+        raise MetricError(f"{path}:1: expected 'd n' header")
+    try:
         dim, n = int(header[0]), int(header[1])
-        ids = []
-        rows = []
-        for line_no, line in enumerate(f, start=2):
-            parts = line.split()
-            if len(parts) != dim + 1:
-                raise MetricError(f"{path}:{line_no}: expected id plus {dim} floats")
+    except ValueError:
+        raise MetricError(f"{path}:1: expected integers in the 'd n' header") from None
+    ids = []
+    rows = []
+    for line_no, line in enumerate(lines, start=2):
+        parts = line.split()
+        if len(parts) != dim + 1:
+            raise MetricError(f"{path}:{line_no}: expected id plus {dim} floats")
+        try:
             ids.append(int(parts[0]))
             rows.append([float(x) for x in parts[1:]])
+        except ValueError:
+            raise MetricError(f"{path}:{line_no}: expected an integer id and {dim} floats") from None
     if len(ids) != n:
         raise MetricError(f"{path}: header says {n} rows, found {len(ids)}")
     matrix = np.asarray(rows, dtype=np.float64).reshape(len(ids), dim)
@@ -256,10 +263,11 @@ def load_embeddings(path) -> EmbeddingTable:
 
 
 def save_embeddings(table: EmbeddingTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"{table.dim} {len(table.ids)}\n")
-        for sentence_id, row in zip(table.ids, table.matrix):
-            f.write("\t".join([str(sentence_id)] + [repr(float(x)) for x in row]) + "\n")
+    rows = (
+        "\t".join([str(sentence_id)] + [repr(float(x)) for x in row])
+        for sentence_id, row in zip(table.ids, table.matrix)
+    )
+    write_lines(path, [f"{table.dim} {len(table.ids)}", *rows])
 
 
 def cosine_batch(a: EmbeddingTable, b: EmbeddingTable) -> MetricScore:
@@ -307,7 +315,7 @@ class ComparisonTable:
             lines.append("\t".join((label, *fmt(values))))
         lines.append("\t".join(("AVG", *fmt(self.avg_row))))
         if self.pivot_row is not None:
-            lines.append("\t".join(("en", *fmt(self.pivot_row))))
+            lines.append("\t".join((PIVOT, *fmt(self.pivot_row))))
         if self.missing:
             lines.append("# missing: " + " ".join(d.label() for d in self.missing))
         return "\n".join(lines) + "\n"
@@ -327,7 +335,7 @@ def _aggregate(values: list[tuple[float, int]], average: str) -> float | None:
 def nway_compare(
     reports: Iterable[EvalReport],
     languages: Sequence[str],
-    pivot: str = "en",
+    pivot: str = PIVOT,
     average: str = "macro",
     testset_similarity: Mapping[TranslationDirection, float] | None = None,
 ) -> ComparisonTable:
@@ -337,11 +345,14 @@ def nway_compare(
     targets; English gets its own row outside the AVG. ``average`` is
     ``macro`` (unweighted over directions) or ``micro`` (weighted by
     sentence counts). Expected-but-absent directions are listed in
-    ``missing`` rather than failing the comparison.
+    ``missing`` rather than failing the comparison. ``pivot`` must be
+    :data:`~multibridge.languages.PIVOT`, the toolkit's only pivot.
     """
+    if pivot != PIVOT:
+        raise MetricError(f"the pivot is {PIVOT!r}, not {pivot!r}")
     if average not in ("macro", "micro"):
         raise MetricError(f"unknown average {average!r}")
-    non_english = [code for code in languages if code != pivot]
+    non_english = [code for code in languages if code != PIVOT]
     by_direction = {r.direction: r for r in reports}
     tset = dict(testset_similarity or {})
 
@@ -351,7 +362,7 @@ def nway_compare(
     ]
 
     missing = []
-    for src in (*non_english, pivot):
+    for src in (*non_english, PIVOT):
         for tgt in non_english:
             if src != tgt and TranslationDirection(src, tgt) not in by_direction:
                 missing.append(TranslationDirection(src, tgt))
@@ -365,11 +376,11 @@ def nway_compare(
             return [
                 (tset[d], by_direction[d].n_sentences if d in by_direction else 1)
                 for d in tset_directions
-                if d.src == src and d.tgt != pivot and d.tgt in non_english
+                if d.src == src and d.tgt in non_english
             ]
         values = []
         for d in reported:
-            if d.src == src and d.tgt != pivot and d.tgt in non_english:
+            if d.src == src and d.tgt in non_english:
                 score = by_direction[d].score(metric)
                 if score is not None:
                     values.append((score.value, by_direction[d].n_sentences))
@@ -389,7 +400,7 @@ def nway_compare(
             row_values = [row[metric] for _, row in rows if row[metric] is not None]
             avg_row[metric] = sum(row_values) / len(row_values) if row_values else None
 
-    pivot_row = row_for(pivot)
+    pivot_row = row_for(PIVOT)
     if all(v is None for v in pivot_row.values()):
         pivot_row = None
 

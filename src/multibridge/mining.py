@@ -178,32 +178,18 @@ def canonical_pair(l1: str, l2: str) -> tuple[str, str]:
     return (l1, l2) if l1 < l2 else (l2, l1)
 
 
-def mine_all_detailed(
+def mine_all(
     index: PivotIndex,
     languages: Sequence[str],
     xprod_cap: int | None = DEFAULT_XPROD_CAP,
-) -> dict[tuple[str, str], MiningOutcome]:
+) -> dict[tuple[str, str], BitextCorpus]:
     """Mine every unordered pair among ``languages``."""
     langs = list(dict.fromkeys(languages))
     if PIVOT in langs:
         raise PivotLanguageRequested(f"language list includes the pivot {PIVOT!r}")
     if len(langs) < 2:
         raise MiningError("need at least two non-pivot languages to mine pairs")
-    results: dict[tuple[str, str], MiningOutcome] = {}
-    for a, b in combinations(sorted(langs), 2):
-        results[(a, b)] = mine_pairs_detailed(index, a, b, xprod_cap)
-    return results
-
-
-def mine_all(
-    index: PivotIndex,
-    languages: Sequence[str],
-    xprod_cap: int | None = DEFAULT_XPROD_CAP,
-) -> dict[tuple[str, str], BitextCorpus]:
-    return {
-        pair: outcome.corpus
-        for pair, outcome in mine_all_detailed(index, languages, xprod_cap).items()
-    }
+    return {(a, b): mine_pairs_detailed(index, a, b, xprod_cap).corpus for a, b in combinations(sorted(langs), 2)}
 
 
 @dataclass(frozen=True)

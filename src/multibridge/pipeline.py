@@ -14,12 +14,10 @@ import logging
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from pathlib import Path
-from typing import Iterable
 
 from .bpe import BpeSegmenter, learn_bpe, save_bpe
 from .config import PipelineConfig, validate_config
-from .corpus import TrainingManifest, load_bitext, write_bitext
+from .corpus import TrainingManifest, load_bitext, write_bitext, write_lines, write_text
 from .errors import MultibridgeError
 from .languages import PIVOT, get_language
 from .mining import MiningOutcome, StatsMatrix, build_pivot_index, extraction_stats, mine_pairs_detailed
@@ -77,11 +75,6 @@ def preprocess_line(text: str, lang: str) -> list[str]:
     return tokenize(text, lang)
 
 
-def _write_lines(path: Path, lines: Iterable[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("".join(line + "\n" for line in lines))
-
-
 def run_pipeline(config: PipelineConfig) -> RunReport:
     """Run every stage; any failure aborts with the stage name attached."""
     stages: dict[str, dict] = {}
@@ -112,12 +105,12 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
 
     with _StageTimer("stats"):
         stats = extraction_stats(english.values(), mined, sorted(config.languages))
-        (config.mined_dir / "stats.tsv").write_text(stats.to_tsv(), encoding="utf-8")
+        write_text(config.mined_dir / "stats.tsv", stats.to_tsv())
         stages["stats"] = {"grand_total": stats.grand_total(), "unique_pairs": stats.unique_unordered_total()}
 
     with _StageTimer("sample"):
         mined_corpora = {pair: outcome.corpus for pair, outcome in mined.items()}
-        manifest = assemble_training_set(
+        manifest, corpora = assemble_training_set(
             english.values(), mined_corpora, config.sampling, config.sampled_dir
         )
         stages["sample"] = {
@@ -125,7 +118,7 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
             "entries": len(manifest.entries),
             "total_pairs": manifest.total_pairs(),
         }
-        # Nothing below reads the corpora or the index; dropping them makes
+        # Only the sampled corpora are read below; dropping the rest makes
         # room for the memos, so peak memory stays where sampling left it.
         del english, index, mined, mined_corpora
 
@@ -138,21 +131,24 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
         config.preprocessed_dir.mkdir(parents=True, exist_ok=True)
         prepped: dict[tuple[str, str], str] = {}
         prep_lines: dict[str, list[str]] = {}
-        for entry in manifest.entries:
-            for side, lang in (("src", entry.direction.src), ("tgt", entry.direction.tgt)):
+        for entry, corpus in zip(manifest.entries, corpora):
+            sides = (
+                ("src", entry.direction.src, (pair.src_text for pair in corpus.pairs)),
+                ("tgt", entry.direction.tgt, (pair.tgt_text for pair in corpus.pairs)),
+            )
+            for side, lang, texts in sides:
                 name = f"{entry.path}.{side}"
                 lines = []
-                with open(config.sampled_dir / name, encoding="utf-8") as f:
-                    for line in f:
-                        key = (lang, line.rstrip("\n"))
-                        out = prepped.get(key)
-                        if out is None:
-                            out = prepped[key] = " ".join(preprocess_line(key[1], lang))
-                        lines.append(out)
-                _write_lines(config.preprocessed_dir / name, lines)
+                for text in texts:
+                    key = (lang, text)
+                    out = prepped.get(key)
+                    if out is None:
+                        out = prepped[key] = " ".join(preprocess_line(text, lang))
+                    lines.append(out)
+                write_lines(config.preprocessed_dir / name, lines)
                 prep_lines[name] = lines
         stages["preprocess"] = {"files": len(prep_lines)}
-        del prepped
+        del prepped, corpora
 
     with _StageTimer("learn-bpe"):
         def training_lines():
@@ -181,7 +177,7 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
                     if out is None:
                         out = segmented[line] = " ".join(segmenter.segment(line.split()))
                     lines.append(out)
-                _write_lines(config.preprocessed_dir / f"{entry.path}.bpe.{side}", lines)
+                write_lines(config.preprocessed_dir / f"{entry.path}.bpe.{side}", lines)
                 bpe_lines[name] = lines
         stages["apply-bpe"] = {"files": len(bpe_lines)}
         del segmented, prep_lines
@@ -200,14 +196,12 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
                     checked.add(line)
             # The two tags, then the payload if there is one: tag()'s output, joined.
             tagged = (f"{head} {line}" if line else head for line in src_lines)
-            _write_lines(final_dir / f"{entry.path}.src", tagged)
-            _write_lines(final_dir / f"{entry.path}.tgt", bpe_lines[f"{entry.path}.tgt"])
+            write_lines(final_dir / f"{entry.path}.src", tagged)
+            write_lines(final_dir / f"{entry.path}.tgt", bpe_lines[f"{entry.path}.tgt"])
         stages["tag"] = {"directions": len(manifest.entries)}
 
     report = RunReport(stages, manifest, stats)
     report_path = config.preprocessed_dir / "run_report.json"
-    with open(report_path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump({"seed": config.seed, "stages": stages}, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_text(report_path, json.dumps({"seed": config.seed, "stages": stages}, indent=2, sort_keys=True) + "\n")
     return report
 

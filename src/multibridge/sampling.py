@@ -226,23 +226,37 @@ def build_training_set(
     return entries
 
 
+def _write_training_set(
+    items: Iterable[tuple[TranslationDirection, BitextCorpus, str]],
+    seed: int,
+    out_dir: str | Path,
+) -> tuple[TrainingManifest, list[BitextCorpus]]:
+    """Write each direction's ``<src>-<tgt>.src``/``.tgt`` files plus ``manifest.json``."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    entries = []
+    corpora = []
+    for direction, corpus, label in items:
+        prefix = direction.label()
+        write_bitext(corpus, out / f"{prefix}.src", out / f"{prefix}.tgt")
+        entries.append(ManifestEntry(direction, prefix, len(corpus), label))
+        corpora.append(corpus)
+    manifest = TrainingManifest(tuple(entries), seed)
+    save_manifest(manifest, out / "manifest.json")
+    return manifest, corpora
+
+
 def assemble_training_set(
     english_corpora: Iterable[BitextCorpus],
     mined_corpora: Mapping[tuple[str, str], BitextCorpus],
     plan: SamplingPlan,
     out_dir: str | Path,
-) -> TrainingManifest:
-    """Materialize a training set: corpus files plus ``manifest.json``."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest_entries = []
-    for direction, corpus, label in build_training_set(english_corpora, mined_corpora, plan):
-        prefix = direction.label()
-        write_bitext(corpus, out / f"{prefix}.src", out / f"{prefix}.tgt")
-        manifest_entries.append(ManifestEntry(direction, prefix, len(corpus), label))
-    manifest = TrainingManifest(tuple(manifest_entries), plan.seed)
-    save_manifest(manifest, out / "manifest.json")
-    return manifest
+) -> tuple[TrainingManifest, list[BitextCorpus]]:
+    """Materialize a training set: corpus files plus ``manifest.json``.
+
+    Returns the manifest and the written corpora, in manifest order.
+    """
+    return _write_training_set(build_training_set(english_corpora, mined_corpora, plan), plan.seed, out_dir)
 
 
 def sample_validation_corpora(
@@ -271,13 +285,6 @@ def sample_validation(
     out_dir: str | Path,
 ) -> TrainingManifest:
     """Write the validation subsample and its manifest; returns the manifest."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for direction, corpus in sample_validation_corpora(dev_corpora, fraction, seed).items():
-        prefix = direction.label()
-        write_bitext(corpus, out / f"{prefix}.src", out / f"{prefix}.tgt")
-        entries.append(ManifestEntry(direction, prefix, len(corpus), "validation"))
-    manifest = TrainingManifest(tuple(entries), seed)
-    save_manifest(manifest, out / "manifest.json")
-    return manifest
+    sampled = sample_validation_corpora(dev_corpora, fraction, seed)
+    items = ((direction, corpus, "validation") for direction, corpus in sampled.items())
+    return _write_training_set(items, seed, out_dir)[0]

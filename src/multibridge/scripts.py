@@ -94,20 +94,18 @@ class UnmappableCodepoint(ScriptError):
         self.lang = lang
 
 
-def normalize_unicode(text: str, lang: str | None = None,
-                      canonicalizations: dict[str, dict[str, str]] | None = None) -> str:
+def normalize_unicode(text: str, lang: str | None = None) -> str:
     """NFC normalization plus script-specific nukta composition.
 
     With ``lang`` given, only that language's script table applies;
     otherwise all tables do (they touch disjoint blocks, so this is safe).
     """
-    tables = DEFAULT_CANONICALIZATIONS if canonicalizations is None else canonicalizations
     text = unicodedata.normalize("NFC", text)
     if lang is not None:
         script = get_language(lang).script
-        selected = [tables[script]] if script in tables else []
+        selected = [DEFAULT_CANONICALIZATIONS[script]] if script in DEFAULT_CANONICALIZATIONS else []
     else:
-        selected = list(tables.values())
+        selected = list(DEFAULT_CANONICALIZATIONS.values())
     for table in selected:
         for seq, composed in table.items():
             if seq in text:

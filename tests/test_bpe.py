@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multibridge.bpe import (
+    BpeError,
     BpeModel,
     BpeSegmenter,
     DanglingContinuation,
@@ -15,6 +16,8 @@ from multibridge.bpe import (
     revert_bpe,
     save_bpe,
 )
+
+from multibridge.corpus import CarriageReturn, InvalidUtf8
 
 from oracles import brute_force_learn, sequential_apply
 
@@ -188,5 +191,24 @@ class TestModelFile:
 
     def test_reject_garbage(self, tmp_path):
         (tmp_path / "bad.txt").write_text("not a header\n")
-        with pytest.raises(Exception):
+        with pytest.raises(BpeError):
             load_bpe(tmp_path / "bad.txt")
+
+    GOOD_CODES = b"#bpe num_merges=5 min_frequency=1\nl o\n"
+
+    @pytest.mark.parametrize("codes,vocab,bad,line,error", [
+        (b"#bpe num_merges=5 min_frequency=1\r\nl o\r\n", None, "codes", 1, CarriageReturn),
+        (b"#bpe num_merges=5 min_frequency=1\nl \xffo\n", None, "codes", 2, InvalidUtf8),
+        (b"#bpe num_merges=x min_frequency=1\n", None, "codes", 1, BpeError),
+        (b"#bpe num_merges=5 min_frequency=1.5\n", None, "codes", 1, BpeError),
+        (GOOD_CODES, b"lo 2\r\n", "vocab", 1, CarriageReturn),
+        (GOOD_CODES, b"lo 2\n\xff 1\n", "vocab", 2, InvalidUtf8),
+        (GOOD_CODES, b"lo 2\nb x\n", "vocab", 2, BpeError),
+    ], ids=["codes-crlf", "codes-utf8", "num-merges", "min-frequency", "vocab-crlf", "vocab-utf8", "vocab-count"])
+    def test_malformed_files_are_typed_errors(self, tmp_path, codes, vocab, bad, line, error):
+        (tmp_path / "codes").write_bytes(codes)
+        if vocab is not None:
+            (tmp_path / "vocab").write_bytes(vocab)
+        with pytest.raises(error) as info:
+            load_bpe(tmp_path / "codes", None if vocab is None else tmp_path / "vocab")
+        assert f"{tmp_path / bad}:{line}:" in str(info.value)

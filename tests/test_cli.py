@@ -156,6 +156,42 @@ class TestStrictStdin:
         assert f"{bad}:2: invalid UTF-8" in proc.stderr
 
 
+class TestStrictModelFiles:
+    """Codes, vocabulary and embedding files follow the same line rule as corpora."""
+
+    CODES = b"#bpe num_merges=5 min_frequency=1\nl o\n"
+    EMB = b"2 1\n0\t1.0\t0.0\n"
+    CASES = [
+        ("codes", b"#bpe num_merges=5 min_frequency=1\r\nl o\r\n", 1),
+        ("codes", b"#bpe num_merges=5 min_frequency=1\nl \xffo\n", 2),
+        ("codes", b"#bpe num_merges=x min_frequency=1\n", 1),
+        ("vocab", b"lo 2\r\n", 1),
+        ("vocab", b"lo 2\n\xff 1\n", 2),
+        ("vocab", b"lo 2\nb x\n", 2),
+        ("emb", b"2 1\r\n0\t1.0\t0.0\r\n", 1),
+        ("emb", b"2 1\n0\t1.0\t\xff\n", 2),
+        ("emb", b"2 1\n0 1.0 abc\n", 2),
+        ("emb", b"2 x\n", 1),
+    ]
+
+    @pytest.mark.parametrize("kind,content,line", CASES, ids=[
+        "codes-crlf", "codes-utf8", "codes-number", "vocab-crlf", "vocab-utf8", "vocab-number",
+        "emb-crlf", "emb-utf8", "emb-number", "emb-header",
+    ])
+    def test_bad_file_is_data_error(self, tmp_path, capsys, kind, content, line):
+        files = {"codes": self.CODES, "vocab": b"lo 2\n", "emb": self.EMB, "input": b"low\n"}
+        files[kind] = content
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        if kind == "emb":
+            argv = ["evaluate", "--metric", "cosine", "--emb-a", str(tmp_path / "emb"), "--emb-b", str(tmp_path / "emb")]
+        else:
+            argv = ["apply-bpe", "--model", str(tmp_path / "codes"), "--vocab", str(tmp_path / "vocab"),
+                    "--input", str(tmp_path / "input")]
+        assert main(argv) == 2
+        assert f"multibridge: {tmp_path / kind}:{line}:" in capsys.readouterr().err
+
+
 class TestPreprocess:
     def test_to_devanagari_tokenize(self):
         proc = run_cli("preprocess", "--lang", "bn", "--normalize", "--to-devanagari", "--tokenize",

@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,10 @@ from hypothesis import strategies as st
 from multibridge.corpus import (
     BitextCorpus,
     CarriageReturn,
+    CorpusError,
     EmptyLine,
     InvalidUtf8,
+    IoFailure,
     LineCountMismatch,
     ManifestEntry,
     ManifestError,
@@ -16,6 +20,7 @@ from multibridge.corpus import (
     TrainingManifest,
     TranslationDirection,
     TsvFormatError,
+    iter_lines,
     load_bitext,
     load_bitext_tsv,
     load_manifest,
@@ -23,6 +28,7 @@ from multibridge.corpus import (
     verify_manifest,
     write_bitext,
     write_bitext_tsv,
+    write_lines,
 )
 
 
@@ -156,6 +162,55 @@ class TestTsv:
         corpus = BitextCorpus("bn", "hi", (SentencePair("a\tb", "c"),))
         with pytest.raises(TsvFormatError):
             write_bitext_tsv(corpus, tmp_path / "c.tsv")
+
+    def test_tab_in_later_row_writes_nothing(self, tmp_path):
+        corpus = BitextCorpus("bn", "hi", (SentencePair("a", "b"), SentencePair("c", "d\te")))
+        with pytest.raises(TsvFormatError) as info:
+            write_bitext_tsv(corpus, tmp_path / "c.tsv")
+        assert info.value.line_no == 2
+        assert f"{tmp_path / 'c.tsv'}:2:" in str(info.value)
+        assert not (tmp_path / "c.tsv").exists()
+
+
+# Pieces that probe the line format: CRLF and lone CR, a BOM, NUL, U+2028
+# (a line break to str.splitlines, not to the format), invalid and
+# truncated UTF-8, and ordinary Latin and Indic text.
+_PIECES = [b"\n", b"\r\n", b"\r", b"\xef\xbb\xbf", b"\x00", "\u2028".encode(), b"\xff", b"\xe0\xa4",
+           b"a", b" ", b"\t", "\u0915".encode()]
+_FILE_BYTES = st.one_of(st.binary(max_size=64), st.lists(st.sampled_from(_PIECES), max_size=24).map(b"".join))
+
+
+class TestLineFormat:
+    @settings(max_examples=300, deadline=None)
+    @given(_FILE_BYTES)
+    def test_round_trip_or_typed_error(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            src, out = Path(tmp) / "in", Path(tmp) / "out"
+            src.write_bytes(raw)
+            try:
+                lines = list(iter_lines(src))
+            except CorpusError:
+                assert b"\r" in raw or _not_utf8(raw)
+                return
+            write_lines(out, lines)
+            assert out.read_bytes() == (raw if raw.endswith(b"\n") or not raw else raw + b"\n")
+
+    def test_lines_split_on_lf_only(self, tmp_path):
+        text = "a\u2028b\x00\x0c\x1c\x85c\n\ufeffd\n"
+        _write(tmp_path / "f", text.encode())
+        assert list(iter_lines(tmp_path / "f")) == ["a\u2028b\x00\x0c\x1c\x85c", "\ufeffd"]
+
+    def test_missing_file_is_io_failure(self, tmp_path):
+        with pytest.raises(IoFailure):
+            list(iter_lines(tmp_path / "missing"))
+
+
+def _not_utf8(raw: bytes) -> bool:
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return True
+    return False
 
 
 class TestDirection:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multibridge.corpus import TranslationDirection
+from multibridge.corpus import CarriageReturn, InvalidUtf8, TranslationDirection
 from multibridge.metrics import (
     DimensionMismatch,
     EmbeddingTable,
@@ -166,6 +166,19 @@ class TestEmbeddingFile:
         with pytest.raises(MetricError):
             load_embeddings(tmp_path / "bad.tsv")
 
+    @pytest.mark.parametrize("content,line,error", [
+        (b"2 1\r\n0\t1.0\t0.0\r\n", 1, CarriageReturn),
+        (b"2 1\n0\t1.0\t\xff\n", 2, InvalidUtf8),
+        (b"2 1\n0 1.0 abc\n", 2, MetricError),
+        (b"2 1\nx 1.0 0.0\n", 2, MetricError),
+        (b"2 x\n", 1, MetricError),
+    ], ids=["crlf", "invalid-utf8", "bad-float", "bad-id", "bad-header"])
+    def test_malformed_file_is_typed_error(self, tmp_path, content, line, error):
+        (tmp_path / "bad.tsv").write_bytes(content)
+        with pytest.raises(error) as info:
+            load_embeddings(tmp_path / "bad.tsv")
+        assert f"{tmp_path / 'bad.tsv'}:{line}:" in str(info.value)
+
     def test_reject_nonfinite(self):
         with pytest.raises(MetricError):
             _table([[float("nan"), 1.0]])
@@ -254,6 +267,13 @@ class TestNwayCompare:
         ]
         table = nway_compare(reports, ["bn", "hi"])
         assert dict(table.rows)["bn"]["bleu"] == pytest.approx(10.0)
+
+    def test_pivot_other_than_english_rejected(self):
+        reports = [_report("hi", "bn", {"bleu": 25.0}), _report("bn", "hi", {"bleu": 12.0})]
+        with pytest.raises(MetricError):
+            nway_compare(reports, ["bn", "hi"], pivot="hi")
+        table = nway_compare(reports, ["bn", "hi", "en"], "en")
+        assert [label for label, _ in table.rows] == ["bn", "hi"]
 
     def test_tsv_layout(self):
         reports = [_report("bn", "hi", {"bleu": 12.345})]

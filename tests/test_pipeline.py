@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from multibridge import pipeline
+from multibridge import corpus, pipeline
 from multibridge.config import load_config, validate_config
 from multibridge.corpus import load_manifest
 from multibridge.errors import ConfigError
@@ -85,6 +85,20 @@ class TestComputeOnce:
         for entry in manifest.entries:
             mirror = f"{entry.direction.tgt}-{entry.direction.src}"
             assert (out / "prep" / f"{entry.path}.src").read_bytes() == (out / "prep" / f"{mirror}.tgt").read_bytes()
+
+    def test_reads_only_the_raw_corpora(self, tmp_path, monkeypatch):
+        # Every stage after extract works from memory: sampled files are
+        # written for the record, never read back.
+        read = []
+        real = corpus.iter_lines
+
+        def recording(path=None):
+            read.append(Path(path).relative_to(tmp_path / "read"))
+            return real(path)
+
+        monkeypatch.setattr(corpus, "iter_lines", recording)
+        _run_fixture(tmp_path, "read")
+        assert sorted(read) == sorted(Path("raw") / p.name for p in (FIXTURE / "raw").iterdir())
 
     def test_final_files_equal_tag_of_segmented_files(self, tmp_path):
         # "<skipped>" tokenizes to nothing, so one payload is empty.

@@ -169,7 +169,7 @@ class TestAssembleTrainingSet:
     def test_manifest_counts_match_disk(self, tmp_path):
         corpora, mined = _mined_fixture()
         plan = SamplingPlan(SampleFraction(8), seed=9)
-        manifest = assemble_training_set(corpora.values(), mined, plan, tmp_path / "out")
+        manifest, _ = assemble_training_set(corpora.values(), mined, plan, tmp_path / "out")
         verify_manifest(manifest, tmp_path / "out")
         assert load_manifest(tmp_path / "out" / "manifest.json") == manifest
         assert {e.strategy for e in manifest.entries} == {"english-centric", "sample-fraction"}
