@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import iter_lines, write_lines
+from .corpus import iter_lines, parse_count, write_lines
 from .errors import MultibridgeError
 
 SEPARATOR = "@@"
@@ -270,13 +270,6 @@ def save_bpe(model: BpeModel, codes_path: str | Path, vocab_path: str | Path | N
         write_lines(vocab_path, (f"{sym} {count}" for sym, count in ranked))
 
 
-def _parse_int(text: str, path: str | Path, line_no: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise BpeError(f"{path}:{line_no}: expected an integer, got {text!r}") from None
-
-
 def load_bpe(codes_path: str | Path, vocab_path: str | Path | None = None) -> BpeModel:
     """Load a model saved by :func:`save_bpe`."""
     lines = iter_lines(codes_path)
@@ -284,8 +277,8 @@ def load_bpe(codes_path: str | Path, vocab_path: str | Path | None = None) -> Bp
     fields = dict(part.split("=", 1) for part in header.removeprefix("#bpe").split() if "=" in part)
     if not header.startswith("#bpe") or "num_merges" not in fields or "min_frequency" not in fields:
         raise BpeError(f"{codes_path}:1: not a BPE codes file")
-    num_merges = _parse_int(fields["num_merges"], codes_path, 1)
-    min_frequency = _parse_int(fields["min_frequency"], codes_path, 1)
+    num_merges = parse_count(fields["num_merges"], codes_path, 1, BpeError)
+    min_frequency = parse_count(fields["min_frequency"], codes_path, 1, BpeError)
     merges = []
     for line_no, line in enumerate(lines, start=2):
         parts = line.split(" ")
@@ -299,5 +292,5 @@ def load_bpe(codes_path: str | Path, vocab_path: str | Path | None = None) -> Bp
             parts = line.rsplit(" ", 1)
             if len(parts) != 2:
                 raise BpeError(f"{vocab_path}:{line_no}: expected 'symbol count'")
-            vocab[parts[0]] = _parse_int(parts[1], vocab_path, line_no)
+            vocab[parts[0]] = parse_count(parts[1], vocab_path, line_no, BpeError)
     return BpeModel(tuple(merges), vocab, num_merges, min_frequency)

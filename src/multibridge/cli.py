@@ -17,24 +17,16 @@ import logging
 import sys
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable
 
 from .bpe import BpeSegmenter, learn_bpe, load_bpe, save_bpe
-from .config import load_config
-from .corpus import BitextCorpus, iter_lines, load_bitext, write_bitext, write_lines, write_text
+from .config import load_config, parse_pairs, parse_sampling
+from .corpus import iter_lines, write_lines, write_text
 from .errors import MultibridgeError
-from .languages import PIVOT, REGISTRY, indic_codes
+from .languages import REGISTRY, indic_codes
 from .metrics import bleu, chrf2, cosine_batch, load_embeddings
-from .mining import DEFAULT_XPROD_CAP, build_pivot_index, extraction_stats, mine_pairs_detailed
-from .pipeline import run_pipeline
-from .sampling import (
-    DEFAULT_PER_PAIR_TARGET,
-    SampleFraction,
-    SamplePairs,
-    SamplingPlan,
-    TrainAll,
-    assemble_training_set,
-)
+from .mining import DEFAULT_XPROD_CAP, extraction_stats
+from .pipeline import extract, load_english, load_mined, raw_languages, run_pipeline, write_stats
+from .sampling import DEFAULT_PER_PAIR_TARGET, assemble_training_set
 from .scripts import from_devanagari, normalize_unicode, to_devanagari
 from .tags import tag as tag_tokens_op
 from .tags import untag
@@ -53,68 +45,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _parse_pair_list(text: str) -> list[tuple[str, str]]:
-    pairs = []
-    for item in text.split(","):
-        parts = item.strip().split("-")
-        if len(parts) != 2:
-            raise MultibridgeError(f"malformed pair {item!r} (want xx-yy)")
-        pairs.append((parts[0], parts[1]))
-    return pairs
-
-
-def _discover_english_corpora(inputs: Path) -> dict[str, BitextCorpus]:
-    corpora = {}
-    for en_file in sorted(inputs.glob(f"{PIVOT}-??.{PIVOT}")):
-        lang = en_file.stem.split("-")[1]
-        x_file = en_file.with_suffix(f".{lang}")
-        if not x_file.exists():
-            raise MultibridgeError(f"missing counterpart file for {en_file}")
-        corpora[lang] = load_bitext(en_file, x_file, PIVOT, lang)
-    if not corpora:
-        raise MultibridgeError(f"no {PIVOT}-xx corpora found in {inputs}")
-    return corpora
-
-
-def _load_mined_corpora(mined_dir: Path, languages: Iterable[str]) -> dict[tuple[str, str], BitextCorpus]:
-    """The ``a-b.a``/``a-b.b`` pairs among ``languages``; other files in ``mined_dir`` are ignored."""
-    mined = {}
-    for a, b in combinations(sorted(languages), 2):
-        a_file, b_file = mined_dir / f"{a}-{b}.{a}", mined_dir / f"{a}-{b}.{b}"
-        if a_file.exists() and b_file.exists():
-            mined[(a, b)] = load_bitext(a_file, b_file, a, b)
-        elif a_file.exists() or b_file.exists():
-            raise MultibridgeError(f"mined pair {a}-{b} in {mined_dir} has only one of its two files")
-    if not mined:
-        raise MultibridgeError(f"no mined corpora found in {mined_dir}")
-    return mined
-
-
 def _cmd_extract(args) -> int:
-    inputs = Path(args.inputs)
-    corpora = _discover_english_corpora(inputs)
-    index = build_pivot_index(corpora.values())
-    languages = sorted(corpora)
-    if args.pairs:
-        pairs = [tuple(sorted(p)) for p in _parse_pair_list(args.pairs)]
-    else:
-        pairs = [(a, b) for i, a in enumerate(languages) for b in languages[i + 1:]]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cap = None if args.xprod_cap == 0 else args.xprod_cap
-    for a, b in pairs:
-        outcome = mine_pairs_detailed(index, a, b, cap)
-        write_bitext(outcome.corpus, out / f"{a}-{b}.{a}", out / f"{a}-{b}.{b}")
-        logging.info("mined %s-%s: %d pairs (%d raw, %d capped keys)",
-                     a, b, len(outcome.corpus), outcome.raw_pair_count, len(outcome.capped_keys))
+    inputs, out = Path(args.inputs), Path(args.out)
+    english = load_english(inputs, raw_languages(inputs))
+    pairs = parse_pairs(args.pairs.split(",")) if args.pairs else combinations(english, 2)
+    mined, _ = extract(english, pairs, None if args.xprod_cap == 0 else args.xprod_cap, out)
+    write_stats(english, mined, out)
     return 0
 
 
 def _cmd_stats(args) -> int:
-    corpora = _discover_english_corpora(Path(args.inputs))
-    mined = _load_mined_corpora(Path(args.mined), corpora)
-    matrix = extraction_stats(corpora.values(), mined)
-    tsv = matrix.to_tsv()
+    inputs = Path(args.inputs)
+    english = load_english(inputs, raw_languages(inputs))
+    tsv = extraction_stats(english.values(), load_mined(Path(args.mined), english)).to_tsv()
     if args.out == "-":
         sys.stdout.write(tsv)
     else:
@@ -123,20 +66,12 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.strategy == "sample-pairs":
-        if not args.pairs:
-            raise MultibridgeError("--pairs is required for sample-pairs")
-        strategy = SamplePairs(tuple(_parse_pair_list(args.pairs)))
-    elif args.strategy == "sample-fraction":
-        strategy = SampleFraction(args.per_pair)
-    else:
-        strategy = TrainAll()
-    plan = SamplingPlan(strategy, args.seed)
-    english = _discover_english_corpora(Path(args.inputs))
-    mined = _load_mined_corpora(Path(args.mined), english)
-    manifest, _ = assemble_training_set(english.values(), mined, plan, args.out)
-    logging.info("wrote %d manifest entries, %d pairs total",
-                 len(manifest.entries), manifest.total_pairs())
+    pairs = args.pairs.split(",") if args.pairs else None
+    plan = parse_sampling({"strategy": args.strategy, "pairs": pairs, "per_pair_target": args.per_pair}, args.seed)
+    inputs = Path(args.inputs)
+    english = load_english(inputs, raw_languages(inputs))
+    manifest, _ = assemble_training_set(english.values(), load_mined(Path(args.mined), english), plan, args.out)
+    logging.info("wrote %d manifest entries, %d pairs total", len(manifest.entries), manifest.total_pairs())
     return 0
 
 
@@ -238,8 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("extract", help="mine X-Y corpora from English-centric bitext")
-    p.add_argument("--inputs", required=True, help="directory of en-xx.en/en-xx.xx files")
+    p = sub.add_parser("extract", help="mine X-Y corpora and stats.tsv from English-centric bitext")
+    p.add_argument("--inputs", required=True,
+                   help="directory of en-xx.en/en-xx.xx files; xx is any registered language")
     p.add_argument("--out", required=True)
     p.add_argument("--pairs", help="comma-separated subset, e.g. bn-hi,gu-ta")
     p.add_argument("--xprod-cap", type=int, default=DEFAULT_XPROD_CAP,

@@ -26,6 +26,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .languages import PIVOT, REGISTRY, Language, register
+from .mining import canonical_pair
 from .sampling import (
     DEFAULT_PER_PAIR_TARGET,
     SampleFraction,
@@ -49,10 +50,11 @@ class PipelineConfig:
     seed: int = 1
     registry_path: Path | None = None
 
-    def raw_paths(self, lang: str) -> tuple[Path, Path]:
-        """The English-centric corpus files for one language."""
-        prefix = self.raw_dir / f"{PIVOT}-{lang}"
-        return Path(f"{prefix}.{PIVOT}"), Path(f"{prefix}.{lang}")
+
+def raw_paths(raw_dir: Path, lang: str) -> tuple[Path, Path]:
+    """The English-centric corpus files of one language: ``en-xx.en`` and ``en-xx.xx``."""
+    prefix = raw_dir / f"{PIVOT}-{lang}"
+    return Path(f"{prefix}.{PIVOT}"), Path(f"{prefix}.{lang}")
 
 
 #: Keys that no longer change output. Old configs still carry them, so each
@@ -78,22 +80,40 @@ def _table(value: object, known: set[str], where: str) -> dict:
     return value
 
 
-def _parse_strategy(doc: dict, seed: int) -> SamplingPlan:
-    sampling = _table(doc.get("sampling", {"strategy": "train-all"}), _SAMPLING_KEYS, "sampling.")
+def _int(table: dict, key: str, default: int, where: str = "", minimum: int | None = None) -> int:
+    """``table[key]`` (or ``default``) as an integer of at least ``minimum``; ``where`` prefixes the key."""
+    value = table.get(key, default)
+    if type(value) is not int or (minimum is not None and value < minimum):
+        kind = "an integer" if minimum is None else f"an integer >= {minimum}"
+        raise ConfigError(f"{where + key!r} must be {kind}, not {value!r}")
+    return value
+
+
+def parse_pairs(items: object) -> tuple[tuple[str, str], ...]:
+    """A list of ``xx-yy`` pairs (or two-item lists), each in canonical order."""
+    if not isinstance(items, list):
+        raise ConfigError(f"expected a list of 'xx-yy' pairs, not {items!r}")
+    pairs = []
+    for item in items:
+        parts = item.split("-") if isinstance(item, str) else item
+        if not isinstance(parts, list) or len(parts) != 2 or not all(isinstance(p, str) and p for p in parts):
+            raise ConfigError(f"malformed pair {item!r} (want 'xx-yy')")
+        if parts[0] == parts[1]:
+            raise ConfigError(f"pair {item!r} names one language twice")
+        pairs.append(canonical_pair(*parts))
+    return tuple(pairs)
+
+
+def parse_sampling(sampling: object, seed: int) -> SamplingPlan:
+    """The sampling plan of a ``sampling`` table: ``strategy`` plus its ``pairs`` or ``per_pair_target``."""
+    sampling = _table(sampling, _SAMPLING_KEYS, "sampling.")
     name = sampling.get("strategy")
     if name == "sample-pairs":
-        raw_pairs = sampling.get("pairs")
-        if not raw_pairs:
+        if not sampling.get("pairs"):
             raise ConfigError("sample-pairs needs a non-empty 'pairs' list")
-        pairs = []
-        for item in raw_pairs:
-            parts = item.split("-") if isinstance(item, str) else list(item)
-            if len(parts) != 2:
-                raise ConfigError(f"malformed pair {item!r} (want 'xx-yy')")
-            pairs.append((parts[0], parts[1]))
-        strategy = SamplePairs(tuple(pairs))
+        strategy = SamplePairs(parse_pairs(sampling["pairs"]))
     elif name == "sample-fraction":
-        strategy = SampleFraction(int(sampling.get("per_pair_target", DEFAULT_PER_PAIR_TARGET)))
+        strategy = SampleFraction(_int(sampling, "per_pair_target", DEFAULT_PER_PAIR_TARGET, "sampling.", 1))
     elif name == "train-all":
         strategy = TrainAll()
     else:
@@ -129,29 +149,36 @@ def load_config(path: str | Path) -> PipelineConfig:
     def resolve(key: str) -> Path:
         if key not in doc:
             raise ConfigError(f"config is missing {key!r}")
-        return (base / doc[key]).resolve() if not Path(doc[key]).is_absolute() else Path(doc[key])
+        if not isinstance(doc[key], str):
+            raise ConfigError(f"{key!r} must be a path string, not {doc[key]!r}")
+        path = Path(doc[key])
+        return path if path.is_absolute() else (base / path).resolve()
 
-    seed = int(doc.get("seed", 1))
+    languages = doc.get("languages", [])
+    if not (isinstance(languages, list) and all(isinstance(code, str) for code in languages)):
+        raise ConfigError(f"'languages' must be a list of language codes, not {languages!r}")
+    if len(set(languages)) != len(languages):
+        raise ConfigError(f"'languages' lists a language twice: {languages!r}")
+    seed = _int(doc, "seed", 1)
     bpe = _table(doc.get("bpe", {}), _BPE_KEYS, "bpe.")
-    registry_path = (base / doc["registry"]).resolve() if "registry" in doc else None
-    cap = doc.get("xprod_cap", 64)
+    cap = None if doc.get("xprod_cap", 64) is None else _int(doc, "xprod_cap", 64, minimum=0)
     for key, only_value in _LEGACY_KEYS.items():
         if key in doc and doc[key] != only_value:
             raise ConfigError(
                 f"{key!r} was removed; it is accepted only as {only_value!r}, not {doc[key]!r}"
             )
     return PipelineConfig(
-        languages=tuple(doc.get("languages", ())),
+        languages=tuple(languages),
         raw_dir=resolve("raw_dir"),
         mined_dir=resolve("mined_dir"),
         sampled_dir=resolve("sampled_dir"),
         preprocessed_dir=resolve("preprocessed_dir"),
-        sampling=_parse_strategy(doc, seed),
-        bpe_num_merges=int(bpe.get("num_merges", 32000)),
-        bpe_min_frequency=int(bpe.get("min_frequency", 5)),
-        xprod_cap=None if cap in (None, 0) else int(cap),
+        sampling=parse_sampling(doc.get("sampling", {"strategy": "train-all"}), seed),
+        bpe_num_merges=_int(bpe, "num_merges", 32000, "bpe.", 0),
+        bpe_min_frequency=_int(bpe, "min_frequency", 5, "bpe.", 0),
+        xprod_cap=cap or None,
         seed=seed,
-        registry_path=registry_path,
+        registry_path=resolve("registry") if "registry" in doc else None,
     )
 
 
@@ -189,6 +216,6 @@ def validate_config(config: PipelineConfig) -> None:
     if not config.raw_dir.is_dir():
         raise ConfigError(f"raw corpus directory not found: {config.raw_dir}")
     for code in config.languages:
-        for file_path in config.raw_paths(code):
+        for file_path in raw_paths(config.raw_dir, code):
             if not file_path.is_file():
                 raise ConfigError(f"missing corpus file: {file_path}")

@@ -6,9 +6,10 @@ codes and vocabularies, embedding tables, stage outputs) goes through
 Anything else is a typed :class:`CorpusError` naming the file and line.
 
 Bitext lives on disk as a pair of line-aligned plain-text files (one
-sentence per line), the format used by shared-task data, or as a
-two-column TSV for mined output. Whitespace-only lines are hard errors:
-silently dropping them would desynchronize the alignment.
+sentence per line), the format used by shared-task data and by the
+pipeline's own mined and sampled output. A two-column TSV reader and
+writer are provided for other tools. Whitespace-only lines are hard
+errors: silently dropping them would desynchronize the alignment.
 """
 
 from __future__ import annotations
@@ -158,6 +159,16 @@ def iter_lines(path: str | Path | None = None) -> Iterator[str]:
                 yield decode_line(raw.removesuffix(b"\n"), name, line_no)
     except OSError as exc:
         raise IoFailure(f"cannot read {name}: {exc}") from exc
+
+
+def parse_count(text: str, path: str | Path, line_no: int, error: type[MultibridgeError]) -> int:
+    """A non-negative ASCII decimal integer (``[0-9]+``), or ``error`` at ``path:line_no``.
+
+    ``int()`` alone would also accept signs, underscores and non-ASCII digits.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise error(f"{path}:{line_no}: expected an integer, got {text!r}")
+    return int(text)
 
 
 def write_text(path: str | Path, text: str) -> None:

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import TranslationDirection, iter_lines, write_lines
+from .corpus import TranslationDirection, iter_lines, parse_count, write_lines
 from .errors import MultibridgeError
 from .languages import PIVOT
 from .tokenizers import tokenize_13a
@@ -241,21 +241,20 @@ def load_embeddings(path) -> EmbeddingTable:
     header = next(lines, "").split()
     if len(header) != 2:
         raise MetricError(f"{path}:1: expected 'd n' header")
-    try:
-        dim, n = int(header[0]), int(header[1])
-    except ValueError:
-        raise MetricError(f"{path}:1: expected integers in the 'd n' header") from None
+    dim, n = (parse_count(field, path, 1, MetricError) for field in header)
+    if dim < 1:
+        raise MetricError(f"{path}:1: dimension must be at least 1, got {dim}")
     ids = []
     rows = []
     for line_no, line in enumerate(lines, start=2):
         parts = line.split()
         if len(parts) != dim + 1:
             raise MetricError(f"{path}:{line_no}: expected id plus {dim} floats")
+        ids.append(parse_count(parts[0], path, line_no, MetricError))
         try:
-            ids.append(int(parts[0]))
             rows.append([float(x) for x in parts[1:]])
         except ValueError:
-            raise MetricError(f"{path}:{line_no}: expected an integer id and {dim} floats") from None
+            raise MetricError(f"{path}:{line_no}: expected {dim} floats after the id") from None
     if len(ids) != n:
         raise MetricError(f"{path}: header says {n} rows, found {len(ids)}")
     matrix = np.asarray(rows, dtype=np.float64).reshape(len(ids), dim)

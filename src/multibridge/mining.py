@@ -122,6 +122,8 @@ def mine_pairs_detailed(
         raise PivotLanguageRequested(f"cannot mine the pivot language {PIVOT!r}")
     if l1 == l2:
         raise MiningError(f"cannot mine a language against itself: {l1!r}")
+    if xprod_cap is not None and xprod_cap < 0:
+        raise MiningError(f"cross-product cap must be non-negative, not {xprod_cap}")
 
     candidates = []
     for key, by_lang in index._by_key.items():

@@ -1,10 +1,14 @@
 """End-to-end orchestration: extract, stats, sample, preprocess, BPE, tag.
 
-Every stage writes plain files under the configured directories, so a run
-is resumable stage by stage through the CLI subcommands. With a fixed
-seed the whole output tree is byte-identical across runs and platforms:
-all stage outputs are sorted, counts are integers, and every random draw
-goes through the pinned generator.
+The CLI's ``extract`` (which also writes ``stats.tsv``) and ``sample``
+subcommands run the same stage code as :func:`run_pipeline`, so
+``mined/`` and ``sampled/`` can be built stage by stage with the bytes of
+a full run; ``stats`` recomputes the table from disk, without the
+raw-pair section. The later stages run from memory and cannot be resumed
+through the CLI. With a fixed seed the whole output tree is
+byte-identical across runs and platforms: all stage outputs are sorted,
+counts are integers, and every random draw goes through the pinned
+generator.
 """
 
 from __future__ import annotations
@@ -14,12 +18,14 @@ import logging
 import time
 from dataclasses import dataclass
 from itertools import combinations
+from pathlib import Path
+from typing import Iterable, Mapping
 
 from .bpe import BpeSegmenter, learn_bpe, save_bpe
-from .config import PipelineConfig, validate_config
-from .corpus import TrainingManifest, load_bitext, write_bitext, write_lines, write_text
+from .config import PipelineConfig, raw_paths, validate_config
+from .corpus import BitextCorpus, TrainingManifest, load_bitext, write_bitext, write_lines, write_text
 from .errors import MultibridgeError
-from .languages import PIVOT, get_language
+from .languages import PIVOT, REGISTRY, get_language
 from .mining import MiningOutcome, StatsMatrix, build_pivot_index, extraction_stats, mine_pairs_detailed
 from .sampling import assemble_training_set
 from .scripts import normalize_unicode, to_devanagari
@@ -75,6 +81,74 @@ def preprocess_line(text: str, lang: str) -> list[str]:
     return tokenize(text, lang)
 
 
+def raw_languages(raw_dir: Path) -> list[str]:
+    """Registered non-pivot languages with an ``en-xx.en`` file in ``raw_dir``, in code order."""
+    languages = []
+    for code in sorted(REGISTRY.keys() - {PIVOT}):
+        en_path, x_path = raw_paths(raw_dir, code)
+        if en_path.is_file():
+            if not x_path.is_file():
+                raise MultibridgeError(f"missing counterpart file for {en_path}")
+            languages.append(code)
+    if not languages:
+        raise MultibridgeError(f"no {PIVOT}-xx corpora found in {raw_dir}")
+    return languages
+
+
+def load_english(raw_dir: Path, languages: Iterable[str]) -> dict[str, BitextCorpus]:
+    """The English-centric corpus of each language, keyed by code in code order."""
+    return {lang: load_bitext(*raw_paths(raw_dir, lang), PIVOT, lang) for lang in sorted(languages)}
+
+
+def mined_paths(mined_dir: Path, a: str, b: str) -> tuple[Path, Path]:
+    """The two files of the mined ``a-b`` corpus: ``a-b.a`` and ``a-b.b``."""
+    return mined_dir / f"{a}-{b}.{a}", mined_dir / f"{a}-{b}.{b}"
+
+
+def load_mined(mined_dir: Path, languages: Iterable[str]) -> dict[tuple[str, str], BitextCorpus]:
+    """The mined pairs among ``languages``; other files in ``mined_dir`` are ignored."""
+    mined = {}
+    for a, b in combinations(sorted(languages), 2):
+        a_file, b_file = mined_paths(mined_dir, a, b)
+        if a_file.exists() and b_file.exists():
+            mined[(a, b)] = load_bitext(a_file, b_file, a, b)
+        elif a_file.exists() or b_file.exists():
+            raise MultibridgeError(f"mined pair {a}-{b} in {mined_dir} has only one of its two files")
+    if not mined:
+        raise MultibridgeError(f"no mined corpora found in {mined_dir}")
+    return mined
+
+
+def extract(english: Mapping[str, BitextCorpus], pairs: Iterable[tuple[str, str]], xprod_cap: int | None,
+            mined_dir: Path) -> tuple[dict[tuple[str, str], MiningOutcome], dict]:
+    """Mine each canonical pair and write it to ``mined_dir``; returns the outcomes and the stage's record."""
+    pairs = sorted(set(pairs))
+    unloaded = sorted({lang for pair in pairs for lang in pair} - english.keys())
+    if unloaded:
+        raise MultibridgeError(f"no {PIVOT}-xx corpus loaded for {', '.join(unloaded)}")
+    index = build_pivot_index(english.values())
+    mined = {(a, b): mine_pairs_detailed(index, a, b, xprod_cap) for a, b in pairs}
+    mined_dir.mkdir(parents=True, exist_ok=True)
+    for (a, b), outcome in mined.items():
+        write_bitext(outcome.corpus, *mined_paths(mined_dir, a, b))
+        logger.info("mined %s-%s: %d pairs (%d raw, %d capped keys)",
+                    a, b, len(outcome.corpus), outcome.raw_pair_count, len(outcome.capped_keys))
+    return mined, {
+        "pivot_keys": len(index),
+        "mined_pairs": {f"{a}-{b}": len(o.corpus) for (a, b), o in mined.items()},
+        "raw_pairs": {f"{a}-{b}": o.raw_pair_count for (a, b), o in mined.items()},
+        "capped_keys": sum(len(o.capped_keys) for o in mined.values()),
+    }
+
+
+def write_stats(english: Mapping[str, BitextCorpus], mined: Mapping[tuple[str, str], MiningOutcome],
+                mined_dir: Path) -> StatsMatrix:
+    """Write ``stats.tsv``, raw-pair section included, next to the mined corpora."""
+    stats = extraction_stats(english.values(), mined, sorted(english))
+    write_text(mined_dir / "stats.tsv", stats.to_tsv())
+    return stats
+
+
 def run_pipeline(config: PipelineConfig) -> RunReport:
     """Run every stage; any failure aborts with the stage name attached."""
     stages: dict[str, dict] = {}
@@ -83,29 +157,11 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
         validate_config(config)
 
     with _StageTimer("extract"):
-        english = {}
-        for lang in sorted(config.languages):
-            en_path, x_path = config.raw_paths(lang)
-            english[lang] = load_bitext(en_path, x_path, PIVOT, lang)
-        index = build_pivot_index(english.values())
-        mined: dict[tuple[str, str], MiningOutcome] = {
-            (a, b): mine_pairs_detailed(index, a, b, config.xprod_cap)
-            for a, b in combinations(sorted(config.languages), 2)
-        }
-
-        config.mined_dir.mkdir(parents=True, exist_ok=True)
-        for (a, b), outcome in sorted(mined.items()):
-            write_bitext(outcome.corpus, config.mined_dir / f"{a}-{b}.{a}", config.mined_dir / f"{a}-{b}.{b}")
-        stages["extract"] = {
-            "pivot_keys": len(index),
-            "mined_pairs": {f"{a}-{b}": len(o.corpus) for (a, b), o in sorted(mined.items())},
-            "raw_pairs": {f"{a}-{b}": o.raw_pair_count for (a, b), o in sorted(mined.items())},
-            "capped_keys": sum(len(o.capped_keys) for o in mined.values()),
-        }
+        english = load_english(config.raw_dir, config.languages)
+        mined, stages["extract"] = extract(english, combinations(english, 2), config.xprod_cap, config.mined_dir)
 
     with _StageTimer("stats"):
-        stats = extraction_stats(english.values(), mined, sorted(config.languages))
-        write_text(config.mined_dir / "stats.tsv", stats.to_tsv())
+        stats = write_stats(english, mined, config.mined_dir)
         stages["stats"] = {"grand_total": stats.grand_total(), "unique_pairs": stats.unique_unordered_total()}
 
     with _StageTimer("sample"):
@@ -120,7 +176,7 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
         }
         # Only the sampled corpora are read below; dropping the rest makes
         # room for the memos, so peak memory stays where sampling left it.
-        del english, index, mined, mined_corpora
+        del english, mined, mined_corpora
 
     # Mirrored directions (a-b and b-a), en-X and X-en, and mined pairs that
     # reuse a pivot-linked sentence all carry the same text, so from here on

@@ -212,3 +212,21 @@ class TestModelFile:
         with pytest.raises(error) as info:
             load_bpe(tmp_path / "codes", None if vocab is None else tmp_path / "vocab")
         assert f"{tmp_path / bad}:{line}:" in str(info.value)
+
+    @pytest.mark.parametrize("codes,vocab,bad,line", [
+        ("#bpe num_merges=५ min_frequency=1\n", None, "codes", 1),
+        ("#bpe num_merges=+5 min_frequency=1\n", None, "codes", 1),
+        ("#bpe num_merges=5 min_frequency=1_0\n", None, "codes", 1),
+        (GOOD_CODES.decode(), "lo १०\n", "vocab", 1),
+        (GOOD_CODES.decode(), "lo 2\nw 1_0\n", "vocab", 2),
+        (GOOD_CODES.decode(), "lo 2\nw -1\n", "vocab", 2),
+    ], ids=["devanagari-digit", "plus-sign", "underscore", "vocab-devanagari", "vocab-underscore",
+            "vocab-negative"])
+    def test_counts_are_ascii_digits_only(self, tmp_path, codes, vocab, bad, line):
+        # int() alone accepts all of these; a count is [0-9]+ and nothing else.
+        (tmp_path / "codes").write_text(codes, encoding="utf-8")
+        if vocab is not None:
+            (tmp_path / "vocab").write_text(vocab, encoding="utf-8")
+        with pytest.raises(BpeError) as info:
+            load_bpe(tmp_path / "codes", None if vocab is None else tmp_path / "vocab")
+        assert f"{tmp_path / bad}:{line}: expected an integer" in str(info.value)

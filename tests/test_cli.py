@@ -12,7 +12,12 @@ from multibridge.cli import main
 from multibridge.corpus import load_bitext, load_manifest
 
 FIXTURE = Path(__file__).parent / "data" / "pipeline_fixture"
-GOLDEN_MINED = Path(__file__).parent / "data" / "pipeline_golden" / "out" / "mined"
+GOLDEN = Path(__file__).parent / "data" / "pipeline_golden" / "out"
+GOLDEN_MINED = GOLDEN / "mined"
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def run_cli(*args, stdin: str | None = None):
@@ -66,6 +71,64 @@ class TestExtractStatsSample:
         assert manifest.seed == 3
         sampled_entries = [e for e in manifest.entries if e.strategy == "sample-fraction"]
         assert sampled_entries and all(e.count <= 5 for e in sampled_entries)
+
+    def test_extract_then_sample_reproduce_the_golden_run(self, tmp_path, raw_dir):
+        # The fixture config's strategy, cap and seed, given as flags.
+        out = tmp_path / "out"
+        assert main(["extract", "--inputs", str(raw_dir), "--out", str(out / "mined")]) == 0
+        assert main([
+            "sample", "--strategy", "sample-fraction", "--per-pair", "12", "--seed", "77",
+            "--inputs", str(raw_dir), "--mined", str(out / "mined"), "--out", str(out / "sampled"),
+        ]) == 0
+        for stage in ("mined", "sampled"):
+            got, expected = _tree(out / stage), _tree(GOLDEN / stage)
+            assert sorted(got) == sorted(expected)
+            for rel in expected:
+                assert got[rel] == expected[rel], f"content differs: {stage}/{rel}"
+
+    # Each stray file's content is copied from a real corpus file.
+    STRAYS = {"en-en.en": "en-bn.en", "en-zz.en": "en-bn.en", "en-zz.zz": "en-bn.bn"}
+
+    @pytest.mark.parametrize("strays", [["en-en.en"], ["en-zz.en", "en-zz.zz"], list(STRAYS)],
+                             ids=["pivot", "unregistered", "both"])
+    def test_inputs_are_registered_languages_only(self, tmp_path, raw_dir, strays):
+        for name in strays:
+            shutil.copy(raw_dir / self.STRAYS[name], raw_dir / name)
+        mined = tmp_path / "mined"
+        proc = run_cli("extract", "--inputs", str(raw_dir), "--out", str(mined))
+        assert proc.returncode == 0, proc.stderr
+        assert _tree(mined) == _tree(GOLDEN_MINED)
+
+    def test_stats_recomputes_the_table_without_raw_pairs(self, raw_dir, capsys):
+        assert main(["stats", "--inputs", str(raw_dir), "--mined", str(GOLDEN_MINED)]) == 0
+        table, raw_section = (GOLDEN_MINED / "stats.tsv").read_text(encoding="utf-8").split("\n\n")
+        assert raw_section.startswith("# raw pair")
+        assert capsys.readouterr().out == table + "\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--xprod-cap", "-1"], "cross-product cap must be non-negative"),
+        (["--pairs", "bn-zz"], "no en-xx corpus loaded for zz"),
+        (["--pairs", "bn-en"], "no en-xx corpus loaded for en"),
+        (["--pairs", "bn-hi,hi-hi"], "'hi-hi' names one language twice"),
+        (["--pairs", "bn"], "malformed pair 'bn'"),
+    ], ids=["negative-cap", "pair-without-corpus", "pair-with-pivot", "same-language", "malformed"])
+    def test_bad_extract_arguments_are_data_errors(self, tmp_path, raw_dir, argv, message):
+        out = tmp_path / "mined"
+        proc = run_cli("extract", "--inputs", str(raw_dir), "--out", str(out), *argv)
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_sample_pairs_canonicalised(self, tmp_path, raw_dir):
+        sampled = tmp_path / "sampled"
+        assert main([
+            "sample", "--strategy", "sample-pairs", "--pairs", "hi-bn,ta-hi", "--seed", "1",
+            "--inputs", str(raw_dir), "--mined", str(GOLDEN_MINED), "--out", str(sampled),
+        ]) == 0
+        mined = {e.direction.label() for e in load_manifest(sampled / "manifest.json").entries
+                 if e.strategy == "sample-pairs"}
+        assert mined == {"bn-hi", "hi-bn", "hi-ta", "ta-hi"}
 
     def test_extract_pair_subset(self, tmp_path, raw_dir):
         mined = tmp_path / "mined"

@@ -179,6 +179,23 @@ class TestEmbeddingFile:
             load_embeddings(tmp_path / "bad.tsv")
         assert f"{tmp_path / 'bad.tsv'}:{line}:" in str(info.value)
 
+    @pytest.mark.parametrize("content,line", [
+        ("-1 0\n", 1),
+        ("0 0\n", 1),
+        ("0 1\n0\n", 1),
+        ("१ 1\n0 1.0\n", 1),
+        ("1 1_0\n", 1),
+        ("1 1\n१ 1.0\n", 2),
+        ("1 1\n+0 1.0\n", 2),
+        ("1 1\n-1 1.0\n", 2),
+    ], ids=["negative-dim", "zero-dim", "zero-dim-rows", "devanagari-dim", "underscore-rows",
+            "devanagari-id", "plus-id", "negative-id"])
+    def test_header_and_ids_are_ascii_counts(self, tmp_path, content, line):
+        (tmp_path / "bad.tsv").write_text(content, encoding="utf-8")
+        with pytest.raises(MetricError) as info:
+            load_embeddings(tmp_path / "bad.tsv")
+        assert f"{tmp_path / 'bad.tsv'}:{line}:" in str(info.value)
+
     def test_reject_nonfinite(self):
         with pytest.raises(MetricError):
             _table([[float("nan"), 1.0]])

@@ -138,6 +138,12 @@ class TestMinePairs:
         assert len(uncapped.corpus) == 100
         assert uncapped.capped_keys == ()
 
+    def test_negative_cap_rejected(self):
+        index = build_pivot_index([_corpus("en", "bn", [("hi", "B")]), _corpus("en", "hi", [("hi", "H")])])
+        with pytest.raises(MiningError, match="non-negative"):
+            mine_pairs_detailed(index, "bn", "hi", xprod_cap=-1)
+        assert len(mine_pairs_detailed(index, "bn", "hi", xprod_cap=0).corpus) == 0
+
     def test_matches_nested_loop_oracle(self):
         corpora = english_centric_fixture(3, ["bn", "hi"], n_english=80, overlap=0.6)
         index = build_pivot_index(corpora.values())

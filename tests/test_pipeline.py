@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -213,6 +214,44 @@ class TestConfig:
         bad.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="bpe"):
             load_config(bad)
+
+    @pytest.mark.parametrize("key,value,name", [
+        ("seed", "abc", "'seed'"),
+        ("seed", True, "'seed'"),
+        ("seed", 1.5, "'seed'"),
+        ("bpe", {"num_merges": "x"}, "'bpe.num_merges'"),
+        ("bpe", {"num_merges": -3}, "'bpe.num_merges'"),
+        ("bpe", {"min_frequency": -1}, "'bpe.min_frequency'"),
+        ("languages", "bn", "'languages'"),
+        ("languages", ["bn", 5], "'languages'"),
+        ("languages", ["bn", "hi", "bn"], "'languages'"),
+        ("xprod_cap", -1, "'xprod_cap'"),
+        ("xprod_cap", "64", "'xprod_cap'"),
+        ("raw_dir", 5, "'raw_dir'"),
+        ("sampling", {"strategy": "sample-fraction", "per_pair_target": "12"}, "'sampling.per_pair_target'"),
+        ("sampling", {"strategy": "sample-fraction", "per_pair_target": 0}, "'sampling.per_pair_target'"),
+        ("sampling", {"strategy": "sample-pairs", "pairs": "bn-hi"}, "'xx-yy' pairs"),
+        ("sampling", {"strategy": "sample-pairs", "pairs": [5]}, "malformed pair 5"),
+        ("sampling", {"strategy": "sample-pairs", "pairs": ["bn-bn"]}, "'bn-bn'"),
+    ], ids=[
+        "seed-str", "seed-bool", "seed-float", "merges-str", "merges-negative", "min-frequency-negative",
+        "languages-str", "languages-int-item", "languages-duplicate", "cap-negative", "cap-str", "raw-dir-int",
+        "per-pair-str", "per-pair-zero", "pairs-str", "pair-int", "pair-same-language",
+    ])
+    def test_wrong_type_or_range_rejected_at_load(self, tmp_path, key, value, name):
+        bad = tmp_path / "bad.json"
+        doc = json.loads((FIXTURE / "config.json").read_text())
+        doc[key] = value
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=re.escape(name)):
+            load_config(bad)
+
+    def test_cap_zero_or_null_disables(self, tmp_path):
+        for value in (0, None):
+            doc = json.loads((FIXTURE / "config.json").read_text())
+            doc["xprod_cap"] = value
+            (tmp_path / "c.json").write_text(json.dumps(doc))
+            assert load_config(tmp_path / "c.json").xprod_cap is None
 
     def test_pivot_in_languages_rejected(self, tmp_path):
         work = tmp_path / "cfg3"
