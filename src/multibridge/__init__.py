@@ -64,7 +64,6 @@ from .mining import (
     build_pivot_index,
     extraction_stats,
     mine_all,
-    mine_pairs,
     mine_pairs_detailed,
     normalize_pivot,
 )
@@ -83,7 +82,7 @@ from .sampling import (
     spans_all_languages,
 )
 from .scripts import from_devanagari, normalize_unicode, to_devanagari
-from .tags import tag, tag_tokens, untag
+from .tags import tag, untag
 from .tokenizers import detokenize, tokenize, tokenize_13a
 from .version import __version__
 
@@ -133,7 +132,6 @@ __all__ = [
     "load_embeddings",
     "load_manifest",
     "mine_all",
-    "mine_pairs",
     "mine_pairs_detailed",
     "normalize_pivot",
     "normalize_unicode",
@@ -150,7 +148,6 @@ __all__ = [
     "select_spanning_pairs",
     "spans_all_languages",
     "tag",
-    "tag_tokens",
     "to_devanagari",
     "tokenize",
     "tokenize_13a",

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import iter_lines, parse_count, write_lines
-from .errors import MultibridgeError
+from .errors import EmptyCorpus, MultibridgeError
 
 SEPARATOR = "@@"
 END_OF_WORD = "</w>"
@@ -35,10 +35,6 @@ DEFAULT_MERGE_FLOOR = 2
 
 class BpeError(MultibridgeError):
     """Base class for BPE errors."""
-
-
-class EmptyCorpus(BpeError):
-    """No tokens were supplied to learn from (or to score)."""
 
 
 class DanglingContinuation(BpeError):
@@ -121,6 +117,9 @@ def learn_bpe(
     fine). ``min_frequency`` filters the resulting vocabulary, applied at
     segmentation time; ``merge_floor`` is the learn-time stopping floor.
     """
+    for name, value in (("num_merges", num_merges), ("min_frequency", min_frequency), ("merge_floor", merge_floor)):
+        if value < 0:
+            raise BpeError(f"{name!r} must be an integer >= 0, not {value!r}")
     token_counts = Counter(_iter_tokens(token_stream))
     if not token_counts:
         raise EmptyCorpus("no tokens to learn from")
@@ -289,8 +288,8 @@ def load_bpe(codes_path: str | Path, vocab_path: str | Path | None = None) -> Bp
     if vocab_path is not None:
         vocab = {}
         for line_no, line in enumerate(iter_lines(vocab_path), start=1):
-            parts = line.rsplit(" ", 1)
-            if len(parts) != 2:
+            parts = line.split(" ")
+            if len(parts) != 2 or not parts[0]:
                 raise BpeError(f"{vocab_path}:{line_no}: expected 'symbol count'")
             vocab[parts[0]] = parse_count(parts[1], vocab_path, line_no, BpeError)
     return BpeModel(tuple(merges), vocab, num_merges, min_frequency)

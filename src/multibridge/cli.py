@@ -28,8 +28,7 @@ from .mining import DEFAULT_XPROD_CAP, extraction_stats
 from .pipeline import extract, load_english, load_mined, raw_languages, run_pipeline, write_stats
 from .sampling import DEFAULT_PER_PAIR_TARGET, assemble_training_set
 from .scripts import from_devanagari, normalize_unicode, to_devanagari
-from .tags import tag as tag_tokens_op
-from .tags import untag
+from .tags import tag, untag
 from .tokenizers import detokenize, tokenize
 from .version import __version__
 
@@ -88,7 +87,7 @@ def _cmd_preprocess(args) -> int:
     for text in iter_lines():
         if reverse:
             if args.detokenize:
-                text = detokenize(text.split(), lang)
+                text = detokenize(text.split())
             if args.from_devanagari:
                 text = from_devanagari(text, lang, args.unmappable)
         else:
@@ -130,7 +129,7 @@ def _cmd_tag(args) -> int:
             _, _, tokens = untag(line.split())
             sys.stdout.write(" ".join(tokens) + "\n")
         else:
-            sys.stdout.write(" ".join(tag_tokens_op(line.split(), args.src, args.tgt)) + "\n")
+            sys.stdout.write(" ".join(tag(line.split(), args.src, args.tgt)) + "\n")
     return 0
 
 
@@ -175,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="mine X-Y corpora and stats.tsv from English-centric bitext")
     p.add_argument("--inputs", required=True,
-                   help="directory of en-xx.en/en-xx.xx files; xx is any registered language")
+                   help="directory of en-xx.en/en-xx.xx files; xx is any Indic language code")
     p.add_argument("--out", required=True)
     p.add_argument("--pairs", help="comma-separated subset, e.g. bn-hi,gu-ta")
     p.add_argument("--xprod-cap", type=int, default=DEFAULT_XPROD_CAP,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .languages import PIVOT, REGISTRY, Language, register
+from .languages import PIVOT, REGISTRY
 from .mining import canonical_pair
 from .sampling import (
     DEFAULT_PER_PAIR_TARGET,
@@ -48,7 +48,6 @@ class PipelineConfig:
     bpe_min_frequency: int = 5
     xprod_cap: int | None = 64
     seed: int = 1
-    registry_path: Path | None = None
 
 
 def raw_paths(raw_dir: Path, lang: str) -> tuple[Path, Path]:
@@ -64,7 +63,7 @@ _LEGACY_KEYS = {"pivot": PIVOT, "workers": 1, "eval": {"bleu_tokenization": "13a
 #: Every key a config may hold, per table; anything else is a typo.
 _TOP_KEYS = {
     "languages", "raw_dir", "mined_dir", "sampled_dir", "preprocessed_dir",
-    "sampling", "bpe", "xprod_cap", "seed", "registry", *_LEGACY_KEYS,
+    "sampling", "bpe", "xprod_cap", "seed", *_LEGACY_KEYS,
 }
 _SAMPLING_KEYS = {"strategy", "pairs", "per_pair_target"}
 _BPE_KEYS = {"num_merges", "min_frequency"}
@@ -178,41 +177,18 @@ def load_config(path: str | Path) -> PipelineConfig:
         bpe_min_frequency=_int(bpe, "min_frequency", 5, "bpe.", 0),
         xprod_cap=cap or None,
         seed=seed,
-        registry_path=resolve("registry") if "registry" in doc else None,
     )
-
-
-def load_registry_file(path: str | Path) -> list[Language]:
-    """Register extra languages from a JSON registry file."""
-    with open(path, encoding="utf-8") as f:
-        entries = json.load(f)
-    registered = []
-    for entry in entries:
-        block = entry.get("block_base")
-        lang = Language(
-            entry["code"],
-            entry.get("name", entry["code"]),
-            entry.get("script", "unknown"),
-            int(block, 0) if isinstance(block, str) else block,
-        )
-        register(lang)
-        registered.append(lang)
-    return registered
 
 
 def validate_config(config: PipelineConfig) -> None:
     """Fail fast, before any stage runs, if inputs cannot be resolved."""
-    if config.registry_path is not None:
-        if not config.registry_path.exists():
-            raise ConfigError(f"registry file not found: {config.registry_path}")
-        load_registry_file(config.registry_path)
     if len(config.languages) < 2:
         raise ConfigError("need at least two non-pivot languages")
     for code in config.languages:
         if code == PIVOT:
             raise ConfigError("the pivot cannot appear in 'languages'")
         if code not in REGISTRY:
-            raise ConfigError(f"language {code!r} is not registered")
+            raise ConfigError(f"language {code!r} is not in the language table")
     if not config.raw_dir.is_dir():
         raise ConfigError(f"raw corpus directory not found: {config.raw_dir}")
     for code in config.languages:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -171,6 +172,24 @@ def parse_count(text: str, path: str | Path, line_no: int, error: type[Multibrid
     return int(text)
 
 
+#: The bytes of ASCII decimal floats and the spaces between them. On text of
+#: these alone float() accepts exactly the decimal grammar; on other text it
+#: also takes "_", inf, nan and non-ASCII digits.
+_FLOAT_BYTES = b"0123456789+-.eE "
+
+
+def parse_floats(fields: list[str], path: str | Path, line_no: int, error: type[MultibridgeError]) -> list[float]:
+    """Finite ASCII decimal floats (every finite ``repr(float)``), or ``error`` at ``path:line_no``."""
+    text = " ".join(fields)
+    values = None
+    if text.isascii() and not text.encode().translate(None, _FLOAT_BYTES):  # deleting them leaves nothing
+        with contextlib.suppress(ValueError):  # e.g. "1e" or "1.2.3"
+            values = [float(field) for field in fields]
+    if values is None or not all(map(math.isfinite, values)):
+        raise error(f"{path}:{line_no}: expected {len(fields)} finite decimal floats")
+    return values
+
+
 def write_text(path: str | Path, text: str) -> None:
     """Write a whole document as UTF-8, with no newline translation."""
     try:
@@ -293,18 +312,29 @@ def save_manifest(manifest: TrainingManifest, path: str | Path) -> None:
 
 
 def load_manifest(path: str | Path) -> TrainingManifest:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    entries = tuple(
-        ManifestEntry(
-            TranslationDirection(item["src"], item["tgt"]),
-            item["path"],
-            int(item["count"]),
-            item["strategy"],
+    """Load a manifest written by :func:`save_manifest`; any other content is a :class:`ManifestError`."""
+    try:
+        doc = json.loads(Path(path).read_bytes())
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ManifestError(f"{path}: invalid JSON: {exc}") from None
+
+    def field(table: object, key: str, kind: type):
+        value = table.get(key) if isinstance(table, dict) else None
+        if type(value) is not kind:  # not isinstance(): JSON true must not pass as a count
+            raise ValueError(f"{key!r} must be a JSON {kind.__name__}, not {value!r}")
+        return value
+
+    try:
+        entries = tuple(
+            ManifestEntry(TranslationDirection(field(item, "src", str), field(item, "tgt", str)),
+                          field(item, "path", str), field(item, "count", int), field(item, "strategy", str))
+            for item in field(doc, "entries", list)
         )
-        for item in doc["entries"]
-    )
-    return TrainingManifest(entries, int(doc["seed"]))
+        return TrainingManifest(entries, field(doc, "seed", int))
+    except (ValueError, ManifestError) as exc:
+        raise ManifestError(f"{path}: {exc}") from None
 
 
 def verify_manifest(manifest: TrainingManifest, base_dir: str | Path) -> None:

@@ -1,7 +1,7 @@
-"""Language registry: ISO 639-1 codes, scripts, and Unicode block bases.
+"""The language table: ISO 639-1 codes, scripts, and Unicode block bases.
 
-The default registry covers English plus the ten Indic languages of the
-WAT 2021 MultiIndicMT shared task. Each Brahmic script occupies a
+The table is fixed: English (the pivot) plus the ten Indic languages of
+the WAT 2021 MultiIndicMT shared task. Each Brahmic script occupies a
 128-codepoint Unicode block laid out in parallel with Devanagari, which
 is what makes offset transliteration (see :mod:`multibridge.scripts`)
 possible.
@@ -18,12 +18,12 @@ BLOCK_SIZE = 0x80
 
 
 class UnknownLanguage(MultibridgeError):
-    """A language code is not present in the registry."""
+    """A language code is not in the language table."""
 
 
 @dataclass(frozen=True)
 class Language:
-    """A registered language.
+    """One language of the table.
 
     ``block_base`` is the first codepoint of the script's Unicode block,
     or ``None`` for non-Brahmic scripts (English/Latin).
@@ -66,11 +66,6 @@ REGISTRY: dict[str, Language] = {lang.code: lang for lang in _DEFAULT_LANGUAGES}
 PIVOT = "en"
 
 
-def register(lang: Language) -> None:
-    """Add (or replace) a registry entry; used by custom registry files."""
-    REGISTRY[lang.code] = lang
-
-
 def get_language(code: str) -> Language:
     """Look up a language by code, raising :class:`UnknownLanguage` if absent."""
     try:
@@ -80,5 +75,5 @@ def get_language(code: str) -> Language:
 
 
 def indic_codes() -> list[str]:
-    """Codes of all registered Indic languages, in registry order."""
+    """Codes of the table's Indic languages, in table order."""
     return [lang.code for lang in REGISTRY.values() if lang.is_indic]

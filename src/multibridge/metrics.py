@@ -21,8 +21,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import TranslationDirection, iter_lines, parse_count, write_lines
-from .errors import MultibridgeError
+from .corpus import TranslationDirection, iter_lines, parse_count, parse_floats, write_lines
+from .errors import EmptyCorpus, MultibridgeError
 from .languages import PIVOT
 from .tokenizers import tokenize_13a
 from .version import __version__
@@ -49,10 +49,6 @@ class MetricError(MultibridgeError):
 
 class LengthMismatch(MetricError):
     """Hypothesis and reference lists have different lengths."""
-
-
-class EmptyCorpus(MetricError):
-    """No segments to score."""
 
 
 class DimensionMismatch(MetricError):
@@ -251,10 +247,7 @@ def load_embeddings(path) -> EmbeddingTable:
         if len(parts) != dim + 1:
             raise MetricError(f"{path}:{line_no}: expected id plus {dim} floats")
         ids.append(parse_count(parts[0], path, line_no, MetricError))
-        try:
-            rows.append([float(x) for x in parts[1:]])
-        except ValueError:
-            raise MetricError(f"{path}:{line_no}: expected {dim} floats after the id") from None
+        rows.append(parse_floats(parts[1:], path, line_no, MetricError))
     if len(ids) != n:
         raise MetricError(f"{path}: header says {n} rows, found {len(ids)}")
     matrix = np.asarray(rows, dtype=np.float64).reshape(len(ids), dim)

@@ -43,7 +43,7 @@ class NonPivotCorpus(MiningError):
 
 
 class PivotLanguageRequested(MiningError):
-    """mine_pairs was asked to extract the pivot language itself."""
+    """Mining was asked to extract the pivot language itself."""
 
 
 def normalize_pivot(text: str) -> str:
@@ -56,43 +56,26 @@ def normalize_pivot(text: str) -> str:
     return " ".join(unicodedata.normalize("NFC", text).split())
 
 
-class PivotIndex:
-    """Inverted index: normalized English sentence -> per-language translations."""
-
-    __slots__ = ("_by_key",)
-
-    def __init__(self) -> None:
-        self._by_key: dict[str, dict[str, set[str]]] = {}
-
-    def __len__(self) -> int:
-        return len(self._by_key)
-
-    def add(self, english_text: str, lang: str, translation: str) -> None:
-        """Record one observed (english, translation) pair; duplicates collapse."""
-        by_lang = self._by_key.setdefault(normalize_pivot(english_text), {})
-        by_lang.setdefault(lang, set()).add(translation)
-
-    def translations(self, key: str, lang: str) -> frozenset[str]:
-        return frozenset(self._by_key.get(key, {}).get(lang, ()))
+#: Inverted index: normalized English sentence -> language -> observed translations.
+PivotIndex = dict[str, dict[str, set[str]]]
 
 
 def build_pivot_index(corpora: Iterable[BitextCorpus]) -> PivotIndex:
     """One-pass index construction over English-centric corpora.
 
     Each corpus must have the pivot on one side; the pivot side is detected
-    so both en-X and X-en orientations load correctly.
+    so both en-X and X-en orientations load correctly. Duplicate
+    (english, translation) observations collapse.
     """
-    index = PivotIndex()
+    index: PivotIndex = {}
     for corpus in corpora:
         if not corpus.has_language(PIVOT):
             raise NonPivotCorpus(corpus.src_lang, corpus.tgt_lang)
         other = corpus.other_side(PIVOT)
         pivot_is_src = corpus.src_lang == PIVOT
         for pair in corpus.pairs:
-            if pivot_is_src:
-                index.add(pair.src_text, other, pair.tgt_text)
-            else:
-                index.add(pair.tgt_text, other, pair.src_text)
+            english, translation = (pair.src_text, pair.tgt_text) if pivot_is_src else (pair.tgt_text, pair.src_text)
+            index.setdefault(normalize_pivot(english), {}).setdefault(other, set()).add(translation)
     return index
 
 
@@ -126,7 +109,7 @@ def mine_pairs_detailed(
         raise MiningError(f"cross-product cap must be non-negative, not {xprod_cap}")
 
     candidates = []
-    for key, by_lang in index._by_key.items():
+    for key, by_lang in index.items():
         side1 = by_lang.get(l1)
         side2 = by_lang.get(l2)
         if side1 and side2:
@@ -162,15 +145,6 @@ def mine_pairs_detailed(
                 seen.add((x, y))
                 pairs.append(SentencePair(x, y))
     return MiningOutcome(BitextCorpus(l1, l2, tuple(pairs)), raw, tuple(capped))
-
-
-def mine_pairs(
-    index: PivotIndex,
-    l1: str,
-    l2: str,
-    xprod_cap: int | None = DEFAULT_XPROD_CAP,
-) -> BitextCorpus:
-    return mine_pairs_detailed(index, l1, l2, xprod_cap).corpus
 
 
 def canonical_pair(l1: str, l2: str) -> tuple[str, str]:

@@ -12,10 +12,6 @@ per language as a pair of translation tables:
   counterpart is unassigned in the target script (e.g. OM has no Bengali
   slot) have no counterpart and trigger the unmappable policy.
 
-Explicit per-language codepoint overrides can be layered on top; the
-default override table is empty and ships as data so it can be versioned
-independently of the code.
-
 Normalization is NFC plus nukta canonicalization: each script's
 base+nukta sequences are composed into their precomposed forms (NFC alone
 leaves most of these decomposed because they are composition-excluded).
@@ -45,7 +41,6 @@ QA_FAMILY_NUKTA = {
 }
 
 #: Per-script canonicalization of nukta sequences into precomposed forms.
-#: Versioned configuration: callers may pass their own table.
 DEFAULT_CANONICALIZATIONS: dict[str, dict[str, str]] = {
     "Devanagari": QA_FAMILY_NUKTA,
     "Bengali": {
@@ -66,10 +61,6 @@ DEFAULT_CANONICALIZATIONS: dict[str, dict[str, str]] = {
         "ਫ਼": "ਫ਼",
     },
 }
-
-#: Explicit transliteration overrides per language code ({src_cp: deva_cp}).
-#: Empty by default; present so deployments can pin their own exceptions.
-DEFAULT_OVERRIDES: dict[str, dict[int, int]] = {}
 
 #: Devanagari-block codepoints every Indic script borrows as-is (the other
 #: blocks intentionally leave these slots unassigned): danda and double
@@ -122,7 +113,7 @@ class ScriptMap:
 
     __slots__ = ("lang", "block_base", "forward", "reverse", "unmappable")
 
-    def __init__(self, lang: Language, overrides: dict[int, int] | None = None):
+    def __init__(self, lang: Language):
         if not lang.is_indic:
             raise UnsupportedLanguage(f"{lang.code} has no Indic block to map")
         self.lang = lang.code
@@ -140,12 +131,6 @@ class ScriptMap:
                 reverse[deva_cp] = src_cp
             else:
                 unmappable.add(deva_cp)
-        for src_cp, deva_cp in (overrides or {}).items():
-            forward[src_cp] = deva_cp
-            reverse[deva_cp] = src_cp
-            unmappable.discard(deva_cp)
-        if len(set(forward.values())) != len(forward):
-            raise ScriptError(f"override table for {lang.code} makes the mapping non-injective")
         self.forward = forward
         self.reverse = reverse
         self.unmappable = frozenset(unmappable)
@@ -153,8 +138,7 @@ class ScriptMap:
 
 @lru_cache(maxsize=None)
 def _script_map(code: str) -> ScriptMap:
-    lang = get_language(code)
-    return ScriptMap(lang, DEFAULT_OVERRIDES.get(code))
+    return ScriptMap(get_language(code))
 
 
 def to_devanagari(text: str, lang: str) -> str:

@@ -40,11 +40,6 @@ def is_tag_token(token: str) -> bool:
     return TAG_PATTERN.match(token) is not None
 
 
-def tag_tokens(languages: Sequence[str]) -> list[str]:
-    """All tag tokens for a language set, for reserving in segmentation."""
-    return [src_tag(code) for code in languages] + [tgt_tag(code) for code in languages]
-
-
 def tag(tokens: Sequence[str], src: str, tgt: str) -> list[str]:
     """Prepend the source and target tags (in that pinned order)."""
     if src == tgt:

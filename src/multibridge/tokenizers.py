@@ -74,9 +74,11 @@ def tokenize(text: str, lang: str) -> list[str]:
     return [t for t in tokens if t]
 
 
-def detokenize(tokens: list[str], lang: str) -> str:
-    """Reattach punctuation; inverse of :func:`tokenize` on conventional text."""
-    del lang  # same attachment rules work for English and Indic
+def detokenize(tokens: list[str]) -> str:
+    """Reattach punctuation; inverse of :func:`tokenize` on conventional text.
+
+    The attachment rules are the same for English and Indic text.
+    """
     out: list[str] = []
     glue_next = True  # suppress the space before the next token
     quote_open: dict[str, bool] = {q: False for q in _AMBIGUOUS_QUOTES}

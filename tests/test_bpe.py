@@ -62,6 +62,15 @@ class TestLearn:
         with pytest.raises(EmptyCorpus):
             learn_bpe(["   "])
 
+    @pytest.mark.parametrize("argument", ["num_merges", "min_frequency", "merge_floor"])
+    def test_negative_argument_rejected_before_reading(self, argument):
+        def unread():
+            raise AssertionError("input read before the arguments were checked")
+            yield
+
+        with pytest.raises(BpeError, match=f"'{argument}' must be an integer >= 0, not -1"):
+            learn_bpe(unread(), **{argument: -1})
+
     def test_vocabulary_filtered_by_frequency(self):
         model = learn_bpe([TOY], num_merges=10, min_frequency=3)
         assert all(count >= 3 for count in model.vocab.values())
@@ -204,7 +213,12 @@ class TestModelFile:
         (GOOD_CODES, b"lo 2\r\n", "vocab", 1, CarriageReturn),
         (GOOD_CODES, b"lo 2\n\xff 1\n", "vocab", 2, InvalidUtf8),
         (GOOD_CODES, b"lo 2\nb x\n", "vocab", 2, BpeError),
-    ], ids=["codes-crlf", "codes-utf8", "num-merges", "min-frequency", "vocab-crlf", "vocab-utf8", "vocab-count"])
+        # rsplit(" ", 1) would load these three as {'w ': 3}, {'': 3} and {'w 3': 4}.
+        (GOOD_CODES, b"lo 2\nw  3\n", "vocab", 2, BpeError),
+        (GOOD_CODES, b"lo 2\n 3\n", "vocab", 2, BpeError),
+        (GOOD_CODES, b"lo 2\nw 3 4\n", "vocab", 2, BpeError),
+    ], ids=["codes-crlf", "codes-utf8", "num-merges", "min-frequency", "vocab-crlf", "vocab-utf8", "vocab-count",
+            "vocab-double-space", "vocab-empty-symbol", "vocab-three-fields"])
     def test_malformed_files_are_typed_errors(self, tmp_path, codes, vocab, bad, line, error):
         (tmp_path / "codes").write_bytes(codes)
         if vocab is not None:

@@ -306,6 +306,17 @@ class TestBpeCommands:
         assert main(["apply-bpe", "--model", str(codes), "--input", str(src), "--output", str(out)]) == 0
         assert out.read_text().endswith("\n")
 
+    @pytest.mark.parametrize("flag,argument", [
+        ("--merges", "num_merges"), ("--min-freq", "min_frequency"), ("--merge-floor", "merge_floor"),
+    ])
+    def test_negative_argument_is_data_error(self, tmp_path, capsys, flag, argument):
+        train = tmp_path / "train.txt"
+        train.write_text("low low lower\n")
+        codes = tmp_path / "codes.txt"
+        assert main(["learn-bpe", flag, "-1", "--input", str(train), "--model", str(codes)]) == 2
+        assert f"'{argument}' must be an integer >= 0, not -1" in capsys.readouterr().err
+        assert not codes.exists()
+
 
 class TestTagCommand:
     def test_tag_and_strip(self):
@@ -364,3 +375,16 @@ class TestRunCommand:
         shutil.copytree(FIXTURE, work)
         assert main(["run", "--config", str(work / "config.json")]) == 0
         assert (work / "out" / "prep" / "run_report.json").exists()
+
+    def test_registry_key_is_rejected(self, tmp_path, capsys):
+        # The language table is fixed; a registry file, even a valid one, is a config error.
+        work = tmp_path / "run"
+        shutil.copytree(FIXTURE, work)
+        entry = {"code": "bn", "name": "Bengali", "script": "Bengali", "block_base": "0x0980"}
+        (work / "registry.json").write_text(json.dumps([entry]))
+        doc = json.loads((work / "config.json").read_text())
+        doc["registry"] = "registry.json"
+        (work / "config.json").write_text(json.dumps(doc))
+        assert main(["run", "--config", str(work / "config.json")]) == 2
+        assert "unknown config key 'registry'" in capsys.readouterr().err
+        assert not (work / "out").exists()

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -244,6 +245,37 @@ class TestManifest:
         doc = json.loads((tmp_path / "m.json").read_text())
         assert set(doc) == {"entries", "seed"}
         assert set(doc["entries"][0]) == {"src", "tgt", "path", "count", "strategy"}
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["entries"][0].pop("count"),
+        lambda doc: doc.pop("seed"),
+        lambda doc: doc["entries"][0].update(count="١٢"),
+        lambda doc: doc.update(seed="1_0"),
+        lambda doc: doc["entries"][0].update(count=True),
+        lambda doc: doc["entries"][0].update(count=2.0),
+        lambda doc: doc["entries"][0].update(count=-1),
+        lambda doc: doc["entries"][0].update(src="hi", tgt="hi"),
+        lambda doc: doc["entries"][1].update(src="en", tgt="hi"),
+        lambda doc: doc["entries"][0].update(path=5),
+    ], ids=["missing-count", "missing-seed", "arabic-indic-count", "underscore-seed", "bool-count", "float-count",
+            "negative-count", "same-language", "duplicate-direction", "int-path"])
+    def test_malformed_entry_is_manifest_error(self, tmp_path, edit):
+        # int() would load the string, bool and float counts and seeds silently.
+        path = tmp_path / "m.json"
+        save_manifest(self._manifest(), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        with pytest.raises(ManifestError, match=re.escape(str(path))):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("content", [b'{"entries": [], "seed": "\xff"}', b'{"entries": [], "seed": 1', b"[]"],
+                             ids=["invalid-utf8", "bad-json", "not-an-object"])
+    def test_malformed_document_is_manifest_error(self, tmp_path, content):
+        path = tmp_path / "m.json"
+        path.write_bytes(content)
+        with pytest.raises(ManifestError, match=re.escape(str(path))):
+            load_manifest(path)
 
     def test_verify_against_disk(self, tmp_path):
         manifest = self._manifest()

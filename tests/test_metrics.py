@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from multibridge.corpus import CarriageReturn, InvalidUtf8, TranslationDirection
+from multibridge.corpus import CarriageReturn, InvalidUtf8, TranslationDirection, parse_floats
 from multibridge.metrics import (
     DimensionMismatch,
     EmbeddingTable,
@@ -170,9 +172,17 @@ class TestEmbeddingFile:
         (b"2 1\r\n0\t1.0\t0.0\r\n", 1, CarriageReturn),
         (b"2 1\n0\t1.0\t\xff\n", 2, InvalidUtf8),
         (b"2 1\n0 1.0 abc\n", 2, MetricError),
+        (b"2 1\n0 1.0 1.2.3\n", 2, MetricError),
+        # float() alone accepts the next five.
+        ("2 1\n0 1.0 १.५\n".encode(), 2, MetricError),
+        (b"2 1\n0 1.0 1_0\n", 2, MetricError),
+        (b"2 1\n0 1.0 inf\n", 2, MetricError),
+        (b"2 1\n0 1.0 -nan\n", 2, MetricError),
+        (b"2 1\n0 1.0 1e999\n", 2, MetricError),
         (b"2 1\nx 1.0 0.0\n", 2, MetricError),
         (b"2 x\n", 1, MetricError),
-    ], ids=["crlf", "invalid-utf8", "bad-float", "bad-id", "bad-header"])
+    ], ids=["crlf", "invalid-utf8", "bad-float", "two-points", "devanagari-float", "underscore-float", "inf", "nan",
+            "overflow", "bad-id", "bad-header"])
     def test_malformed_file_is_typed_error(self, tmp_path, content, line, error):
         (tmp_path / "bad.tsv").write_bytes(content)
         with pytest.raises(error) as info:
@@ -195,6 +205,10 @@ class TestEmbeddingFile:
         with pytest.raises(MetricError) as info:
             load_embeddings(tmp_path / "bad.tsv")
         assert f"{tmp_path / 'bad.tsv'}:{line}:" in str(info.value)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4))
+    def test_every_finite_repr_loads_back(self, values):
+        assert parse_floats([repr(v) for v in values], "e.tsv", 2, MetricError) == values
 
     def test_reject_nonfinite(self):
         with pytest.raises(MetricError):

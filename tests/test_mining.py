@@ -12,7 +12,6 @@ from multibridge.mining import (
     canonical_pair,
     extraction_stats,
     mine_all,
-    mine_pairs,
     mine_pairs_detailed,
     normalize_pivot,
 )
@@ -45,26 +44,26 @@ class TestNormalizePivot:
 class TestBuildIndex:
     def test_single_pair(self):
         index = build_pivot_index([_corpus("en", "bn", [("hello", "B1")])])
-        assert index.translations("hello", "bn") == {"B1"}
+        assert index["hello"]["bn"] == {"B1"}
         assert len(index) == 1
 
     def test_duplicates_collapse(self):
         index = build_pivot_index([_corpus("en", "bn", [("hello", "B1"), ("hello", "B1")])])
-        assert index.translations("hello", "bn") == {"B1"}
+        assert index["hello"]["bn"] == {"B1"}
 
     def test_variant_translations_kept(self):
         index = build_pivot_index([_corpus("en", "bn", [("hello", "B1"), ("hello", "B2")])])
-        assert index.translations("hello", "bn") == {"B1", "B2"}
+        assert index["hello"]["bn"] == {"B1", "B2"}
 
     def test_reversed_orientation(self):
         index = build_pivot_index([_corpus("bn", "en", [("B1", "hello")])])
-        assert index.translations("hello", "bn") == {"B1"}
+        assert index["hello"]["bn"] == {"B1"}
 
     def test_whitespace_variants_share_key(self):
         index = build_pivot_index(
             [_corpus("en", "bn", [("hello  world", "B1"), ("hello world ", "B2")])]
         )
-        assert index.translations("hello world", "bn") == {"B1", "B2"}
+        assert index["hello world"]["bn"] == {"B1", "B2"}
 
     def test_non_pivot_corpus_rejected(self):
         with pytest.raises(NonPivotCorpus):
@@ -77,7 +76,7 @@ class TestMinePairs:
             _corpus("en", "bn", [("hello", "B1")]),
             _corpus("en", "hi", [("hello", "H1"), ("bye", "H2")]),
         ])
-        corpus = mine_pairs(index, "bn", "hi")
+        corpus = mine_pairs_detailed(index, "bn", "hi").corpus
         assert [(p.src_text, p.tgt_text) for p in corpus.pairs] == [("B1", "H1")]
 
     def test_cross_product(self):
@@ -85,7 +84,7 @@ class TestMinePairs:
             _corpus("en", "bn", [("hello", "B1"), ("hello", "B2")]),
             _corpus("en", "hi", [("hello", "H1")]),
         ])
-        corpus = mine_pairs(index, "bn", "hi")
+        corpus = mine_pairs_detailed(index, "bn", "hi").corpus
         assert {(p.src_text, p.tgt_text) for p in corpus.pairs} == {("B1", "H1"), ("B2", "H1")}
 
     def test_no_shared_keys(self):
@@ -93,35 +92,35 @@ class TestMinePairs:
             _corpus("en", "bn", [("one", "B1")]),
             _corpus("en", "hi", [("two", "H1")]),
         ])
-        assert len(mine_pairs(index, "bn", "hi")) == 0
+        assert len(mine_pairs_detailed(index, "bn", "hi").corpus) == 0
 
     def test_identical_text_dropped(self):
         index = build_pivot_index([
             _corpus("en", "bn", [("hello", "same"), ("hello", "B1")]),
             _corpus("en", "hi", [("hello", "same")]),
         ])
-        assert {(p.src_text, p.tgt_text) for p in mine_pairs(index, "bn", "hi")} == {("B1", "same")}
+        assert {(p.src_text, p.tgt_text) for p in mine_pairs_detailed(index, "bn", "hi").corpus} == {("B1", "same")}
 
     def test_global_dedup_across_keys(self):
         index = build_pivot_index([
             _corpus("en", "bn", [("hello", "B1"), ("hi there", "B1")]),
             _corpus("en", "hi", [("hello", "H1"), ("hi there", "H1")]),
         ])
-        corpus = mine_pairs(index, "bn", "hi")
+        corpus = mine_pairs_detailed(index, "bn", "hi").corpus
         assert len(corpus) == 1
 
     def test_pivot_language_rejected(self):
         index = build_pivot_index([_corpus("en", "bn", [("x", "y")])])
         with pytest.raises(PivotLanguageRequested):
-            mine_pairs(index, "en", "bn")
+            mine_pairs_detailed(index, "en", "bn")
 
     def test_deterministic_order(self):
         corpora = [
             _corpus("en", "bn", [("b key", "B2"), ("a key", "B1"), ("b key", "B0")]),
             _corpus("en", "hi", [("a key", "H1"), ("b key", "H9"), ("b key", "H2")]),
         ]
-        first = mine_pairs(build_pivot_index(corpora), "bn", "hi")
-        second = mine_pairs(build_pivot_index(list(reversed(corpora))), "bn", "hi")
+        first = mine_pairs_detailed(build_pivot_index(corpora), "bn", "hi").corpus
+        second = mine_pairs_detailed(build_pivot_index(list(reversed(corpora))), "bn", "hi").corpus
         assert first.pairs == second.pairs
         assert [(p.src_text, p.tgt_text) for p in first.pairs] == [
             ("B1", "H1"), ("B0", "H2"), ("B0", "H9"), ("B2", "H2"), ("B2", "H9"),
@@ -147,7 +146,7 @@ class TestMinePairs:
     def test_matches_nested_loop_oracle(self):
         corpora = english_centric_fixture(3, ["bn", "hi"], n_english=80, overlap=0.6)
         index = build_pivot_index(corpora.values())
-        mined = mine_pairs(index, "bn", "hi", xprod_cap=None)
+        mined = mine_pairs_detailed(index, "bn", "hi", xprod_cap=None).corpus
         expected = nested_loop_mine(
             corpus_observations(corpora["bn"]), corpus_observations(corpora["hi"])
         )
@@ -165,8 +164,8 @@ class TestMineAll:
     def test_swap_symmetry(self):
         corpora = english_centric_fixture(12, ["bn", "hi"], n_english=60)
         index = build_pivot_index(corpora.values())
-        forward = mine_pairs(index, "bn", "hi", xprod_cap=None)
-        backward = mine_pairs(index, "hi", "bn", xprod_cap=None)
+        forward = mine_pairs_detailed(index, "bn", "hi", xprod_cap=None).corpus
+        backward = mine_pairs_detailed(index, "hi", "bn", xprod_cap=None).corpus
         assert len(forward) == len(backward)
         assert {(p.src_text, p.tgt_text) for p in forward.pairs} == {
             (p.tgt_text, p.src_text) for p in backward.pairs

@@ -107,18 +107,3 @@ def test_forward_map_injective_on_block(code):
     base = get_language(code).block_base
     text = "".join(chr(base + offset) for offset in range(BLOCK_SIZE))
     assert len(to_devanagari(text, code)) == len(text)
-
-
-def test_override_table_round_trips():
-    lang = get_language("bn")
-    # map Bengali khanda-ta somewhere explicit and back
-    smap = ScriptMap(lang, overrides={0x09CE: 0x0950})
-    assert smap.forward[0x09CE] == 0x0950
-    assert smap.reverse[0x0950] == 0x09CE
-    assert 0x0950 not in smap.unmappable
-
-
-def test_override_non_injective_rejected():
-    lang = get_language("bn")
-    with pytest.raises(Exception):
-        ScriptMap(lang, overrides={0x09CE: 0x0915})  # collides with ka

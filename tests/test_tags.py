@@ -8,8 +8,9 @@ from multibridge.tags import (
     ReservedTokenInPayload,
     TagError,
     is_tag_token,
+    src_tag,
     tag,
-    tag_tokens,
+    tgt_tag,
     untag,
 )
 
@@ -57,11 +58,6 @@ def test_is_tag_token():
     assert not is_tag_token("__both_en__")
 
 
-def test_tag_tokens_enumeration():
-    tokens = tag_tokens(["en", "hi"])
-    assert set(tokens) == {"__src_en__", "__src_hi__", "__tgt_en__", "__tgt_hi__"}
-
-
 _payload_token = st.text(
     st.characters(blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc")),
     min_size=1, max_size=10,
@@ -75,7 +71,7 @@ def test_untag_tag_identity(tokens):
 
 def test_tags_survive_bpe_unsplit():
     model = learn_bpe(["__src_bn__ __tgt_hi__ _ s r c b n"], num_merges=50, min_frequency=1)
-    reserved = tag_tokens(["bn", "hi"])
+    reserved = [src_tag("bn"), src_tag("hi"), tgt_tag("bn"), tgt_tag("hi")]
     segmented = apply_bpe(model, tag(["srcbn"], "bn", "hi"), reserved=reserved)
     assert segmented[0] == "__src_bn__"
     assert segmented[1] == "__tgt_hi__"

@@ -67,8 +67,8 @@ SAMPLE_SENTENCES = [
 
 @pytest.mark.parametrize("text,lang", SAMPLE_SENTENCES)
 def test_detokenize_round_trip(text, lang):
-    assert detokenize(tokenize(text, lang), lang) == text
+    assert detokenize(tokenize(text, lang)) == text
 
 
 def test_detokenize_empty():
-    assert detokenize([], "en") == ""
+    assert detokenize([]) == ""
