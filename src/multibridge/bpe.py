@@ -5,7 +5,8 @@ the final character, the convention subword-nmt codes files use. Learning
 greedily merges the most frequent adjacent symbol pair; ties break to the
 lexicographically smallest (left, right) pair, a portable rule pinned
 here because insertion-order tie-breaking is not reproducible across
-implementations.
+implementations. The learner takes each merge from a lazily invalidated
+heap and recounts only the pairs next to each merge site.
 
 Applied output uses the ``@@`` continuation suffix on non-final subwords.
 When a vocabulary with a frequency floor is attached, out-of-vocabulary
@@ -18,6 +19,7 @@ the separator is what makes segmentation reversible.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -86,10 +88,6 @@ def _merge_word(symbols: Sequence[str], pair: tuple[str, str]) -> tuple[str, ...
     return tuple(out)
 
 
-def _pair_counts(symbols: Sequence[str]) -> Counter:
-    return Counter(zip(symbols, symbols[1:]))
-
-
 def render_subwords(symbols: Sequence[str]) -> list[str]:
     """Turn internal symbols into @@-convention subword tokens."""
     out = [s + SEPARATOR for s in symbols[:-1]]
@@ -126,46 +124,69 @@ def learn_bpe(
 
     words: list[list] = [[_word_symbols(tok), freq] for tok, freq in token_counts.items()]
     pair_counts: dict[tuple[str, str], int] = {}
-    pair_words: dict[tuple[str, str], set[int]] = {}
+    pair_words: dict[tuple[str, str], list[int]] = {}  # append-only; may hold stale or repeated ids
     for wid, (symbols, freq) in enumerate(words):
-        for pair, k in _pair_counts(symbols).items():
-            pair_counts[pair] = pair_counts.get(pair, 0) + k * freq
-            pair_words.setdefault(pair, set()).add(wid)
+        for pair in zip(symbols, symbols[1:]):
+            pair_counts[pair] = pair_counts.get(pair, 0) + freq
+            pair_words.setdefault(pair, []).append(wid)
+    floor = max(merge_floor, 1)  # a pair that no longer occurs is never a candidate
+    # Heap order is the pinned rule; an entry is live while its count is current.
+    heap = [(-count, pair) for pair, count in pair_counts.items() if count >= floor]
+    heapq.heapify(heap)
 
     merges: list[tuple[str, str]] = []
-    for _ in range(num_merges):
-        best_pair = None
-        best_count = 0
-        for pair, count in pair_counts.items():
-            if count > best_count or (count == best_count and best_pair is not None and pair < best_pair):
-                best_pair = pair
-                best_count = count
-        if best_pair is None or best_count < merge_floor:
+    while len(merges) < num_merges:
+        while heap and -heap[0][0] != pair_counts.get(heap[0][1], 0):
+            heapq.heappop(heap)
+        if not heap:
             break
+        best_pair = heapq.heappop(heap)[1]
         merges.append(best_pair)
+        left, right = best_pair
+        merged = left + right
 
-        for wid in sorted(pair_words[best_pair]):
+        changed: set[tuple[str, str]] = set()
+        for wid in pair_words.pop(best_pair):
             symbols, freq = words[wid]
-            new_symbols = _merge_word(symbols, best_pair)
-            if new_symbols == symbols:
+            # A stale or repeated id finds no merge site and is skipped.
+            # Only the edges next to a merge site change; every other old
+            # edge maps one to one onto a new edge holding the same pair.
+            out: list[str] = []
+            old_edges: set[int] = set()
+            new_edges: set[int] = set()
+            i, n = 0, len(symbols)
+            while i < n:
+                if i + 1 < n and symbols[i] == left and symbols[i + 1] == right:
+                    old_edges.update((i - 1, i, i + 1))
+                    new_edges.update((len(out) - 1, len(out)))
+                    out.append(merged)
+                    i += 2
+                else:
+                    out.append(symbols[i])
+                    i += 1
+            if not new_edges:
                 continue
-            old_pairs = _pair_counts(symbols)
-            new_pairs = _pair_counts(new_symbols)
-            for pair in old_pairs.keys() | new_pairs.keys():
-                delta = (new_pairs.get(pair, 0) - old_pairs.get(pair, 0)) * freq
-                if delta:
-                    pair_counts[pair] = pair_counts.get(pair, 0) + delta
-                    if pair_counts[pair] <= 0:
+            delta: dict[tuple[str, str], int] = {}
+            for edges, seq, sign in ((old_edges, symbols, -freq), (new_edges, out, freq)):
+                for e in edges:
+                    if 0 <= e < len(seq) - 1:
+                        pair = (seq[e], seq[e + 1])
+                        delta[pair] = delta.get(pair, 0) + sign
+            for pair, d in delta.items():
+                if d:
+                    count = pair_counts.get(pair, 0) + d
+                    if count:
+                        pair_counts[pair] = count
+                    else:
                         del pair_counts[pair]
-                if new_pairs.get(pair, 0) == 0:
-                    bucket = pair_words.get(pair)
-                    if bucket is not None:
-                        bucket.discard(wid)
-                        if not bucket:
-                            del pair_words[pair]
-                elif old_pairs.get(pair, 0) == 0:
-                    pair_words.setdefault(pair, set()).add(wid)
-            words[wid][0] = new_symbols
+                    if d > 0:
+                        pair_words.setdefault(pair, []).append(wid)
+                    changed.add(pair)
+            words[wid][0] = tuple(out)
+        for pair in changed:
+            count = pair_counts.get(pair, 0)
+            if count >= floor:
+                heapq.heappush(heap, (-count, pair))
 
     vocab_counts: Counter = Counter()
     for symbols, freq in words:
@@ -278,12 +299,15 @@ def load_bpe(codes_path: str | Path, vocab_path: str | Path | None = None) -> Bp
         raise BpeError(f"{codes_path}:1: not a BPE codes file")
     num_merges = parse_count(fields["num_merges"], codes_path, 1, BpeError)
     min_frequency = parse_count(fields["min_frequency"], codes_path, 1, BpeError)
-    merges = []
+    first_line: dict[tuple[str, str], int] = {}  # merge -> line it first appears on, in file order
     for line_no, line in enumerate(lines, start=2):
         parts = line.split(" ")
         if len(parts) != 2:
             raise BpeError(f"{codes_path}:{line_no}: expected 'left right'")
-        merges.append((parts[0], parts[1]))
+        pair = (parts[0], parts[1])
+        if pair in first_line:
+            raise BpeError(f"{codes_path}:{line_no}: duplicate merge {line!r} (first at line {first_line[pair]})")
+        first_line[pair] = line_no
     vocab = None
     if vocab_path is not None:
         vocab = {}
@@ -292,4 +316,4 @@ def load_bpe(codes_path: str | Path, vocab_path: str | Path | None = None) -> Bp
             if len(parts) != 2 or not parts[0]:
                 raise BpeError(f"{vocab_path}:{line_no}: expected 'symbol count'")
             vocab[parts[0]] = parse_count(parts[1], vocab_path, line_no, BpeError)
-    return BpeModel(tuple(merges), vocab, num_merges, min_frequency)
+    return BpeModel(tuple(first_line), vocab, num_merges, min_frequency)

@@ -133,9 +133,6 @@ class TranslationDirection:
         if self.src == self.tgt:
             raise ValueError(f"direction source equals target: {self.src!r}")
 
-    def reversed(self) -> "TranslationDirection":
-        return TranslationDirection(self.tgt, self.src)
-
     def label(self) -> str:
         return f"{self.src}-{self.tgt}"
 

@@ -227,9 +227,6 @@ class EmbeddingTable:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def vector(self, sentence_id: int) -> np.ndarray:
-        return self.matrix[self.ids.index(sentence_id)]
-
 
 def load_embeddings(path) -> EmbeddingTable:
     """Read a TSV embedding file: header ``d n``, then ``id v1 ... vd`` rows."""
@@ -240,18 +237,22 @@ def load_embeddings(path) -> EmbeddingTable:
     dim, n = (parse_count(field, path, 1, MetricError) for field in header)
     if dim < 1:
         raise MetricError(f"{path}:1: dimension must be at least 1, got {dim}")
-    ids = []
+    first_line: dict[int, int] = {}  # sentence id -> line it first appears on, in file order
     rows = []
     for line_no, line in enumerate(lines, start=2):
         parts = line.split()
         if len(parts) != dim + 1:
             raise MetricError(f"{path}:{line_no}: expected id plus {dim} floats")
-        ids.append(parse_count(parts[0], path, line_no, MetricError))
+        sid = parse_count(parts[0], path, line_no, MetricError)
+        if sid in first_line:
+            raise MetricError(f"{path}:{line_no}: duplicate sentence id {sid} (first at line {first_line[sid]})")
+        first_line[sid] = line_no
         rows.append(parse_floats(parts[1:], path, line_no, MetricError))
+    ids = tuple(first_line)
     if len(ids) != n:
         raise MetricError(f"{path}: header says {n} rows, found {len(ids)}")
     matrix = np.asarray(rows, dtype=np.float64).reshape(len(ids), dim)
-    return EmbeddingTable(tuple(ids), matrix)
+    return EmbeddingTable(ids, matrix)
 
 
 def save_embeddings(table: EmbeddingTable, path) -> None:

@@ -86,6 +86,23 @@ class TestLearn:
         assert list(fast.merges) == brute_force_learn(tokens, 30)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["a", "ab", "abc"]).flatmap(
+        lambda alphabet: st.lists(st.text(alphabet, min_size=1, max_size=10), min_size=1, max_size=25)
+    ),
+    st.integers(0, 40),
+    st.sampled_from([0, 1, 2, 3]),
+)
+def test_learner_matches_brute_force_property(tokens, num_merges, merge_floor):
+    # Tiny alphabets make ties and runs such as "aaaa" and "abab", whose
+    # merge sites are adjacent: the cases the heap and the edge deltas
+    # are most likely to get wrong.
+    merges = learn_bpe([" ".join(tokens)], num_merges, 1, merge_floor).merges
+    assert list(merges) == brute_force_learn(tokens, num_merges, merge_floor)
+    assert len(set(merges)) == len(merges)
+
+
 class TestApply:
     def test_frequent_token_emitted_whole(self):
         model = learn_bpe([TOY], num_merges=50, min_frequency=1)
@@ -226,6 +243,15 @@ class TestModelFile:
         with pytest.raises(error) as info:
             load_bpe(tmp_path / "codes", None if vocab is None else tmp_path / "vocab")
         assert f"{tmp_path / bad}:{line}:" in str(info.value)
+
+    def test_duplicate_merge_names_both_lines(self, tmp_path):
+        # ranks() keeps the last index of a repeated rule, and _encode's
+        # len(ranks) sentinel then never applies it; a codes file lists
+        # each merge once.
+        (tmp_path / "codes").write_text("#bpe num_merges=5 min_frequency=1\nl o\no w\nl o\n")
+        with pytest.raises(BpeError) as info:
+            load_bpe(tmp_path / "codes")
+        assert str(info.value) == f"{tmp_path / 'codes'}:4: duplicate merge 'l o' (first at line 2)"
 
     @pytest.mark.parametrize("codes,vocab,bad,line", [
         ("#bpe num_merges=५ min_frequency=1\n", None, "codes", 1),

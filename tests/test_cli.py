@@ -228,6 +228,7 @@ class TestStrictModelFiles:
         ("codes", b"#bpe num_merges=5 min_frequency=1\r\nl o\r\n", 1),
         ("codes", b"#bpe num_merges=5 min_frequency=1\nl \xffo\n", 2),
         ("codes", b"#bpe num_merges=x min_frequency=1\n", 1),
+        ("codes", b"#bpe num_merges=5 min_frequency=1\nl o\nl o\n", 3),
         ("vocab", b"lo 2\r\n", 1),
         ("vocab", b"lo 2\n\xff 1\n", 2),
         ("vocab", b"lo 2\nb x\n", 2),
@@ -235,11 +236,12 @@ class TestStrictModelFiles:
         ("emb", b"2 1\n0\t1.0\t\xff\n", 2),
         ("emb", b"2 1\n0 1.0 abc\n", 2),
         ("emb", b"2 x\n", 1),
+        ("emb", b"2 2\n0 1.0 0.0\n0 2.0 0.0\n", 3),
     ]
 
     @pytest.mark.parametrize("kind,content,line", CASES, ids=[
-        "codes-crlf", "codes-utf8", "codes-number", "vocab-crlf", "vocab-utf8", "vocab-number",
-        "emb-crlf", "emb-utf8", "emb-number", "emb-header",
+        "codes-crlf", "codes-utf8", "codes-number", "codes-duplicate", "vocab-crlf", "vocab-utf8", "vocab-number",
+        "emb-crlf", "emb-utf8", "emb-number", "emb-header", "emb-duplicate-id",
     ])
     def test_bad_file_is_data_error(self, tmp_path, capsys, kind, content, line):
         files = {"codes": self.CODES, "vocab": b"lo 2\n", "emb": self.EMB, "input": b"low\n"}

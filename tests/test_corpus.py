@@ -217,8 +217,8 @@ def _not_utf8(raw: bytes) -> bool:
 class TestDirection:
     def test_distinct_from_reverse(self):
         d = TranslationDirection("bn", "hi")
-        assert d != d.reversed()
-        assert d.reversed() == TranslationDirection("hi", "bn")
+        assert d != TranslationDirection("hi", "bn")
+        assert d.label() == "bn-hi"
         with pytest.raises(ValueError):
             TranslationDirection("bn", "bn")
 

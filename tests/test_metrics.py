@@ -206,6 +206,12 @@ class TestEmbeddingFile:
             load_embeddings(tmp_path / "bad.tsv")
         assert f"{tmp_path / 'bad.tsv'}:{line}:" in str(info.value)
 
+    def test_duplicate_id_names_both_lines(self, tmp_path):
+        (tmp_path / "dup.tsv").write_text("1 3\n0 1.0\n1 3.0\n0 2.0\n")
+        with pytest.raises(MetricError) as info:
+            load_embeddings(tmp_path / "dup.tsv")
+        assert str(info.value) == f"{tmp_path / 'dup.tsv'}:4: duplicate sentence id 0 (first at line 2)"
+
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4))
     def test_every_finite_repr_loads_back(self, values):
         assert parse_floats([repr(v) for v in values], "e.tsv", 2, MetricError) == values
