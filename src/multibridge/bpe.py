@@ -55,9 +55,13 @@ class BpeModel:
     def __post_init__(self) -> None:
         if len(self.merges) > self.num_merges:
             raise BpeError("more merges than the configured budget")
+        seen: set[tuple[str, str]] = set()
         for left, right in self.merges:
             if not left or not right:
                 raise BpeError(f"empty side in merge rule ({left!r}, {right!r})")
+            if (left, right) in seen:  # ranks() would keep only its later index, which never applies
+                raise BpeError(f"duplicate merge rule ({left!r}, {right!r})")
+            seen.add((left, right))
 
     def ranks(self) -> dict[tuple[str, str], int]:
         return {pair: i for i, pair in enumerate(self.merges)}

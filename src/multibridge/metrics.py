@@ -6,6 +6,8 @@ n-grams up to 4, clipped counts, exponential smoothing of zero precisions
 case-sensitive, single reference, 0-100 scale. chrF2 is the character
 n-gram F-score with beta=2 over orders 1..6 with all whitespace removed,
 averaging precision and recall over the orders attested in both sides.
+Both take their n-gram statistics as exact integer counts from one sorted
+pass per order over the whole corpus, so no float enters before the formula.
 
 Sentence embeddings are consumed from files produced externally (this
 toolkit never loads an encoder); cosine similarity is averaged over
@@ -15,7 +17,6 @@ sentences and reported x100.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -98,12 +99,46 @@ def _check_streams(hypotheses: Sequence[str], references: Sequence[str]) -> None
         raise EmptyCorpus("nothing to score")
 
 
-def _ngram_counts(tokens: Sequence[str], max_order: int) -> Counter:
-    counts: Counter = Counter()
+def _dense_rank(keys: np.ndarray) -> np.ndarray:
+    """Replace each key by its rank among the distinct keys: equal keys, equal ranks."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    step = np.empty(len(keys), dtype=np.int64)
+    step[:1] = 0
+    np.not_equal(ordered[1:], ordered[:-1], out=step[1:])
+    ranks = np.empty_like(step)
+    ranks[order] = np.cumsum(step)
+    return ranks
+
+
+def _clipped_ngram_stats(symbols: np.ndarray, lengths: list[int], max_order: int) -> list[tuple[int, int, int]]:
+    """Per order 1..max_order: hypothesis n-grams, reference n-grams and clipped matches.
+
+    ``symbols`` is every hypothesis line and then every reference line, one
+    integer per character or token; ``lengths`` gives each line's length, so
+    line ``j`` and line ``j + len(lengths) // 2`` are pair ``j``. Each count
+    is summed over the pairs, and a match is clipped to the count in its own
+    pair's reference.
+    """
+    n_pairs = len(lengths) // 2
+    n_hyp_symbols = sum(lengths[:n_pairs])  # hypothesis windows start before this position
+    pair = np.repeat(np.arange(len(lengths)) % n_pairs, lengths)
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(symbols))  # symbols left in the line
+    # An order-1 id is the rank of (pair, symbol): only the two lines of one pair share ids.
+    unigram = ids = _dense_rank(pair * (int(symbols.max(initial=0)) + 1) + symbols)
+    stats = []
     for n in range(1, max_order + 1):
-        for i in range(len(tokens) - n + 1):
-            counts[tuple(tokens[i : i + n])] += 1
-    return counts
+        if n > 1:
+            # The id of the n-gram at i is the rank of (id of the (n-1)-gram at i, id of symbol
+            # i+n-1). Both are below len(symbols), so keys stay below len(symbols)**2 and int64
+            # is exact for any input that fits in memory.
+            ids = _dense_rank(ids[:-1] * len(symbols) + unigram[n - 1 :])
+        inside = room[: len(ids)] >= n  # windows that run past the end of their line are not n-grams
+        hyp = ids[:n_hyp_symbols][inside[:n_hyp_symbols]]
+        ref = ids[n_hyp_symbols:][inside[n_hyp_symbols:]]
+        clipped = np.minimum(np.bincount(hyp, minlength=len(ids)), np.bincount(ref, minlength=len(ids)))
+        stats.append((len(hyp), len(ref), int(clipped.sum())))
+    return stats
 
 
 def _log_or_floor(value: float) -> float:
@@ -121,26 +156,18 @@ def bleu(hypotheses: Sequence[str], references: Sequence[str], tokenization: str
         raise MetricError(f"unknown tokenization {tokenization!r}")
     _check_streams(hypotheses, references)
 
-    correct = [0] * BLEU_ORDER
-    total = [0] * BLEU_ORDER
-    sys_len = 0
-    ref_len = 0
-    for hyp_line, ref_line in zip(hypotheses, references):
-        if tokenization == "13a":
-            hyp_line = tokenize_13a(hyp_line.rstrip())
-            ref_line = tokenize_13a(ref_line.rstrip())
-        else:
-            hyp_line = hyp_line.rstrip()
-            ref_line = ref_line.rstrip()
-        hyp_tokens = hyp_line.split()
-        ref_tokens = ref_line.split()
-        sys_len += len(hyp_tokens)
-        ref_len += len(ref_tokens)
-        ref_ngrams = _ngram_counts(ref_tokens, BLEU_ORDER)
-        for ngram, count in _ngram_counts(hyp_tokens, BLEU_ORDER).items():
-            n = len(ngram)
-            total[n - 1] += count
-            correct[n - 1] += min(count, ref_ngrams.get(ngram, 0))
+    vocab: dict[str, int] = {}  # token -> id, shared by both sides
+    symbols: list[int] = []
+    lengths: list[int] = []
+    for line in (*hypotheses, *references):
+        line = line.rstrip()
+        tokens = (tokenize_13a(line) if tokenization == "13a" else line).split()
+        symbols.extend([vocab.setdefault(token, len(vocab)) for token in tokens])
+        lengths.append(len(tokens))
+    stats = _clipped_ngram_stats(np.array(symbols, dtype=np.int64), lengths, BLEU_ORDER)
+    total = [n_hyp for n_hyp, _, _ in stats]
+    correct = [n_match for _, _, n_match in stats]
+    sys_len, ref_len, _ = stats[0]
 
     precisions = [0.0] * BLEU_ORDER
     smooth = 1.0
@@ -169,29 +196,17 @@ def bleu(hypotheses: Sequence[str], references: Sequence[str], tokenization: str
     return MetricScore("bleu", score, signature)
 
 
-def _char_ngrams(text: str, n: int) -> Counter:
-    return Counter(text[i : i + n] for i in range(len(text) - n + 1))
-
-
 def chrf2(hypotheses: Sequence[str], references: Sequence[str]) -> MetricScore:
     """chrF with beta=2: character n-grams 1..6, whitespace removed, 0-100."""
     _check_streams(hypotheses, references)
-    stats = [0] * (CHRF_ORDER * 3)
-    for hyp, ref in zip(hypotheses, references):
-        hyp = "".join(hyp.split())
-        ref = "".join(ref.split())
-        for i in range(CHRF_ORDER):
-            hyp_ngrams = _char_ngrams(hyp, i + 1)
-            ref_ngrams = _char_ngrams(ref, i + 1)
-            stats[3 * i] += sum(hyp_ngrams.values())
-            stats[3 * i + 1] += sum(ref_ngrams.values())
-            stats[3 * i + 2] += sum((hyp_ngrams & ref_ngrams).values())
+    texts = ["".join(line.split()) for line in (*hypotheses, *references)]
+    codepoints = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    stats = _clipped_ngram_stats(codepoints, [len(text) for text in texts], CHRF_ORDER)
 
     avg_precision = 0.0
     avg_recall = 0.0
     effective_order = 0
-    for i in range(CHRF_ORDER):
-        n_hyp, n_ref, n_match = stats[3 * i : 3 * i + 3]
+    for n_hyp, n_ref, n_match in stats:
         if n_hyp > 0 and n_ref > 0:
             avg_precision += n_match / n_hyp
             avg_recall += n_match / n_ref

@@ -11,6 +11,8 @@ import math
 import unicodedata
 from collections import Counter
 
+from multibridge.tokenizers import tokenize_13a
+
 
 def oracle_normalize(text: str) -> str:
     return " ".join(unicodedata.normalize("NFC", text).split())
@@ -106,3 +108,102 @@ def naive_mean_cosine(vectors_a: list[list[float]], vectors_b: list[list[float]]
         norm_b = math.sqrt(sum(y * y for y in vb))
         total += dot / (norm_a * norm_b)
     return 100.0 * total / len(vectors_a)
+
+
+def _ngram_counts(tokens, max_order: int) -> Counter:
+    counts: Counter = Counter()
+    for n in range(1, max_order + 1):
+        for i in range(len(tokens) - n + 1):
+            counts[tuple(tokens[i : i + n])] += 1
+    return counts
+
+
+def _log_or_floor(value: float) -> float:
+    return math.log(value) if value != 0.0 else -9999999999
+
+
+def naive_bleu(hypotheses: list[str], references: list[str], tokenization: str = "13a") -> float:
+    """Corpus BLEU-4 from one pair of ``Counter``s per sentence pair.
+
+    The tokenizer is the package's own: this checks the counting and the
+    formula, not 13a.
+    """
+    max_order = 4
+    correct = [0] * max_order
+    total = [0] * max_order
+    sys_len = 0
+    ref_len = 0
+    for hyp_line, ref_line in zip(hypotheses, references):
+        if tokenization == "13a":
+            hyp_line = tokenize_13a(hyp_line.rstrip())
+            ref_line = tokenize_13a(ref_line.rstrip())
+        else:
+            hyp_line = hyp_line.rstrip()
+            ref_line = ref_line.rstrip()
+        hyp_tokens = hyp_line.split()
+        ref_tokens = ref_line.split()
+        sys_len += len(hyp_tokens)
+        ref_len += len(ref_tokens)
+        ref_ngrams = _ngram_counts(ref_tokens, max_order)
+        for ngram, count in _ngram_counts(hyp_tokens, max_order).items():
+            n = len(ngram)
+            total[n - 1] += count
+            correct[n - 1] += min(count, ref_ngrams.get(ngram, 0))
+
+    precisions = [0.0] * max_order
+    smooth = 1.0
+    for n in range(1, max_order + 1):
+        if total[n - 1] == 0:
+            break
+        if correct[n - 1] == 0:
+            smooth *= 2
+            precisions[n - 1] = 100.0 / (smooth * total[n - 1])
+        else:
+            precisions[n - 1] = 100.0 * correct[n - 1] / total[n - 1]
+
+    if sys_len == 0:
+        bp = 0.0
+    elif sys_len < ref_len:
+        bp = math.exp(1 - ref_len / sys_len)
+    else:
+        bp = 1.0
+
+    if bp == 1.0 and all(p == 100.0 for p in precisions):
+        return 100.0
+    return min(bp * math.exp(sum(_log_or_floor(p) for p in precisions) / max_order), 100.0)
+
+
+def _char_ngrams(text: str, n: int) -> Counter:
+    return Counter(text[i : i + n] for i in range(len(text) - n + 1))
+
+
+def naive_chrf2(hypotheses: list[str], references: list[str]) -> float:
+    """Corpus chrF2 (orders 1..6, whitespace removed) from ``Counter``s per sentence pair."""
+    max_order, beta = 6, 2
+    stats = [0] * (max_order * 3)
+    for hyp, ref in zip(hypotheses, references):
+        hyp = "".join(hyp.split())
+        ref = "".join(ref.split())
+        for i in range(max_order):
+            hyp_ngrams = _char_ngrams(hyp, i + 1)
+            ref_ngrams = _char_ngrams(ref, i + 1)
+            stats[3 * i] += sum(hyp_ngrams.values())
+            stats[3 * i + 1] += sum(ref_ngrams.values())
+            stats[3 * i + 2] += sum((hyp_ngrams & ref_ngrams).values())
+
+    avg_precision = 0.0
+    avg_recall = 0.0
+    effective_order = 0
+    for i in range(max_order):
+        n_hyp, n_ref, n_match = stats[3 * i : 3 * i + 3]
+        if n_hyp > 0 and n_ref > 0:
+            avg_precision += n_match / n_hyp
+            avg_recall += n_match / n_ref
+            effective_order += 1
+    if effective_order == 0 or avg_precision + avg_recall == 0.0:
+        return 0.0
+    avg_precision /= effective_order
+    avg_recall /= effective_order
+    beta_sq = beta**2
+    denominator = beta_sq * avg_precision + avg_recall
+    return 0.0 if denominator == 0 else 100.0 * (1 + beta_sq) * avg_precision * avg_recall / denominator

@@ -253,6 +253,10 @@ class TestModelFile:
             load_bpe(tmp_path / "codes")
         assert str(info.value) == f"{tmp_path / 'codes'}:4: duplicate merge 'l o' (first at line 2)"
 
+    def test_duplicate_merge_built_in_code_rejected(self):
+        with pytest.raises(BpeError, match=r"duplicate merge rule \('l', 'o'\)"):
+            BpeModel((("l", "o"), ("o", "w"), ("l", "o")), None, 5, 1)
+
     @pytest.mark.parametrize("codes,vocab,bad,line", [
         ("#bpe num_merges=५ min_frequency=1\n", None, "codes", 1),
         ("#bpe num_merges=+5 min_frequency=1\n", None, "codes", 1),

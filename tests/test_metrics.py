@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multibridge.corpus import CarriageReturn, InvalidUtf8, TranslationDirection, parse_floats
@@ -26,7 +26,7 @@ from multibridge.metrics import (
     save_embeddings,
 )
 
-from oracles import naive_mean_cosine
+from oracles import naive_bleu, naive_chrf2, naive_mean_cosine
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "metrics_golden.json").read_text())
 
@@ -108,6 +108,38 @@ class TestChrf2:
     def test_golden(self, case):
         value = chrf2(case["hypotheses"], case["references"]).value
         assert value == pytest.approx(case["chrf2"], abs=0.1)
+
+
+# Few distinct pieces, so n-grams repeat and tie; " " gives empty and whitespace-only
+# lines, "&amp;" a 13a entity, and 0-12 pieces lines shorter than every order.
+_PIECES = st.sampled_from(["a", "b", "ab", "\u0915", "\u0964", ".", ",", "1", "&amp;", " "])
+_LINE = st.lists(_PIECES, max_size=12).map("".join)
+
+
+class TestNgramStatistics:
+    """The sorted n-gram kernel gives the per-sentence ``Counter`` scores to the last bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_LINE, _LINE), min_size=1, max_size=6))
+    def test_scores_equal_counter_oracle(self, pairs):
+        hyps = [h for h, _ in pairs]
+        refs = [r for _, r in pairs]
+        for tokenization in ("13a", "none"):
+            assert bleu(hyps, refs, tokenization).value == naive_bleu(hyps, refs, tokenization)
+        assert chrf2(hyps, refs).value == naive_chrf2(hyps, refs)
+
+    def test_chrf2_matches_only_within_a_pair(self):
+        assert chrf2(["ab", "cd"], ["cd", "ab"]).value == 0.0
+
+    def test_bleu_matches_only_within_a_pair(self):
+        assert bleu(["a b c d", "e f g h"], ["e f g h", "a b c d"], "none").value == 3.993394401539203
+
+    def test_bleu_ngrams_do_not_cross_lines(self):
+        # No line has a 3-gram, so orders 3 and 4 have no n-grams and the score is 0.
+        assert bleu(["a b", "c d"], ["a b", "c d"], "none").value == 0.0
+
+    def test_chrf2_lone_surrogate(self):
+        assert chrf2(["\ud800a"], ["\ud800a"]).value == 100.0
 
 
 def _table(vectors, ids=None):
