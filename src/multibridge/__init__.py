@@ -17,6 +17,10 @@ every direction among English and a set of Indic languages:
 
 Model training itself is out of scope; the pipeline produces the tagged,
 BPE-segmented training files a standard NMT toolkit consumes.
+
+The evaluation names load :mod:`multibridge.metrics`, and numpy with it, on
+first access, so the pipeline and the CLI's other subcommands never pay for
+numpy's import.
 """
 
 from .bpe import (
@@ -45,18 +49,6 @@ from .corpus import (
 )
 from .errors import ConfigError, MultibridgeError
 from .languages import Language, REGISTRY, get_language, indic_codes
-from .metrics import (
-    ComparisonTable,
-    EmbeddingTable,
-    EvalReport,
-    MetricScore,
-    bleu,
-    chrf2,
-    cosine_batch,
-    load_embeddings,
-    nway_compare,
-    save_embeddings,
-)
 from .mining import (
     MiningOutcome,
     PivotIndex,
@@ -85,6 +77,32 @@ from .scripts import from_devanagari, normalize_unicode, to_devanagari
 from .tags import tag, untag
 from .tokenizers import detokenize, tokenize, tokenize_13a
 from .version import __version__
+
+_METRICS_NAMES = frozenset({
+    "ComparisonTable",
+    "EmbeddingTable",
+    "EvalReport",
+    "MetricScore",
+    "bleu",
+    "chrf2",
+    "cosine_batch",
+    "load_embeddings",
+    "nway_compare",
+    "save_embeddings",
+})
+
+
+def __getattr__(name: str):
+    if name in _METRICS_NAMES:
+        from . import metrics
+
+        return getattr(metrics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _METRICS_NAMES)
+
 
 __all__ = [
     "__version__",

@@ -23,7 +23,6 @@ from .config import load_config, parse_pairs, parse_sampling
 from .corpus import iter_lines, write_lines, write_text
 from .errors import MultibridgeError
 from .languages import REGISTRY, indic_codes
-from .metrics import bleu, chrf2, cosine_batch, load_embeddings
 from .mining import DEFAULT_XPROD_CAP, extraction_stats
 from .pipeline import extract, load_english, load_mined, raw_languages, run_pipeline, write_stats
 from .sampling import DEFAULT_PER_PAIR_TARGET, assemble_training_set
@@ -134,6 +133,8 @@ def _cmd_tag(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from .metrics import bleu, chrf2, cosine_batch, load_embeddings  # numpy only for evaluate
+
     if args.metric == "cosine":
         if not (args.emb_a and args.emb_b):
             raise MultibridgeError("cosine needs --emb-a and --emb-b")

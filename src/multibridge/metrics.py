@@ -354,14 +354,24 @@ def nway_compare(
     ``macro`` (unweighted over directions) or ``micro`` (weighted by
     sentence counts). Expected-but-absent directions are listed in
     ``missing`` rather than failing the comparison. ``pivot`` must be
-    :data:`~multibridge.languages.PIVOT`, the toolkit's only pivot.
+    :data:`~multibridge.languages.PIVOT`, the toolkit's only pivot. A
+    language listed twice, or two reports for one direction, is an error.
     """
     if pivot != PIVOT:
         raise MetricError(f"the pivot is {PIVOT!r}, not {pivot!r}")
     if average not in ("macro", "micro"):
         raise MetricError(f"unknown average {average!r}")
+    seen_languages: set[str] = set()
+    for code in languages:
+        if code in seen_languages:
+            raise MetricError(f"language {code!r} listed twice")
+        seen_languages.add(code)
     non_english = [code for code in languages if code != PIVOT]
-    by_direction = {r.direction: r for r in reports}
+    by_direction: dict[TranslationDirection, EvalReport] = {}
+    for r in reports:
+        if r.direction in by_direction:
+            raise MetricError(f"two reports for direction {r.direction.label()}")
+        by_direction[r.direction] = r
     tset = dict(testset_similarity or {})
 
     metric_names = [

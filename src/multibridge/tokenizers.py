@@ -20,7 +20,10 @@ import string
 DANDA = "।"
 DOUBLE_DANDA = "॥"
 
-_13A_PUNCT = re.compile(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])")
+# mteval-v13a pads each character of the class [\{-\~\[-\` -\&\(-\+\:-\@\/]
+# with spaces: ASCII punctuation other than ' , - and ., plus the space,
+# which is left out here because whitespace runs collapse at the end anyway.
+_13A_PUNCT = str.maketrans({c: f" {c} " for c in "!\"#$%&()*+/:;<=>?@[\\]^_`{|}~"})
 _13A_PERIOD_BEFORE = re.compile(r"([^0-9])([\.,])")
 _13A_PERIOD_AFTER = re.compile(r"([\.,])([^0-9])")
 _13A_DIGIT_DASH = re.compile(r"([0-9])(-)")
@@ -41,13 +44,14 @@ def tokenize_13a(line: str) -> str:
     norm = norm.replace("&quot;", '"').replace("&amp;", "&")
     norm = norm.replace("&lt;", "<").replace("&gt;", ">")
 
-    norm = f" {norm} "
-    norm = _13A_PUNCT.sub(r" \1 ", norm)
+    norm = f" {norm} ".translate(_13A_PUNCT)
     # Periods and commas stay attached inside numbers (3.14, 1,000).
-    norm = _13A_PERIOD_BEFORE.sub(r"\1 \2 ", norm)
-    norm = _13A_PERIOD_AFTER.sub(r" \1 \2", norm)
-    norm = _13A_DIGIT_DASH.sub(r"\1 \2 ", norm)
-    return _WS.sub(" ", norm).strip()
+    if "." in norm or "," in norm:
+        norm = _13A_PERIOD_BEFORE.sub(r"\1 \2 ", norm)
+        norm = _13A_PERIOD_AFTER.sub(r" \1 \2", norm)
+    if "-" in norm:
+        norm = _13A_DIGIT_DASH.sub(r"\1 \2 ", norm)
+    return " ".join(norm.split())
 
 
 def _tokenize_indic(text: str) -> list[str]:

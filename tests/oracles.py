@@ -8,6 +8,7 @@ index structures, no incremental updates.
 from __future__ import annotations
 
 import math
+import re
 import unicodedata
 from collections import Counter
 
@@ -38,6 +39,29 @@ def corpus_observations(corpus, pivot: str = "en") -> list[tuple[str, str]]:
     if corpus.src_lang == pivot:
         return [(p.src_text, p.tgt_text) for p in corpus.pairs]
     return [(p.tgt_text, p.src_text) for p in corpus.pairs]
+
+
+_13A_PUNCT = re.compile(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])")
+_13A_PERIOD_BEFORE = re.compile(r"([^0-9])([\.,])")
+_13A_PERIOD_AFTER = re.compile(r"([\.,])([^0-9])")
+_13A_DIGIT_DASH = re.compile(r"([0-9])(-)")
+_WS = re.compile(r"\s+")
+
+
+def naive_tokenize_13a(line: str) -> str:
+    """mteval-v13a as a chain of regex substitutions, every rule on every line."""
+    norm = line.replace("<skipped>", "")
+    norm = norm.replace("-\n", "").replace("\n", " ")
+    norm = norm.replace("&quot;", '"').replace("&amp;", "&")
+    norm = norm.replace("&lt;", "<").replace("&gt;", ">")
+
+    norm = f" {norm} "
+    norm = _13A_PUNCT.sub(r" \1 ", norm)
+    # Periods and commas stay attached inside numbers (3.14, 1,000).
+    norm = _13A_PERIOD_BEFORE.sub(r"\1 \2 ", norm)
+    norm = _13A_PERIOD_AFTER.sub(r" \1 \2", norm)
+    norm = _13A_DIGIT_DASH.sub(r"\1 \2 ", norm)
+    return _WS.sub(" ", norm).strip()
 
 
 _EOW = "</w>"

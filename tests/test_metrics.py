@@ -344,6 +344,18 @@ class TestNwayCompare:
         table = nway_compare(reports, ["bn", "hi", "en"], "en")
         assert [label for label, _ in table.rows] == ["bn", "hi"]
 
+    def test_two_reports_for_one_direction_rejected(self):
+        reports = [_report("bn", "hi", {"bleu": 10.0}), _report("bn", "hi", {"bleu": 30.0})]
+        with pytest.raises(MetricError, match="bn-hi"):
+            nway_compare(reports, ["bn", "hi"])
+
+    def test_language_listed_twice_rejected(self):
+        reports = [_report("bn", "hi", {"bleu": 10.0}), _report("hi", "bn", {"bleu": 30.0})]
+        with pytest.raises(MetricError, match="'bn'"):
+            nway_compare(reports, ["bn", "hi", "bn"])
+        with pytest.raises(MetricError, match="'en'"):
+            nway_compare(reports, ["en", "bn", "hi", "en"])
+
     def test_tsv_layout(self):
         reports = [_report("bn", "hi", {"bleu": 12.345})]
         text = nway_compare(reports, ["bn", "hi"]).to_tsv()

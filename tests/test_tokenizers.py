@@ -1,6 +1,19 @@
+import string
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multibridge.tokenizers import detokenize, tokenize, tokenize_13a
+
+from oracles import naive_tokenize_13a
+
+# Every 13a rule fires: the padded class, ' , - . in and out of numbers, the
+# entities, the line-break rules, Unicode whitespace and non-ASCII letters.
+_13A_PIECES = st.sampled_from([
+    *string.punctuation, *"09azAZ", " ", "\t", "\n", "-\n", "\u00a0",
+    "&quot;", "&amp;", "&lt;", "&gt;", "<skipped>", "\u0915", "\u093f", "\u0964", "\u0967",
+])
 
 
 class Test13a:
@@ -23,6 +36,11 @@ class Test13a:
         line = "It costs $3.50, tax-free (really)!"
         once = tokenize_13a(line)
         assert tokenize_13a(once) == once
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_13A_PIECES, max_size=24).map("".join))
+    def test_equals_regex_oracle(self, line):
+        assert tokenize_13a(line) == naive_tokenize_13a(line)
 
 
 class TestTokenize:
