@@ -22,7 +22,7 @@ from .bpe import BpeSegmenter, learn_bpe, load_bpe, save_bpe
 from .config import load_config, parse_pairs, parse_sampling
 from .corpus import iter_lines, write_lines, write_text
 from .errors import MultibridgeError
-from .languages import REGISTRY, indic_codes
+from .languages import indic_codes
 from .mining import DEFAULT_XPROD_CAP, extraction_stats
 from .pipeline import extract, load_english, load_mined, raw_languages, run_pipeline, write_stats
 from .sampling import DEFAULT_PER_PAIR_TARGET, assemble_training_set
@@ -75,8 +75,6 @@ def _cmd_sample(args) -> int:
 
 def _cmd_preprocess(args) -> int:
     lang = args.lang
-    if lang not in REGISTRY:
-        raise MultibridgeError(f"unknown language {lang!r}")
     forward = args.normalize or args.to_devanagari or args.tokenize
     reverse = args.detokenize or args.from_devanagari
     if forward and reverse:

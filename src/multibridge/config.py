@@ -1,6 +1,7 @@
 """Pipeline configuration: one JSON (or TOML, Python 3.11+) document.
 
 Relative paths resolve against the directory containing the config file.
+The four directories must be disjoint: none may equal or contain another.
 Validation resolves every referenced input before any stage runs.
 
 Example::
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 
 from .errors import ConfigError
@@ -150,8 +152,7 @@ def load_config(path: str | Path) -> PipelineConfig:
             raise ConfigError(f"config is missing {key!r}")
         if not isinstance(doc[key], str):
             raise ConfigError(f"{key!r} must be a path string, not {doc[key]!r}")
-        path = Path(doc[key])
-        return path if path.is_absolute() else (base / path).resolve()
+        return (base / doc[key]).resolve()
 
     languages = doc.get("languages", [])
     if not (isinstance(languages, list) and all(isinstance(code, str) for code in languages)):
@@ -166,12 +167,13 @@ def load_config(path: str | Path) -> PipelineConfig:
             raise ConfigError(
                 f"{key!r} was removed; it is accepted only as {only_value!r}, not {doc[key]!r}"
             )
+    dirs = {key: resolve(key) for key in ("raw_dir", "mined_dir", "sampled_dir", "preprocessed_dir")}
+    for (key_a, dir_a), (key_b, dir_b) in combinations(dirs.items(), 2):
+        if dir_a.is_relative_to(dir_b) or dir_b.is_relative_to(dir_a):
+            raise ConfigError(f"{key_a!r} and {key_b!r} overlap: {dir_a} and {dir_b}; each needs its own directory")
     return PipelineConfig(
         languages=tuple(languages),
-        raw_dir=resolve("raw_dir"),
-        mined_dir=resolve("mined_dir"),
-        sampled_dir=resolve("sampled_dir"),
-        preprocessed_dir=resolve("preprocessed_dir"),
+        **dirs,
         sampling=parse_sampling(doc.get("sampling", {"strategy": "train-all"}), seed),
         bpe_num_merges=_int(bpe, "num_merges", 32000, "bpe.", 0),
         bpe_min_frequency=_int(bpe, "min_frequency", 5, "bpe.", 0),

@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 import unicodedata
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice, product
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import BitextCorpus, SentencePair
@@ -108,40 +108,24 @@ def mine_pairs_detailed(
     if xprod_cap is not None and xprod_cap < 0:
         raise MiningError(f"cross-product cap must be non-negative, not {xprod_cap}")
 
-    candidates = []
-    for key, by_lang in index.items():
-        side1 = by_lang.get(l1)
-        side2 = by_lang.get(l2)
-        if side1 and side2:
-            candidates.append((key, side1, side2))
-    candidates.sort(key=lambda item: item[0])
+    # Pivot keys are unique, so the sort never compares the translation sets.
+    candidates = sorted(
+        (key, by_lang[l1], by_lang[l2]) for key, by_lang in index.items() if l1 in by_lang and l2 in by_lang
+    )
 
     pairs: list[SentencePair] = []
     seen: set[tuple[str, str]] = set()
     raw = 0
     capped: list[str] = []
     for key, side1, side2 in candidates:
-        xs = sorted(side1)
-        ys = sorted(side2)
-        budget = xprod_cap if xprod_cap is not None else len(xs) * len(ys)
-        if len(xs) * len(ys) > budget:
+        if xprod_cap is not None and len(side1) * len(side2) > xprod_cap:
             capped.append(key)
-            logger.info("cross product capped at %d for pivot key %r", budget, key)
-        emitted = 0
-        for x in xs:
-            if emitted >= budget:
-                break
-            for y in ys:
-                if emitted >= budget:
-                    break
-                emitted += 1
-                raw += 1
-                if x == y:
-                    # Identical text on both sides is almost always an
-                    # untranslated sentence that leaked into the corpus.
-                    continue
-                if (x, y) in seen:
-                    continue
+            logger.info("cross product capped at %d for pivot key %r", xprod_cap, key)
+        for x, y in islice(product(sorted(side1), sorted(side2)), xprod_cap):
+            raw += 1
+            # Identical text on both sides is almost always an untranslated
+            # sentence that leaked into the corpus.
+            if x != y and (x, y) not in seen:
                 seen.add((x, y))
                 pairs.append(SentencePair(x, y))
     return MiningOutcome(BitextCorpus(l1, l2, tuple(pairs)), raw, tuple(capped))

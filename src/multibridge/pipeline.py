@@ -16,7 +16,9 @@ from __future__ import annotations
 import json
 import logging
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -51,33 +53,26 @@ class RunReport:
     stats: StatsMatrix
 
 
-class _StageTimer:
-    def __init__(self, stage: str):
-        self.stage = stage
-
-    def __enter__(self):
-        self._t0 = time.monotonic()
-        logger.info("stage %s: start", self.stage)
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        elapsed = time.monotonic() - self._t0
-        if exc is None:
-            logger.info("stage %s: done in %.2fs", self.stage, elapsed)
-            return False
-        logger.error("stage %s: failed after %.2fs: %s", self.stage, elapsed, exc)
-        if isinstance(exc, PipelineStageError):
-            return False
-        raise PipelineStageError(self.stage, exc) from exc
+@contextmanager
+def _stage(name: str):
+    """Log the stage's start and duration; a data or I/O error leaves as a :class:`PipelineStageError`."""
+    t0 = time.monotonic()
+    logger.info("stage %s: start", name)
+    try:
+        yield
+    except BaseException as exc:
+        logger.error("stage %s: failed after %.2fs: %s", name, time.monotonic() - t0, exc)
+        if isinstance(exc, (MultibridgeError, OSError)):
+            raise PipelineStageError(name, exc) from exc
+        raise  # a bug or an interrupt is not bad data
+    logger.info("stage %s: done in %.2fs", name, time.monotonic() - t0)
 
 
 def preprocess_line(text: str, lang: str) -> list[str]:
     """Normalize, script-unify, and tokenize one sentence."""
-    language = get_language(lang)
-    if language.is_indic:
-        text = to_devanagari(normalize_unicode(text, lang), lang)
-    else:
-        text = normalize_unicode(text)
+    text = normalize_unicode(text, lang)
+    if get_language(lang).is_indic:
+        text = to_devanagari(text, lang)
     return tokenize(text, lang)
 
 
@@ -153,18 +148,18 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
     """Run every stage; any failure aborts with the stage name attached."""
     stages: dict[str, dict] = {}
 
-    with _StageTimer("validate"):
+    with _stage("validate"):
         validate_config(config)
 
-    with _StageTimer("extract"):
+    with _stage("extract"):
         english = load_english(config.raw_dir, config.languages)
         mined, stages["extract"] = extract(english, combinations(english, 2), config.xprod_cap, config.mined_dir)
 
-    with _StageTimer("stats"):
+    with _stage("stats"):
         stats = write_stats(english, mined, config.mined_dir)
         stages["stats"] = {"grand_total": stats.grand_total(), "unique_pairs": stats.unique_unordered_total()}
 
-    with _StageTimer("sample"):
+    with _stage("sample"):
         mined_corpora = {pair: outcome.corpus for pair, outcome in mined.items()}
         manifest, corpora = assemble_training_set(
             english.values(), mined_corpora, config.sampling, config.sampled_dir
@@ -175,85 +170,64 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
             "total_pairs": manifest.total_pairs(),
         }
         # Only the sampled corpora are read below; dropping the rest makes
-        # room for the memos, so peak memory stays where sampling left it.
+        # room for the caches, so peak memory stays where sampling left it.
         del english, mined, mined_corpora
 
     # Mirrored directions (a-b and b-a), en-X and X-en, and mined pairs that
     # reuse a pivot-linked sentence all carry the same text, so from here on
     # each step runs once per distinct input and every file is written from
-    # memory. Each memo holds distinct lines only and is dropped as soon as
+    # memory. Each cache holds distinct lines only and is dropped as soon as
     # no later stage reads it.
-    with _StageTimer("preprocess"):
+    files = [(entry.path, side) for entry in manifest.entries for side in ("src", "tgt")]
+
+    with _stage("preprocess"):
         config.preprocessed_dir.mkdir(parents=True, exist_ok=True)
-        prepped: dict[tuple[str, str], str] = {}
-        prep_lines: dict[str, list[str]] = {}
+        prep = cache(lambda lang, text: " ".join(preprocess_line(text, lang)))
+        prep_lines: dict[tuple[str, str], list[str]] = {}
         for entry, corpus in zip(manifest.entries, corpora):
-            sides = (
-                ("src", entry.direction.src, (pair.src_text for pair in corpus.pairs)),
-                ("tgt", entry.direction.tgt, (pair.tgt_text for pair in corpus.pairs)),
-            )
-            for side, lang, texts in sides:
-                name = f"{entry.path}.{side}"
-                lines = []
-                for text in texts:
-                    key = (lang, text)
-                    out = prepped.get(key)
-                    if out is None:
-                        out = prepped[key] = " ".join(preprocess_line(text, lang))
-                    lines.append(out)
-                write_lines(config.preprocessed_dir / name, lines)
-                prep_lines[name] = lines
+            prep_lines[entry.path, "src"] = [prep(entry.direction.src, pair.src_text) for pair in corpus.pairs]
+            prep_lines[entry.path, "tgt"] = [prep(entry.direction.tgt, pair.tgt_text) for pair in corpus.pairs]
+        for path, side in files:
+            write_lines(config.preprocessed_dir / f"{path}.{side}", prep_lines[path, side])
         stages["preprocess"] = {"files": len(prep_lines)}
-        del prepped, corpora
+        del prep, corpora
 
-    with _StageTimer("learn-bpe"):
-        def training_lines():
-            # Each unordered corpus family contributes once (a-b and b-a
-            # mirror each other, so counting both would just double every
-            # frequency and shift the vocabulary threshold).
-            for entry in manifest.entries:
-                if entry.direction.src < entry.direction.tgt:
-                    yield from prep_lines[f"{entry.path}.src"]
-                    yield from prep_lines[f"{entry.path}.tgt"]
-
-        model = learn_bpe(training_lines(), config.bpe_num_merges, config.bpe_min_frequency)
+    with _stage("learn-bpe"):
+        # Each unordered corpus family contributes once (a-b and b-a mirror
+        # each other, so counting both would just double every frequency and
+        # shift the vocabulary threshold).
+        training_lines = (line for entry in manifest.entries if entry.direction.src < entry.direction.tgt
+                          for side in ("src", "tgt") for line in prep_lines[entry.path, side])
+        model = learn_bpe(training_lines, config.bpe_num_merges, config.bpe_min_frequency)
         save_bpe(model, config.preprocessed_dir / "bpe.codes", config.preprocessed_dir / "bpe.vocab")
         stages["learn-bpe"] = {"merges": len(model.merges), "vocab": len(model.vocab or ())}
 
-    with _StageTimer("apply-bpe"):
+    with _stage("apply-bpe"):
         segmenter = BpeSegmenter(model)
-        segmented: dict[str, str] = {}
-        bpe_lines: dict[str, list[str]] = {}
-        for entry in manifest.entries:
-            for side in ("src", "tgt"):
-                name = f"{entry.path}.{side}"
-                lines = []
-                for line in prep_lines[name]:
-                    out = segmented.get(line)
-                    if out is None:
-                        out = segmented[line] = " ".join(segmenter.segment(line.split()))
-                    lines.append(out)
-                write_lines(config.preprocessed_dir / f"{entry.path}.bpe.{side}", lines)
-                bpe_lines[name] = lines
+        segment = cache(lambda line: " ".join(segmenter.segment(line.split())))
+        bpe_lines: dict[tuple[str, str], list[str]] = {}
+        for path, side in files:
+            lines = bpe_lines[path, side] = [segment(line) for line in prep_lines[path, side]]
+            write_lines(config.preprocessed_dir / f"{path}.bpe.{side}", lines)
         stages["apply-bpe"] = {"files": len(bpe_lines)}
-        del segmented, prep_lines
+        del segment, prep_lines
 
-    with _StageTimer("tag"):
+    with _stage("tag"):
         final_dir = config.preprocessed_dir / "final"
         final_dir.mkdir(parents=True, exist_ok=True)
         checked: set[str] = set()
         for entry in manifest.entries:
-            direction = entry.direction
-            head = f"{src_tag(direction.src)} {tgt_tag(direction.tgt)}"
-            src_lines = bpe_lines[f"{entry.path}.src"]
+            src, tgt = entry.direction.src, entry.direction.tgt
+            head = f"{src_tag(src)} {tgt_tag(tgt)}"
+            src_lines = bpe_lines[entry.path, "src"]
             for line in src_lines:
                 if line not in checked:  # tag() rejects reserved tokens in the payload
-                    tag(line.split(), direction.src, direction.tgt)
+                    tag(line.split(), src, tgt)
                     checked.add(line)
             # The two tags, then the payload if there is one: tag()'s output, joined.
             tagged = (f"{head} {line}" if line else head for line in src_lines)
             write_lines(final_dir / f"{entry.path}.src", tagged)
-            write_lines(final_dir / f"{entry.path}.tgt", bpe_lines[f"{entry.path}.tgt"])
+            write_lines(final_dir / f"{entry.path}.tgt", bpe_lines[entry.path, "tgt"])
         stages["tag"] = {"directions": len(manifest.entries)}
 
     report = RunReport(stages, manifest, stats)

@@ -88,15 +88,16 @@ class UnmappableCodepoint(ScriptError):
 def normalize_unicode(text: str, lang: str | None = None) -> str:
     """NFC normalization plus script-specific nukta composition.
 
-    With ``lang`` given, only that language's script table applies;
-    otherwise all tables do (they touch disjoint blocks, so this is safe).
+    For an Indic ``lang`` only its script's table applies; for English, or
+    with no ``lang``, all tables do (they touch disjoint blocks, so this is
+    safe).
     """
     text = unicodedata.normalize("NFC", text)
-    if lang is not None:
-        script = get_language(lang).script
-        selected = [DEFAULT_CANONICALIZATIONS[script]] if script in DEFAULT_CANONICALIZATIONS else []
+    language = None if lang is None else get_language(lang)
+    if language is not None and language.is_indic:
+        selected = [DEFAULT_CANONICALIZATIONS.get(language.script, {})]
     else:
-        selected = list(DEFAULT_CANONICALIZATIONS.values())
+        selected = DEFAULT_CANONICALIZATIONS.values()
     for table in selected:
         for seq, composed in table.items():
             if seq in text:

@@ -11,6 +11,7 @@ import re
 from typing import Sequence
 
 from .errors import MultibridgeError
+from .languages import get_language
 
 #: Grammar of a tag token, e.g. __src_en__ or __tgt_hi__.
 TAG_PATTERN = re.compile(r"^__(src|tgt)_([a-z]{2})__$")
@@ -41,8 +42,8 @@ def is_tag_token(token: str) -> bool:
 
 
 def tag(tokens: Sequence[str], src: str, tgt: str) -> list[str]:
-    """Prepend the source and target tags (in that pinned order)."""
-    if src == tgt:
+    """Prepend the source and target tags (in that pinned order); both codes must be in the language table."""
+    if get_language(src) == get_language(tgt):
         raise TagError(f"source and target language are both {src!r}")
     for token in tokens:
         if is_tag_token(token):

@@ -27,7 +27,6 @@ _13A_PUNCT = str.maketrans({c: f" {c} " for c in "!\"#$%&()*+/:;<=>?@[\\]^_`{|}~
 _13A_PERIOD_BEFORE = re.compile(r"([^0-9])([\.,])")
 _13A_PERIOD_AFTER = re.compile(r"([\.,])([^0-9])")
 _13A_DIGIT_DASH = re.compile(r"([0-9])(-)")
-_WS = re.compile(r"\s+")
 
 _INDIC_PUNCT = re.compile("([" + re.escape(string.punctuation) + DANDA + DOUBLE_DANDA + "])")
 _NUM_SEQ = re.compile(r"([0-9]+ [,.:/] )+[0-9]+")
@@ -54,28 +53,13 @@ def tokenize_13a(line: str) -> str:
     return " ".join(norm.split())
 
 
-def _tokenize_indic(text: str) -> list[str]:
-    padded = _INDIC_PUNCT.sub(r" \1 ", text.replace("\t", " "))
-    collapsed = _WS.sub(" ", padded).strip()
-    if not collapsed:
-        return []
-    # Stitch numeric sequences back together: "1 , 000" -> "1,000".
-    parts = []
-    prev = 0
-    for match in _NUM_SEQ.finditer(collapsed):
-        parts.append(collapsed[prev:match.start()])
-        parts.append(match.group(0).replace(" ", ""))
-        prev = match.end()
-    parts.append(collapsed[prev:])
-    return "".join(parts).split(" ")
-
-
 def tokenize(text: str, lang: str) -> list[str]:
     """Split a sentence into word and punctuation tokens."""
     if lang == "en":
         return tokenize_13a(text).split()
-    tokens = _tokenize_indic(text)
-    return [t for t in tokens if t]
+    padded = " ".join(_INDIC_PUNCT.sub(r" \1 ", text).split())
+    # Stitch numeric sequences back together: "1 , 000" -> "1,000".
+    return _NUM_SEQ.sub(lambda match: match.group(0).replace(" ", ""), padded).split()
 
 
 def detokenize(tokens: list[str]) -> str:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+import string
 import unicodedata
 from collections import Counter
 
@@ -62,6 +63,71 @@ def naive_tokenize_13a(line: str) -> str:
     norm = _13A_PERIOD_AFTER.sub(r" \1 \2", norm)
     norm = _13A_DIGIT_DASH.sub(r"\1 \2 ", norm)
     return _WS.sub(" ", norm).strip()
+
+
+_INDIC_PUNCT = re.compile("([" + re.escape(string.punctuation) + "।॥])")
+_NUM_SEQ = re.compile(r"([0-9]+ [,.:/] )+[0-9]+")
+
+
+def naive_tokenize_indic(text: str) -> list[str]:
+    """Indic tokenization as a regex collapse plus a find-and-stitch loop over numeric runs."""
+    padded = _INDIC_PUNCT.sub(r" \1 ", text.replace("\t", " "))
+    collapsed = _WS.sub(" ", padded).strip()
+    if not collapsed:
+        return []
+    # Stitch numeric sequences back together: "1 , 000" -> "1,000".
+    parts = []
+    prev = 0
+    for match in _NUM_SEQ.finditer(collapsed):
+        parts.append(collapsed[prev:match.start()])
+        parts.append(match.group(0).replace(" ", ""))
+        prev = match.end()
+    parts.append(collapsed[prev:])
+    tokens = "".join(parts).split(" ")
+    return [t for t in tokens if t]
+
+
+def naive_capped_mine(index: dict[str, dict[str, set[str]]], l1: str, l2: str,
+                      xprod_cap: int | None) -> tuple[list[tuple[str, str]], int, tuple[str, ...]]:
+    """Capped pivot join as nested loops with an explicit per-key budget.
+
+    Returns the mined pairs in order, the raw (pre-drop) pair count and the
+    pivot keys whose cross product hit the cap.
+    """
+    candidates = []
+    for key, by_lang in index.items():
+        side1 = by_lang.get(l1)
+        side2 = by_lang.get(l2)
+        if side1 and side2:
+            candidates.append((key, side1, side2))
+    candidates.sort(key=lambda item: item[0])
+
+    pairs: list[tuple[str, str]] = []
+    seen: set[tuple[str, str]] = set()
+    raw = 0
+    capped: list[str] = []
+    for key, side1, side2 in candidates:
+        xs = sorted(side1)
+        ys = sorted(side2)
+        budget = xprod_cap if xprod_cap is not None else len(xs) * len(ys)
+        if len(xs) * len(ys) > budget:
+            capped.append(key)
+        emitted = 0
+        for x in xs:
+            if emitted >= budget:
+                break
+            for y in ys:
+                if emitted >= budget:
+                    break
+                emitted += 1
+                raw += 1
+                if x == y:
+                    continue
+                if (x, y) in seen:
+                    continue
+                seen.add((x, y))
+                pairs.append((x, y))
+    return pairs, raw, tuple(capped)
 
 
 _EOW = "</w>"

@@ -10,6 +10,8 @@ import pytest
 
 from multibridge.cli import main
 from multibridge.corpus import load_bitext, load_manifest
+from multibridge.languages import indic_codes
+from multibridge.pipeline import preprocess_line
 
 FIXTURE = Path(__file__).parent / "data" / "pipeline_fixture"
 GOLDEN = Path(__file__).parent / "data" / "pipeline_golden" / "out"
@@ -276,6 +278,16 @@ class TestPreprocess:
                           stdin="ॐ\n")
         assert relaxed.returncode == 0 and relaxed.stdout == "ॐ\n"
 
+    # A decomposed nukta sequence for each script table, punctuation and a number.
+    NUKTA_TEXT = "Qa is \u0915\u093c here, \u09a1\u09bc \u0b21\u0b3c \u0a38\u0a3c (1,000)!"
+
+    @pytest.mark.parametrize("lang", ["en", *indic_codes()])
+    def test_forward_chain_equals_run(self, lang):
+        steps = ["--normalize", "--tokenize"] if lang == "en" else ["--normalize", "--to-devanagari", "--tokenize"]
+        proc = run_cli("preprocess", "--lang", lang, *steps, stdin=self.NUKTA_TEXT + "\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == " ".join(preprocess_line(self.NUKTA_TEXT, lang)) + "\n"
+
     def test_mixed_directions_rejected(self):
         proc = run_cli("preprocess", "--lang", "bn", "--tokenize", "--detokenize", stdin="x\n")
         assert proc.returncode == 2
@@ -330,6 +342,13 @@ class TestTagCommand:
     def test_tag_requires_languages(self):
         assert run_cli("tag", stdin="x\n").returncode == 1
 
+    @pytest.mark.parametrize("src,tgt,bad", [("english", "hi", "english"), ("bn", "zz", "zz")])
+    def test_code_outside_language_table_is_data_error(self, src, tgt, bad):
+        proc = run_cli("tag", "--src", src, "--tgt", tgt, stdin="a b\n")
+        assert proc.returncode == 2
+        assert f"unknown language code: {bad!r}" in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestEvaluate:
     def test_bleu_tsv_json(self, tmp_path):
@@ -377,6 +396,17 @@ class TestRunCommand:
         shutil.copytree(FIXTURE, work)
         assert main(["run", "--config", str(work / "config.json")]) == 0
         assert (work / "out" / "prep" / "run_report.json").exists()
+
+    @pytest.mark.parametrize("prep", ["out/sampled", "out/sampled/prep"])
+    def test_overlapping_dirs_are_data_error(self, tmp_path, capsys, prep):
+        work = tmp_path / "run"
+        shutil.copytree(FIXTURE, work)
+        doc = json.loads((work / "config.json").read_text())
+        doc["preprocessed_dir"] = prep
+        (work / "config.json").write_text(json.dumps(doc))
+        assert main(["run", "--config", str(work / "config.json")]) == 2
+        assert "'sampled_dir' and 'preprocessed_dir' overlap" in capsys.readouterr().err
+        assert not (work / "out").exists()
 
     def test_registry_key_is_rejected(self, tmp_path, capsys):
         # The language table is fixed; a registry file, even a valid one, is a config error.

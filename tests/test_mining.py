@@ -1,6 +1,8 @@
 import unicodedata
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multibridge.corpus import BitextCorpus, SentencePair
 from multibridge.mining import (
@@ -16,7 +18,7 @@ from multibridge.mining import (
     normalize_pivot,
 )
 
-from oracles import corpus_observations, nested_loop_mine
+from oracles import corpus_observations, naive_capped_mine, nested_loop_mine
 from synth import english_centric_fixture
 
 
@@ -152,6 +154,23 @@ class TestMinePairs:
         )
         assert {(p.src_text, p.tgt_text) for p in mined.pairs} == expected
         assert len(mined) == len(expected)  # no duplicates slipped through
+
+    # Few keys and a four-word vocabulary shared by both languages: identical
+    # text, duplicates across keys, empty sets and keys above the cap are common.
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(
+        st.sampled_from(["k1", "k2", "k3", "Thank you.", "k 2"]),
+        st.dictionaries(st.sampled_from(["bn", "hi", "ta"]), st.sets(st.sampled_from(["a", "b", "ab", "a b"]))),
+        max_size=5,
+    ))
+    def test_cap_equals_budget_loop_oracle(self, index):
+        size = max((len(s.get("bn", ())) * len(s.get("hi", ())) for s in index.values()), default=0)
+        for cap in (None, 0, size, max(size - 1, 0)):
+            outcome = mine_pairs_detailed(index, "bn", "hi", xprod_cap=cap)
+            pairs, raw, capped = naive_capped_mine(index, "bn", "hi", cap)
+            assert [(p.src_text, p.tgt_text) for p in outcome.corpus.pairs] == pairs
+            assert outcome.raw_pair_count == raw
+            assert outcome.capped_keys == capped
 
 
 class TestMineAll:

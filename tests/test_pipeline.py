@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from multibridge import corpus, pipeline
+from multibridge.cli import main
 from multibridge.config import load_config, validate_config
 from multibridge.corpus import load_manifest
 from multibridge.errors import ConfigError
@@ -54,6 +55,29 @@ class TestRunPipeline:
         assert exc.value.stage == "validate"
         assert isinstance(exc.value.cause, ConfigError)
         assert not (work / "out").exists()
+
+    @pytest.mark.parametrize("error", [TypeError("unsupported operand"), KeyboardInterrupt()],
+                             ids=["bug", "interrupt"])
+    def test_bug_or_interrupt_is_not_a_data_error(self, tmp_path, monkeypatch, error):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(pipeline, "learn_bpe", failing)
+        work = tmp_path / "bug"
+        shutil.copytree(FIXTURE, work)
+        with pytest.raises(type(error)) as exc:
+            main(["run", "--config", str(work / "config.json")])
+        assert exc.value is error
+
+    def test_os_error_is_a_stage_error(self, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pipeline, "save_bpe", failing)
+        with pytest.raises(PipelineStageError) as exc:
+            _run_fixture(tmp_path, "disk")
+        assert exc.value.stage == "learn-bpe"
+        assert isinstance(exc.value.cause, OSError)
 
     def test_run_report_written(self, tmp_path):
         out = _run_fixture(tmp_path, "report")
@@ -245,6 +269,19 @@ class TestConfig:
         bad.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match=re.escape(name)):
             load_config(bad)
+
+    @pytest.mark.parametrize("key,value,other", [
+        ("preprocessed_dir", "out/sampled", "sampled_dir"),
+        ("preprocessed_dir", "out/sampled/prep", "sampled_dir"),
+        ("mined_dir", "{work}/out/prep/../sampled", "sampled_dir"),
+        ("raw_dir", "out", "mined_dir"),
+    ], ids=["equal", "nested", "absolute-equal", "output-inside-raw"])
+    def test_overlapping_dirs_rejected(self, tmp_path, key, value, other):
+        doc = json.loads((FIXTURE / "config.json").read_text())
+        doc[key] = value.format(work=tmp_path)
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"{other!r} and {key!r} overlap|{key!r} and {other!r} overlap"):
+            load_config(tmp_path / "c.json")
 
     def test_cap_zero_or_null_disables(self, tmp_path):
         for value in (0, None):

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from multibridge.bpe import learn_bpe, apply_bpe
+from multibridge.languages import UnknownLanguage
 from multibridge.tags import (
     MalformedTags,
     ReservedTokenInPayload,
@@ -29,6 +30,11 @@ class TestTag:
     def test_same_language_rejected(self):
         with pytest.raises(TagError):
             tag(["x"], "hi", "hi")
+
+    @pytest.mark.parametrize("src,tgt", [("english", "hi"), ("bn", "zz")])
+    def test_code_outside_language_table_rejected(self, src, tgt):
+        with pytest.raises(UnknownLanguage):
+            tag(["a", "b"], src, tgt)
 
 
 class TestUntag:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from multibridge.tokenizers import detokenize, tokenize, tokenize_13a
 
-from oracles import naive_tokenize_13a
+from oracles import naive_tokenize_13a, naive_tokenize_indic
 
 # Every 13a rule fires: the padded class, ' , - . in and out of numbers, the
 # entities, the line-break rules, Unicode whitespace and non-ASCII letters.
@@ -14,6 +14,14 @@ _13A_PIECES = st.sampled_from([
     *string.punctuation, *"09azAZ", " ", "\t", "\n", "-\n", "\u00a0",
     "&quot;", "&amp;", "&lt;", "&gt;", "<skipped>", "\u0915", "\u093f", "\u0964", "\u0967",
 ])
+
+# Half the pieces build numeric runs ("1 ,\t000") that the tokenizer re-joins
+# only after collapsing whitespace; \x1c and \x85 are whitespace to both
+# str.split and re's \s.
+_INDIC_PIECES = st.one_of(
+    st.sampled_from([*string.digits, ",", ".", ":", "/", " ", "\t", "\x1c", "\x85", "\u00a0"]),
+    st.sampled_from([*string.punctuation, "।", "॥", "\u0915", "\u093f", "\u0967", "नमस्ते"]),
+)
 
 
 class Test13a:
@@ -67,6 +75,11 @@ class TestTokenize:
 
     def test_bengali(self):
         assert tokenize("আমি ভাত খাই।", "bn") == ["আমি", "ভাত", "খাই", "।"]
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_INDIC_PIECES, max_size=24).map("".join))
+    def test_indic_equals_stitch_loop_oracle(self, text):
+        assert tokenize(text, "hi") == naive_tokenize_indic(text)
 
 
 SAMPLE_SENTENCES = [
