@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -45,12 +45,22 @@ class DanglingContinuation(BpeError):
 
 @dataclass(frozen=True)
 class BpeModel:
-    """Ordered merge rules plus the frequency-filtered subword vocabulary."""
+    """Ordered merge rules plus the frequency-filtered subword vocabulary.
+
+    ``training_segments`` maps a word to its rendered subwords before the
+    vocabulary filter, exactly as rank-order application of ``merges``
+    renders it, so segmenting a word found there needs no encoding.
+    :func:`learn_bpe` fills it for its training words. It is never saved
+    or compared: a model read back by :func:`load_bpe` has none and gives
+    the same output. A model built with other merges must not be given
+    another model's table.
+    """
 
     merges: tuple[tuple[str, str], ...]
     vocab: dict[str, int] | None
     num_merges: int
     min_frequency: int
+    training_segments: dict[str, list[str]] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.merges) > self.num_merges:
@@ -102,11 +112,6 @@ def render_subwords(symbols: Sequence[str]) -> list[str]:
     return out
 
 
-def _iter_tokens(token_stream: Iterable[str]) -> Iterable[str]:
-    for chunk in token_stream:
-        yield from chunk.split()
-
-
 def learn_bpe(
     token_stream: Iterable[str],
     num_merges: int = 32000,
@@ -118,11 +123,23 @@ def learn_bpe(
     ``token_stream`` yields whitespace-separated tokens (whole lines are
     fine). ``min_frequency`` filters the resulting vocabulary, applied at
     segmentation time; ``merge_floor`` is the learn-time stopping floor.
+
+    The learner merges every word in merge order, while :class:`BpeSegmenter`
+    repeatedly merges the lowest-ranked pair a word holds. The two agree
+    unless a merge creates, inside a word, a pair that an earlier merge
+    already took: rank order would merge it again and the learner would
+    not. Such a word is left out of ``training_segments``; every other
+    training word's final segmentation is kept there.
     """
     for name, value in (("num_merges", num_merges), ("min_frequency", min_frequency), ("merge_floor", merge_floor)):
         if value < 0:
             raise BpeError(f"{name!r} must be an integer >= 0, not {value!r}")
-    token_counts = Counter(_iter_tokens(token_stream))
+    # Corpora repeat whole lines (mirrored and pivot-linked sentences), so
+    # each distinct line is split once and its tokens weighted by its count.
+    token_counts: dict[str, int] = {}
+    for line, repeats in Counter(token_stream).items():
+        for token in line.split():
+            token_counts[token] = token_counts.get(token, 0) + repeats
     if not token_counts:
         raise EmptyCorpus("no tokens to learn from")
 
@@ -139,6 +156,9 @@ def learn_bpe(
     heapq.heapify(heap)
 
     merges: list[tuple[str, str]] = []
+    taken: set[tuple[str, str]] = set()  # the pairs in ``merges``
+    tokens = list(token_counts)
+    departed: set[str] = set()  # words whose segmentation rank order would not reproduce
     while len(merges) < num_merges:
         while heap and -heap[0][0] != pair_counts.get(heap[0][1], 0):
             heapq.heappop(heap)
@@ -146,13 +166,14 @@ def learn_bpe(
             break
         best_pair = heapq.heappop(heap)[1]
         merges.append(best_pair)
+        taken.add(best_pair)
         left, right = best_pair
         merged = left + right
 
         changed: set[tuple[str, str]] = set()
-        for wid in pair_words.pop(best_pair):
+        for wid in dict.fromkeys(pair_words.pop(best_pair)):
             symbols, freq = words[wid]
-            # A stale or repeated id finds no merge site and is skipped.
+            # A stale id finds no merge site and is skipped.
             # Only the edges next to a merge site change; every other old
             # edge maps one to one onto a new edge holding the same pair.
             out: list[str] = []
@@ -185,6 +206,8 @@ def learn_bpe(
                         del pair_counts[pair]
                     if d > 0:
                         pair_words.setdefault(pair, []).append(wid)
+                        if pair in taken:  # rank order would merge it again
+                            departed.add(tokens[wid])
                     changed.add(pair)
             words[wid][0] = tuple(out)
         for pair in changed:
@@ -192,12 +215,16 @@ def learn_bpe(
             if count >= floor:
                 heapq.heappush(heap, (-count, pair))
 
-    vocab_counts: Counter = Counter()
-    for symbols, freq in words:
-        for subword in render_subwords(symbols):
-            vocab_counts[subword] += freq
+    vocab_counts: dict[str, int] = {}
+    segments: dict[str, list[str]] = {}
+    for token, (symbols, freq) in zip(token_counts, words):
+        segments[token] = rendered = render_subwords(symbols)
+        for subword in rendered:
+            vocab_counts[subword] = vocab_counts.get(subword, 0) + freq
+    for token in departed:
+        del segments[token]
     vocab = {sym: cnt for sym, cnt in vocab_counts.items() if cnt >= min_frequency}
-    return BpeModel(tuple(merges), vocab, num_merges, min_frequency)
+    return BpeModel(tuple(merges), vocab, num_merges, min_frequency, segments)
 
 
 def _encode(token: str, ranks: dict[tuple[str, str], int]) -> tuple[str, ...]:
@@ -227,7 +254,11 @@ def _split_oov(subword: str, is_final: bool) -> list[str]:
 
 
 class BpeSegmenter:
-    """Reusable applier: build the rank table and word cache once."""
+    """Reusable applier: build the rank table and word cache once.
+
+    A word in the model's ``training_segments`` is looked up there; any
+    other word is encoded from the merge ranks.
+    """
 
     def __init__(self, model: BpeModel, reserved: Iterable[str] = ()):
         self.model = model
@@ -243,7 +274,9 @@ class BpeSegmenter:
                 continue
             got = self._cache.get(token)
             if got is None:
-                rendered = render_subwords(_encode(token, self._ranks))
+                rendered = self.model.training_segments.get(token)
+                if rendered is None:
+                    rendered = render_subwords(_encode(token, self._ranks))
                 if self.model.vocab is not None:
                     filtered: list[str] = []
                     for i, subword in enumerate(rendered):

@@ -19,7 +19,7 @@ from itertools import combinations
 from pathlib import Path
 
 from .bpe import BpeSegmenter, learn_bpe, load_bpe, save_bpe
-from .config import load_config, parse_pairs, parse_sampling
+from .config import check_disjoint, load_config, parse_pairs, parse_sampling
 from .corpus import iter_lines, write_lines, write_text
 from .errors import MultibridgeError
 from .languages import indic_codes
@@ -44,6 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cmd_extract(args) -> int:
+    check_disjoint({"--inputs": args.inputs, "--out": args.out})
     inputs, out = Path(args.inputs), Path(args.out)
     english = load_english(inputs, raw_languages(inputs))
     pairs = parse_pairs(args.pairs.split(",")) if args.pairs else combinations(english, 2)
@@ -64,6 +65,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    check_disjoint({"--inputs": args.inputs, "--mined": args.mined, "--out": args.out})
     pairs = args.pairs.split(",") if args.pairs else None
     plan = parse_sampling({"strategy": args.strategy, "pairs": pairs, "per_pair_target": args.per_pair}, args.seed)
     inputs = Path(args.inputs)

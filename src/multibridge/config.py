@@ -25,6 +25,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
+from typing import Mapping
 
 from .errors import ConfigError
 from .languages import PIVOT, REGISTRY
@@ -168,9 +169,7 @@ def load_config(path: str | Path) -> PipelineConfig:
                 f"{key!r} was removed; it is accepted only as {only_value!r}, not {doc[key]!r}"
             )
     dirs = {key: resolve(key) for key in ("raw_dir", "mined_dir", "sampled_dir", "preprocessed_dir")}
-    for (key_a, dir_a), (key_b, dir_b) in combinations(dirs.items(), 2):
-        if dir_a.is_relative_to(dir_b) or dir_b.is_relative_to(dir_a):
-            raise ConfigError(f"{key_a!r} and {key_b!r} overlap: {dir_a} and {dir_b}; each needs its own directory")
+    check_disjoint(dirs)
     return PipelineConfig(
         languages=tuple(languages),
         **dirs,
@@ -180,6 +179,14 @@ def load_config(path: str | Path) -> PipelineConfig:
         xprod_cap=cap or None,
         seed=seed,
     )
+
+
+def check_disjoint(dirs: Mapping[str, str | Path]) -> None:
+    """Raise :class:`ConfigError` if any two of the named directories are equal or nested."""
+    resolved = {name: Path(path).resolve() for name, path in dirs.items()}
+    for (name_a, dir_a), (name_b, dir_b) in combinations(resolved.items(), 2):
+        if dir_a.is_relative_to(dir_b) or dir_b.is_relative_to(dir_a):
+            raise ConfigError(f"{name_a!r} and {name_b!r} overlap: {dir_a} and {dir_b}; each needs its own directory")
 
 
 def validate_config(config: PipelineConfig) -> None:

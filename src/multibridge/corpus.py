@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -198,7 +199,7 @@ def write_text(path: str | Path, text: str) -> None:
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Write each line followed by one LF; the inverse of :func:`iter_lines`."""
-    write_text(path, "".join(line + "\n" for line in lines))
+    write_text(path, "\n".join(chain(lines, ("",))))
 
 
 def _read_lines(path: str | Path) -> list[str]:

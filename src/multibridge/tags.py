@@ -16,6 +16,9 @@ from .languages import get_language
 #: Grammar of a tag token, e.g. __src_en__ or __tgt_hi__.
 TAG_PATTERN = re.compile(r"^__(src|tgt)_([a-z]{2})__$")
 
+#: Every token TAG_PATTERN matches contains this, so a line without it holds no tag token.
+_TAG_CORE = re.compile(r"__(?:src|tgt)_[a-z]{2}__")
+
 
 class TagError(MultibridgeError):
     """Base class for tagging errors."""
@@ -45,14 +48,15 @@ def tag(tokens: Sequence[str], src: str, tgt: str) -> list[str]:
     """Prepend the source and target tags (in that pinned order); both codes must be in the language table."""
     if get_language(src) == get_language(tgt):
         raise TagError(f"source and target language are both {src!r}")
-    for token in tokens:
-        if is_tag_token(token):
-            raise ReservedTokenInPayload(f"payload contains reserved token {token!r}")
+    if _TAG_CORE.search(" ".join(tokens)):
+        for token in tokens:
+            if is_tag_token(token):
+                raise ReservedTokenInPayload(f"payload contains reserved token {token!r}")
     return [src_tag(src), tgt_tag(tgt), *tokens]
 
 
 def untag(tokens: Sequence[str]) -> tuple[str, str, list[str]]:
-    """Strip the two leading tags; inverse of :func:`tag`."""
+    """Strip the two leading tags; inverse of :func:`tag`, so both codes must be in the language table."""
     if len(tokens) < 2:
         raise MalformedTags("sequence shorter than the two leading tags")
     src_match = TAG_PATTERN.match(tokens[0])
@@ -62,6 +66,6 @@ def untag(tokens: Sequence[str]) -> tuple[str, str, list[str]]:
     if tgt_match is None or tgt_match.group(1) != "tgt":
         raise MalformedTags(f"expected a __tgt_yy__ tag second, got {tokens[1]!r}")
     src, tgt = src_match.group(2), tgt_match.group(2)
-    if src == tgt:
+    if get_language(src) == get_language(tgt):
         raise MalformedTags(f"source and target tags agree on {src!r}")
     return src, tgt, list(tokens[2:])

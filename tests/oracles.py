@@ -297,3 +297,19 @@ def naive_chrf2(hypotheses: list[str], references: list[str]) -> float:
     beta_sq = beta**2
     denominator = beta_sq * avg_precision + avg_recall
     return 0.0 if denominator == 0 else 100.0 * (1 + beta_sq) * avg_precision * avg_recall / denominator
+
+
+def naive_lines_text(lines: list[str]) -> str:
+    """The text of a one-line-per-LF file: every line followed by its own LF."""
+    return "".join(line + "\n" for line in lines)
+
+
+_ORACLE_TAG = re.compile(r"^__(src|tgt)_([a-z]{2})__$")
+
+
+def naive_reserved_token(tokens: list[str]) -> str | None:
+    """The first token that is a whole language tag, matching every token in turn; None if there is none."""
+    for token in tokens:
+        if _ORACLE_TAG.match(token) is not None:
+            return token
+    return None

@@ -12,7 +12,9 @@ from multibridge.bpe import (
     EmptyCorpus,
     apply_bpe,
     learn_bpe,
+    _encode,
     load_bpe,
+    render_subwords,
     revert_bpe,
     save_bpe,
 )
@@ -101,6 +103,43 @@ def test_learner_matches_brute_force_property(tokens, num_merges, merge_floor):
     merges = learn_bpe([" ".join(tokens)], num_merges, 1, merge_floor).merges
     assert list(merges) == brute_force_learn(tokens, num_merges, merge_floor)
     assert len(set(merges)) == len(merges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["a", "ab", "abc", "aab"]).flatmap(
+        lambda alphabet: st.lists(st.text(alphabet, min_size=1, max_size=10), min_size=1, max_size=25)
+    ),
+    st.integers(0, 60),
+    st.integers(0, 2),
+)
+def test_training_segments_equal_rank_order_encoding(tokens, num_merges, merge_floor):
+    model = learn_bpe([" ".join(tokens)], num_merges, 1, merge_floor)
+    ranks = model.ranks()
+    assert model.training_segments.keys() <= set(tokens)
+    for token, rendered in model.training_segments.items():
+        assert rendered == render_subwords(_encode(token, ranks))
+
+
+class TestTrainingSegments:
+    # The literal end-of-word marker inside a token lets merge 4 ("b", "</w>")
+    # rebuild the pair ("a", "b</w>") in "ab</w>ab" after merge 3 took it.
+    RECREATES = ["ab</w>ab", "b</w></w>", "ab"]
+
+    def test_word_whose_merge_recreates_an_earlier_pair_is_left_out(self):
+        model = learn_bpe(self.RECREATES, num_merges=5, min_frequency=0)
+        assert model.merges[3:] == (("a", "b</w>"), ("b", "</w>"))
+        learner_order = sequential_apply("ab</w>ab", list(model.merges))
+        assert learner_order != render_subwords(_encode("ab</w>ab", model.ranks()))
+        assert set(model.training_segments) == {"b</w></w>", "ab"}
+
+    def test_learned_and_loaded_models_segment_alike(self, tmp_path):
+        for tokens, num_merges, min_frequency in ((TOY.split(), 10, 2), (self.RECREATES, 5, 1)):
+            model = learn_bpe(tokens, num_merges, min_frequency, merge_floor=1)
+            save_bpe(model, tmp_path / "codes.txt", tmp_path / "vocab.txt")
+            loaded = load_bpe(tmp_path / "codes.txt", tmp_path / "vocab.txt")
+            assert loaded == model and not loaded.training_segments
+            assert BpeSegmenter(model).segment(tokens) == BpeSegmenter(loaded).segment(tokens)
 
 
 class TestApply:

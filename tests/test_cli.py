@@ -74,6 +74,26 @@ class TestExtractStatsSample:
         sampled_entries = [e for e in manifest.entries if e.strategy == "sample-fraction"]
         assert sampled_entries and all(e.count <= 5 for e in sampled_entries)
 
+    @pytest.mark.parametrize("out", ["raw", "raw/mined"], ids=["equal", "nested"])
+    def test_extract_out_overlapping_inputs_is_data_error(self, tmp_path, raw_dir, capsys, out):
+        before = _tree(raw_dir)
+        assert main(["extract", "--inputs", str(raw_dir), "--out", str(tmp_path / out)]) == 2
+        assert "'--inputs' and '--out' overlap" in capsys.readouterr().err
+        assert _tree(raw_dir) == before
+
+    @pytest.mark.parametrize("out,other", [("mined", "--mined"), ("mined/sampled", "--mined"), ("raw", "--inputs")],
+                             ids=["equal-mined", "nested-in-mined", "equal-inputs"])
+    def test_sample_out_overlapping_inputs_is_data_error(self, tmp_path, raw_dir, capsys, out, other):
+        mined = tmp_path / "mined"
+        assert main(["extract", "--inputs", str(raw_dir), "--out", str(mined)]) == 0
+        before = _tree(tmp_path)
+        assert main([
+            "sample", "--strategy", "train-all", "--seed", "1",
+            "--inputs", str(raw_dir), "--mined", str(mined), "--out", str(tmp_path / out),
+        ]) == 2
+        assert f"{other!r} and '--out' overlap" in capsys.readouterr().err
+        assert _tree(tmp_path) == before
+
     def test_extract_then_sample_reproduce_the_golden_run(self, tmp_path, raw_dir):
         # The fixture config's strategy, cap and seed, given as flags.
         out = tmp_path / "out"
@@ -347,6 +367,12 @@ class TestTagCommand:
         proc = run_cli("tag", "--src", src, "--tgt", tgt, stdin="a b\n")
         assert proc.returncode == 2
         assert f"unknown language code: {bad!r}" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_strip_code_outside_language_table_is_data_error(self):
+        proc = run_cli("tag", "--strip", stdin="__src_zz__ __tgt_hi__ a b\n")
+        assert proc.returncode == 2
+        assert "unknown language code: 'zz'" in proc.stderr
         assert proc.stdout == ""
 
 

@@ -32,6 +32,8 @@ from multibridge.corpus import (
     write_lines,
 )
 
+from oracles import naive_lines_text
+
 
 def _write(path, content: bytes):
     path.write_bytes(content)
@@ -195,6 +197,15 @@ class TestLineFormat:
                 return
             write_lines(out, lines)
             assert out.read_bytes() == (raw if raw.endswith(b"\n") or not raw else raw + b"\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.just(""), st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)),
+                    max_size=12))
+    def test_write_lines_equals_per_line_oracle(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            write_lines(out, lines)
+            assert out.read_bytes() == naive_lines_text(lines).encode()
 
     def test_lines_split_on_lf_only(self, tmp_path):
         text = "a\u2028b\x00\x0c\x1c\x85c\n\ufeffd\n"

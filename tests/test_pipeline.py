@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from multibridge import corpus, pipeline
+from multibridge.bpe import BpeSegmenter, learn_bpe, load_bpe
 from multibridge.cli import main
 from multibridge.config import load_config, validate_config
 from multibridge.corpus import load_manifest
@@ -124,6 +125,26 @@ class TestComputeOnce:
         monkeypatch.setattr(corpus, "iter_lines", recording)
         _run_fixture(tmp_path, "read")
         assert sorted(read) == sorted(Path("raw") / p.name for p in (FIXTURE / "raw").iterdir())
+
+    def test_learned_model_segments_as_the_saved_model(self, tmp_path, monkeypatch):
+        # run segments with the learner's table; apply-bpe --model encodes from the saved ranks.
+        models = []
+
+        def learn(*args, **kwargs):
+            models.append(learn_bpe(*args, **kwargs))
+            return models[-1]
+
+        monkeypatch.setattr(pipeline, "learn_bpe", learn)
+        prep = _run_fixture(tmp_path, "table") / "prep"
+        [model] = models
+        loaded = load_bpe(prep / "bpe.codes", prep / "bpe.vocab")
+        assert loaded == model
+        lines = [line.split() for path in sorted(prep.glob("*-*.*")) if ".bpe." not in path.name
+                 for line in corpus.iter_lines(path)]
+        assert {token for line in lines for token in line} <= model.training_segments.keys()
+        learned, fresh = BpeSegmenter(model), BpeSegmenter(loaded)
+        for line in lines:
+            assert learned.segment(line) == fresh.segment(line)
 
     def test_final_files_equal_tag_of_segmented_files(self, tmp_path):
         # "<skipped>" tokenizes to nothing, so one payload is empty.

@@ -1,5 +1,7 @@
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multibridge.bpe import learn_bpe, apply_bpe
@@ -14,6 +16,8 @@ from multibridge.tags import (
     tgt_tag,
     untag,
 )
+
+from oracles import naive_reserved_token
 
 
 class TestTag:
@@ -49,6 +53,11 @@ class TestUntag:
         with pytest.raises(MalformedTags):
             untag(["__tgt_hi__", "__src_en__", "x"])
 
+    @pytest.mark.parametrize("tokens", [["__src_zz__", "__tgt_hi__", "a"], ["__src_bn__", "__tgt_xx__"]])
+    def test_code_outside_language_table_rejected(self, tokens):
+        with pytest.raises(UnknownLanguage):
+            untag(tokens)
+
     def test_missing_tags(self):
         with pytest.raises(MalformedTags):
             untag(["plain", "tokens"])
@@ -73,6 +82,28 @@ _payload_token = st.text(
 @given(st.lists(_payload_token, max_size=12))
 def test_untag_tag_identity(tokens):
     assert untag(tag(tokens, "bn", "hi")) == ("bn", "hi", tokens)
+
+
+# Tag-shaped text with near misses in every part, glued to the separators a
+# joined line could hide.
+_near_tag = st.tuples(
+    st.sampled_from(["__src_", "__tgt_", "_src_", "__sr_"]),
+    st.sampled_from(["hi", "zz", "az", "a", "hA", "hin", "h_", ""]),
+    st.sampled_from(["__", "__\n", "_", "__ ", "___"]),
+).map("".join)
+_glued = st.lists(st.one_of(_near_tag, st.sampled_from(["x", "_", " ", "\n", "\t"])), max_size=3).map("".join)
+_tag_payload = st.lists(st.one_of(_near_tag, _glued), max_size=6)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_tag_payload)
+def test_reserved_token_check_equals_per_token_oracle(tokens):
+    reserved = naive_reserved_token(tokens)
+    if reserved is None:
+        assert tag(tokens, "bn", "hi") == ["__src_bn__", "__tgt_hi__", *tokens]
+    else:
+        with pytest.raises(ReservedTokenInPayload, match=re.escape(repr(reserved))):
+            tag(tokens, "bn", "hi")
 
 
 def test_tags_survive_bpe_unsplit():
