@@ -23,7 +23,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import iter_lines, parse_count, write_lines
 from .errors import EmptyCorpus, MultibridgeError
@@ -47,20 +47,20 @@ class DanglingContinuation(BpeError):
 class BpeModel:
     """Ordered merge rules plus the frequency-filtered subword vocabulary.
 
-    ``training_segments`` maps a word to its rendered subwords before the
-    vocabulary filter, exactly as rank-order application of ``merges``
-    renders it, so segmenting a word found there needs no encoding.
-    :func:`learn_bpe` fills it for its training words. It is never saved
-    or compared: a model read back by :func:`load_bpe` has none and gives
-    the same output. A model built with other merges must not be given
-    another model's table.
+    ``training_segments`` maps a word to its final symbols, exactly as
+    rank-order application of ``merges`` leaves them, so segmenting a word
+    found there needs no encoding. Only :func:`learn_bpe` fills it, for its
+    own training words, with the symbol tuples it already holds, so the
+    table adds one dict entry per word. It is never saved, compared or
+    copied by ``dataclasses.replace``: any other model has an empty table
+    and gives the same output.
     """
 
     merges: tuple[tuple[str, str], ...]
     vocab: dict[str, int] | None
     num_merges: int
     min_frequency: int
-    training_segments: dict[str, list[str]] = field(default_factory=dict, compare=False, repr=False)
+    training_segments: dict[str, tuple[str, ...]] = field(init=False, default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.merges) > self.num_merges:
@@ -112,8 +112,13 @@ def render_subwords(symbols: Sequence[str]) -> list[str]:
     return out
 
 
+def _iter_tokens(token_stream: Iterable[str]) -> Iterable[str]:
+    for chunk in token_stream:
+        yield from chunk.split()
+
+
 def learn_bpe(
-    token_stream: Iterable[str],
+    token_stream: Iterable[str] | Mapping[str, int],
     num_merges: int = 32000,
     min_frequency: int = 5,
     merge_floor: int = DEFAULT_MERGE_FLOOR,
@@ -121,7 +126,10 @@ def learn_bpe(
     """Learn merge rules from tokenized text.
 
     ``token_stream`` yields whitespace-separated tokens (whole lines are
-    fine). ``min_frequency`` filters the resulting vocabulary, applied at
+    fine); it is read once and only the token counts are kept. A mapping
+    from lines to repeat counts stands for that many copies of each line,
+    so a caller that already holds repeated lines splits each one once.
+    ``min_frequency`` filters the resulting vocabulary, applied at
     segmentation time; ``merge_floor`` is the learn-time stopping floor.
 
     The learner merges every word in merge order, while :class:`BpeSegmenter`
@@ -134,12 +142,13 @@ def learn_bpe(
     for name, value in (("num_merges", num_merges), ("min_frequency", min_frequency), ("merge_floor", merge_floor)):
         if value < 0:
             raise BpeError(f"{name!r} must be an integer >= 0, not {value!r}")
-    # Corpora repeat whole lines (mirrored and pivot-linked sentences), so
-    # each distinct line is split once and its tokens weighted by its count.
-    token_counts: dict[str, int] = {}
-    for line, repeats in Counter(token_stream).items():
-        for token in line.split():
-            token_counts[token] = token_counts.get(token, 0) + repeats
+    if isinstance(token_stream, Mapping):
+        token_counts: dict[str, int] = {}
+        for line, repeats in token_stream.items():
+            for token in line.split():
+                token_counts[token] = token_counts.get(token, 0) + repeats
+    else:
+        token_counts = Counter(_iter_tokens(token_stream))
     if not token_counts:
         raise EmptyCorpus("no tokens to learn from")
 
@@ -171,9 +180,9 @@ def learn_bpe(
         merged = left + right
 
         changed: set[tuple[str, str]] = set()
-        for wid in dict.fromkeys(pair_words.pop(best_pair)):
+        for wid in pair_words.pop(best_pair):
             symbols, freq = words[wid]
-            # A stale id finds no merge site and is skipped.
+            # A stale or repeated id finds no merge site and is skipped.
             # Only the edges next to a merge site change; every other old
             # edge maps one to one onto a new edge holding the same pair.
             out: list[str] = []
@@ -216,15 +225,17 @@ def learn_bpe(
                 heapq.heappush(heap, (-count, pair))
 
     vocab_counts: dict[str, int] = {}
-    segments: dict[str, list[str]] = {}
+    segments: dict[str, tuple[str, ...]] = {}
     for token, (symbols, freq) in zip(token_counts, words):
-        segments[token] = rendered = render_subwords(symbols)
-        for subword in rendered:
+        segments[token] = symbols
+        for subword in render_subwords(symbols):
             vocab_counts[subword] = vocab_counts.get(subword, 0) + freq
     for token in departed:
         del segments[token]
     vocab = {sym: cnt for sym, cnt in vocab_counts.items() if cnt >= min_frequency}
-    return BpeModel(tuple(merges), vocab, num_merges, min_frequency, segments)
+    model = BpeModel(tuple(merges), vocab, num_merges, min_frequency)
+    object.__setattr__(model, "training_segments", segments)
+    return model
 
 
 def _encode(token: str, ranks: dict[tuple[str, str], int]) -> tuple[str, ...]:
@@ -274,9 +285,10 @@ class BpeSegmenter:
                 continue
             got = self._cache.get(token)
             if got is None:
-                rendered = self.model.training_segments.get(token)
-                if rendered is None:
-                    rendered = render_subwords(_encode(token, self._ranks))
+                symbols = self.model.training_segments.get(token)
+                if symbols is None:
+                    symbols = _encode(token, self._ranks)
+                rendered = render_subwords(symbols)
                 if self.model.vocab is not None:
                     filtered: list[str] = []
                     for i, subword in enumerate(rendered):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
@@ -195,9 +196,11 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
     with _stage("learn-bpe"):
         # Each unordered corpus family contributes once (a-b and b-a mirror
         # each other, so counting both would just double every frequency and
-        # shift the vocabulary threshold).
-        training_lines = (line for entry in manifest.entries if entry.direction.src < entry.direction.tgt
-                          for side in ("src", "tgt") for line in prep_lines[entry.path, side])
+        # shift the vocabulary threshold). Mined pairs reuse the sentences
+        # of the English-centric corpora, so lines repeat and are counted
+        # once each.
+        training_lines = Counter(line for entry in manifest.entries if entry.direction.src < entry.direction.tgt
+                                 for side in ("src", "tgt") for line in prep_lines[entry.path, side])
         model = learn_bpe(training_lines, config.bpe_num_merges, config.bpe_min_frequency)
         save_bpe(model, config.preprocessed_dir / "bpe.codes", config.preprocessed_dir / "bpe.vocab")
         stages["learn-bpe"] = {"merges": len(model.merges), "vocab": len(model.vocab or ())}

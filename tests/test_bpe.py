@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -117,8 +119,8 @@ def test_training_segments_equal_rank_order_encoding(tokens, num_merges, merge_f
     model = learn_bpe([" ".join(tokens)], num_merges, 1, merge_floor)
     ranks = model.ranks()
     assert model.training_segments.keys() <= set(tokens)
-    for token, rendered in model.training_segments.items():
-        assert rendered == render_subwords(_encode(token, ranks))
+    for token, symbols in model.training_segments.items():
+        assert symbols == _encode(token, ranks)
 
 
 class TestTrainingSegments:
@@ -140,6 +142,28 @@ class TestTrainingSegments:
             loaded = load_bpe(tmp_path / "codes.txt", tmp_path / "vocab.txt")
             assert loaded == model and not loaded.training_segments
             assert BpeSegmenter(model).segment(tokens) == BpeSegmenter(loaded).segment(tokens)
+
+    def test_table_is_not_a_constructor_argument_and_is_not_carried_over(self):
+        model = learn_bpe([TOY], num_merges=10, min_frequency=1)
+        assert model.training_segments
+        with pytest.raises(TypeError):
+            BpeModel(model.merges, model.vocab, 10, 1, model.training_segments)
+        assert not dataclasses.replace(model, merges=model.merges[:3]).training_segments
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(st.text("abc", min_size=1, max_size=6), max_size=5).map(" ".join), min_size=1, max_size=20),
+    st.integers(0, 30),
+    st.integers(0, 2),
+)
+def test_line_counts_learn_as_the_repeated_lines(lines, num_merges, min_frequency):
+    if not any(line.split() for line in lines):
+        return
+    streamed = learn_bpe(iter(lines), num_merges, min_frequency, merge_floor=1)
+    counted = learn_bpe(Counter(lines), num_merges, min_frequency, merge_floor=1)
+    assert counted == streamed
+    assert counted.training_segments == streamed.training_segments
 
 
 class TestApply:
