@@ -20,7 +20,7 @@ the separator is what makes segmentation reversible.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -80,6 +80,8 @@ class BpeModel:
 def _word_symbols(token: str) -> tuple[str, ...]:
     if not token:
         raise BpeError("cannot segment an empty token")
+    if SEPARATOR in token:
+        raise BpeError(f"token {token!r} contains the separator {SEPARATOR!r}")
     if len(token) == 1:
         return (token + END_OF_WORD,)
     return tuple(token[:-1]) + (token[-1] + END_OF_WORD,)
@@ -102,14 +104,13 @@ def _merge_word(symbols: Sequence[str], pair: tuple[str, str]) -> tuple[str, ...
     return tuple(out)
 
 
+def _render(symbol: str, final: bool) -> str:
+    return symbol.removesuffix(END_OF_WORD) if final else symbol + SEPARATOR
+
+
 def render_subwords(symbols: Sequence[str]) -> list[str]:
     """Turn internal symbols into @@-convention subword tokens."""
-    out = [s + SEPARATOR for s in symbols[:-1]]
-    last = symbols[-1]
-    if last.endswith(END_OF_WORD):
-        last = last[: -len(END_OF_WORD)]
-    out.append(last)
-    return out
+    return [_render(s, False) for s in symbols[:-1]] + [_render(symbols[-1], True)]
 
 
 def _iter_tokens(token_stream: Iterable[str]) -> Iterable[str]:
@@ -137,7 +138,8 @@ def learn_bpe(
     unless a merge creates, inside a word, a pair that an earlier merge
     already took: rank order would merge it again and the learner would
     not. Such a word is left out of ``training_segments``; every other
-    training word's final segmentation is kept there.
+    training word's final segmentation is kept there. A rebuilt pair is
+    never learned a second time.
     """
     for name, value in (("num_merges", num_merges), ("min_frequency", min_frequency), ("merge_floor", merge_floor)):
         if value < 0:
@@ -152,13 +154,13 @@ def learn_bpe(
     if not token_counts:
         raise EmptyCorpus("no tokens to learn from")
 
-    words: list[list] = [[_word_symbols(tok), freq] for tok, freq in token_counts.items()]
-    pair_counts: dict[tuple[str, str], int] = {}
-    pair_words: dict[tuple[str, str], list[int]] = {}  # append-only; may hold stale or repeated ids
-    for wid, (symbols, freq) in enumerate(words):
+    words = [_word_symbols(token) for token in token_counts]
+    freqs = list(token_counts.values())
+    pair_words: defaultdict[tuple[str, str], list[int]] = defaultdict(list)  # may hold stale or repeated ids
+    for wid, symbols in enumerate(words):
         for pair in zip(symbols, symbols[1:]):
-            pair_counts[pair] = pair_counts.get(pair, 0) + freq
-            pair_words.setdefault(pair, []).append(wid)
+            pair_words[pair].append(wid)
+    pair_counts = defaultdict(int, {pair: sum(map(freqs.__getitem__, wids)) for pair, wids in pair_words.items()})
     floor = max(merge_floor, 1)  # a pair that no longer occurs is never a candidate
     # Heap order is the pinned rule; an entry is live while its count is current.
     heap = [(-count, pair) for pair, count in pair_counts.items() if count >= floor]
@@ -169,7 +171,9 @@ def learn_bpe(
     tokens = list(token_counts)
     departed: set[str] = set()  # words whose segmentation rank order would not reproduce
     while len(merges) < num_merges:
-        while heap and -heap[0][0] != pair_counts.get(heap[0][1], 0):
+        # A later merge can rebuild a taken pair inside a token that holds
+        # END_OF_WORD; the pair is still learned only once.
+        while heap and (heap[0][1] in taken or -heap[0][0] != pair_counts[heap[0][1]]):
             heapq.heappop(heap)
         if not heap:
             break
@@ -181,58 +185,64 @@ def learn_bpe(
 
         changed: set[tuple[str, str]] = set()
         for wid in pair_words.pop(best_pair):
-            symbols, freq = words[wid]
-            # A stale or repeated id finds no merge site and is skipped.
-            # Only the edges next to a merge site change; every other old
-            # edge maps one to one onto a new edge holding the same pair.
-            out: list[str] = []
-            old_edges: set[int] = set()
-            new_edges: set[int] = set()
-            i, n = 0, len(symbols)
-            while i < n:
-                if i + 1 < n and symbols[i] == left and symbols[i + 1] == right:
-                    old_edges.update((i - 1, i, i + 1))
-                    new_edges.update((len(out) - 1, len(out)))
-                    out.append(merged)
-                    i += 2
-                else:
-                    out.append(symbols[i])
-                    i += 1
-            if not new_edges:
-                continue
-            delta: dict[tuple[str, str], int] = {}
-            for edges, seq, sign in ((old_edges, symbols, -freq), (new_edges, out, freq)):
-                for e in edges:
-                    if 0 <= e < len(seq) - 1:
-                        pair = (seq[e], seq[e + 1])
-                        delta[pair] = delta.get(pair, 0) + sign
-            for pair, d in delta.items():
-                if d:
-                    count = pair_counts.get(pair, 0) + d
-                    if count:
-                        pair_counts[pair] = count
+            symbols = words[wid]
+            sites: list[int] = []  # non-overlapping, left to right; a stale or repeated id has none
+            i, last = 0, len(symbols) - 1
+            try:
+                while True:
+                    i = symbols.index(left, i, last)
+                    if symbols[i + 1] == right:
+                        sites.append(i)
+                        i += 2
                     else:
-                        del pair_counts[pair]
-                    if d > 0:
-                        pair_words.setdefault(pair, []).append(wid)
-                        if pair in taken:  # rank order would merge it again
-                            departed.add(tokens[wid])
-                    changed.add(pair)
-            words[wid][0] = tuple(out)
+                        i += 1
+            except ValueError:
+                if not sites:
+                    continue
+            freq = freqs[wid]
+            pair_counts[best_pair] -= freq * len(sites)
+            # Only the pairs beside a site change. Where two sites touch, the
+            # pair between them is the right one of the first and the left
+            # one of the second; it is updated once, from the second.
+            beside: list[tuple[tuple[str, str], tuple[str, str]]] = []  # (old pair, new pair)
+            out: list[str] = []
+            start = 0  # the first old symbol not yet copied to ``out``
+            for k, i in enumerate(sites):
+                out += symbols[start:i]
+                if i:
+                    beside.append(((symbols[i - 1], left), (out[-1], merged)))
+                out.append(merged)
+                start = i + 2
+                if start <= last and (k + 1 == len(sites) or sites[k + 1] != start):
+                    beside.append(((right, symbols[start]), (merged, symbols[start])))
+            out += symbols[start:]
+            words[wid] = tuple(out)
+            for old, new in beside:
+                pair_counts[old] -= freq
+                pair_counts[new] += freq
+                pair_words[new].append(wid)
+                changed.add(old)
+                changed.add(new)
+                if new in taken:  # rank order would merge it again
+                    departed.add(tokens[wid])
         for pair in changed:
-            count = pair_counts.get(pair, 0)
+            count = pair_counts[pair]
             if count >= floor:
                 heapq.heappush(heap, (-count, pair))
 
-    vocab_counts: dict[str, int] = {}
-    segments: dict[str, tuple[str, ...]] = {}
-    for token, (symbols, freq) in zip(token_counts, words):
-        segments[token] = symbols
-        for subword in render_subwords(symbols):
-            vocab_counts[subword] = vocab_counts.get(subword, 0) + freq
+    # Each distinct symbol is counted and rendered once. No two render
+    # alike: only non-final subwords end in SEPARATOR, which no token holds.
+    inner_counts: defaultdict[str, int] = defaultdict(int)
+    final_counts: defaultdict[str, int] = defaultdict(int)
+    for symbols, freq in zip(words, freqs):
+        for symbol in symbols[:-1]:
+            inner_counts[symbol] += freq
+        final_counts[symbols[-1]] += freq
+    vocab = {_render(symbol, final): count for counts, final in ((inner_counts, False), (final_counts, True))
+             for symbol, count in counts.items() if count >= min_frequency}
+    segments = dict(zip(tokens, words))
     for token in departed:
         del segments[token]
-    vocab = {sym: cnt for sym, cnt in vocab_counts.items() if cnt >= min_frequency}
     model = BpeModel(tuple(merges), vocab, num_merges, min_frequency)
     object.__setattr__(model, "training_segments", segments)
     return model
@@ -268,38 +278,40 @@ class BpeSegmenter:
     """Reusable applier: build the rank table and word cache once.
 
     A word in the model's ``training_segments`` is looked up there; any
-    other word is encoded from the merge ranks.
+    other word is encoded from the merge ranks. Each distinct symbol is
+    rendered and checked against the vocabulary once, and a word's
+    subwords are joined from those per-symbol results. Reserved tokens
+    start out cached as themselves.
     """
 
     def __init__(self, model: BpeModel, reserved: Iterable[str] = ()):
         self.model = model
         self._ranks = model.ranks()
-        self._reserved = frozenset(reserved)
-        self._cache: dict[str, list[str]] = {}
+        self._cache: dict[str, list[str]] = {token: [token] for token in reserved}
+        self._symbol_cache: tuple[dict[str, list[str]], dict[str, list[str]]] = ({}, {})  # non-final, final
+
+    def _symbol_subwords(self, symbol: str, final: bool) -> list[str]:
+        subword = _render(symbol, final)
+        vocab = self.model.vocab
+        got = [subword] if vocab is None or subword in vocab else _split_oov(subword, final)
+        self._symbol_cache[final][symbol] = got
+        return got
+
+    def _word_subwords(self, token: str) -> list[str]:
+        symbols = self.model.training_segments.get(token) or _encode(token, self._ranks)
+        inner, final = self._symbol_cache
+        got: list[str] = []
+        for symbol in symbols[:-1]:
+            got += inner.get(symbol) or self._symbol_subwords(symbol, False)
+        got += final.get(symbols[-1]) or self._symbol_subwords(symbols[-1], True)
+        self._cache[token] = got
+        return got
 
     def segment(self, tokens: Sequence[str]) -> list[str]:
         out: list[str] = []
+        cache = self._cache
         for token in tokens:
-            if token in self._reserved:
-                out.append(token)
-                continue
-            got = self._cache.get(token)
-            if got is None:
-                symbols = self.model.training_segments.get(token)
-                if symbols is None:
-                    symbols = _encode(token, self._ranks)
-                rendered = render_subwords(symbols)
-                if self.model.vocab is not None:
-                    filtered: list[str] = []
-                    for i, subword in enumerate(rendered):
-                        if subword in self.model.vocab:
-                            filtered.append(subword)
-                        else:
-                            filtered.extend(_split_oov(subword, i == len(rendered) - 1))
-                    rendered = filtered
-                got = rendered
-                self._cache[token] = got
-            out.extend(got)
+            out += cache.get(token) or self._word_subwords(token)
         return out
 
 

@@ -189,6 +189,48 @@ def sequential_apply(token: str, merges: list[tuple[str, str]]) -> list[str]:
     return rendered
 
 
+def naive_vocab(tokens: list[str], merges: list[tuple[str, str]], min_frequency: int) -> dict[str, int]:
+    """The vocabulary counted per word: each token's subwords, merged in learned order, times its count."""
+    counts: Counter = Counter()
+    for token, freq in Counter(tokens).items():
+        for subword in sequential_apply(token, merges):
+            counts[subword] += freq
+    return {subword: count for subword, count in counts.items() if count >= min_frequency}
+
+
+def _rank_order_encode(token: str, merges: list[tuple[str, str]]) -> tuple[str, ...]:
+    ranks = {pair: rank for rank, pair in enumerate(merges)}
+    symbols = _oracle_word(token)
+    while True:
+        present = [ranks[pair] for pair in zip(symbols, symbols[1:]) if pair in ranks]
+        if not present:
+            return symbols
+        symbols = _oracle_merge(symbols, merges[min(present)])
+
+
+def naive_segment(tokens: list[str], merges: list[tuple[str, str]], vocab: dict[str, int] | None,
+                  reserved: frozenset[str] = frozenset()) -> list[str]:
+    """Segment word by word: render all of a word's subwords, then re-split each one outside ``vocab``."""
+    out: list[str] = []
+    for token in tokens:
+        if token in reserved:
+            out.append(token)
+            continue
+        symbols = _rank_order_encode(token, merges)
+        rendered = [s + "@@" for s in symbols[:-1]] + [symbols[-1][: -len(_EOW)]]
+        for i, subword in enumerate(rendered):
+            if vocab is None or subword in vocab:
+                out.append(subword)
+                continue
+            final = i == len(rendered) - 1
+            core = subword if final else subword[: -len("@@")]
+            pieces = [c + "@@" for c in core]
+            if final:
+                pieces[-1] = core[-1]
+            out.extend(pieces)
+    return out
+
+
 def naive_mean_cosine(vectors_a: list[list[float]], vectors_b: list[list[float]]) -> float:
     """Double-loop cosine mean, no numpy, reported x100."""
     total = 0.0

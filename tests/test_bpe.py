@@ -1,6 +1,8 @@
 import dataclasses
 import random
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from multibridge.bpe import (
 
 from multibridge.corpus import CarriageReturn, InvalidUtf8
 
-from oracles import brute_force_learn, sequential_apply
+from oracles import brute_force_learn, naive_segment, naive_vocab, sequential_apply
 
 TOY = "low low lower newest newest newest widest"
 
@@ -143,6 +145,15 @@ class TestTrainingSegments:
             assert loaded == model and not loaded.training_segments
             assert BpeSegmenter(model).segment(tokens) == BpeSegmenter(loaded).segment(tokens)
 
+    def test_pair_rebuilt_by_a_later_merge_is_learned_once(self, tmp_path):
+        # Merge 5 ("b", "</w>") rebuilds ("a", "b</w>") in "ab</w>ab"; with a
+        # floor of 1 its count of 1 would make it merge 6 as well.
+        model = learn_bpe(self.RECREATES, num_merges=10, min_frequency=1, merge_floor=1)
+        assert len(set(model.merges)) == len(model.merges) == 9
+        assert model.merges[:5] == learn_bpe(self.RECREATES, num_merges=5, min_frequency=1, merge_floor=1).merges
+        save_bpe(model, tmp_path / "codes.txt", tmp_path / "vocab.txt")
+        assert load_bpe(tmp_path / "codes.txt", tmp_path / "vocab.txt") == model
+
     def test_table_is_not_a_constructor_argument_and_is_not_carried_over(self):
         model = learn_bpe([TOY], num_merges=10, min_frequency=1)
         assert model.training_segments
@@ -164,6 +175,52 @@ def test_line_counts_learn_as_the_repeated_lines(lines, num_merges, min_frequenc
     counted = learn_bpe(Counter(lines), num_merges, min_frequency, merge_floor=1)
     assert counted == streamed
     assert counted.training_segments == streamed.training_segments
+
+
+# Tie-heavy pieces; "</w>" makes tokens whose later merges rebuild a taken pair.
+_PIECES = [("a",), ("a", "b"), ("a", "b", "c"), ("a", "a", "b"), ("a", "b", "</w>")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(_PIECES).flatmap(lambda pieces: st.lists(
+        st.lists(st.sampled_from(pieces), min_size=1, max_size=8).map("".join), min_size=1, max_size=25)),
+    st.integers(0, 40),
+    st.integers(0, 4),
+    st.integers(0, 2),
+    st.data(),
+)
+def test_per_symbol_vocabulary_and_segmenter_equal_per_word_oracles(tokens, num_merges, min_frequency,
+                                                                   merge_floor, data):
+    model = learn_bpe(tokens, num_merges, min_frequency, merge_floor)
+    merges = list(model.merges)
+    assert len(set(merges)) == len(merges)
+    assert model.vocab == naive_vocab(tokens, merges, min_frequency)
+
+    unseen = data.draw(st.lists(st.text("abcz", min_size=1, max_size=8), max_size=5))
+    reserved = frozenset(data.draw(st.lists(st.sampled_from(tokens), max_size=2))) | {"__src_hi__"}
+    queries = tokens + unseen + ["__src_hi__"]
+    with tempfile.TemporaryDirectory() as tmp:
+        codes, vocab = Path(tmp) / "codes.txt", Path(tmp) / "vocab.txt"
+        save_bpe(model, codes, vocab)
+        models = [model, load_bpe(codes, vocab), load_bpe(codes)]
+    for m in models:
+        assert BpeSegmenter(m, reserved).segment(queries) == naive_segment(queries, merges, m.vocab, reserved)
+
+
+class TestSeparatorInToken:
+    @pytest.mark.parametrize("token", ["lo@@w", "low@@", "@@low", "@@"])
+    def test_learner_rejects_it(self, token):
+        with pytest.raises(BpeError) as info:
+            learn_bpe(["low " + token], num_merges=5, min_frequency=1)
+        assert str(info.value) == f"token {token!r} contains the separator '@@'"
+
+    @pytest.mark.parametrize("token", ["lo@@w", "low@@", "@@low", "@@"])
+    def test_rank_order_encoding_rejects_it(self, token):
+        model = learn_bpe([TOY], num_merges=10, min_frequency=1)
+        for m in (model, BpeModel(model.merges, None, model.num_merges, model.min_frequency)):
+            with pytest.raises(BpeError, match="contains the separator"):
+                apply_bpe(m, ["low", token])
 
 
 class TestApply:

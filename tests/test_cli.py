@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from multibridge.bpe import load_bpe
 from multibridge.cli import main
 from multibridge.corpus import load_bitext, load_manifest
 from multibridge.languages import indic_codes
@@ -350,6 +351,25 @@ class TestBpeCommands:
         assert main(["learn-bpe", flag, "-1", "--input", str(train), "--model", str(codes)]) == 2
         assert f"'{argument}' must be an integer >= 0, not -1" in capsys.readouterr().err
         assert not codes.exists()
+
+    def test_pair_rebuilt_by_a_later_merge_is_learned_once(self, tmp_path):
+        train = tmp_path / "train.txt"
+        train.write_text("ab</w>ab b</w></w> ab\n")
+        codes = tmp_path / "codes.txt"
+        assert main(["learn-bpe", "--merges", "10", "--min-freq", "1", "--merge-floor", "1",
+                     "--input", str(train), "--model", str(codes)]) == 0
+        merges = codes.read_text().splitlines()[1:]
+        assert len(set(merges)) == len(merges)
+        assert load_bpe(codes).merges == tuple(tuple(line.split(" ")) for line in merges)
+
+    @pytest.mark.parametrize("command", ["learn-bpe", "apply-bpe"])
+    def test_token_holding_the_separator_is_data_error(self, tmp_path, capsys, bpe_codes, command):
+        src = tmp_path / "in.txt"
+        src.write_text("low lo@@w\n")
+        model = tmp_path / "new-codes.txt" if command == "learn-bpe" else bpe_codes
+        assert main([command, "--input", str(src), "--model", str(model)]) == 2
+        assert "token 'lo@@w' contains the separator '@@'" in capsys.readouterr().err
+        assert model.exists() == (command == "apply-bpe")
 
 
 class TestTagCommand:
