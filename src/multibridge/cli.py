@@ -66,8 +66,12 @@ def _cmd_stats(args) -> int:
 
 def _cmd_sample(args) -> int:
     check_disjoint({"--inputs": args.inputs, "--mined": args.mined, "--out": args.out})
-    pairs = args.pairs.split(",") if args.pairs else None
-    plan = parse_sampling({"strategy": args.strategy, "pairs": pairs, "per_pair_target": args.per_pair}, args.seed)
+    sampling = {"strategy": args.strategy}  # only the flags given: parse_sampling rejects the others
+    if args.pairs is not None:
+        sampling["pairs"] = args.pairs.split(",")
+    if args.per_pair is not None:
+        sampling["per_pair_target"] = args.per_pair
+    plan = parse_sampling(sampling, args.seed)
     inputs = Path(args.inputs)
     english = load_english(inputs, raw_languages(inputs))
     manifest, _ = assemble_training_set(english.values(), load_mined(Path(args.mined), english), plan, args.out)
@@ -191,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="assemble a training set")
     p.add_argument("--strategy", required=True, choices=["sample-pairs", "sample-fraction", "train-all"])
     p.add_argument("--pairs", help="pairs for sample-pairs, e.g. bn-hi,gu-ta")
-    p.add_argument("--per-pair", type=int, default=DEFAULT_PER_PAIR_TARGET)
+    p.add_argument("--per-pair", type=int,
+                   help=f"per-pair target for sample-fraction (default {DEFAULT_PER_PAIR_TARGET})")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--inputs", required=True)
     p.add_argument("--mined", required=True)
@@ -260,10 +265,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("tag requires --src and --tgt (or --strip)")
     try:
         return args.func(args)
-    except MultibridgeError as exc:
-        print(f"multibridge: {exc}", file=sys.stderr)
-        return DATA_EXIT
-    except OSError as exc:
+    except (MultibridgeError, OSError) as exc:
         print(f"multibridge: {exc}", file=sys.stderr)
         return DATA_EXIT
 

@@ -120,6 +120,9 @@ def parse_sampling(sampling: object, seed: int) -> SamplingPlan:
         strategy = TrainAll()
     else:
         raise ConfigError(f"unknown sampling strategy {name!r}")
+    for key, reader in (("pairs", "sample-pairs"), ("per_pair_target", "sample-fraction")):
+        if key in sampling and name != reader:  # a key the strategy would silently ignore
+            raise ConfigError(f"'sampling.{key}' is read only by {reader}, not by strategy {name!r}")
     return SamplingPlan(strategy, seed)
 
 

@@ -17,6 +17,7 @@ sentences and reported x100.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -86,10 +87,7 @@ class EvalReport:
             raise MetricError("one score per metric per direction")
 
     def score(self, metric: str) -> MetricScore | None:
-        for s in self.scores:
-            if s.metric == metric:
-                return s
-        return None
+        return next((s for s in self.scores if s.metric == metric), None)
 
 
 def _check_streams(hypotheses: Sequence[str], references: Sequence[str]) -> None:
@@ -97,18 +95,6 @@ def _check_streams(hypotheses: Sequence[str], references: Sequence[str]) -> None
         raise LengthMismatch(f"{len(hypotheses)} hypotheses vs {len(references)} references")
     if not hypotheses:
         raise EmptyCorpus("nothing to score")
-
-
-def _dense_rank(keys: np.ndarray) -> np.ndarray:
-    """Replace each key by its rank among the distinct keys: equal keys, equal ranks."""
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    step = np.empty(len(keys), dtype=np.int64)
-    step[:1] = 0
-    np.not_equal(ordered[1:], ordered[:-1], out=step[1:])
-    ranks = np.empty_like(step)
-    ranks[order] = np.cumsum(step)
-    return ranks
 
 
 def _clipped_ngram_stats(symbols: np.ndarray, lengths: list[int], max_order: int) -> list[tuple[int, int, int]]:
@@ -124,15 +110,16 @@ def _clipped_ngram_stats(symbols: np.ndarray, lengths: list[int], max_order: int
     n_hyp_symbols = sum(lengths[:n_pairs])  # hypothesis windows start before this position
     pair = np.repeat(np.arange(len(lengths)) % n_pairs, lengths)
     room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(symbols))  # symbols left in the line
-    # An order-1 id is the rank of (pair, symbol): only the two lines of one pair share ids.
-    unigram = ids = _dense_rank(pair * (int(symbols.max(initial=0)) + 1) + symbols)
+    # An n-gram id is its key's rank among the distinct keys. An order-1 key is (pair, symbol):
+    # only the two lines of one pair share ids.
+    unigram = ids = np.unique(pair * (int(symbols.max(initial=0)) + 1) + symbols, return_inverse=True)[1]
     stats = []
     for n in range(1, max_order + 1):
         if n > 1:
             # The id of the n-gram at i is the rank of (id of the (n-1)-gram at i, id of symbol
             # i+n-1). Both are below len(symbols), so keys stay below len(symbols)**2 and int64
             # is exact for any input that fits in memory.
-            ids = _dense_rank(ids[:-1] * len(symbols) + unigram[n - 1 :])
+            ids = np.unique(ids[:-1] * len(symbols) + unigram[n - 1 :], return_inverse=True)[1]
         inside = room[: len(ids)] >= n  # windows that run past the end of their line are not n-grams
         hyp = ids[:n_hyp_symbols][inside[:n_hyp_symbols]]
         ref = ids[n_hyp_symbols:][inside[n_hyp_symbols:]]
@@ -165,20 +152,18 @@ def bleu(hypotheses: Sequence[str], references: Sequence[str], tokenization: str
         symbols.extend([vocab.setdefault(token, len(vocab)) for token in tokens])
         lengths.append(len(tokens))
     stats = _clipped_ngram_stats(np.array(symbols, dtype=np.int64), lengths, BLEU_ORDER)
-    total = [n_hyp for n_hyp, _, _ in stats]
-    correct = [n_match for _, _, n_match in stats]
     sys_len, ref_len, _ = stats[0]
 
     precisions = [0.0] * BLEU_ORDER
     smooth = 1.0
-    for n in range(1, BLEU_ORDER + 1):
-        if total[n - 1] == 0:
+    for n, (n_hyp, _, n_match) in enumerate(stats):
+        if n_hyp == 0:
             break
-        if correct[n - 1] == 0:
+        if n_match == 0:
             smooth *= 2
-            precisions[n - 1] = 100.0 / (smooth * total[n - 1])
+            precisions[n] = 100.0 / (smooth * n_hyp)
         else:
-            precisions[n - 1] = 100.0 * correct[n - 1] / total[n - 1]
+            precisions[n] = 100.0 * n_match / n_hyp
 
     if sys_len == 0:
         bp = 0.0
@@ -286,11 +271,9 @@ def cosine_batch(a: EmbeddingTable, b: EmbeddingTable) -> MetricScore:
         raise DimensionMismatch("embedding tables cover different sentence ids")
     if not a.ids:
         raise EmptyCorpus("empty embedding tables")
-    order = sorted(a.ids)
-    index_a = {sid: i for i, sid in enumerate(a.ids)}
-    index_b = {sid: i for i, sid in enumerate(b.ids)}
-    mat_a = a.matrix[[index_a[s] for s in order]]
-    mat_b = b.matrix[[index_b[s] for s in order]]
+    # Both tables in sentence-id order, compared as Python ints so ids past int64 stay exact.
+    mat_a = a.matrix[np.argsort(np.array(a.ids, dtype=object))]
+    mat_b = b.matrix[np.argsort(np.array(b.ids, dtype=object))]
     norms_a = np.linalg.norm(mat_a, axis=1)
     norms_b = np.linalg.norm(mat_b, axis=1)
     if np.any(norms_a == 0) or np.any(norms_b == 0):
@@ -379,47 +362,36 @@ def nway_compare(
         if any(r.score(m) for r in by_direction.values()) or (m == "tset_sim" and tset)
     ]
 
-    missing = []
-    for src in (*non_english, PIVOT):
-        for tgt in non_english:
-            if src != tgt and TranslationDirection(src, tgt) not in by_direction:
-                missing.append(TranslationDirection(src, tgt))
+    expected = [TranslationDirection(src, tgt) for src in (*non_english, PIVOT) for tgt in non_english if src != tgt]
+    missing = tuple(d for d in expected if d not in by_direction)
 
-    reported = sorted(by_direction)
-    tset_directions = sorted(tset)
-
-    def values_for(src: str, metric: str) -> list[tuple[float, int]]:
-        """(score, sentence count) of each of ``src``'s directions into non-English targets."""
-        if metric == "tset_sim":
-            return [
-                (tset[d], by_direction[d].n_sentences if d in by_direction else 1)
-                for d in tset_directions
-                if d.src == src and d.tgt in non_english
-            ]
-        values = []
-        for d in reported:
-            if d.src == src and d.tgt in non_english:
-                score = by_direction[d].score(metric)
-                if score is not None:
-                    values.append((score.value, by_direction[d].n_sentences))
-        return values
+    # (score, sentence count) of each direction into a non-English target, by (source, metric)
+    # in sorted-direction order. Test-set similarity comes only from ``tset``; a test-set
+    # direction without a report weighs 1.
+    groups: defaultdict[tuple[str, str], list[tuple[float, int]]] = defaultdict(list)
+    for d in sorted(by_direction):
+        for s in by_direction[d].scores:
+            if d.tgt in non_english and s.metric != "tset_sim":
+                groups[d.src, s.metric].append((s.value, by_direction[d].n_sentences))
+    for d in sorted(tset):
+        if d.tgt in non_english:
+            groups[d.src, "tset_sim"].append((tset[d], by_direction[d].n_sentences if d in by_direction else 1))
 
     def row_for(src: str) -> dict[str, float | None]:
-        return {metric: _aggregate(values_for(src, metric), average) for metric in metric_names}
+        return {metric: _aggregate(groups.get((src, metric), []), average) for metric in metric_names}
 
     rows = tuple((src, row_for(src)) for src in non_english)
 
     avg_row: dict[str, float | None] = {}
     for metric in metric_names:
-        if average == "micro":
-            pooled = [value for src in non_english for value in values_for(src, metric)]
-            avg_row[metric] = _aggregate(pooled, "micro")
-        else:
-            row_values = [row[metric] for _, row in rows if row[metric] is not None]
-            avg_row[metric] = sum(row_values) / len(row_values) if row_values else None
+        if average == "micro":  # every direction pooled, in ``languages`` order
+            values = [value for src in non_english for value in groups.get((src, metric), [])]
+        else:  # the mean of the rows
+            values = [(row[metric], 1) for _, row in rows if row[metric] is not None]
+        avg_row[metric] = _aggregate(values, average)
 
     pivot_row = row_for(PIVOT)
     if all(v is None for v in pivot_row.values()):
         pivot_row = None
 
-    return ComparisonTable(rows, avg_row, pivot_row, tuple(metric_names), average, tuple(missing))
+    return ComparisonTable(rows, avg_row, pivot_row, tuple(metric_names), average, missing)

@@ -113,8 +113,7 @@ def mine_pairs_detailed(
         (key, by_lang[l1], by_lang[l2]) for key, by_lang in index.items() if l1 in by_lang and l2 in by_lang
     )
 
-    pairs: list[SentencePair] = []
-    seen: set[tuple[str, str]] = set()
+    kept: dict[tuple[str, str], None] = {}  # insertion-ordered: a pair keeps its first place
     raw = 0
     capped: list[str] = []
     for key, side1, side2 in candidates:
@@ -125,10 +124,9 @@ def mine_pairs_detailed(
             raw += 1
             # Identical text on both sides is almost always an untranslated
             # sentence that leaked into the corpus.
-            if x != y and (x, y) not in seen:
-                seen.add((x, y))
-                pairs.append(SentencePair(x, y))
-    return MiningOutcome(BitextCorpus(l1, l2, tuple(pairs)), raw, tuple(capped))
+            if x != y:
+                kept[x, y] = None
+    return MiningOutcome(BitextCorpus(l1, l2, tuple(SentencePair(x, y) for x, y in kept)), raw, tuple(capped))
 
 
 def canonical_pair(l1: str, l2: str) -> tuple[str, str]:

@@ -13,6 +13,8 @@ import string
 import unicodedata
 from collections import Counter
 
+from multibridge.corpus import TranslationDirection
+from multibridge.metrics import METRIC_ORDER, ComparisonTable, MetricError
 from multibridge.tokenizers import tokenize_13a
 
 
@@ -355,3 +357,83 @@ def naive_reserved_token(tokens: list[str]) -> str | None:
         if _ORACLE_TAG.match(token) is not None:
             return token
     return None
+
+
+def _naive_aggregate(values: list[tuple[float, int]], average: str) -> float | None:
+    if not values:
+        return None
+    if average == "micro":
+        weight = sum(n for _, n in values)
+        if weight == 0:
+            return None
+        return sum(v * n for v, n in values) / weight
+    return sum(v for v, _ in values) / len(values)
+
+
+def naive_nway(reports, languages, pivot: str = "en", average: str = "macro", testset_similarity=None):
+    """The n-way table by rescanning every report once per (source, metric)."""
+    if pivot != "en":
+        raise MetricError(f"the pivot is 'en', not {pivot!r}")
+    if average not in ("macro", "micro"):
+        raise MetricError(f"unknown average {average!r}")
+    seen_languages: set[str] = set()
+    for code in languages:
+        if code in seen_languages:
+            raise MetricError(f"language {code!r} listed twice")
+        seen_languages.add(code)
+    non_english = [code for code in languages if code != "en"]
+    by_direction = {}
+    for r in reports:
+        if r.direction in by_direction:
+            raise MetricError(f"two reports for direction {r.direction.label()}")
+        by_direction[r.direction] = r
+    tset = dict(testset_similarity or {})
+
+    metric_names = [
+        m for m in METRIC_ORDER
+        if any(r.score(m) for r in by_direction.values()) or (m == "tset_sim" and tset)
+    ]
+
+    missing = []
+    for src in (*non_english, "en"):
+        for tgt in non_english:
+            if src != tgt and TranslationDirection(src, tgt) not in by_direction:
+                missing.append(TranslationDirection(src, tgt))
+
+    reported = sorted(by_direction)
+    tset_directions = sorted(tset)
+
+    def values_for(src: str, metric: str) -> list[tuple[float, int]]:
+        if metric == "tset_sim":
+            return [
+                (tset[d], by_direction[d].n_sentences if d in by_direction else 1)
+                for d in tset_directions
+                if d.src == src and d.tgt in non_english
+            ]
+        values = []
+        for d in reported:
+            if d.src == src and d.tgt in non_english:
+                score = by_direction[d].score(metric)
+                if score is not None:
+                    values.append((score.value, by_direction[d].n_sentences))
+        return values
+
+    def row_for(src: str) -> dict:
+        return {metric: _naive_aggregate(values_for(src, metric), average) for metric in metric_names}
+
+    rows = tuple((src, row_for(src)) for src in non_english)
+
+    avg_row = {}
+    for metric in metric_names:
+        if average == "micro":
+            pooled = [value for src in non_english for value in values_for(src, metric)]
+            avg_row[metric] = _naive_aggregate(pooled, "micro")
+        else:
+            row_values = [row[metric] for _, row in rows if row[metric] is not None]
+            avg_row[metric] = sum(row_values) / len(row_values) if row_values else None
+
+    pivot_row = row_for("en")
+    if all(v is None for v in pivot_row.values()):
+        pivot_row = None
+
+    return ComparisonTable(rows, avg_row, pivot_row, tuple(metric_names), average, tuple(missing))

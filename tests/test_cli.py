@@ -166,6 +166,21 @@ class TestExtractStatsSample:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("argv,key", [
+        (["--strategy", "train-all", "--pairs", "bn-hi"], "pairs"),
+        (["--strategy", "train-all", "--per-pair", "3"], "per_pair_target"),
+        (["--strategy", "sample-fraction", "--pairs", "bn-hi"], "pairs"),
+        (["--strategy", "sample-pairs", "--pairs", "bn-hi", "--per-pair", "3"], "per_pair_target"),
+    ], ids=["train-all-pairs", "train-all-per-pair", "fraction-pairs", "pairs-per-pair"])
+    def test_sample_flag_the_strategy_ignores_is_data_error(self, tmp_path, raw_dir, argv, key):
+        out = tmp_path / "sampled"
+        proc = run_cli("sample", *argv, "--seed", "1",
+                       "--inputs", str(raw_dir), "--mined", str(GOLDEN_MINED), "--out", str(out))
+        assert proc.returncode == 2
+        assert f"'sampling.{key}' is read only by" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_stats_ignores_stale_pair_files(self, tmp_path, raw_dir, capsys):
         clean = tmp_path / "clean"
         shutil.copytree(GOLDEN_MINED, clean)

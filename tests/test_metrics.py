@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multibridge.corpus import CarriageReturn, InvalidUtf8, TranslationDirection, parse_floats
@@ -26,7 +26,7 @@ from multibridge.metrics import (
     save_embeddings,
 )
 
-from oracles import naive_bleu, naive_chrf2, naive_mean_cosine
+from oracles import naive_bleu, naive_chrf2, naive_mean_cosine, naive_nway
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "metrics_golden.json").read_text())
 
@@ -364,6 +364,68 @@ class TestNwayCompare:
         assert lines[1].split("\t") == ["src", "bleu"]
         assert "12.3" in lines[2]
         assert any(line.startswith("AVG\t") for line in lines)
+
+
+# Codes for the n-way property: "mr" is never in ``languages``, so its
+# directions are reports from (and into) a source outside the table. Rows of
+# three or more directions, with values off the binary grid (k / 997), make
+# the summation order visible in the floats.
+_NWAY_CODES = ("en", "bn", "hi", "ta", "te", "gu")
+
+
+def _nway_value(lo, hi):
+    return st.floats(lo, hi) | st.integers(lo * 997, hi * 997).map(lambda k: k / 997)
+
+
+# "ter" is outside METRIC_ORDER; a report's "tset_sim" must not feed the table.
+_NWAY_VALUES = {
+    "bleu": _nway_value(0, 100),
+    "chrf2": _nway_value(0, 100),
+    "cosine": _nway_value(-100, 100),
+    "tset_sim": _nway_value(-1000, 1000),
+    "ter": _nway_value(-1000, 1000),
+}
+
+
+@st.composite
+def _nway_inputs(draw):
+    codes = draw(st.permutations(_NWAY_CODES))
+    languages = list(codes[: draw(st.integers(0, len(codes)))])
+    pool = sorted({*languages, "en", "mr"})
+    directions = [TranslationDirection(a, b) for a in pool for b in pool if a != b]
+    table_metrics = draw(st.lists(st.sampled_from(sorted(_NWAY_VALUES)), unique=True))
+    reports = []
+    chosen = draw(st.permutations([d for d in directions if draw(st.booleans())]))
+    for d in chosen[::-1] if draw(st.booleans()) else chosen:  # permutations stay near sorted
+        scores = tuple(_score(m, draw(_NWAY_VALUES[m])) for m in table_metrics if draw(st.integers(0, 3)))
+        reports.append(EvalReport(d, scores, draw(st.integers(0, 50))))
+    tset = draw(st.dictionaries(st.sampled_from(directions), _nway_value(0, 100), max_size=12))
+    return reports, languages, draw(st.sampled_from(["macro", "micro"])), draw(st.none() | st.just(tset))
+
+
+# Reports in reverse direction order whose sum depends on its order:
+# (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1.
+_NWAY_ORDER_EXAMPLE = (
+    [_report("bn", tgt, {"bleu": value}) for tgt, value in (("te", 0.1), ("ta", 0.2), ("hi", 0.3))],
+    ["bn", "hi", "ta", "te"], "macro", None,
+)
+
+
+class TestNwayOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(_nway_inputs())
+    @example(_NWAY_ORDER_EXAMPLE)
+    def test_matches_rescanning_oracle(self, inputs):
+        reports, languages, average, tset = inputs
+        table = nway_compare(reports, languages, average=average, testset_similarity=tset)
+        expected = naive_nway(reports, languages, average=average, testset_similarity=tset)
+        assert table.rows == expected.rows
+        assert table.avg_row == expected.avg_row
+        assert table.pivot_row == expected.pivot_row
+        assert table.metrics == expected.metrics
+        assert table.missing == expected.missing
+        assert table.to_tsv() == expected.to_tsv()
+        assert repr(table) == repr(expected)  # bit-identical floats, -0.0 included
 
 
 class TestMetricScoreInvariants:

@@ -8,7 +8,7 @@ import pytest
 from multibridge import corpus, pipeline
 from multibridge.bpe import BpeSegmenter, learn_bpe, load_bpe
 from multibridge.cli import main
-from multibridge.config import load_config, validate_config
+from multibridge.config import load_config, parse_sampling, validate_config
 from multibridge.corpus import load_manifest
 from multibridge.errors import ConfigError
 from multibridge.pipeline import PipelineStageError, preprocess_line, run_pipeline
@@ -289,6 +289,22 @@ class TestConfig:
         doc[key] = value
         bad.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match=re.escape(name)):
+            load_config(bad)
+
+    @pytest.mark.parametrize("sampling,key", [
+        ({"strategy": "train-all", "pairs": ["bn-hi"]}, "pairs"),
+        ({"strategy": "train-all", "per_pair_target": 5}, "per_pair_target"),
+        ({"strategy": "sample-fraction", "pairs": ["bn-hi"]}, "pairs"),
+        ({"strategy": "sample-pairs", "pairs": ["bn-hi"], "per_pair_target": 5}, "per_pair_target"),
+    ], ids=["train-all-pairs", "train-all-per-pair", "fraction-pairs", "pairs-per-pair"])
+    def test_sampling_key_the_strategy_ignores_rejected(self, tmp_path, sampling, key):
+        with pytest.raises(ConfigError, match=f"'sampling.{key}'.*{sampling['strategy']!r}"):
+            parse_sampling(sampling, 1)
+        bad = tmp_path / "bad.json"
+        doc = json.loads((FIXTURE / "config.json").read_text())
+        doc["sampling"] = sampling
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"'sampling.{key}'"):
             load_config(bad)
 
     @pytest.mark.parametrize("key,value,other", [
