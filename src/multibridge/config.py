@@ -203,6 +203,10 @@ def validate_config(config: PipelineConfig) -> None:
             raise ConfigError(f"language {code!r} is not in the language table")
     if not config.raw_dir.is_dir():
         raise ConfigError(f"raw corpus directory not found: {config.raw_dir}")
+    if isinstance(config.sampling.strategy, SamplePairs):
+        for pair in config.sampling.strategy.pairs:
+            if not set(pair) <= set(config.languages):
+                raise ConfigError(f"sampling pair {pair[0]}-{pair[1]} names a language outside 'languages'")
     for code in config.languages:
         for file_path in raw_paths(config.raw_dir, code):
             if not file_path.is_file():

@@ -111,17 +111,6 @@ class BitextCorpus:
     def swapped(self) -> "BitextCorpus":
         return BitextCorpus(self.tgt_lang, self.src_lang, tuple(p.swapped() for p in self.pairs))
 
-    def has_language(self, code: str) -> bool:
-        return code in (self.src_lang, self.tgt_lang)
-
-    def other_side(self, code: str) -> str:
-        """The language opposite ``code``; raises if ``code`` is not a side."""
-        if code == self.src_lang:
-            return self.tgt_lang
-        if code == self.tgt_lang:
-            return self.src_lang
-        raise ValueError(f"{code!r} is not a side of this {self.src_lang}-{self.tgt_lang} corpus")
-
 
 @dataclass(frozen=True, order=True)
 class TranslationDirection:

@@ -338,7 +338,8 @@ def nway_compare(
     sentence counts). Expected-but-absent directions are listed in
     ``missing`` rather than failing the comparison. ``pivot`` must be
     :data:`~multibridge.languages.PIVOT`, the toolkit's only pivot. A
-    language listed twice, or two reports for one direction, is an error.
+    language listed twice, two reports for one direction, or a report score
+    outside bleu, chrf2 and cosine is an error.
     """
     if pivot != PIVOT:
         raise MetricError(f"the pivot is {PIVOT!r}, not {pivot!r}")
@@ -354,6 +355,9 @@ def nway_compare(
     for r in reports:
         if r.direction in by_direction:
             raise MetricError(f"two reports for direction {r.direction.label()}")
+        for s in r.scores:
+            if s.metric not in METRIC_RANGES:
+                raise MetricError(f"report {r.direction.label()}: {s.metric!r} is not bleu, chrf2 or cosine")
         by_direction[r.direction] = r
     tset = dict(testset_similarity or {})
 
@@ -371,7 +375,7 @@ def nway_compare(
     groups: defaultdict[tuple[str, str], list[tuple[float, int]]] = defaultdict(list)
     for d in sorted(by_direction):
         for s in by_direction[d].scores:
-            if d.tgt in non_english and s.metric != "tset_sim":
+            if d.tgt in non_english:
                 groups[d.src, s.metric].append((s.value, by_direction[d].n_sentences))
     for d in sorted(tset):
         if d.tgt in non_english:

@@ -35,10 +35,10 @@ class MiningError(MultibridgeError):
 
 
 class NonPivotCorpus(MiningError):
-    """An input corpus does not include the pivot language."""
+    """A corpus breaks the orientation rule of :func:`check_orientation`; the message says which."""
 
-    def __init__(self, src_lang: str, tgt_lang: str):
-        super().__init__(f"corpus {src_lang}-{tgt_lang} has no {PIVOT} side")
+    def __init__(self, src_lang: str, tgt_lang: str, rule: str):
+        super().__init__(f"corpus {src_lang}-{tgt_lang}: {rule}")
         self.direction = (src_lang, tgt_lang)
 
 
@@ -60,22 +60,38 @@ def normalize_pivot(text: str) -> str:
 PivotIndex = dict[str, dict[str, set[str]]]
 
 
-def build_pivot_index(corpora: Iterable[BitextCorpus]) -> PivotIndex:
-    """One-pass index construction over English-centric corpora.
+def check_orientation(
+    english_corpora: Iterable[BitextCorpus], mined: Mapping[tuple[str, str], BitextCorpus]
+) -> dict[str, BitextCorpus]:
+    """The English-centric corpora keyed by their non-English language, once every input is checked.
 
-    Each corpus must have the pivot on one side; the pivot side is detected
-    so both en-X and X-en orientations load correctly. Duplicate
-    (english, translation) observations collapse.
+    English-centric corpora must be en->xx, one per language, and each mined
+    corpus must be keyed by its own ``(src_lang, tgt_lang)`` in canonical
+    order. Anything else is a :class:`NonPivotCorpus` naming the corpus.
+    """
+    english: dict[str, BitextCorpus] = {}
+    for corpus in english_corpora:
+        if corpus.src_lang != PIVOT:
+            raise NonPivotCorpus(corpus.src_lang, corpus.tgt_lang, f"English-centric corpora must be {PIVOT}-xx")
+        if corpus.tgt_lang in english:
+            raise NonPivotCorpus(PIVOT, corpus.tgt_lang, "given twice; English-centric corpora are one per language")
+        english[corpus.tgt_lang] = corpus
+    for key, corpus in mined.items():
+        own = (corpus.src_lang, corpus.tgt_lang)
+        if key != own or own != canonical_pair(*own):
+            raise NonPivotCorpus(*own, f"keyed {key!r}, not by its own languages in canonical order")
+    return english
+
+
+def build_pivot_index(corpora: Iterable[BitextCorpus]) -> PivotIndex:
+    """One-pass index construction over en->xx corpora, one per language.
+
+    Duplicate (english, translation) observations collapse.
     """
     index: PivotIndex = {}
-    for corpus in corpora:
-        if not corpus.has_language(PIVOT):
-            raise NonPivotCorpus(corpus.src_lang, corpus.tgt_lang)
-        other = corpus.other_side(PIVOT)
-        pivot_is_src = corpus.src_lang == PIVOT
+    for lang, corpus in check_orientation(corpora, {}).items():
         for pair in corpus.pairs:
-            english, translation = (pair.src_text, pair.tgt_text) if pivot_is_src else (pair.tgt_text, pair.src_text)
-            index.setdefault(normalize_pivot(english), {}).setdefault(other, set()).add(translation)
+            index.setdefault(normalize_pivot(pair.src_text), {}).setdefault(lang, set()).add(pair.tgt_text)
     return index
 
 
@@ -209,24 +225,10 @@ def extraction_stats(
     supplied (whether published pair counts were taken before or after
     deduplication varies, so both are kept visible).
     """
-    english_counts: dict[str, int] = {}
-    for corpus in english_corpora:
-        if not corpus.has_language(PIVOT):
-            raise NonPivotCorpus(corpus.src_lang, corpus.tgt_lang)
-        other = corpus.other_side(PIVOT)
-        english_counts[other] = english_counts.get(other, 0) + len(corpus)
-
-    pair_counts: dict[tuple[str, str], int] = {}
-    raw_counts: dict[tuple[str, str], int] = {}
-    have_raw = False
-    for pair, value in mined.items():
-        key = canonical_pair(*pair)
-        if isinstance(value, MiningOutcome):
-            have_raw = True
-            pair_counts[key] = len(value.corpus)
-            raw_counts[key] = value.raw_pair_count
-        else:
-            pair_counts[key] = len(value)
+    corpora = {pair: value.corpus if isinstance(value, MiningOutcome) else value for pair, value in mined.items()}
+    english_counts = {lang: len(corpus) for lang, corpus in check_orientation(english_corpora, corpora).items()}
+    pair_counts = {pair: len(corpus) for pair, corpus in corpora.items()}
+    raw_counts = {pair: value.raw_pair_count for pair, value in mined.items() if isinstance(value, MiningOutcome)}
 
     if languages is None:
         observed = set(english_counts)
@@ -237,5 +239,5 @@ def extraction_stats(
         tuple(languages),
         english_counts,
         pair_counts,
-        raw_pair_counts=raw_counts if have_raw else None,
+        raw_pair_counts=raw_counts or None,
     )

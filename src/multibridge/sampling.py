@@ -31,7 +31,7 @@ from .corpus import (
 )
 from .errors import MultibridgeError
 from .languages import PIVOT
-from .mining import canonical_pair
+from .mining import canonical_pair, check_orientation
 from .rng import Xoshiro256StarStar, derive_seed
 
 DEFAULT_PER_PAIR_TARGET = 100_000
@@ -158,21 +158,6 @@ def sample_fraction(corpus: BitextCorpus, target_n: int, seed: int) -> BitextCor
     return BitextCorpus(corpus.src_lang, corpus.tgt_lang, tuple(corpus.pairs[i] for i in keep))
 
 
-def _merge_english_corpora(english_corpora: Iterable[BitextCorpus]) -> dict[str, BitextCorpus]:
-    """Orient every English-centric corpus as pivot->X and merge duplicates."""
-    merged: dict[str, BitextCorpus] = {}
-    for corpus in english_corpora:
-        if not corpus.has_language(PIVOT):
-            raise SamplingError(f"corpus {corpus.src_lang}-{corpus.tgt_lang} has no {PIVOT} side")
-        oriented = corpus if corpus.src_lang == PIVOT else corpus.swapped()
-        other = oriented.tgt_lang
-        if other in merged:
-            merged[other] = BitextCorpus(PIVOT, other, merged[other].pairs + oriented.pairs)
-        else:
-            merged[other] = oriented
-    return merged
-
-
 def build_training_set(
     english_corpora: Iterable[BitextCorpus],
     mined_corpora: Mapping[tuple[str, str], BitextCorpus],
@@ -184,37 +169,27 @@ def build_training_set(
     the same (possibly sampled) subset, so the two directions mirror each
     other exactly.
     """
-    mined: dict[tuple[str, str], BitextCorpus] = {}
-    for raw_key, corpus in mined_corpora.items():
-        key = canonical_pair(*raw_key)
-        if {corpus.src_lang, corpus.tgt_lang} != set(key):
-            raise SamplingError(
-                f"corpus languages {corpus.src_lang}-{corpus.tgt_lang} do not match key {key}"
-            )
-        mined[key] = corpus if corpus.src_lang == key[0] else corpus.swapped()
-
+    english = check_orientation(english_corpora, mined_corpora)
     if isinstance(plan.strategy, SamplePairs):
         for pair in plan.strategy.pairs:
             if PIVOT in pair:
                 raise SamplingError(f"sample-pairs list may not include the pivot: {pair}")
-            if pair not in mined:
+            if pair not in mined_corpora:
                 raise MissingCorpus(pair)
-        selected = {pair: mined[pair] for pair in plan.strategy.pairs}
+        selected = {pair: mined_corpora[pair] for pair in plan.strategy.pairs}
     elif isinstance(plan.strategy, SampleFraction):
         target = plan.strategy.per_pair_target
         selected = {
             pair: sample_fraction(corpus, target, derive_seed(plan.seed, f"frac:{pair[0]}-{pair[1]}"))
-            for pair, corpus in mined.items()
+            for pair, corpus in mined_corpora.items()
         }
     else:
-        selected = dict(mined)
+        selected = mined_corpora
 
     entries: list[tuple[TranslationDirection, BitextCorpus, str]] = []
-    english = _merge_english_corpora(english_corpora)
-    for other in sorted(english):
-        oriented = english[other]
-        entries.append((TranslationDirection(PIVOT, other), oriented, "english-centric"))
-        entries.append((TranslationDirection(other, PIVOT), oriented.swapped(), "english-centric"))
+    for other, corpus in sorted(english.items()):
+        entries.append((TranslationDirection(PIVOT, other), corpus, "english-centric"))
+        entries.append((TranslationDirection(other, PIVOT), corpus.swapped(), "english-centric"))
 
     for pair in sorted(selected):
         corpus = selected[pair]

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from multibridge import cli, pipeline
 from multibridge.bpe import load_bpe
 from multibridge.cli import main
 from multibridge.corpus import load_bitext, load_manifest
@@ -449,6 +450,30 @@ class TestEvaluate:
         hyp.write_text("one\n")
         ref.write_text("one\ntwo\n")
         assert run_cli("evaluate", "--metric", "bleu", "--hyp", str(hyp), "--ref", str(ref)).returncode == 2
+
+
+class TestOrientation:
+    @pytest.mark.parametrize("command", ["extract", "stats", "sample", "run"])
+    def test_xx_en_corpus_is_data_error(self, tmp_path, raw_dir, monkeypatch, capsys, command):
+        load = pipeline.load_english
+
+        def flipped(raw, languages):
+            return {lang: corpus.swapped() for lang, corpus in load(raw, languages).items()}
+
+        monkeypatch.setattr(pipeline, "load_english", flipped)
+        monkeypatch.setattr(cli, "load_english", flipped)
+        shutil.copytree(FIXTURE, tmp_path / "work")
+        argv = {
+            "extract": ["--out", str(tmp_path / "mined")],
+            "stats": ["--mined", str(GOLDEN_MINED)],
+            "sample": ["--strategy", "train-all", "--seed", "1", "--mined", str(GOLDEN_MINED),
+                       "--out", str(tmp_path / "sampled")],
+        }
+        if command == "run":
+            assert main(["run", "--config", str(tmp_path / "work" / "config.json")]) == 2
+        else:
+            assert main([command, "--inputs", str(raw_dir), *argv[command]]) == 2
+        assert "corpus bn-en: English-centric corpora must be en-xx" in capsys.readouterr().err
 
 
 class TestRunCommand:

@@ -60,13 +60,6 @@ class TestBitextCorpus:
         with pytest.raises(ValueError):
             BitextCorpus("en", "en", ())
 
-    def test_other_side(self):
-        corpus = BitextCorpus("en", "hi", (SentencePair("a", "b"),))
-        assert corpus.other_side("en") == "hi"
-        assert corpus.other_side("hi") == "en"
-        with pytest.raises(ValueError):
-            corpus.other_side("bn")
-
 
 class TestLoadBitext:
     def test_identity_load(self, tmp_path):

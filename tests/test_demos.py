@@ -1,6 +1,7 @@
-"""Every demo script runs to completion against the package in ``src/``."""
+"""Every demo script and the README's library quick start run to completion against the package in ``src/``."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,9 +16,19 @@ def test_demos_found():
     assert DEMOS, "no demos/*.py found"
 
 
+def _run(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True,
-                          timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    _run(str(demo))
+
+
+def test_readme_library_quick_start_runs():
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Quick start (library)", 1)[1]
+    snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    assert _run("-c", snippet).stdout.splitlines()[0] == "1"

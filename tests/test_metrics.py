@@ -356,6 +356,11 @@ class TestNwayCompare:
         with pytest.raises(MetricError, match="'en'"):
             nway_compare(reports, ["en", "bn", "hi", "en"])
 
+    def test_report_score_outside_report_metrics_rejected(self):
+        reports = [_report("bn", "hi", {"tset_sim": 5.0, "ter": 3.0})]
+        with pytest.raises(MetricError, match="^report bn-hi: 'tset_sim' is not bleu, chrf2 or cosine$"):
+            nway_compare(reports, ["bn", "hi"])
+
     def test_tsv_layout(self):
         reports = [_report("bn", "hi", {"bleu": 12.345})]
         text = nway_compare(reports, ["bn", "hi"]).to_tsv()
@@ -377,7 +382,8 @@ def _nway_value(lo, hi):
     return st.floats(lo, hi) | st.integers(lo * 997, hi * 997).map(lambda k: k / 997)
 
 
-# "ter" is outside METRIC_ORDER; a report's "tset_sim" must not feed the table.
+# "ter" is outside METRIC_ORDER, and "tset_sim" comes only from test-set
+# similarities: a report holding either is an error.
 _NWAY_VALUES = {
     "bleu": _nway_value(0, 100),
     "chrf2": _nway_value(0, 100),
@@ -417,6 +423,11 @@ class TestNwayOracle:
     @example(_NWAY_ORDER_EXAMPLE)
     def test_matches_rescanning_oracle(self, inputs):
         reports, languages, average, tset = inputs
+        foreign = next((r for r in reports for s in r.scores if s.metric in ("tset_sim", "ter")), None)
+        if foreign is not None:  # a report score outside bleu, chrf2 and cosine
+            with pytest.raises(MetricError, match=f"^report {foreign.direction.label()}: '(tset_sim|ter)'"):
+                nway_compare(reports, languages, average=average, testset_similarity=tset)
+            return
         table = nway_compare(reports, languages, average=average, testset_similarity=tset)
         expected = naive_nway(reports, languages, average=average, testset_similarity=tset)
         assert table.rows == expected.rows

@@ -17,6 +17,7 @@ from multibridge.mining import (
     mine_pairs_detailed,
     normalize_pivot,
 )
+from multibridge.sampling import SamplingPlan, TrainAll, build_training_set
 
 from oracles import corpus_observations, naive_capped_mine, nested_loop_mine
 from synth import english_centric_fixture
@@ -58,8 +59,8 @@ class TestBuildIndex:
         assert index["hello"]["bn"] == {"B1", "B2"}
 
     def test_reversed_orientation(self):
-        index = build_pivot_index([_corpus("bn", "en", [("B1", "hello")])])
-        assert index["hello"]["bn"] == {"B1"}
+        with pytest.raises(NonPivotCorpus, match="^corpus bn-en: English-centric corpora must be en-xx$"):
+            build_pivot_index([_corpus("bn", "en", [("B1", "hello")])])
 
     def test_whitespace_variants_share_key(self):
         index = build_pivot_index(
@@ -70,6 +71,33 @@ class TestBuildIndex:
     def test_non_pivot_corpus_rejected(self):
         with pytest.raises(NonPivotCorpus):
             build_pivot_index([_corpus("bn", "hi", [("x", "y")])])
+
+
+def _broken_inputs(case):
+    """English-centric and mined corpora that break one orientation rule, and the corpus that breaks it."""
+    english = english_centric_fixture(31, ["bn", "hi", "ta"], n_english=30)
+    mined = mine_all(build_pivot_index(english.values()), ["bn", "hi", "ta"], None)
+    corpora = list(english.values())
+    if case == "xx-en":
+        return [english["bn"].swapped(), english["hi"], english["ta"]], mined, "bn-en"
+    if case == "second corpus":
+        return [*corpora, english["bn"]], mined, "en-bn"
+    return corpora, {(b, a): corpus.swapped() for (a, b), corpus in mined.items()}, "hi-bn"
+
+
+class TestOrientationRule:
+    @pytest.mark.parametrize("case", ["xx-en", "second corpus", "reversed mined key"])
+    @pytest.mark.parametrize("consumer", ["build_pivot_index", "extraction_stats", "build_training_set"])
+    def test_every_consumer_rejects(self, consumer, case):
+        english, mined, culprit = _broken_inputs(case)
+        with pytest.raises(NonPivotCorpus, match=f"^corpus {culprit}: "):
+            if consumer == "build_pivot_index":
+                # It takes no mined corpora: a mined corpus reaches it only as one of its inputs.
+                build_pivot_index([*english, *mined.values()] if case == "reversed mined key" else english)
+            elif consumer == "extraction_stats":
+                extraction_stats(english, mined)
+            else:
+                build_training_set(english, mined, SamplingPlan(TrainAll(), seed=1))
 
 
 class TestMinePairs:

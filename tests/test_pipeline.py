@@ -57,6 +57,19 @@ class TestRunPipeline:
         assert isinstance(exc.value.cause, ConfigError)
         assert not (work / "out").exists()
 
+    def test_sample_pair_outside_languages_fails_validation_before_work(self, tmp_path):
+        work = tmp_path / "broken"
+        shutil.copytree(FIXTURE, work)
+        config = json.loads((work / "config.json").read_text())
+        config["sampling"] = {"strategy": "sample-pairs", "pairs": ["bn-te"]}
+        (work / "config.json").write_text(json.dumps(config))
+        with pytest.raises(PipelineStageError) as exc:
+            run_pipeline(load_config(work / "config.json"))
+        assert exc.value.stage == "validate"
+        assert isinstance(exc.value.cause, ConfigError)
+        assert "bn-te" in str(exc.value.cause)
+        assert not (work / "out").exists()
+
     @pytest.mark.parametrize("error", [TypeError("unsupported operand"), KeyboardInterrupt()],
                              ids=["bug", "interrupt"])
     def test_bug_or_interrupt_is_not_a_data_error(self, tmp_path, monkeypatch, error):

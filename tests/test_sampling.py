@@ -3,7 +3,7 @@ import filecmp
 import pytest
 
 from multibridge.corpus import BitextCorpus, SentencePair, TranslationDirection, load_manifest, verify_manifest
-from multibridge.mining import build_pivot_index, mine_all
+from multibridge.mining import NonPivotCorpus, build_pivot_index, mine_all
 from multibridge.sampling import (
     InfeasibleSpan,
     MissingCorpus,
@@ -131,18 +131,16 @@ class TestBuildTrainingSet:
         with pytest.raises(MissingCorpus):
             build_training_set(corpora.values(), mined, plan)
 
-    def test_reversed_mined_keys_reoriented(self):
+    def test_reversed_mined_keys_rejected(self):
         corpora, mined = _mined_fixture()
         flipped = {(b, a): corpus.swapped() for (a, b), corpus in mined.items()}
-        plan = SamplingPlan(TrainAll(), seed=5)
-        canonical = build_training_set(corpora.values(), mined, plan)
-        from_flipped = build_training_set(corpora.values(), flipped, plan)
-        assert canonical == from_flipped
+        with pytest.raises(NonPivotCorpus, match=r"^corpus hi-bn: keyed \('hi', 'bn'\), not by its own languages"):
+            build_training_set(corpora.values(), flipped, SamplingPlan(TrainAll(), seed=5))
 
     def test_mismatched_corpus_languages_rejected(self):
         corpora, mined = _mined_fixture()
         bad = {("bn", "te"): mined[("bn", "hi")]}
-        with pytest.raises(SamplingError):
+        with pytest.raises(NonPivotCorpus, match=r"^corpus bn-hi: keyed \('bn', 'te'\)"):
             build_training_set(corpora.values(), bad, SamplingPlan(TrainAll(), 5))
 
     def test_sample_fraction_totals(self):
