@@ -40,12 +40,10 @@ from .corpus import (
     TrainingManifest,
     TranslationDirection,
     load_bitext,
-    load_bitext_tsv,
     load_manifest,
     save_manifest,
     verify_manifest,
     write_bitext,
-    write_bitext_tsv,
 )
 from .errors import ConfigError, MultibridgeError
 from .languages import Language, REGISTRY, get_language, indic_codes
@@ -144,7 +142,6 @@ __all__ = [
     "indic_codes",
     "learn_bpe",
     "load_bitext",
-    "load_bitext_tsv",
     "load_bpe",
     "load_config",
     "load_embeddings",
@@ -173,5 +170,4 @@ __all__ = [
     "validate_config",
     "verify_manifest",
     "write_bitext",
-    "write_bitext_tsv",
 ]

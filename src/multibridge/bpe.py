@@ -31,6 +31,9 @@ from .errors import EmptyCorpus, MultibridgeError
 SEPARATOR = "@@"
 END_OF_WORD = "</w>"
 
+#: Merges to learn, and the vocabulary's frequency floor, unless the caller says otherwise.
+DEFAULT_NUM_MERGES = 32000
+DEFAULT_MIN_FREQUENCY = 5
 #: Merges stop early once the best pair occurs fewer times than this.
 DEFAULT_MERGE_FLOOR = 2
 
@@ -120,8 +123,8 @@ def _iter_tokens(token_stream: Iterable[str]) -> Iterable[str]:
 
 def learn_bpe(
     token_stream: Iterable[str] | Mapping[str, int],
-    num_merges: int = 32000,
-    min_frequency: int = 5,
+    num_merges: int = DEFAULT_NUM_MERGES,
+    min_frequency: int = DEFAULT_MIN_FREQUENCY,
     merge_floor: int = DEFAULT_MERGE_FLOOR,
 ) -> BpeModel:
     """Learn merge rules from tokenized text.

@@ -18,7 +18,8 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
-from .bpe import BpeSegmenter, learn_bpe, load_bpe, save_bpe
+from .bpe import (DEFAULT_MERGE_FLOOR, DEFAULT_MIN_FREQUENCY, DEFAULT_NUM_MERGES, BpeSegmenter, learn_bpe,
+                  load_bpe, save_bpe)
 from .config import check_disjoint, load_config, parse_pairs, parse_sampling
 from .corpus import iter_lines, write_lines, write_text
 from .errors import MultibridgeError
@@ -152,13 +153,10 @@ def _cmd_evaluate(args) -> int:
         refs = list(iter_lines(args.ref))
         n = len(hyps)
         score = bleu(hyps, refs, args.tok) if args.metric == "bleu" else chrf2(hyps, refs)
-    line = f"{score.metric}\t{score.value:.1f}\t{score.signature}\t{n}"
-    print(line)
+    print(f"{score.metric}\t{score.value:.1f}\t{score.signature}\t{n}")
     if args.json:
         doc = {"metric": score.metric, "value": score.value, "signature": score.signature, "n_sentences": n}
         write_text(args.json, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    if args.tsv:
-        write_lines(args.tsv, ["metric\tvalue\tsignature\tn", line])
     return 0
 
 
@@ -214,9 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("learn-bpe", help="learn BPE merges from tokenized text")
-    p.add_argument("--merges", type=int, default=32000)
-    p.add_argument("--min-freq", type=int, default=5)
-    p.add_argument("--merge-floor", type=int, default=2)
+    p.add_argument("--merges", type=int, default=DEFAULT_NUM_MERGES)
+    p.add_argument("--min-freq", type=int, default=DEFAULT_MIN_FREQUENCY)
+    p.add_argument("--merge-floor", type=int, default=DEFAULT_MERGE_FLOOR)
     p.add_argument("--input", nargs="*", help="input files (default stdin)")
     p.add_argument("--model", required=True, help="codes file to write")
     p.add_argument("--vocab", help="vocabulary file to write")
@@ -243,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emb-a")
     p.add_argument("--emb-b")
     p.add_argument("--json", help="write the report as JSON here")
-    p.add_argument("--tsv", help="write the report as TSV here")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("run", help="run the full pipeline from a config file")

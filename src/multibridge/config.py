@@ -1,4 +1,4 @@
-"""Pipeline configuration: one JSON (or TOML, Python 3.11+) document.
+"""Pipeline configuration: one JSON document.
 
 Relative paths resolve against the directory containing the config file.
 The four directories must be disjoint: none may equal or contain another.
@@ -27,9 +27,10 @@ from itertools import combinations
 from pathlib import Path
 from typing import Mapping
 
+from .bpe import DEFAULT_MIN_FREQUENCY, DEFAULT_NUM_MERGES
 from .errors import ConfigError
 from .languages import PIVOT, REGISTRY
-from .mining import canonical_pair
+from .mining import DEFAULT_XPROD_CAP, canonical_pair
 from .sampling import (
     DEFAULT_PER_PAIR_TARGET,
     SampleFraction,
@@ -47,10 +48,10 @@ class PipelineConfig:
     sampled_dir: Path
     preprocessed_dir: Path
     sampling: SamplingPlan
-    bpe_num_merges: int = 32000
-    bpe_min_frequency: int = 5
-    xprod_cap: int | None = 64
-    seed: int = 1
+    bpe_num_merges: int
+    bpe_min_frequency: int
+    xprod_cap: int | None
+    seed: int
 
 
 def raw_paths(raw_dir: Path, lang: str) -> tuple[Path, Path]:
@@ -92,13 +93,13 @@ def _int(table: dict, key: str, default: int, where: str = "", minimum: int | No
 
 
 def parse_pairs(items: object) -> tuple[tuple[str, str], ...]:
-    """A list of ``xx-yy`` pairs (or two-item lists), each in canonical order."""
+    """A list of ``xx-yy`` pairs, each in canonical order."""
     if not isinstance(items, list):
         raise ConfigError(f"expected a list of 'xx-yy' pairs, not {items!r}")
     pairs = []
     for item in items:
-        parts = item.split("-") if isinstance(item, str) else item
-        if not isinstance(parts, list) or len(parts) != 2 or not all(isinstance(p, str) and p for p in parts):
+        parts = item.split("-") if isinstance(item, str) else []
+        if len(parts) != 2 or not all(parts):
             raise ConfigError(f"malformed pair {item!r} (want 'xx-yy')")
         if parts[0] == parts[1]:
             raise ConfigError(f"pair {item!r} names one language twice")
@@ -133,20 +134,10 @@ def load_config(path: str | Path) -> PipelineConfig:
         raw = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if path.suffix == ".toml":
-        try:
-            import tomllib
-        except ImportError:
-            raise ConfigError("TOML configs need Python 3.11+; use JSON instead") from None
-        try:
-            doc = tomllib.loads(raw.decode("utf-8"))
-        except ValueError as exc:  # TOMLDecodeError or UnicodeDecodeError
-            raise ConfigError(f"{path}: invalid TOML: {exc}") from exc
-    else:
-        try:
-            doc = json.loads(raw)
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        doc = json.loads(raw)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
     _table(doc, _TOP_KEYS, "")
     base = path.parent
@@ -165,7 +156,8 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"'languages' lists a language twice: {languages!r}")
     seed = _int(doc, "seed", 1)
     bpe = _table(doc.get("bpe", {}), _BPE_KEYS, "bpe.")
-    cap = None if doc.get("xprod_cap", 64) is None else _int(doc, "xprod_cap", 64, minimum=0)
+    cap = doc.get("xprod_cap", DEFAULT_XPROD_CAP)
+    cap = None if cap is None else _int(doc, "xprod_cap", DEFAULT_XPROD_CAP, minimum=0)
     for key, only_value in _LEGACY_KEYS.items():
         if key in doc and doc[key] != only_value:
             raise ConfigError(
@@ -177,8 +169,8 @@ def load_config(path: str | Path) -> PipelineConfig:
         languages=tuple(languages),
         **dirs,
         sampling=parse_sampling(doc.get("sampling", {"strategy": "train-all"}), seed),
-        bpe_num_merges=_int(bpe, "num_merges", 32000, "bpe.", 0),
-        bpe_min_frequency=_int(bpe, "min_frequency", 5, "bpe.", 0),
+        bpe_num_merges=_int(bpe, "num_merges", DEFAULT_NUM_MERGES, "bpe.", 0),
+        bpe_min_frequency=_int(bpe, "min_frequency", DEFAULT_MIN_FREQUENCY, "bpe.", 0),
         xprod_cap=cap or None,
         seed=seed,
     )

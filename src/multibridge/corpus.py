@@ -5,10 +5,9 @@ codes and vocabularies, embedding tables, stage outputs) goes through
 :func:`iter_lines` and :func:`write_lines`: UTF-8, one line per LF, no CR.
 Anything else is a typed :class:`CorpusError` naming the file and line.
 
-Bitext lives on disk as a pair of line-aligned plain-text files (one
-sentence per line), the format used by shared-task data and by the
-pipeline's own mined and sampled output. A two-column TSV reader and
-writer are provided for other tools. Whitespace-only lines are hard
+Bitext lives on disk only as a pair of line-aligned plain-text files
+(one sentence per line), the format used by shared-task data and by the
+pipeline's own mined and sampled output. Whitespace-only lines are hard
 errors: silently dropping them would desynchronize the alignment.
 """
 
@@ -218,38 +217,6 @@ def write_bitext(corpus: BitextCorpus, src_path: str | Path, tgt_path: str | Pat
     """Write a corpus as two line-aligned files; inverse of :func:`load_bitext`."""
     write_lines(src_path, (pair.src_text for pair in corpus.pairs))
     write_lines(tgt_path, (pair.tgt_text for pair in corpus.pairs))
-
-
-class TsvFormatError(CorpusError):
-    """A TSV bitext line does not have exactly two columns."""
-
-    def __init__(self, path: str | Path, line_no: int):
-        super().__init__(f"{path}:{line_no}: expected exactly 2 tab-separated columns")
-        self.line_no = line_no
-
-
-def load_bitext_tsv(path: str | Path, src_lang: str, tgt_lang: str) -> BitextCorpus:
-    """Load a two-column TSV bitext (src TAB tgt per line, no header)."""
-    pairs = []
-    for line_no, text in enumerate(_read_lines(path), start=1):
-        cols = text.split("\t")
-        if len(cols) != 2:
-            raise TsvFormatError(path, line_no)
-        if not cols[0].strip() or not cols[1].strip():
-            raise EmptyLine(path, line_no)
-        pairs.append(SentencePair(cols[0], cols[1]))
-    return BitextCorpus(src_lang, tgt_lang, tuple(pairs))
-
-
-def write_bitext_tsv(corpus: BitextCorpus, path: str | Path) -> None:
-    """Write a corpus as a two-column TSV; texts must not contain tabs.
-
-    Every row is checked first, so a rejected corpus writes nothing.
-    """
-    for line_no, pair in enumerate(corpus.pairs, start=1):
-        if "\t" in pair.src_text or "\t" in pair.tgt_text:
-            raise TsvFormatError(path, line_no)
-    write_lines(path, (f"{pair.src_text}\t{pair.tgt_text}" for pair in corpus.pairs))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, islice, product
 from typing import Iterable, Mapping, Sequence
 
@@ -66,8 +66,9 @@ def check_orientation(
     """The English-centric corpora keyed by their non-English language, once every input is checked.
 
     English-centric corpora must be en->xx, one per language, and each mined
-    corpus must be keyed by its own ``(src_lang, tgt_lang)`` in canonical
-    order. Anything else is a :class:`NonPivotCorpus` naming the corpus.
+    corpus must be between two non-English languages, keyed by its own
+    ``(src_lang, tgt_lang)`` in canonical order. Anything else is a
+    :class:`NonPivotCorpus` naming the corpus.
     """
     english: dict[str, BitextCorpus] = {}
     for corpus in english_corpora:
@@ -78,6 +79,8 @@ def check_orientation(
         english[corpus.tgt_lang] = corpus
     for key, corpus in mined.items():
         own = (corpus.src_lang, corpus.tgt_lang)
+        if PIVOT in own:
+            raise NonPivotCorpus(*own, f"mined corpora are xx-yy, with no {PIVOT} side")
         if key != own or own != canonical_pair(*own):
             raise NonPivotCorpus(*own, f"keyed {key!r}, not by its own languages in canonical order")
     return english
@@ -171,9 +174,9 @@ class StatsMatrix:
     """Pair-count matrix: one English column plus a symmetric non-English block."""
 
     languages: tuple[str, ...]
-    english_counts: dict[str, int] = field(compare=False)
-    pair_counts: dict[tuple[str, str], int] = field(compare=False)
-    raw_pair_counts: dict[tuple[str, str], int] | None = field(default=None, compare=False)
+    english_counts: dict[str, int]
+    pair_counts: dict[tuple[str, str], int]
+    raw_pair_counts: dict[tuple[str, str], int] | None = None
 
     def cell(self, row: str, col: str) -> int:
         if row == col:
@@ -216,9 +219,8 @@ class StatsMatrix:
 def extraction_stats(
     english_corpora: Iterable[BitextCorpus],
     mined: Mapping[tuple[str, str], BitextCorpus] | Mapping[tuple[str, str], MiningOutcome],
-    languages: Sequence[str] | None = None,
 ) -> StatsMatrix:
-    """Build the statistics matrix from loaded corpora.
+    """Build the statistics matrix from loaded corpora, over every language they hold.
 
     Mined deduplicated counts populate the symmetric block; raw pre-dedup
     counts are reported alongside when :class:`MiningOutcome` values are
@@ -229,14 +231,11 @@ def extraction_stats(
     english_counts = {lang: len(corpus) for lang, corpus in check_orientation(english_corpora, corpora).items()}
     pair_counts = {pair: len(corpus) for pair, corpus in corpora.items()}
     raw_counts = {pair: value.raw_pair_count for pair, value in mined.items() if isinstance(value, MiningOutcome)}
-
-    if languages is None:
-        observed = set(english_counts)
-        for a, b in pair_counts:
-            observed.update((a, b))
-        languages = sorted(observed)
+    observed = set(english_counts)
+    for pair in pair_counts:
+        observed.update(pair)
     return StatsMatrix(
-        tuple(languages),
+        tuple(sorted(observed)),
         english_counts,
         pair_counts,
         raw_pair_counts=raw_counts or None,

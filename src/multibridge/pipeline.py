@@ -140,7 +140,7 @@ def extract(english: Mapping[str, BitextCorpus], pairs: Iterable[tuple[str, str]
 def write_stats(english: Mapping[str, BitextCorpus], mined: Mapping[tuple[str, str], MiningOutcome],
                 mined_dir: Path) -> StatsMatrix:
     """Write ``stats.tsv``, raw-pair section included, next to the mined corpora."""
-    stats = extraction_stats(english.values(), mined, sorted(english))
+    stats = extraction_stats(english.values(), mined)
     write_text(mined_dir / "stats.tsv", stats.to_tsv())
     return stats
 

@@ -1,6 +1,8 @@
 """The CLI surfaces every external interface; exercise them like a user."""
 
 import json
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -15,6 +17,7 @@ from multibridge.corpus import load_bitext, load_manifest
 from multibridge.languages import indic_codes
 from multibridge.pipeline import preprocess_line
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 FIXTURE = Path(__file__).parent / "data" / "pipeline_fixture"
 GOLDEN = Path(__file__).parent / "data" / "pipeline_golden" / "out"
 GOLDEN_MINED = GOLDEN / "mined"
@@ -419,17 +422,23 @@ class TestEvaluate:
         hyp.write_text("the cat sat on the mat\nhello world\n")
         ref.write_text("the cat sat on the mat\nhello there world\n")
         json_out = tmp_path / "r.json"
-        tsv_out = tmp_path / "r.tsv"
         proc = run_cli("evaluate", "--metric", "bleu", "--tok", "13a",
-                       "--hyp", str(hyp), "--ref", str(ref),
-                       "--json", str(json_out), "--tsv", str(tsv_out))
+                       "--hyp", str(hyp), "--ref", str(ref), "--json", str(json_out))
         assert proc.returncode == 0
         metric, value, signature, n = proc.stdout.strip().split("\t")
         assert metric == "bleu" and n == "2"
         assert signature.startswith("BLEU+case.mixed+numrefs.1+smooth.exp+tok.13a")
         doc = json.loads(json_out.read_text())
         assert doc["n_sentences"] == 2
-        assert tsv_out.read_text().startswith("metric\tvalue")
+
+    def test_tsv_report_option_is_usage_error(self, tmp_path):
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("hello world\n")
+        proc = run_cli("evaluate", "--metric", "bleu", "--hyp", str(hyp), "--ref", str(hyp),
+                       "--tsv", str(tmp_path / "r.tsv"))
+        assert proc.returncode == 1
+        assert "unrecognized arguments: --tsv" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "r.tsv").exists()
 
     def test_perfect_match_prints_100(self, tmp_path):
         hyp = tmp_path / "h.txt"
@@ -506,3 +515,29 @@ class TestRunCommand:
         assert main(["run", "--config", str(work / "config.json")]) == 2
         assert "unknown config key 'registry'" in capsys.readouterr().err
         assert not (work / "out").exists()
+
+    def test_toml_config_is_data_error(self, tmp_path, capsys):
+        # The fixture config, written as TOML: configs are JSON only.
+        work = tmp_path / "run"
+        shutil.copytree(FIXTURE, work)
+        (work / "config.toml").write_text(
+            'languages = ["bn", "hi", "ta"]\nraw_dir = "raw"\nmined_dir = "out/mined"\n'
+            'sampled_dir = "out/sampled"\npreprocessed_dir = "out/prep"\nseed = 77\n'
+            '[sampling]\nstrategy = "sample-fraction"\nper_pair_target = 12\n'
+        )
+        assert main(["run", "--config", str(work / "config.toml")]) == 2
+        assert "config.toml: invalid JSON" in capsys.readouterr().err
+        assert not (work / "out").exists()
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    """The argument lists of the README's CLI quick start, without shell redirections or ``echo ... |``."""
+    section = README.read_text(encoding="utf-8").split("## Quick start (CLI)", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    return [shlex.split(re.sub(r"[<>]\s*\S+", "", line.rsplit("|", 1)[-1])) for line in block.splitlines()]
+
+
+@pytest.mark.parametrize("words", _readme_cli_commands(), ids=lambda words: words[1])
+def test_readme_cli_examples_parse(words):
+    assert words[0] == "multibridge"
+    cli.build_parser().parse_args(words[1:])

@@ -20,15 +20,12 @@ from multibridge.corpus import (
     SentencePair,
     TrainingManifest,
     TranslationDirection,
-    TsvFormatError,
     iter_lines,
     load_bitext,
-    load_bitext_tsv,
     load_manifest,
     save_manifest,
     verify_manifest,
     write_bitext,
-    write_bitext_tsv,
     write_lines,
 )
 
@@ -141,31 +138,6 @@ def test_write_load_identity_property(tmp_path_factory, rows):
     corpus = BitextCorpus("en", "ta", tuple(SentencePair(a, b) for a, b in rows))
     write_bitext(corpus, tmp / "x.en", tmp / "x.ta")
     assert load_bitext(tmp / "x.en", tmp / "x.ta", "en", "ta") == corpus
-
-
-class TestTsv:
-    def test_round_trip(self, tmp_path):
-        corpus = BitextCorpus("bn", "hi", (SentencePair("ক খ", "क ख"),))
-        write_bitext_tsv(corpus, tmp_path / "c.tsv")
-        assert load_bitext_tsv(tmp_path / "c.tsv", "bn", "hi") == corpus
-
-    def test_bad_column_count(self, tmp_path):
-        _write(tmp_path / "c.tsv", "a\tb\tc\n".encode())
-        with pytest.raises(TsvFormatError):
-            load_bitext_tsv(tmp_path / "c.tsv", "bn", "hi")
-
-    def test_refuses_tab_in_text(self, tmp_path):
-        corpus = BitextCorpus("bn", "hi", (SentencePair("a\tb", "c"),))
-        with pytest.raises(TsvFormatError):
-            write_bitext_tsv(corpus, tmp_path / "c.tsv")
-
-    def test_tab_in_later_row_writes_nothing(self, tmp_path):
-        corpus = BitextCorpus("bn", "hi", (SentencePair("a", "b"), SentencePair("c", "d\te")))
-        with pytest.raises(TsvFormatError) as info:
-            write_bitext_tsv(corpus, tmp_path / "c.tsv")
-        assert info.value.line_no == 2
-        assert f"{tmp_path / 'c.tsv'}:2:" in str(info.value)
-        assert not (tmp_path / "c.tsv").exists()
 
 
 # Pieces that probe the line format: CRLF and lone CR, a BOM, NUL, U+2028

@@ -1,3 +1,4 @@
+import dataclasses
 import unicodedata
 
 import pytest
@@ -82,18 +83,20 @@ def _broken_inputs(case):
         return [english["bn"].swapped(), english["hi"], english["ta"]], mined, "bn-en"
     if case == "second corpus":
         return [*corpora, english["bn"]], mined, "en-bn"
+    if case == "pivot in mined":  # ("bn", "en") is canonical and the corpus's own key
+        return corpora, {("bn", "en"): english["bn"].swapped(), **mined}, "bn-en"
     return corpora, {(b, a): corpus.swapped() for (a, b), corpus in mined.items()}, "hi-bn"
 
 
 class TestOrientationRule:
-    @pytest.mark.parametrize("case", ["xx-en", "second corpus", "reversed mined key"])
+    @pytest.mark.parametrize("case", ["xx-en", "second corpus", "reversed mined key", "pivot in mined"])
     @pytest.mark.parametrize("consumer", ["build_pivot_index", "extraction_stats", "build_training_set"])
     def test_every_consumer_rejects(self, consumer, case):
         english, mined, culprit = _broken_inputs(case)
         with pytest.raises(NonPivotCorpus, match=f"^corpus {culprit}: "):
             if consumer == "build_pivot_index":
                 # It takes no mined corpora: a mined corpus reaches it only as one of its inputs.
-                build_pivot_index([*english, *mined.values()] if case == "reversed mined key" else english)
+                build_pivot_index([*english, *mined.values()] if "mined" in case else english)
             elif consumer == "extraction_stats":
                 extraction_stats(english, mined)
             else:
@@ -286,7 +289,8 @@ class TestStatsMatrix:
 
     def test_empty_mined_set(self):
         corpora = english_centric_fixture(21, ["bn", "hi"], n_english=20)
-        matrix = extraction_stats(corpora.values(), {}, ["bn", "hi"])
+        matrix = extraction_stats(corpora.values(), {})
+        assert matrix.languages == ("bn", "hi")
         assert matrix.grand_total() == 0
         assert matrix.column_sum("en") == sum(len(c) for c in corpora.values())
 
@@ -294,10 +298,20 @@ class TestStatsMatrix:
         corpora = english_centric_fixture(22, ["bn", "hi", "ta"], n_english=50)
         index = build_pivot_index(corpora.values())
         mined = mine_all(index, ["bn", "hi", "ta"], None)
-        matrix = extraction_stats(corpora.values(), mined, ["bn", "hi", "ta"])
+        matrix = extraction_stats(corpora.values(), mined)
+        assert matrix.languages == ("bn", "hi", "ta")
         total = sum(len(c) for c in mined.values())
         assert matrix.grand_total() == 2 * total
         assert matrix.unique_unordered_total() == total
+
+    def test_equality_compares_every_count(self):
+        matrix = StatsMatrix(("bn", "hi"), {"bn": 3, "hi": 4}, {("bn", "hi"): 2})
+        assert matrix == StatsMatrix(("bn", "hi"), {"bn": 3, "hi": 4}, {("bn", "hi"): 2})
+        for changes in ({"english_counts": {"bn": 3, "hi": 5}}, {"pair_counts": {("bn", "hi"): 1}},
+                        {"raw_pair_counts": {("bn", "hi"): 9}}):
+            other = dataclasses.replace(matrix, **changes)
+            assert other.to_tsv() != matrix.to_tsv()
+            assert other != matrix, changes
 
     def test_tsv_layout(self):
         matrix = table1_matrix()

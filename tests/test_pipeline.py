@@ -258,6 +258,9 @@ class TestConfig:
         ("bytes.json", b'{"seed": "\xff"}'),
         ("bytes.toml", b'seed = "\xff"'),
         ("syntax.toml", b"seed = = 1"),
+        # A well-formed TOML config: configs are JSON only, whatever the file's suffix.
+        pytest.param("valid.toml", b'languages = ["bn", "hi"]\nraw_dir = "raw"\nmined_dir = "mined"\n'
+                     b'sampled_dir = "sampled"\npreprocessed_dir = "prep"\n', id="valid.toml"),
     ])
     def test_malformed_document_rejected(self, tmp_path, name, content):
         bad = tmp_path / name
@@ -291,10 +294,11 @@ class TestConfig:
         ("sampling", {"strategy": "sample-pairs", "pairs": "bn-hi"}, "'xx-yy' pairs"),
         ("sampling", {"strategy": "sample-pairs", "pairs": [5]}, "malformed pair 5"),
         ("sampling", {"strategy": "sample-pairs", "pairs": ["bn-bn"]}, "'bn-bn'"),
+        ("sampling", {"strategy": "sample-pairs", "pairs": [["bn", "hi"]]}, "malformed pair ['bn', 'hi']"),
     ], ids=[
         "seed-str", "seed-bool", "seed-float", "merges-str", "merges-negative", "min-frequency-negative",
         "languages-str", "languages-int-item", "languages-duplicate", "cap-negative", "cap-str", "raw-dir-int",
-        "per-pair-str", "per-pair-zero", "pairs-str", "pair-int", "pair-same-language",
+        "per-pair-str", "per-pair-zero", "pairs-str", "pair-int", "pair-same-language", "pair-list",
     ])
     def test_wrong_type_or_range_rejected_at_load(self, tmp_path, key, value, name):
         bad = tmp_path / "bad.json"
