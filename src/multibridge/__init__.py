@@ -6,7 +6,7 @@ every direction among English and a set of Indic languages:
 * pivot mining: extracting X-Y parallel corpora from English-centric
   bitext by joining on the shared English sentence;
 * sampling: the three regimes for deciding how much mined data to train
-  on, plus validation subsampling, all seeded and byte-reproducible;
+  on, all seeded and byte-reproducible;
 * preprocessing: Unicode normalization, transliteration of every Indic
   script into Devanagari (and back), tokenization;
 * subwords: BPE learning and application with a frequency-filtered
@@ -66,8 +66,6 @@ from .sampling import (
     assemble_training_set,
     build_training_set,
     sample_fraction,
-    sample_validation,
-    sample_validation_corpora,
     select_spanning_pairs,
     spans_all_languages,
 )
@@ -86,7 +84,6 @@ _METRICS_NAMES = frozenset({
     "cosine_batch",
     "load_embeddings",
     "nway_compare",
-    "save_embeddings",
 })
 
 
@@ -155,10 +152,7 @@ __all__ = [
     "revert_bpe",
     "run_pipeline",
     "sample_fraction",
-    "sample_validation",
-    "sample_validation_corpora",
     "save_bpe",
-    "save_embeddings",
     "save_manifest",
     "select_spanning_pairs",
     "spans_all_languages",

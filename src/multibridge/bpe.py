@@ -111,11 +111,6 @@ def _render(symbol: str, final: bool) -> str:
     return symbol.removesuffix(END_OF_WORD) if final else symbol + SEPARATOR
 
 
-def render_subwords(symbols: Sequence[str]) -> list[str]:
-    """Turn internal symbols into @@-convention subword tokens."""
-    return [_render(s, False) for s in symbols[:-1]] + [_render(symbols[-1], True)]
-
-
 def _iter_tokens(token_stream: Iterable[str]) -> Iterable[str]:
     for chunk in token_stream:
         yield from chunk.split()

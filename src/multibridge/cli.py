@@ -82,12 +82,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_preprocess(args) -> int:
     lang = args.lang
-    forward = args.normalize or args.to_devanagari or args.tokenize
     reverse = args.detokenize or args.from_devanagari
-    if forward and reverse:
-        raise MultibridgeError("forward and reverse operations cannot be combined")
-    if not forward and not reverse:
-        raise MultibridgeError("nothing to do: pass --tokenize, --to-devanagari, ...")
     for text in iter_lines():
         if reverse:
             if args.detokenize:
@@ -106,6 +101,11 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_learn_bpe(args) -> int:
+    outputs = {flag: path for flag, path in (("--model", args.model), ("--vocab", args.vocab)) if path}
+    check_disjoint(outputs)
+    for path in args.input or ():  # checked against the outputs only: a repeated --input is fine
+        check_disjoint({"--input": path, **outputs})
+
     def lines():
         for path in args.input or [None]:
             yield from iter_lines(path)
@@ -141,14 +141,10 @@ def _cmd_evaluate(args) -> int:
     from .metrics import bleu, chrf2, cosine_batch, load_embeddings  # numpy only for evaluate
 
     if args.metric == "cosine":
-        if not (args.emb_a and args.emb_b):
-            raise MultibridgeError("cosine needs --emb-a and --emb-b")
         table_a = load_embeddings(args.emb_a)
         score = cosine_batch(table_a, load_embeddings(args.emb_b))
         n = len(table_a.ids)
     else:
-        if not (args.hyp and args.ref):
-            raise MultibridgeError(f"{args.metric} needs --hyp and --ref")
         hyps = list(iter_lines(args.hyp))
         refs = list(iter_lines(args.ref))
         n = len(hyps)
@@ -260,6 +256,18 @@ def main(argv: list[str] | None = None) -> int:
     )
     if args.command == "tag" and not args.strip and not (args.src and args.tgt):
         parser.error("tag requires --src and --tgt (or --strip)")
+    if args.command == "preprocess":
+        forward = args.normalize or args.to_devanagari or args.tokenize
+        reverse = args.detokenize or args.from_devanagari
+        if forward and reverse:
+            parser.error("forward and reverse operations cannot be combined")
+        if not (forward or reverse):
+            parser.error("nothing to do: pass --tokenize, --to-devanagari, ...")
+    if args.command == "evaluate":
+        if args.metric == "cosine" and not (args.emb_a and args.emb_b):
+            parser.error("cosine needs --emb-a and --emb-b")
+        if args.metric != "cosine" and not (args.hyp and args.ref):
+            parser.error(f"{args.metric} needs --hyp and --ref")
     try:
         return args.func(args)
     except (MultibridgeError, OSError) as exc:

@@ -176,12 +176,12 @@ def load_config(path: str | Path) -> PipelineConfig:
     )
 
 
-def check_disjoint(dirs: Mapping[str, str | Path]) -> None:
-    """Raise :class:`ConfigError` if any two of the named directories are equal or nested."""
-    resolved = {name: Path(path).resolve() for name, path in dirs.items()}
-    for (name_a, dir_a), (name_b, dir_b) in combinations(resolved.items(), 2):
-        if dir_a.is_relative_to(dir_b) or dir_b.is_relative_to(dir_a):
-            raise ConfigError(f"{name_a!r} and {name_b!r} overlap: {dir_a} and {dir_b}; each needs its own directory")
+def check_disjoint(paths: Mapping[str, str | Path]) -> None:
+    """Raise :class:`ConfigError` if any two of the named paths, directories or files, are equal or nested."""
+    resolved = {name: Path(path).resolve() for name, path in paths.items()}
+    for (name_a, path_a), (name_b, path_b) in combinations(resolved.items(), 2):
+        if path_a.is_relative_to(path_b) or path_b.is_relative_to(path_a):
+            raise ConfigError(f"{name_a!r} and {name_b!r} overlap: {path_a} and {path_b}; each needs its own path")
 
 
 def validate_config(config: PipelineConfig) -> None:

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import TranslationDirection, iter_lines, parse_count, parse_floats, write_lines
+from .corpus import TranslationDirection, iter_lines, parse_count, parse_floats
 from .errors import EmptyCorpus, MultibridgeError
 from .languages import PIVOT
 from .tokenizers import tokenize_13a
@@ -229,7 +229,7 @@ class EmbeddingTable:
 
 
 def load_embeddings(path) -> EmbeddingTable:
-    """Read a TSV embedding file: header ``d n``, then ``id v1 ... vd`` rows."""
+    """Read an embedding file: header ``d n``, then ``id v1 ... vd`` rows, fields split on whitespace."""
     lines = iter_lines(path)
     header = next(lines, "").split()
     if len(header) != 2:
@@ -253,14 +253,6 @@ def load_embeddings(path) -> EmbeddingTable:
         raise MetricError(f"{path}: header says {n} rows, found {len(ids)}")
     matrix = np.asarray(rows, dtype=np.float64).reshape(len(ids), dim)
     return EmbeddingTable(ids, matrix)
-
-
-def save_embeddings(table: EmbeddingTable, path) -> None:
-    rows = (
-        "\t".join([str(sentence_id)] + [repr(float(x)) for x in row])
-        for sentence_id, row in zip(table.ids, table.matrix)
-    )
-    write_lines(path, [f"{table.dim} {len(table.ids)}", *rows])
 
 
 def cosine_batch(a: EmbeddingTable, b: EmbeddingTable) -> MetricScore:

@@ -201,65 +201,25 @@ def build_training_set(
     return entries
 
 
-def _write_training_set(
-    items: Iterable[tuple[TranslationDirection, BitextCorpus, str]],
-    seed: int,
-    out_dir: str | Path,
-) -> tuple[TrainingManifest, list[BitextCorpus]]:
-    """Write each direction's ``<src>-<tgt>.src``/``.tgt`` files plus ``manifest.json``."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    corpora = []
-    for direction, corpus, label in items:
-        prefix = direction.label()
-        write_bitext(corpus, out / f"{prefix}.src", out / f"{prefix}.tgt")
-        entries.append(ManifestEntry(direction, prefix, len(corpus), label))
-        corpora.append(corpus)
-    manifest = TrainingManifest(tuple(entries), seed)
-    save_manifest(manifest, out / "manifest.json")
-    return manifest, corpora
-
-
 def assemble_training_set(
     english_corpora: Iterable[BitextCorpus],
     mined_corpora: Mapping[tuple[str, str], BitextCorpus],
     plan: SamplingPlan,
     out_dir: str | Path,
 ) -> tuple[TrainingManifest, list[BitextCorpus]]:
-    """Materialize a training set: corpus files plus ``manifest.json``.
+    """Materialize a training set: ``<src>-<tgt>.src``/``.tgt`` files plus ``manifest.json``.
 
     Returns the manifest and the written corpora, in manifest order.
     """
-    return _write_training_set(build_training_set(english_corpora, mined_corpora, plan), plan.seed, out_dir)
-
-
-def sample_validation_corpora(
-    dev_corpora: Mapping[TranslationDirection, BitextCorpus],
-    fraction: float,
-    seed: int,
-) -> dict[TranslationDirection, BitextCorpus]:
-    """Per-direction uniform subsample of round(fraction * n) pairs, min 1."""
-    if not (0.0 < fraction <= 1.0):
-        raise SamplingError(f"fraction must be in (0, 1]: {fraction}")
-    sampled: dict[TranslationDirection, BitextCorpus] = {}
-    for direction in sorted(dev_corpora):
-        corpus = dev_corpora[direction]
-        # floor(x + 0.5): plain half-up rounding, pinned for portability.
-        k = max(1, math.floor(len(corpus) * fraction + 0.5))
-        sampled[direction] = sample_fraction(
-            corpus, k, derive_seed(seed, f"val:{direction.label()}")
-        )
-    return sampled
-
-
-def sample_validation(
-    dev_corpora: Mapping[TranslationDirection, BitextCorpus],
-    fraction: float,
-    seed: int,
-    out_dir: str | Path,
-) -> TrainingManifest:
-    """Write the validation subsample and its manifest; returns the manifest."""
-    sampled = sample_validation_corpora(dev_corpora, fraction, seed)
-    items = ((direction, corpus, "validation") for direction, corpus in sampled.items())
-    return _write_training_set(items, seed, out_dir)[0]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    entries = []
+    corpora = []
+    for direction, corpus, label in build_training_set(english_corpora, mined_corpora, plan):
+        prefix = direction.label()
+        write_bitext(corpus, out / f"{prefix}.src", out / f"{prefix}.tgt")
+        entries.append(ManifestEntry(direction, prefix, len(corpus), label))
+        corpora.append(corpus)
+    manifest = TrainingManifest(tuple(entries), plan.seed)
+    save_manifest(manifest, out / "manifest.json")
+    return manifest, corpora

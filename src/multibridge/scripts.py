@@ -5,9 +5,9 @@ script unification is a per-codepoint offset: Bengali U+0995 sits at the
 same block offset as Devanagari U+0915, and so on. The mapping is built
 per language as a pair of translation tables:
 
-* forward: every assigned codepoint of the language's block maps to the
-  Devanagari codepoint at the same offset (unassigned slots cannot occur
-  in real text and pass through untouched);
+* forward: every codepoint of the language's block that Unicode 14.0
+  assigns maps to the Devanagari codepoint at the same offset (unassigned
+  slots cannot occur in real text and pass through untouched);
 * reverse: the exact inverse; Devanagari codepoints whose positional
   counterpart is unassigned in the target script (e.g. OM has no Bengali
   slot) have no counterpart and trigger the unmappable policy.
@@ -25,24 +25,21 @@ from functools import lru_cache
 from .errors import MultibridgeError
 from .languages import BLOCK_SIZE, DEVANAGARI_BASE, Language, get_language
 
-QA_FAMILY_NUKTA = {
-    # Devanagari: letters with a precomposed nukta form.
-    "ऩ": "ऩ",
-    "ऱ": "ऱ",
-    "ऴ": "ऴ",
-    "क़": "क़",
-    "ख़": "ख़",
-    "ग़": "ग़",
-    "ज़": "ज़",
-    "ड़": "ड़",
-    "ढ़": "ढ़",
-    "फ़": "फ़",
-    "य़": "य़",
-}
-
 #: Per-script canonicalization of nukta sequences into precomposed forms.
 DEFAULT_CANONICALIZATIONS: dict[str, dict[str, str]] = {
-    "Devanagari": QA_FAMILY_NUKTA,
+    "Devanagari": {  # letters with a precomposed nukta form
+        "ऩ": "ऩ",
+        "ऱ": "ऱ",
+        "ऴ": "ऴ",
+        "क़": "क़",
+        "ख़": "ख़",
+        "ग़": "ग़",
+        "ज़": "ज़",
+        "ड़": "ड़",
+        "ढ़": "ढ़",
+        "फ़": "फ़",
+        "य़": "य़",
+    },
     "Bengali": {
         "ড়": "ড়",
         "ঢ়": "ঢ়",
@@ -66,6 +63,22 @@ DEFAULT_CANONICALIZATIONS: dict[str, dict[str, str]] = {
 #: blocks intentionally leave these slots unassigned): danda and double
 #: danda. They pass through both directions unchanged.
 SHARED_CODEPOINTS = frozenset({0x0964, 0x0965})
+
+#: The block offsets Unicode 14.0 assigns, per script: bit ``i`` is set when
+#: ``block_base + i`` is a character. Pinned here rather than read from the
+#: interpreter's database, which differs between Python versions, so the
+#: tables and every transliterated byte are the same on each of them.
+ASSIGNED_OFFSETS = {
+    "Bengali": 0x7fffffcfb080799ff3c5fdfffff99fef,
+    "Devanagari": 0xffffffffffffffffffffffffffffffff,
+    "Gujarati": 0xfe03ffcf00013bbff3edfdfffffbbfee,
+    "Gurmukhi": 0x007fffc05e023987d36dfdfffff987ee,
+    "Kannada": 0x0006ffcf60603ddff3effdfffffddfff,
+    "Malayalam": 0xffffffcffff0fddffffffffffffddfff,
+    "Oriya": 0x00ffffcfb0e0399ff3edfdfffff99fee,
+    "Tamil": 0x07ffffc000813dc7c3ffc718d63dc7ec,
+    "Telugu": 0xff80ffcf27603ddff3fffdfffffddfff,
+}
 
 
 class ScriptError(MultibridgeError):
@@ -105,20 +118,16 @@ def normalize_unicode(text: str, lang: str | None = None) -> str:
     return text
 
 
-def _is_assigned(cp: int) -> bool:
-    return unicodedata.category(chr(cp)) != "Cn"
-
-
 class ScriptMap:
     """Positional codepoint mapping between one Indic block and Devanagari."""
 
-    __slots__ = ("lang", "block_base", "forward", "reverse", "unmappable")
+    __slots__ = ("block_base", "forward", "reverse", "unmappable")
 
     def __init__(self, lang: Language):
         if not lang.is_indic:
             raise UnsupportedLanguage(f"{lang.code} has no Indic block to map")
-        self.lang = lang.code
         self.block_base = lang.block_base
+        assigned = ASSIGNED_OFFSETS[lang.script]
         forward: dict[int, int] = {}
         reverse: dict[int, int] = {}
         unmappable: set[int] = set()
@@ -127,7 +136,7 @@ class ScriptMap:
             deva_cp = DEVANAGARI_BASE + offset
             if deva_cp in SHARED_CODEPOINTS:
                 continue  # danda family: identity in both directions
-            if _is_assigned(src_cp):
+            if assigned >> offset & 1:
                 forward[src_cp] = deva_cp
                 reverse[deva_cp] = src_cp
             else:

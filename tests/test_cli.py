@@ -330,7 +330,14 @@ class TestPreprocess:
 
     def test_mixed_directions_rejected(self):
         proc = run_cli("preprocess", "--lang", "bn", "--tokenize", "--detokenize", stdin="x\n")
-        assert proc.returncode == 2
+        assert proc.returncode == 1
+        assert "forward and reverse operations cannot be combined" in proc.stderr and proc.stdout == ""
+
+    def test_no_operation_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["preprocess", "--lang", "bn"])
+        assert info.value.code == 1
+        assert "nothing to do" in capsys.readouterr().err
 
 
 class TestBpeCommands:
@@ -389,6 +396,28 @@ class TestBpeCommands:
         assert main([command, "--input", str(src), "--model", str(model)]) == 2
         assert "token 'lo@@w' contains the separator '@@'" in capsys.readouterr().err
         assert model.exists() == (command == "apply-bpe")
+
+
+    @pytest.mark.parametrize("outputs,inputs,flags", [
+        (["--vocab", "codes.txt"], ["train.txt"], "'--model' and '--vocab'"),
+        (["--vocab", "vocab.txt"], ["codes.txt"], "'--input' and '--model'"),
+        (["--vocab", "vocab.txt"], ["train.txt", "vocab.txt"], "'--input' and '--vocab'"),
+        ([], ["./codes.txt"], "'--input' and '--model'"),
+    ], ids=["vocab-is-model", "input-is-model", "input-is-vocab", "input-is-model-spelled-apart"])
+    def test_output_over_its_own_file_is_data_error(self, tmp_path, monkeypatch, capsys, outputs, inputs, flags):
+        monkeypatch.chdir(tmp_path)
+        for name in ("train.txt", "codes.txt", "vocab.txt"):
+            (tmp_path / name).write_text("low low lower\n")
+        assert main(["learn-bpe", "--min-freq", "1", "--input", *inputs, "--model", "codes.txt", *outputs]) == 2
+        assert f"{flags} overlap" in capsys.readouterr().err
+        assert all((tmp_path / name).read_text() == "low low lower\n" for name in ("train.txt", "codes.txt", "vocab.txt"))
+
+    def test_repeated_input_is_allowed(self, tmp_path):
+        train = tmp_path / "train.txt"
+        train.write_text("low low lower\n")
+        codes = tmp_path / "codes.txt"
+        assert main(["learn-bpe", "--min-freq", "1", "--input", str(train), str(train), "--model", str(codes)]) == 0
+        assert load_bpe(codes).merges
 
 
 class TestTagCommand:
@@ -452,6 +481,17 @@ class TestEvaluate:
         proc = run_cli("evaluate", "--metric", "cosine", "--emb-a", str(emb), "--emb-b", str(emb))
         assert proc.returncode == 0
         assert proc.stdout.split("\t")[1] == "100.0"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--metric", "bleu", "--hyp", "h.txt"], "bleu needs --hyp and --ref"),
+        (["--metric", "chrf2", "--ref", "r.txt"], "chrf2 needs --hyp and --ref"),
+        (["--metric", "cosine", "--emb-a", "a.tsv"], "cosine needs --emb-a and --emb-b"),
+    ], ids=["bleu", "chrf2", "cosine"])
+    def test_missing_input_flag_is_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as info:
+            main(["evaluate", *argv])
+        assert info.value.code == 1
+        assert message in capsys.readouterr().err
 
     def test_length_mismatch_is_data_error(self, tmp_path):
         hyp = tmp_path / "h.txt"

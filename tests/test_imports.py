@@ -1,10 +1,13 @@
 """numpy is imported by the evaluation layer only, on first use.
 
 Each case runs in a fresh interpreter, so no earlier import in the test
-session can hide an eager one.
+session can hide an eager one. The last test reads the source instead: it
+checks that something outside the tests uses every public name.
 """
 
+import ast
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -72,3 +75,58 @@ def test_unknown_name_raises_attribute_error():
             raise AssertionError("multibridge.no_such_name resolved")
         """
     )
+
+
+def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every identifier ``tree`` uses: names, attributes, imported names and string constants.
+
+    String constants count because some callers reach a function by name,
+    as in ``getattr(module, "name")``. The subtree ``skip`` is left out.
+    """
+    found: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_public_name_is_used_outside_tests():
+    # Each name in multibridge.__all__, and each public module-level def and
+    # class in src/multibridge, must be used outside its own definition: in
+    # src/ (the __init__.py re-export does not count), demos/, perfbench/ or
+    # README.md. A name only tests use is dead surface: delete it.
+    package = ROOT / "src" / "multibridge"
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exported = next(ast.literal_eval(node.value) for node in init.body if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets))
+    modules = {path: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
+    definitions = {name: None for name in exported}  # name -> (module, defining node)
+    for path, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                definitions[node.name] = (path, node)
+    outside = set()
+    for directory in ("demos", "perfbench"):
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            outside |= _references(ast.parse(path.read_text(encoding="utf-8")))
+    outside |= set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    unused = []
+    for name, definition in sorted(definitions.items()):
+        if name in outside:
+            continue
+        home, node = definition or (None, None)
+        if not any(name in _references(tree, node if path == home else None) for path, tree in modules.items()):
+            unused.append(name)
+    assert unused == [], f"public names nothing outside tests uses: {unused}"

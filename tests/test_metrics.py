@@ -23,7 +23,6 @@ from multibridge.metrics import (
     cosine_batch,
     load_embeddings,
     nway_compare,
-    save_embeddings,
 )
 
 from oracles import naive_bleu, naive_chrf2, naive_mean_cosine, naive_nway
@@ -186,9 +185,14 @@ class TestCosine:
 
 
 class TestEmbeddingFile:
+    @staticmethod
+    def _write(table, path):
+        rows = (" ".join([str(sid), *map(repr, row.tolist())]) for sid, row in zip(table.ids, table.matrix))
+        path.write_text("\n".join([f"{table.dim} {len(table.ids)}", *rows]) + "\n")
+
     def test_round_trip(self, tmp_path):
         table = _table([[0.25, -1.5, 3.0], [1.0, 2.0, -0.125]], ids=[10, 11])
-        save_embeddings(table, tmp_path / "e.tsv")
+        self._write(table, tmp_path / "e.tsv")
         loaded = load_embeddings(tmp_path / "e.tsv")
         assert loaded.ids == table.ids
         assert np.array_equal(loaded.matrix, table.matrix)

@@ -1,6 +1,7 @@
 import json
 import re
 import shutil
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,16 @@ class TestRunPipeline:
         assert sorted(got) == sorted(expected)
         for rel in expected:
             assert got[rel] == expected[rel], f"content differs: {rel}"
+
+    @pytest.mark.parametrize("order", permutations(json.loads((FIXTURE / "config.json").read_text())["languages"]),
+                             ids="-".join)
+    def test_language_order_does_not_change_the_tree(self, tmp_path, order):
+        work = tmp_path / "run"
+        shutil.copytree(FIXTURE, work)
+        doc = json.loads((work / "config.json").read_text())
+        (work / "config.json").write_text(json.dumps({**doc, "languages": list(order)}))
+        run_pipeline(load_config(work / "config.json"))
+        assert _tree(work / "out") == _tree(GOLDEN)
 
     def test_reruns_byte_identical(self, tmp_path):
         first = _tree(_run_fixture(tmp_path, "a"))

@@ -15,8 +15,6 @@ from multibridge.sampling import (
     assemble_training_set,
     build_training_set,
     sample_fraction,
-    sample_validation,
-    sample_validation_corpora,
     select_spanning_pairs,
     spans_all_languages,
 )
@@ -181,36 +179,3 @@ class TestAssembleTrainingSet:
         assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
         match, mismatch, errors = filecmp.cmpfiles(tmp_path / "a", tmp_path / "b", names, shallow=False)
         assert not mismatch and not errors
-
-
-class TestSampleValidation:
-    def _dev(self, n):
-        return {
-            TranslationDirection("bn", "hi"): _tiny_corpus("bn", "hi", n),
-            TranslationDirection("hi", "bn"): _tiny_corpus("hi", "bn", n),
-        }
-
-    def test_ten_percent_of_thousand(self):
-        sampled = sample_validation_corpora(self._dev(1000), 0.1, seed=2)
-        assert all(len(c) == 100 for c in sampled.values())
-
-    def test_full_fraction_preserves_order(self):
-        dev = self._dev(17)
-        sampled = sample_validation_corpora(dev, 1.0, seed=2)
-        for direction, corpus in sampled.items():
-            assert corpus.pairs == dev[direction].pairs
-
-    def test_minimum_one_pair(self):
-        sampled = sample_validation_corpora(self._dev(5), 0.1, seed=2)
-        assert all(len(c) == 1 for c in sampled.values())
-
-    def test_fraction_bounds(self):
-        with pytest.raises(SamplingError):
-            sample_validation_corpora(self._dev(5), 0.0, seed=2)
-        with pytest.raises(SamplingError):
-            sample_validation_corpora(self._dev(5), 1.5, seed=2)
-
-    def test_writes_manifest(self, tmp_path):
-        manifest = sample_validation(self._dev(40), 0.25, seed=3, out_dir=tmp_path)
-        assert all(e.count == 10 for e in manifest.entries)
-        verify_manifest(manifest, tmp_path)

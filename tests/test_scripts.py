@@ -4,12 +4,14 @@ import pytest
 
 from multibridge.languages import BLOCK_SIZE, REGISTRY, get_language
 from multibridge.scripts import (
+    ASSIGNED_OFFSETS,
     ScriptMap,
     UnmappableCodepoint,
     UnsupportedLanguage,
     from_devanagari,
     normalize_unicode,
     to_devanagari,
+    _script_map,
 )
 
 INDIC = [code for code, lang in REGISTRY.items() if lang.is_indic]
@@ -107,3 +109,39 @@ def test_forward_map_injective_on_block(code):
     base = get_language(code).block_base
     text = "".join(chr(base + offset) for offset in range(BLOCK_SIZE))
     assert len(to_devanagari(text, code)) == len(text)
+
+
+@pytest.fixture
+def fresh_tables():
+    _script_map.cache_clear()
+    yield
+    _script_map.cache_clear()
+
+
+def _tables(code):
+    smap = _script_map(code)
+    return smap.forward, smap.reverse, smap.unmappable
+
+
+def test_tables_ignore_the_interpreter_database(monkeypatch, fresh_tables):
+    # Unicode 15.0 assigns U+0CF3 (Kannada); Unicode 13.0 leaves U+0C3C
+    # (Telugu nukta) unassigned. Neither may change a table or an output.
+    pinned = {code: _tables(code) for code in INDIC}
+    category = unicodedata.category
+    other_version = {"\u0cf3": "Mc", "\u0c3c": "Cn"}
+    monkeypatch.setattr("multibridge.scripts.unicodedata.category", lambda ch: other_version.get(ch, category(ch)))
+    _script_map.cache_clear()
+    assert {code: _tables(code) for code in INDIC} == pinned
+    assert to_devanagari("\u0c95\u0cf3", "kn") == "\u0915\u0cf3"
+    assert to_devanagari("\u0c15\u0c3c", "te") == "\u0915\u093c"
+    with pytest.raises(UnmappableCodepoint):
+        from_devanagari("\u0915\u0973", "kn")
+
+
+@pytest.mark.skipif(unicodedata.unidata_version != "14.0.0", reason="the masks pin Unicode 14.0")
+def test_masks_equal_unicode_14_assignments():
+    assert set(ASSIGNED_OFFSETS) == {lang.script for lang in REGISTRY.values() if lang.is_indic}
+    for lang in REGISTRY.values():
+        if lang.is_indic:
+            assigned = [unicodedata.category(chr(lang.block_base + i)) != "Cn" for i in range(BLOCK_SIZE)]
+            assert [bool(ASSIGNED_OFFSETS[lang.script] >> i & 1) for i in range(BLOCK_SIZE)] == assigned, lang.script
