@@ -7,30 +7,26 @@ the input.
 
 from multibridge import (
     BitextCorpus,
-    SentencePair,
     build_pivot_index,
     extraction_stats,
     mine_all,
     normalize_pivot,
 )
 
-en_bn = BitextCorpus("en", "bn", (
-    SentencePair("good morning", "সুপ্রভাত"),
-    SentencePair("good morning", "শুভ সকাল"),        # second translation of the same pivot
-    SentencePair("the river is wide", "নদীটি প্রশস্ত"),
-    SentencePair("thank you", "ধন্যবাদ"),
-))
+# A corpus is two aligned columns: English texts, then their translations.
+en_bn = BitextCorpus(
+    "en", "bn",
+    ("good morning", "good morning", "the river is wide", "thank you"),
+    ("সুপ্রভাত", "শুভ সকাল", "নদীটি প্রশস্ত", "ধন্যবাদ"),  # "good morning" has two translations
+)
 
-en_hi = BitextCorpus("en", "hi", (
-    SentencePair("good  morning ", "सुप्रभात"),        # messy whitespace: still joins
-    SentencePair("the river is wide", "नदी चौड़ी है"),
-    SentencePair("see you tomorrow", "कल मिलते हैं"),
-))
+en_hi = BitextCorpus(
+    "en", "hi",
+    ("good  morning ", "the river is wide", "see you tomorrow"),  # messy whitespace: still joins
+    ("सुप्रभात", "नदी चौड़ी है", "कल मिलते हैं"),
+)
 
-en_ta = BitextCorpus("en", "ta", (
-    SentencePair("thank you", "நன்றி"),
-    SentencePair("the river is wide", "ஆறு அகலமானது"),
-))
+en_ta = BitextCorpus("en", "ta", ("thank you", "the river is wide"), ("நன்றி", "ஆறு அகலமானது"))
 
 print("join keys are normalized English sentences:")
 print("   ", repr(normalize_pivot("good  morning ")))
@@ -41,8 +37,8 @@ print(f"\nindex holds {len(index)} distinct pivot sentences")
 mined = mine_all(index, ["bn", "hi", "ta"])
 for (a, b), corpus in sorted(mined.items()):
     print(f"\nmined {a}-{b}: {len(corpus)} pairs")
-    for pair in corpus.pairs:
-        print(f"    {pair.src_text}  |||  {pair.tgt_text}")
+    for src_text, tgt_text in zip(corpus.src_texts, corpus.tgt_texts):
+        print(f"    {src_text}  |||  {tgt_text}")
 
 # "good morning" has two Bengali translations, so the bn-hi corpus gets
 # the full cross product: 2 pairs from that single pivot key.

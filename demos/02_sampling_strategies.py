@@ -7,7 +7,6 @@ prints exactly the same numbers.
 
 from multibridge import (
     BitextCorpus,
-    SentencePair,
     SampleFraction,
     SamplePairs,
     SamplingPlan,
@@ -26,21 +25,18 @@ print("11 selected pairs:", " ".join(f"{a}-{b}" for a, b in pairs))
 print("spans all ten languages:", spans_all_languages(pairs, LANGS))
 
 # -- capped per-pair sampling -------------------------------------------------
-big = BitextCorpus("bn", "hi", tuple(
-    SentencePair(f"bn sentence {i}", f"hi sentence {i}") for i in range(5000)
-))
+big = BitextCorpus("bn", "hi", tuple(f"bn sentence {i}" for i in range(5000)),
+                   tuple(f"hi sentence {i}" for i in range(5000)))
 sampled = sample_fraction(big, target_n=100, seed=12)
 print(f"\nsample_fraction: {len(big)} -> {len(sampled)} pairs (order-preserving subsequence)")
-print("first three kept:", [p.src_text for p in sampled.pairs[:3]])
+print("first three kept:", list(sampled.src_texts[:3]))
 
 again = sample_fraction(big, target_n=100, seed=12)
-print("same seed, same sample:", sampled.pairs == again.pairs)
+print("same seed, same sample:", sampled == again)
 
 # -- assembling a training set under each strategy ---------------------------
 def toy_corpus(a, b, n):
-    return BitextCorpus(a, b, tuple(
-        SentencePair(f"{a} line {i}", f"{b} line {i}") for i in range(n)
-    ))
+    return BitextCorpus(a, b, tuple(f"{a} line {i}" for i in range(n)), tuple(f"{b} line {i}" for i in range(n)))
 
 english = [toy_corpus("en", lang, 40) for lang in ("bn", "hi", "ta")]
 mined = {

@@ -36,7 +36,6 @@ from .config import PipelineConfig, load_config, validate_config
 from .corpus import (
     BitextCorpus,
     ManifestEntry,
-    SentencePair,
     TrainingManifest,
     TranslationDirection,
     load_bitext,
@@ -120,7 +119,6 @@ __all__ = [
     "SampleFraction",
     "SamplePairs",
     "SamplingPlan",
-    "SentencePair",
     "StatsMatrix",
     "TrainAll",
     "TrainingManifest",

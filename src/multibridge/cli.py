@@ -148,7 +148,7 @@ def _cmd_evaluate(args) -> int:
         hyps = list(iter_lines(args.hyp))
         refs = list(iter_lines(args.ref))
         n = len(hyps)
-        score = bleu(hyps, refs, args.tok) if args.metric == "bleu" else chrf2(hyps, refs)
+        score = bleu(hyps, refs, args.tok or "13a") if args.metric == "bleu" else chrf2(hyps, refs)
     print(f"{score.metric}\t{score.value:.1f}\t{score.signature}\t{n}")
     if args.json:
         doc = {"metric": score.metric, "value": score.value, "signature": score.signature, "n_sentences": n}
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--merges", type=int, default=DEFAULT_NUM_MERGES)
     p.add_argument("--min-freq", type=int, default=DEFAULT_MIN_FREQUENCY)
     p.add_argument("--merge-floor", type=int, default=DEFAULT_MERGE_FLOOR)
-    p.add_argument("--input", nargs="*", help="input files (default stdin)")
+    p.add_argument("--input", nargs="*", action="extend", help="input files, repeatable (default stdin)")
     p.add_argument("--model", required=True, help="codes file to write")
     p.add_argument("--vocab", help="vocabulary file to write")
     p.set_defaults(func=_cmd_learn_bpe)
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score hypotheses against references")
     p.add_argument("--metric", required=True, choices=["bleu", "chrf2", "cosine"])
-    p.add_argument("--tok", choices=["13a", "none"], default="13a")
+    p.add_argument("--tok", choices=["13a", "none"], help="bleu's tokenization (default 13a)")
     p.add_argument("--hyp")
     p.add_argument("--ref")
     p.add_argument("--emb-a")
@@ -268,6 +268,10 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("cosine needs --emb-a and --emb-b")
         if args.metric != "cosine" and not (args.hyp and args.ref):
             parser.error(f"{args.metric} needs --hyp and --ref")
+        unread = {"bleu": ("emb_a", "emb_b"), "chrf2": ("tok", "emb_a", "emb_b"), "cosine": ("tok", "hyp", "ref")}
+        for name in unread[args.metric]:
+            if getattr(args, name) is not None:
+                parser.error(f"{args.metric} does not read --{name.replace('_', '-')}")
     try:
         return args.func(args)
     except (MultibridgeError, OSError) as exc:

@@ -1,4 +1,4 @@
-"""Sentence pairs, bitext corpora, training manifests, and the line-file format.
+"""Bitext corpora, training manifests, and the line-file format.
 
 Every text file the toolkit reads or writes line by line (bitext, BPE
 codes and vocabularies, embedding tables, stage outputs) goes through
@@ -70,45 +70,37 @@ class ManifestError(CorpusError):
     """A training manifest violates its invariants."""
 
 
-@dataclass(frozen=True, slots=True)
-class SentencePair:
-    """One aligned sentence pair. Texts are immutable and newline-free."""
-
-    src_text: str
-    tgt_text: str
-
-    def __post_init__(self) -> None:
-        for side, text in (("src", self.src_text), ("tgt", self.tgt_text)):
-            if not text.strip():
-                raise ValueError(f"{side} text is empty after trimming")
-            if "\n" in text or "\r" in text:
-                raise ValueError(f"{side} text contains a newline")
-
-    def swapped(self) -> "SentencePair":
-        return SentencePair(self.tgt_text, self.src_text)
-
-
 @dataclass(frozen=True)
 class BitextCorpus:
-    """An ordered sequence of sentence pairs between two fixed languages."""
+    """Two line-aligned text columns between two fixed languages: ``tgt_texts[i]`` translates ``src_texts[i]``.
+
+    Every text is non-blank and newline-free, and the columns have equal length.
+    """
 
     src_lang: str
     tgt_lang: str
-    pairs: tuple[SentencePair, ...]
+    src_texts: tuple[str, ...]
+    tgt_texts: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if self.src_lang == self.tgt_lang:
             raise ValueError(f"source and target language are both {self.src_lang!r}")
-        object.__setattr__(self, "pairs", tuple(self.pairs))
+        object.__setattr__(self, "src_texts", tuple(self.src_texts))  # no copy when already a tuple
+        object.__setattr__(self, "tgt_texts", tuple(self.tgt_texts))
+        if len(self.src_texts) != len(self.tgt_texts):
+            raise ValueError(f"{len(self.src_texts)} source texts vs {len(self.tgt_texts)} target texts")
+        for side, texts in (("src", self.src_texts), ("tgt", self.tgt_texts)):
+            for text in texts:
+                if not text.strip():
+                    raise ValueError(f"{side} text is empty after trimming")
+                if "\n" in text or "\r" in text:
+                    raise ValueError(f"{side} text contains a newline")
 
     def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self) -> Iterator[SentencePair]:
-        return iter(self.pairs)
+        return len(self.src_texts)
 
     def swapped(self) -> "BitextCorpus":
-        return BitextCorpus(self.tgt_lang, self.src_lang, tuple(p.swapped() for p in self.pairs))
+        return BitextCorpus(self.tgt_lang, self.src_lang, self.tgt_texts, self.src_texts)
 
 
 @dataclass(frozen=True, order=True)
@@ -209,14 +201,13 @@ def load_bitext(src_path: str | Path, tgt_path: str | Path, src_lang: str, tgt_l
     tgt_lines = _read_lines(tgt_path)
     if len(src_lines) != len(tgt_lines):
         raise LineCountMismatch(len(src_lines), len(tgt_lines))
-    pairs = tuple(SentencePair(s, t) for s, t in zip(src_lines, tgt_lines))
-    return BitextCorpus(src_lang, tgt_lang, pairs)
+    return BitextCorpus(src_lang, tgt_lang, src_lines, tgt_lines)
 
 
 def write_bitext(corpus: BitextCorpus, src_path: str | Path, tgt_path: str | Path) -> None:
     """Write a corpus as two line-aligned files; inverse of :func:`load_bitext`."""
-    write_lines(src_path, (pair.src_text for pair in corpus.pairs))
-    write_lines(tgt_path, (pair.tgt_text for pair in corpus.pairs))
+    write_lines(src_path, corpus.src_texts)
+    write_lines(tgt_path, corpus.tgt_texts)
 
 
 @dataclass(frozen=True)

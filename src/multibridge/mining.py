@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice, product
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import BitextCorpus, SentencePair
+from .corpus import BitextCorpus
 from .errors import MultibridgeError
 from .languages import PIVOT
 
@@ -93,8 +93,8 @@ def build_pivot_index(corpora: Iterable[BitextCorpus]) -> PivotIndex:
     """
     index: PivotIndex = {}
     for lang, corpus in check_orientation(corpora, {}).items():
-        for pair in corpus.pairs:
-            index.setdefault(normalize_pivot(pair.src_text), {}).setdefault(lang, set()).add(pair.tgt_text)
+        for english, text in zip(corpus.src_texts, corpus.tgt_texts):
+            index.setdefault(normalize_pivot(english), {}).setdefault(lang, set()).add(text)
     return index
 
 
@@ -145,7 +145,8 @@ def mine_pairs_detailed(
             # sentence that leaked into the corpus.
             if x != y:
                 kept[x, y] = None
-    return MiningOutcome(BitextCorpus(l1, l2, tuple(SentencePair(x, y) for x, y in kept)), raw, tuple(capped))
+    corpus = BitextCorpus(l1, l2, tuple(x for x, _ in kept), tuple(y for _, y in kept))
+    return MiningOutcome(corpus, raw, tuple(capped))
 
 
 def canonical_pair(l1: str, l2: str) -> tuple[str, str]:
@@ -217,26 +218,16 @@ class StatsMatrix:
 
 
 def extraction_stats(
-    english_corpora: Iterable[BitextCorpus],
-    mined: Mapping[tuple[str, str], BitextCorpus] | Mapping[tuple[str, str], MiningOutcome],
+    english_corpora: Iterable[BitextCorpus], mined: Mapping[tuple[str, str], BitextCorpus]
 ) -> StatsMatrix:
     """Build the statistics matrix from loaded corpora, over every language they hold.
 
-    Mined deduplicated counts populate the symmetric block; raw pre-dedup
-    counts are reported alongside when :class:`MiningOutcome` values are
-    supplied (whether published pair counts were taken before or after
-    deduplication varies, so both are kept visible).
+    Mined deduplicated counts populate the symmetric block. The raw-pair
+    section is left empty: only a run that has just mined knows those counts.
     """
-    corpora = {pair: value.corpus if isinstance(value, MiningOutcome) else value for pair, value in mined.items()}
-    english_counts = {lang: len(corpus) for lang, corpus in check_orientation(english_corpora, corpora).items()}
-    pair_counts = {pair: len(corpus) for pair, corpus in corpora.items()}
-    raw_counts = {pair: value.raw_pair_count for pair, value in mined.items() if isinstance(value, MiningOutcome)}
+    english_counts = {lang: len(corpus) for lang, corpus in check_orientation(english_corpora, mined).items()}
+    pair_counts = {pair: len(corpus) for pair, corpus in mined.items()}
     observed = set(english_counts)
     for pair in pair_counts:
         observed.update(pair)
-    return StatsMatrix(
-        tuple(sorted(observed)),
-        english_counts,
-        pair_counts,
-        raw_pair_counts=raw_counts or None,
-    )
+    return StatsMatrix(tuple(sorted(observed)), english_counts, pair_counts)

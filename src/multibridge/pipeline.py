@@ -18,7 +18,7 @@ import logging
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from itertools import combinations
 from pathlib import Path
@@ -139,8 +139,10 @@ def extract(english: Mapping[str, BitextCorpus], pairs: Iterable[tuple[str, str]
 
 def write_stats(english: Mapping[str, BitextCorpus], mined: Mapping[tuple[str, str], MiningOutcome],
                 mined_dir: Path) -> StatsMatrix:
-    """Write ``stats.tsv``, raw-pair section included, next to the mined corpora."""
-    stats = extraction_stats(english.values(), mined)
+    """Write ``stats.tsv`` next to the mined corpora, with the raw (pre-dedup) pair counts after the table."""
+    corpora = {pair: outcome.corpus for pair, outcome in mined.items()}
+    raw_counts = {pair: outcome.raw_pair_count for pair, outcome in mined.items()}
+    stats = replace(extraction_stats(english.values(), corpora), raw_pair_counts=raw_counts or None)
     write_text(mined_dir / "stats.tsv", stats.to_tsv())
     return stats
 
@@ -186,8 +188,8 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
         prep = cache(lambda lang, text: " ".join(preprocess_line(text, lang)))
         prep_lines: dict[tuple[str, str], list[str]] = {}
         for entry, corpus in zip(manifest.entries, corpora):
-            prep_lines[entry.path, "src"] = [prep(entry.direction.src, pair.src_text) for pair in corpus.pairs]
-            prep_lines[entry.path, "tgt"] = [prep(entry.direction.tgt, pair.tgt_text) for pair in corpus.pairs]
+            prep_lines[entry.path, "src"] = [prep(entry.direction.src, text) for text in corpus.src_texts]
+            prep_lines[entry.path, "tgt"] = [prep(entry.direction.tgt, text) for text in corpus.tgt_texts]
         for path, side in files:
             write_lines(config.preprocessed_dir / f"{path}.{side}", prep_lines[path, side])
         stages["preprocess"] = {"files": len(prep_lines)}

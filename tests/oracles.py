@@ -40,8 +40,8 @@ def nested_loop_mine(
 def corpus_observations(corpus, pivot: str = "en") -> list[tuple[str, str]]:
     """Flatten a bitext corpus into (english, other) observation tuples."""
     if corpus.src_lang == pivot:
-        return [(p.src_text, p.tgt_text) for p in corpus.pairs]
-    return [(p.tgt_text, p.src_text) for p in corpus.pairs]
+        return list(zip(corpus.src_texts, corpus.tgt_texts))
+    return list(zip(corpus.tgt_texts, corpus.src_texts))
 
 
 _13A_PUNCT = re.compile(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from multibridge.corpus import BitextCorpus, SentencePair
+from multibridge.corpus import BitextCorpus
 
 _EN_WORDS = (
     "the a this that cat dog house river mountain child teacher farmer "
@@ -70,7 +70,8 @@ def english_centric_fixture(
 
     corpora: dict[str, BitextCorpus] = {}
     for lang in languages:
-        pairs: list[SentencePair] = []
+        english: list[str] = []
+        texts: list[str] = []
         for sentence in english_pool:
             if rng.random() > overlap:
                 continue
@@ -82,11 +83,15 @@ def english_centric_fixture(
                     # normalization
                     stored = sentence.replace(" ", "  ", 1) + " "
                 translation = pseudo_translation(rng, lang)
-                pairs.append(SentencePair(stored, translation))
+                english.append(stored)
+                texts.append(translation)
                 if allow_duplicates and rng.random() < 0.1:
-                    pairs.append(SentencePair(stored, translation))
-        if not pairs:  # degenerate draw; corpora must be non-trivial
-            pairs.append(SentencePair(english_pool[0], pseudo_translation(rng, lang)))
-        rng.shuffle(pairs)
-        corpora[lang] = BitextCorpus("en", lang, tuple(pairs))
+                    english.append(stored)
+                    texts.append(translation)
+        if not english:  # degenerate draw; corpora must be non-trivial
+            english.append(english_pool[0])
+            texts.append(pseudo_translation(rng, lang))
+        order = list(range(len(english)))
+        rng.shuffle(order)  # one shuffle for both columns
+        corpora[lang] = BitextCorpus("en", lang, tuple(english[i] for i in order), tuple(texts[i] for i in order))
     return corpora

@@ -61,7 +61,7 @@ def test_pivot_mining_oracle_equivalence():
             expected = nested_loop_mine(
                 corpus_observations(corpora[a]), corpus_observations(corpora[b])
             )
-            got = {(p.src_text, p.tgt_text) for p in corpus.pairs}
+            got = set(zip(corpus.src_texts, corpus.tgt_texts))
             assert got == expected, f"fixture {i}, pair {a}-{b}"
             assert len(corpus) == len(expected), f"fixture {i}: duplicates in {a}-{b}"
         n_fixtures += 1
@@ -74,7 +74,7 @@ def test_pivot_mining_oracle_equivalence():
             expected = nested_loop_mine(
                 corpus_observations(corpora[a]), corpus_observations(corpora[b])
             )
-            assert {(p.src_text, p.tgt_text) for p in corpus.pairs} == expected
+            assert set(zip(corpus.src_texts, corpus.tgt_texts)) == expected
         n_fixtures += 1
     elapsed = time.monotonic() - started
     assert n_fixtures >= 50
@@ -124,12 +124,12 @@ def test_sampling_contracts(tmp_path):
     assert not mismatch and not errors
 
     train_all = {
-        d: set(c.pairs)
+        d: set(zip(c.src_texts, c.tgt_texts))
         for d, c, _ in build_training_set(corpora.values(), mined, SamplingPlan(TrainAll(), 11))
     }
     for strategy in (SamplePairs((("bn", "hi"), ("ta", "te"))), SampleFraction(target)):
         for d, c, _ in build_training_set(corpora.values(), mined, SamplingPlan(strategy, 11)):
-            assert set(c.pairs) <= train_all[d]
+            assert set(zip(c.src_texts, c.tgt_texts)) <= train_all[d]
 
 
 def test_bpe_learn_oracle_and_revert_identity():

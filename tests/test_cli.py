@@ -419,6 +419,17 @@ class TestBpeCommands:
         assert main(["learn-bpe", "--min-freq", "1", "--input", str(train), str(train), "--model", str(codes)]) == 0
         assert load_bpe(codes).merges
 
+    def test_repeated_input_flag_reads_every_file(self, tmp_path):
+        (tmp_path / "a.txt").write_text("low low lower\n")
+        (tmp_path / "b.txt").write_text("newest newest widest\n")
+        learn = ["learn-bpe", "--min-freq", "1", "--merges", "50"]
+        a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
+        assert main([*learn, "--input", a, "--input", b, "--model", str(tmp_path / "flags.txt")]) == 0
+        assert main([*learn, "--input", a, b, "--model", str(tmp_path / "list.txt")]) == 0
+        merges = load_bpe(tmp_path / "flags.txt").merges
+        assert merges == load_bpe(tmp_path / "list.txt").merges
+        assert ("l", "o") in merges  # only a.txt holds an "lo"
+
 
 class TestTagCommand:
     def test_tag_and_strip(self):
@@ -492,6 +503,24 @@ class TestEvaluate:
             main(["evaluate", *argv])
         assert info.value.code == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metric,flag", [
+        ("chrf2", "--tok"), ("cosine", "--tok"),
+        ("bleu", "--emb-a"), ("bleu", "--emb-b"), ("chrf2", "--emb-a"), ("chrf2", "--emb-b"),
+        ("cosine", "--hyp"), ("cosine", "--ref"),
+    ])
+    def test_flag_the_metric_does_not_read_is_usage_error(self, capsys, metric, flag):
+        inputs = ["--emb-a", "a.tsv", "--emb-b", "b.tsv"] if metric == "cosine" else ["--hyp", "h.txt", "--ref", "r.txt"]
+        with pytest.raises(SystemExit) as info:
+            main(["evaluate", "--metric", metric, *inputs, flag, "none" if flag == "--tok" else "x.txt"])
+        assert info.value.code == 1
+        assert f"{metric} does not read {flag}" in capsys.readouterr().err
+
+    def test_bleu_tokenizes_13a_by_default(self, tmp_path, capsys):
+        hyp = tmp_path / "h.txt"
+        hyp.write_text("hello, world\n")
+        assert main(["evaluate", "--metric", "bleu", "--hyp", str(hyp), "--ref", str(hyp)]) == 0
+        assert "+tok.13a+" in capsys.readouterr().out
 
     def test_length_mismatch_is_data_error(self, tmp_path):
         hyp = tmp_path / "h.txt"

@@ -17,7 +17,6 @@ from multibridge.corpus import (
     LineCountMismatch,
     ManifestEntry,
     ManifestError,
-    SentencePair,
     TrainingManifest,
     TranslationDirection,
     iter_lines,
@@ -37,25 +36,51 @@ def _write(path, content: bytes):
     return path
 
 
-class TestSentencePair:
-    def test_rejects_blank_sides(self):
-        with pytest.raises(ValueError):
-            SentencePair("  ", "ok")
-        with pytest.raises(ValueError):
-            SentencePair("ok", "\t")
-
-    def test_rejects_newlines(self):
-        with pytest.raises(ValueError):
-            SentencePair("a\nb", "ok")
-
-    def test_swapped(self):
-        assert SentencePair("a", "b").swapped() == SentencePair("b", "a")
-
-
 class TestBitextCorpus:
     def test_same_language_rejected(self):
         with pytest.raises(ValueError):
-            BitextCorpus("en", "en", ())
+            BitextCorpus("en", "en", (), ())
+
+    def test_rejects_blank_sides(self):
+        with pytest.raises(ValueError, match="^src text is empty after trimming$"):
+            BitextCorpus("en", "hi", ("  ",), ("ok",))
+        with pytest.raises(ValueError, match="^tgt text is empty after trimming$"):
+            BitextCorpus("en", "hi", ("ok",), ("\t",))
+
+    def test_rejects_newlines(self):
+        with pytest.raises(ValueError, match="^src text contains a newline$"):
+            BitextCorpus("en", "hi", ("a\nb",), ("ok",))
+
+    def test_rejects_unequal_columns(self):
+        with pytest.raises(ValueError, match="^2 source texts vs 1 target texts$"):
+            BitextCorpus("en", "hi", ("a", "b"), ("c",))
+
+    def test_swapped(self):
+        corpus = BitextCorpus("en", "hi", ("a",), ("b",))
+        assert corpus.swapped() == BitextCorpus("hi", "en", ("b",), ("a",))
+        assert corpus.swapped().src_texts is corpus.tgt_texts  # the columns are shared, not copied
+
+
+# Drawn texts, biased towards the edge cases: empty, whitespace-only
+# (Unicode spaces too), LF, CR, and the line breaks other than LF and CR
+# (U+2028, NEL), which a text may hold.
+_any_text = st.one_of(
+    st.sampled_from(["", " ", "\t", "\u3000", "\u2028", "a\x85b", "a\nb", "a\r", "\r\n", "ok", " ok "]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_any_text, max_size=5), st.lists(_any_text, max_size=5))
+def test_bitext_corpus_rejects_exactly_the_bad_texts_property(src, tgt):
+    bad = [text for text in src + tgt if all(map(str.isspace, text)) or "\n" in text or "\r" in text]
+    if bad or len(src) != len(tgt):
+        with pytest.raises(ValueError):
+            BitextCorpus("en", "hi", tuple(src), tuple(tgt))
+    else:
+        corpus = BitextCorpus("en", "hi", tuple(src), tuple(tgt))
+        assert corpus.swapped().swapped() == corpus
+        assert len(corpus) == len(src)
 
 
 class TestLoadBitext:
@@ -64,8 +89,8 @@ class TestLoadBitext:
         tgt = _write(tmp_path / "f.hi", "एक\nदो\nतीन\n".encode())
         corpus = load_bitext(src, tgt, "en", "hi")
         assert len(corpus) == 3
-        assert corpus.pairs[0] == SentencePair("one", "एक")
-        assert [p.src_text for p in corpus.pairs] == ["one", "two", "three"]
+        assert (corpus.src_texts[0], corpus.tgt_texts[0]) == ("one", "एक")
+        assert corpus.src_texts == ("one", "two", "three")
 
     def test_line_count_mismatch(self, tmp_path):
         src = _write(tmp_path / "f.en", b"one\ntwo\nthree\n")
@@ -107,7 +132,7 @@ class TestLoadBitext:
 
 class TestWriteBitext:
     def test_empty_corpus_round_trip(self, tmp_path):
-        corpus = BitextCorpus("en", "hi", ())
+        corpus = BitextCorpus("en", "hi", (), ())
         write_bitext(corpus, tmp_path / "e.en", tmp_path / "e.hi")
         assert (tmp_path / "e.en").read_bytes() == b""
         assert load_bitext(tmp_path / "e.en", tmp_path / "e.hi", "en", "hi") == corpus
@@ -115,7 +140,7 @@ class TestWriteBitext:
     def test_round_trip_non_ascii(self, tmp_path):
         corpus = BitextCorpus(
             "en", "bn",
-            (SentencePair("naïve café", "আমি ভাত খাই"), SentencePair("ok", "ঠিক আছে")),
+            ("naïve café", "ok"), ("আমি ভাত খাই", "ঠিক আছে"),
         )
         write_bitext(corpus, tmp_path / "c.en", tmp_path / "c.bn")
         loaded = load_bitext(tmp_path / "c.en", tmp_path / "c.bn", "en", "bn")
@@ -135,7 +160,7 @@ _text = st.text(
 @given(st.lists(st.tuples(_text, _text), min_size=0, max_size=20))
 def test_write_load_identity_property(tmp_path_factory, rows):
     tmp = tmp_path_factory.mktemp("bitext")
-    corpus = BitextCorpus("en", "ta", tuple(SentencePair(a, b) for a, b in rows))
+    corpus = BitextCorpus("en", "ta", tuple(a for a, _ in rows), tuple(b for _, b in rows))
     write_bitext(corpus, tmp / "x.en", tmp / "x.ta")
     assert load_bitext(tmp / "x.en", tmp / "x.ta", "en", "ta") == corpus
 
@@ -255,7 +280,7 @@ class TestManifest:
 
     def test_verify_against_disk(self, tmp_path):
         manifest = self._manifest()
-        corpus = BitextCorpus("en", "hi", (SentencePair("a", "b"), SentencePair("c", "d")))
+        corpus = BitextCorpus("en", "hi", ("a", "c"), ("b", "d"))
         write_bitext(corpus, tmp_path / "en-hi.src", tmp_path / "en-hi.tgt")
         write_bitext(corpus.swapped(), tmp_path / "hi-en.src", tmp_path / "hi-en.tgt")
         verify_manifest(manifest, tmp_path)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multibridge.corpus import BitextCorpus, SentencePair
+from multibridge.corpus import BitextCorpus
 from multibridge.mining import (
     MiningError,
     NonPivotCorpus,
@@ -25,7 +25,11 @@ from synth import english_centric_fixture
 
 
 def _corpus(src, tgt, rows):
-    return BitextCorpus(src, tgt, tuple(SentencePair(a, b) for a, b in rows))
+    return BitextCorpus(src, tgt, tuple(a for a, _ in rows), tuple(b for _, b in rows))
+
+
+def _rows(corpus):
+    return list(zip(corpus.src_texts, corpus.tgt_texts))
 
 
 class TestNormalizePivot:
@@ -110,7 +114,7 @@ class TestMinePairs:
             _corpus("en", "hi", [("hello", "H1"), ("bye", "H2")]),
         ])
         corpus = mine_pairs_detailed(index, "bn", "hi").corpus
-        assert [(p.src_text, p.tgt_text) for p in corpus.pairs] == [("B1", "H1")]
+        assert _rows(corpus) == [("B1", "H1")]
 
     def test_cross_product(self):
         index = build_pivot_index([
@@ -118,7 +122,7 @@ class TestMinePairs:
             _corpus("en", "hi", [("hello", "H1")]),
         ])
         corpus = mine_pairs_detailed(index, "bn", "hi").corpus
-        assert {(p.src_text, p.tgt_text) for p in corpus.pairs} == {("B1", "H1"), ("B2", "H1")}
+        assert set(_rows(corpus)) == {("B1", "H1"), ("B2", "H1")}
 
     def test_no_shared_keys(self):
         index = build_pivot_index([
@@ -132,7 +136,7 @@ class TestMinePairs:
             _corpus("en", "bn", [("hello", "same"), ("hello", "B1")]),
             _corpus("en", "hi", [("hello", "same")]),
         ])
-        assert {(p.src_text, p.tgt_text) for p in mine_pairs_detailed(index, "bn", "hi").corpus} == {("B1", "same")}
+        assert set(_rows(mine_pairs_detailed(index, "bn", "hi").corpus)) == {("B1", "same")}
 
     def test_global_dedup_across_keys(self):
         index = build_pivot_index([
@@ -154,8 +158,8 @@ class TestMinePairs:
         ]
         first = mine_pairs_detailed(build_pivot_index(corpora), "bn", "hi").corpus
         second = mine_pairs_detailed(build_pivot_index(list(reversed(corpora))), "bn", "hi").corpus
-        assert first.pairs == second.pairs
-        assert [(p.src_text, p.tgt_text) for p in first.pairs] == [
+        assert first == second
+        assert _rows(first) == [
             ("B1", "H1"), ("B0", "H2"), ("B0", "H9"), ("B2", "H2"), ("B2", "H9"),
         ]
 
@@ -183,7 +187,7 @@ class TestMinePairs:
         expected = nested_loop_mine(
             corpus_observations(corpora["bn"]), corpus_observations(corpora["hi"])
         )
-        assert {(p.src_text, p.tgt_text) for p in mined.pairs} == expected
+        assert set(_rows(mined)) == expected
         assert len(mined) == len(expected)  # no duplicates slipped through
 
     # Few keys and a four-word vocabulary shared by both languages: identical
@@ -199,7 +203,7 @@ class TestMinePairs:
         for cap in (None, 0, size, max(size - 1, 0)):
             outcome = mine_pairs_detailed(index, "bn", "hi", xprod_cap=cap)
             pairs, raw, capped = naive_capped_mine(index, "bn", "hi", cap)
-            assert [(p.src_text, p.tgt_text) for p in outcome.corpus.pairs] == pairs
+            assert _rows(outcome.corpus) == pairs
             assert outcome.raw_pair_count == raw
             assert outcome.capped_keys == capped
 
@@ -217,16 +221,15 @@ class TestMineAll:
         forward = mine_pairs_detailed(index, "bn", "hi", xprod_cap=None).corpus
         backward = mine_pairs_detailed(index, "hi", "bn", xprod_cap=None).corpus
         assert len(forward) == len(backward)
-        assert {(p.src_text, p.tgt_text) for p in forward.pairs} == {
-            (p.tgt_text, p.src_text) for p in backward.pairs
-        }
+        assert set(_rows(forward)) == set(zip(backward.tgt_texts, backward.src_texts))
 
     def test_monotonicity(self):
         base = english_centric_fixture(13, ["bn", "hi", "ta"], n_english=50)
         extra = english_centric_fixture(14, ["bn", "hi", "ta"], n_english=30)
         small = mine_all(build_pivot_index(base.values()), ["bn", "hi", "ta"], None)
         grown_corpora = [
-            BitextCorpus("en", lang, base[lang].pairs + extra[lang].pairs)
+            BitextCorpus("en", lang, base[lang].src_texts + extra[lang].src_texts,
+                         base[lang].tgt_texts + extra[lang].tgt_texts)
             for lang in ["bn", "hi", "ta"]
         ]
         grown = mine_all(build_pivot_index(grown_corpora), ["bn", "hi", "ta"], None)

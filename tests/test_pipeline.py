@@ -7,13 +7,13 @@ from pathlib import Path
 import pytest
 
 from multibridge import corpus, pipeline
-from multibridge.bpe import BpeSegmenter, learn_bpe, load_bpe
+from multibridge.bpe import BpeSegmenter, learn_bpe, load_bpe, revert_bpe
 from multibridge.cli import main
 from multibridge.config import load_config, parse_sampling, validate_config
 from multibridge.corpus import load_manifest
 from multibridge.errors import ConfigError
 from multibridge.pipeline import PipelineStageError, preprocess_line, run_pipeline
-from multibridge.tags import tag
+from multibridge.tags import tag, untag
 
 FIXTURE = Path(__file__).parent / "data" / "pipeline_fixture"
 GOLDEN = Path(__file__).parent / "data" / "pipeline_golden" / "out"
@@ -169,6 +169,21 @@ class TestComputeOnce:
         learned, fresh = BpeSegmenter(model), BpeSegmenter(loaded)
         for line in lines:
             assert learned.segment(line) == fresh.segment(line)
+
+    def test_final_lines_revert_to_preprocessed_lines(self, tmp_path):
+        # Every final line, untagged (.src only) and BPE-reverted, is its prep/ line again.
+        prep = _run_fixture(tmp_path, "round_trip") / "prep"
+        finals = sorted((prep / "final").iterdir())
+        assert {path.suffix for path in finals} == {".src", ".tgt"}
+        for path in finals:
+            reverted = []
+            for line in corpus.iter_lines(path):
+                tokens = line.split()
+                if path.suffix == ".src":
+                    src, tgt, tokens = untag(tokens)
+                    assert f"{src}-{tgt}" == path.stem
+                reverted.append(" ".join(revert_bpe(tokens)))
+            assert reverted == list(corpus.iter_lines(prep / path.name)), path.name
 
     def test_final_files_equal_tag_of_segmented_files(self, tmp_path):
         # "<skipped>" tokenizes to nothing, so one payload is empty.

@@ -2,7 +2,7 @@ import filecmp
 
 import pytest
 
-from multibridge.corpus import BitextCorpus, SentencePair, TranslationDirection, load_manifest, verify_manifest
+from multibridge.corpus import BitextCorpus, TranslationDirection, load_manifest, verify_manifest
 from multibridge.mining import NonPivotCorpus, build_pivot_index, mine_all
 from multibridge.sampling import (
     InfeasibleSpan,
@@ -32,8 +32,8 @@ PUBLISHED_PAIRS = [
 
 
 def _tiny_corpus(src, tgt, n, prefix=""):
-    pairs = tuple(SentencePair(f"{prefix}{src}{i}", f"{prefix}{tgt}{i}") for i in range(n))
-    return BitextCorpus(src, tgt, pairs)
+    return BitextCorpus(src, tgt, tuple(f"{prefix}{src}{i}" for i in range(n)),
+                        tuple(f"{prefix}{tgt}{i}" for i in range(n)))
 
 
 class TestSpanning:
@@ -83,16 +83,16 @@ class TestSampleFraction:
         corpus = _tiny_corpus("bn", "hi", 1000)
         sampled = sample_fraction(corpus, 100, seed=1)
         assert len(sampled) == 100
-        positions = [int(p.src_text[2:]) for p in sampled.pairs]
+        positions = [int(text[2:]) for text in sampled.src_texts]
         assert positions == sorted(positions)  # order preserved
-        assert set(sampled.pairs) <= set(corpus.pairs)
+        assert set(zip(sampled.src_texts, sampled.tgt_texts)) <= set(zip(corpus.src_texts, corpus.tgt_texts))
 
     def test_seed_determinism_and_sensitivity(self):
         corpus = _tiny_corpus("bn", "hi", 1000)
-        base = sample_fraction(corpus, 100, seed=7).pairs
-        assert sample_fraction(corpus, 100, seed=7).pairs == base
+        base = sample_fraction(corpus, 100, seed=7)
+        assert sample_fraction(corpus, 100, seed=7) == base
         distinct = sum(
-            1 for s in range(20) if sample_fraction(corpus, 100, seed=s).pairs != base
+            1 for s in range(20) if sample_fraction(corpus, 100, seed=s) != base
         )
         assert distinct >= 19  # different seeds virtually always differ
 
@@ -121,7 +121,7 @@ class TestBuildTrainingSet:
         entries = {d: c for d, c, _ in build_training_set(corpora.values(), mined, plan)}
         fwd = entries[TranslationDirection("bn", "hi")]
         bwd = entries[TranslationDirection("hi", "bn")]
-        assert [p.swapped() for p in fwd.pairs] == list(bwd.pairs)
+        assert (fwd.tgt_texts, fwd.src_texts) == (bwd.src_texts, bwd.tgt_texts)
 
     def test_missing_corpus(self):
         corpora, mined = _mined_fixture()
@@ -153,12 +153,12 @@ class TestBuildTrainingSet:
     def test_subset_of_train_all(self):
         corpora, mined = _mined_fixture()
         all_entries = {
-            d: set(c.pairs)
+            d: set(zip(c.src_texts, c.tgt_texts))
             for d, c, _ in build_training_set(corpora.values(), mined, SamplingPlan(TrainAll(), 5))
         }
         for strategy in (SamplePairs((("bn", "hi"),)), SampleFraction(7)):
             for d, c, label in build_training_set(corpora.values(), mined, SamplingPlan(strategy, 5)):
-                assert set(c.pairs) <= all_entries[d], (strategy, d, label)
+                assert set(zip(c.src_texts, c.tgt_texts)) <= all_entries[d], (strategy, d, label)
 
 
 class TestAssembleTrainingSet:
