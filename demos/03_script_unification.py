@@ -7,7 +7,7 @@ vocabulary serve all ten languages.
 
 from multibridge import from_devanagari, normalize_unicode, to_devanagari, tokenize
 from multibridge.languages import REGISTRY
-from multibridge.scripts import UnmappableCodepoint
+from multibridge.scripts import ScriptError
 
 SENTENCES = {
     "bn": "আমি ভাত খাই।",
@@ -34,7 +34,7 @@ print("\nnukta canonicalization:", repr(decomposed), "->", repr(normalize_unicod
 # default; that usually means the model emitted something untranslatable.
 try:
     from_devanagari("ॐ", "bn")  # OM
-except UnmappableCodepoint as exc:
+except ScriptError as exc:
     print("\nunmappable codepoint surfaces early:", exc)
 print("pass-through policy instead:", from_devanagari("ॐ", "bn", on_unmappable="pass"))
 

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import iter_lines, parse_count, write_lines
-from .errors import EmptyCorpus, MultibridgeError
+from .errors import MultibridgeError
 
 SEPARATOR = "@@"
 END_OF_WORD = "</w>"
@@ -39,11 +39,7 @@ DEFAULT_MERGE_FLOOR = 2
 
 
 class BpeError(MultibridgeError):
-    """Base class for BPE errors."""
-
-
-class DanglingContinuation(BpeError):
-    """A subword stream ends with a continuation token."""
+    """Every BPE error: bad training input, model file or subword stream; the message says which."""
 
 
 @dataclass(frozen=True)
@@ -150,7 +146,7 @@ def learn_bpe(
     else:
         token_counts = Counter(_iter_tokens(token_stream))
     if not token_counts:
-        raise EmptyCorpus("no tokens to learn from")
+        raise BpeError("no tokens to learn from")
 
     words = [_word_symbols(token) for token in token_counts]
     freqs = list(token_counts.values())
@@ -334,7 +330,7 @@ def revert_bpe(subwords: Sequence[str]) -> list[str]:
             tokens.append("".join(buffer))
             buffer = []
     if buffer:
-        raise DanglingContinuation("subword stream ends mid-word (trailing @@)")
+        raise BpeError("subword stream ends mid-word (trailing @@)")
     return tokens
 
 

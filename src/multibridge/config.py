@@ -51,7 +51,6 @@ class PipelineConfig:
     bpe_num_merges: int
     bpe_min_frequency: int
     xprod_cap: int | None
-    seed: int
 
 
 def raw_paths(raw_dir: Path, lang: str) -> tuple[Path, Path]:
@@ -172,7 +171,6 @@ def load_config(path: str | Path) -> PipelineConfig:
         bpe_num_merges=_int(bpe, "num_merges", DEFAULT_NUM_MERGES, "bpe.", 0),
         bpe_min_frequency=_int(bpe, "min_frequency", DEFAULT_MIN_FREQUENCY, "bpe.", 0),
         xprod_cap=cap or None,
-        seed=seed,
     )
 
 

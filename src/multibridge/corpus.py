@@ -26,48 +26,7 @@ from .errors import MultibridgeError
 
 
 class CorpusError(MultibridgeError):
-    """Base class for corpus data errors."""
-
-
-class LineCountMismatch(CorpusError):
-    """The two sides of a bitext have different line counts."""
-
-    def __init__(self, n_src: int, n_tgt: int):
-        super().__init__(f"line count mismatch: {n_src} source lines vs {n_tgt} target lines")
-        self.n_src = n_src
-        self.n_tgt = n_tgt
-
-
-class InvalidUtf8(CorpusError):
-    """A line could not be decoded as UTF-8."""
-
-    def __init__(self, path: str | Path, line_no: int):
-        super().__init__(f"{path}:{line_no}: invalid UTF-8")
-        self.line_no = line_no
-
-
-class CarriageReturn(CorpusError):
-    """A line contains a CR, as CRLF files do; lines must end in a bare LF."""
-
-    def __init__(self, path: str | Path, line_no: int):
-        super().__init__(f"{path}:{line_no}: carriage return (CRLF line ending?); lines must end in LF")
-        self.line_no = line_no
-
-
-class EmptyLine(CorpusError):
-    """A line is empty or whitespace-only."""
-
-    def __init__(self, path: str | Path, line_no: int):
-        super().__init__(f"{path}:{line_no}: empty or whitespace-only line")
-        self.line_no = line_no
-
-
-class IoFailure(CorpusError):
-    """Reading or writing a corpus file failed at the OS level."""
-
-
-class ManifestError(CorpusError):
-    """A training manifest violates its invariants."""
+    """Every corpus error: bad line files, bitext or manifests; the message names the file and line if any."""
 
 
 @dataclass(frozen=True)
@@ -123,9 +82,9 @@ def decode_line(raw: bytes, path: str | Path, line_no: int) -> str:
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError:
-        raise InvalidUtf8(path, line_no) from None
+        raise CorpusError(f"{path}:{line_no}: invalid UTF-8") from None
     if "\r" in text:
-        raise CarriageReturn(path, line_no)
+        raise CorpusError(f"{path}:{line_no}: carriage return (CRLF line ending?); lines must end in LF")
     return text
 
 
@@ -137,7 +96,7 @@ def iter_lines(path: str | Path | None = None) -> Iterator[str]:
             for line_no, raw in enumerate(f, start=1):
                 yield decode_line(raw.removesuffix(b"\n"), name, line_no)
     except OSError as exc:
-        raise IoFailure(f"cannot read {name}: {exc}") from exc
+        raise CorpusError(f"cannot read {name}: {exc}") from exc
 
 
 def parse_count(text: str, path: str | Path, line_no: int, error: type[MultibridgeError]) -> int:
@@ -174,7 +133,7 @@ def write_text(path: str | Path, text: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write(text)
     except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+        raise CorpusError(f"cannot write {path}: {exc}") from exc
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
@@ -187,7 +146,7 @@ def _read_lines(path: str | Path) -> list[str]:
     lines = list(iter_lines(path))
     for line_no, text in enumerate(lines, start=1):
         if not text.strip():
-            raise EmptyLine(path, line_no)
+            raise CorpusError(f"{path}:{line_no}: empty or whitespace-only line")
     return lines
 
 
@@ -200,7 +159,7 @@ def load_bitext(src_path: str | Path, tgt_path: str | Path, src_lang: str, tgt_l
     src_lines = _read_lines(src_path)
     tgt_lines = _read_lines(tgt_path)
     if len(src_lines) != len(tgt_lines):
-        raise LineCountMismatch(len(src_lines), len(tgt_lines))
+        raise CorpusError(f"line count mismatch: {len(src_lines)} source lines vs {len(tgt_lines)} target lines")
     return BitextCorpus(src_lang, tgt_lang, src_lines, tgt_lines)
 
 
@@ -233,7 +192,7 @@ class TrainingManifest:
         object.__setattr__(self, "entries", tuple(self.entries))
         directions = [e.direction for e in self.entries]
         if len(set(directions)) != len(directions):
-            raise ManifestError("duplicate directions in manifest")
+            raise CorpusError("duplicate directions in manifest")
 
     def total_pairs(self) -> int:
         return sum(e.count for e in self.entries)
@@ -257,13 +216,13 @@ def save_manifest(manifest: TrainingManifest, path: str | Path) -> None:
 
 
 def load_manifest(path: str | Path) -> TrainingManifest:
-    """Load a manifest written by :func:`save_manifest`; any other content is a :class:`ManifestError`."""
+    """Load a manifest written by :func:`save_manifest`; any other content is a :class:`CorpusError`."""
     try:
         doc = json.loads(Path(path).read_bytes())
     except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+        raise CorpusError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise ManifestError(f"{path}: invalid JSON: {exc}") from None
+        raise CorpusError(f"{path}: invalid JSON: {exc}") from None
 
     def field(table: object, key: str, kind: type):
         value = table.get(key) if isinstance(table, dict) else None
@@ -278,8 +237,8 @@ def load_manifest(path: str | Path) -> TrainingManifest:
             for item in field(doc, "entries", list)
         )
         return TrainingManifest(entries, field(doc, "seed", int))
-    except (ValueError, ManifestError) as exc:
-        raise ManifestError(f"{path}: {exc}") from None
+    except (ValueError, CorpusError) as exc:
+        raise CorpusError(f"{path}: {exc}") from None
 
 
 def verify_manifest(manifest: TrainingManifest, base_dir: str | Path) -> None:
@@ -294,7 +253,7 @@ def verify_manifest(manifest: TrainingManifest, base_dir: str | Path) -> None:
             file_path = base / (entry.path + suffix)
             n = len(_read_lines(file_path))
             if n != entry.count:
-                raise ManifestError(
+                raise CorpusError(
                     f"{file_path}: {n} lines on disk but manifest says {entry.count}"
                 )
 

@@ -12,7 +12,3 @@ class MultibridgeError(Exception):
 
 class ConfigError(MultibridgeError):
     """A pipeline configuration is invalid or references missing paths."""
-
-
-class EmptyCorpus(MultibridgeError):
-    """No tokens were supplied to learn BPE from, or no segments to score."""

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import TranslationDirection, iter_lines, parse_count, parse_floats
-from .errors import EmptyCorpus, MultibridgeError
+from .errors import MultibridgeError
 from .languages import PIVOT
 from .tokenizers import tokenize_13a
 from .version import __version__
@@ -46,19 +46,7 @@ METRIC_ORDER = ("bleu", "chrf2", "cosine", "tset_sim")
 
 
 class MetricError(MultibridgeError):
-    """Base class for evaluation errors."""
-
-
-class LengthMismatch(MetricError):
-    """Hypothesis and reference lists have different lengths."""
-
-
-class DimensionMismatch(MetricError):
-    """Embedding tables disagree on dimension or sentence ids."""
-
-
-class ZeroNormVector(MetricError):
-    """An embedding has zero norm, so cosine similarity is undefined."""
+    """Every evaluation error: mismatched or empty inputs, bad embedding files or scores."""
 
 
 @dataclass(frozen=True)
@@ -92,9 +80,9 @@ class EvalReport:
 
 def _check_streams(hypotheses: Sequence[str], references: Sequence[str]) -> None:
     if len(hypotheses) != len(references):
-        raise LengthMismatch(f"{len(hypotheses)} hypotheses vs {len(references)} references")
+        raise MetricError(f"{len(hypotheses)} hypotheses vs {len(references)} references")
     if not hypotheses:
-        raise EmptyCorpus("nothing to score")
+        raise MetricError("nothing to score")
 
 
 def _clipped_ngram_stats(symbols: np.ndarray, lengths: list[int], max_order: int) -> list[tuple[int, int, int]]:
@@ -258,18 +246,18 @@ def load_embeddings(path) -> EmbeddingTable:
 def cosine_batch(a: EmbeddingTable, b: EmbeddingTable) -> MetricScore:
     """Mean per-sentence cosine similarity between two tables, x100."""
     if a.dim != b.dim:
-        raise DimensionMismatch(f"dimension {a.dim} vs {b.dim}")
+        raise MetricError(f"dimension {a.dim} vs {b.dim}")
     if set(a.ids) != set(b.ids):
-        raise DimensionMismatch("embedding tables cover different sentence ids")
+        raise MetricError("embedding tables cover different sentence ids")
     if not a.ids:
-        raise EmptyCorpus("empty embedding tables")
+        raise MetricError("empty embedding tables")
     # Both tables in sentence-id order, compared as Python ints so ids past int64 stay exact.
     mat_a = a.matrix[np.argsort(np.array(a.ids, dtype=object))]
     mat_b = b.matrix[np.argsort(np.array(b.ids, dtype=object))]
     norms_a = np.linalg.norm(mat_a, axis=1)
     norms_b = np.linalg.norm(mat_b, axis=1)
     if np.any(norms_a == 0) or np.any(norms_b == 0):
-        raise ZeroNormVector("zero-norm embedding encountered")
+        raise MetricError("zero-norm embedding encountered")
     cosines = np.sum(mat_a * mat_b, axis=1) / (norms_a * norms_b)
     value = 100.0 * float(np.mean(cosines))
     value = max(-100.0, min(100.0, value))  # guard rounding at the boundary

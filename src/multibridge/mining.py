@@ -31,19 +31,7 @@ DEFAULT_XPROD_CAP = 64
 
 
 class MiningError(MultibridgeError):
-    """Base class for pivot-mining errors."""
-
-
-class NonPivotCorpus(MiningError):
-    """A corpus breaks the orientation rule of :func:`check_orientation`; the message says which."""
-
-    def __init__(self, src_lang: str, tgt_lang: str, rule: str):
-        super().__init__(f"corpus {src_lang}-{tgt_lang}: {rule}")
-        self.direction = (src_lang, tgt_lang)
-
-
-class PivotLanguageRequested(MiningError):
-    """Mining was asked to extract the pivot language itself."""
+    """Every pivot-mining error, including a corpus that breaks the orientation rule."""
 
 
 def normalize_pivot(text: str) -> str:
@@ -68,21 +56,23 @@ def check_orientation(
     English-centric corpora must be en->xx, one per language, and each mined
     corpus must be between two non-English languages, keyed by its own
     ``(src_lang, tgt_lang)`` in canonical order. Anything else is a
-    :class:`NonPivotCorpus` naming the corpus.
+    :class:`MiningError` naming the corpus and the rule it broke.
     """
     english: dict[str, BitextCorpus] = {}
     for corpus in english_corpora:
+        name = f"corpus {corpus.src_lang}-{corpus.tgt_lang}"
         if corpus.src_lang != PIVOT:
-            raise NonPivotCorpus(corpus.src_lang, corpus.tgt_lang, f"English-centric corpora must be {PIVOT}-xx")
+            raise MiningError(f"{name}: English-centric corpora must be {PIVOT}-xx")
         if corpus.tgt_lang in english:
-            raise NonPivotCorpus(PIVOT, corpus.tgt_lang, "given twice; English-centric corpora are one per language")
+            raise MiningError(f"{name}: given twice; English-centric corpora are one per language")
         english[corpus.tgt_lang] = corpus
     for key, corpus in mined.items():
         own = (corpus.src_lang, corpus.tgt_lang)
+        name = f"corpus {corpus.src_lang}-{corpus.tgt_lang}"
         if PIVOT in own:
-            raise NonPivotCorpus(*own, f"mined corpora are xx-yy, with no {PIVOT} side")
+            raise MiningError(f"{name}: mined corpora are xx-yy, with no {PIVOT} side")
         if key != own or own != canonical_pair(*own):
-            raise NonPivotCorpus(*own, f"keyed {key!r}, not by its own languages in canonical order")
+            raise MiningError(f"{name}: keyed {key!r}, not by its own languages in canonical order")
     return english
 
 
@@ -121,7 +111,7 @@ def mine_pairs_detailed(
     lexicographic within each cross product, so output is deterministic.
     """
     if PIVOT in (l1, l2):
-        raise PivotLanguageRequested(f"cannot mine the pivot language {PIVOT!r}")
+        raise MiningError(f"cannot mine the pivot language {PIVOT!r}")
     if l1 == l2:
         raise MiningError(f"cannot mine a language against itself: {l1!r}")
     if xprod_cap is not None and xprod_cap < 0:
@@ -164,7 +154,7 @@ def mine_all(
     """Mine every unordered pair among ``languages``."""
     langs = list(dict.fromkeys(languages))
     if PIVOT in langs:
-        raise PivotLanguageRequested(f"language list includes the pivot {PIVOT!r}")
+        raise MiningError(f"language list includes the pivot {PIVOT!r}")
     if len(langs) < 2:
         raise MiningError("need at least two non-pivot languages to mine pairs")
     return {(a, b): mine_pairs_detailed(index, a, b, xprod_cap).corpus for a, b in combinations(sorted(langs), 2)}

@@ -236,7 +236,7 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
         stages["tag"] = {"directions": len(manifest.entries)}
 
     report = RunReport(stages, manifest, stats)
-    report_path = config.preprocessed_dir / "run_report.json"
-    write_text(report_path, json.dumps({"seed": config.seed, "stages": stages}, indent=2, sort_keys=True) + "\n")
+    record = {"seed": config.sampling.seed, "stages": stages}
+    write_text(config.preprocessed_dir / "run_report.json", json.dumps(record, indent=2, sort_keys=True) + "\n")
     return report
 

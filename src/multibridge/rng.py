@@ -99,9 +99,12 @@ class Xoshiro256StarStar:
         """
         if k > n:
             raise ValueError(f"cannot sample {k} of {n}")
-        indices = list(range(n))
-        # Partial Fisher-Yates: only the first k slots need settling.
+        # Partial Fisher-Yates over range(n): only the first k slots need
+        # settling, and only displaced slots are stored, so memory grows with k, not n.
+        moved: dict[int, int] = {}
+        chosen = []
         for i in range(k):
             j = i + self.randbelow(n - i)
-            indices[i], indices[j] = indices[j], indices[i]
-        return sorted(indices[:k])
+            chosen.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+        return sorted(chosen)

@@ -38,19 +38,7 @@ DEFAULT_PER_PAIR_TARGET = 100_000
 
 
 class SamplingError(MultibridgeError):
-    """Base class for sampling errors."""
-
-
-class InfeasibleSpan(SamplingError):
-    """Too few pairs requested to cover every language."""
-
-
-class MissingCorpus(SamplingError):
-    """A sampling plan references a language pair that was never mined."""
-
-    def __init__(self, pair: tuple[str, str]):
-        super().__init__(f"no mined corpus for pair {pair[0]}-{pair[1]}")
-        self.pair = pair
+    """Every sampling error: an infeasible plan or a pair that was never mined."""
 
 
 @dataclass(frozen=True)
@@ -117,7 +105,7 @@ def select_spanning_pairs(languages: Sequence[str], n_pairs: int, seed: int) -> 
         raise SamplingError("need at least two languages to form pairs")
     min_pairs = math.ceil(len(langs) / 2)
     if n_pairs < min_pairs:
-        raise InfeasibleSpan(
+        raise SamplingError(
             f"{n_pairs} pairs cover at most {2 * n_pairs} languages; {len(langs)} languages need >= {min_pairs}"
         )
     max_pairs = len(langs) * (len(langs) - 1) // 2
@@ -176,7 +164,7 @@ def build_training_set(
             if PIVOT in pair:
                 raise SamplingError(f"sample-pairs list may not include the pivot: {pair}")
             if pair not in mined_corpora:
-                raise MissingCorpus(pair)
+                raise SamplingError(f"no mined corpus for pair {pair[0]}-{pair[1]}")
         selected = {pair: mined_corpora[pair] for pair in plan.strategy.pairs}
     elif isinstance(plan.strategy, SampleFraction):
         target = plan.strategy.per_pair_target

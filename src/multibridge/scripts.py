@@ -82,20 +82,7 @@ ASSIGNED_OFFSETS = {
 
 
 class ScriptError(MultibridgeError):
-    """Base class for script-processing errors."""
-
-
-class UnsupportedLanguage(ScriptError):
-    """Transliteration was requested for a non-Indic or unknown language."""
-
-
-class UnmappableCodepoint(ScriptError):
-    """A Devanagari codepoint has no counterpart in the target script."""
-
-    def __init__(self, char: str, lang: str):
-        super().__init__(f"U+{ord(char):04X} ({unicodedata.name(char, '?')}) has no {lang} counterpart")
-        self.char = char
-        self.lang = lang
+    """Every script-processing error: a language with no Indic block, or an unmappable codepoint."""
 
 
 def normalize_unicode(text: str, lang: str | None = None) -> str:
@@ -125,7 +112,7 @@ class ScriptMap:
 
     def __init__(self, lang: Language):
         if not lang.is_indic:
-            raise UnsupportedLanguage(f"{lang.code} has no Indic block to map")
+            raise ScriptError(f"{lang.code} has no Indic block to map")
         self.block_base = lang.block_base
         assigned = ASSIGNED_OFFSETS[lang.script]
         forward: dict[int, int] = {}
@@ -167,7 +154,7 @@ def from_devanagari(text: str, lang: str, on_unmappable: str = "error") -> str:
     """Exact inverse of :func:`to_devanagari` on its image.
 
     A Devanagari codepoint with no counterpart in ``lang``'s script raises
-    :class:`UnmappableCodepoint` by default (surfacing corrupt model output
+    :class:`ScriptError` by default (surfacing corrupt model output
     early); pass ``on_unmappable="pass"`` to let such codepoints through.
     """
     if on_unmappable not in ("error", "pass"):
@@ -178,5 +165,5 @@ def from_devanagari(text: str, lang: str, on_unmappable: str = "error") -> str:
     if on_unmappable == "error" and smap.unmappable:
         for ch in text:
             if ord(ch) in smap.unmappable:
-                raise UnmappableCodepoint(ch, lang)
+                raise ScriptError(f"U+{ord(ch):04X} ({unicodedata.name(ch, '?')}) has no {lang} counterpart")
     return text.translate(smap.reverse)

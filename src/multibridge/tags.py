@@ -21,15 +21,7 @@ _TAG_CORE = re.compile(r"__(?:src|tgt)_[a-z]{2}__")
 
 
 class TagError(MultibridgeError):
-    """Base class for tagging errors."""
-
-
-class ReservedTokenInPayload(TagError):
-    """The payload already contains a tag-shaped token."""
-
-
-class MalformedTags(TagError):
-    """A sequence does not start with a valid src tag followed by a tgt tag."""
+    """Every tagging error: a reserved token in the payload, or missing or malformed tags."""
 
 
 def src_tag(lang: str) -> str:
@@ -51,21 +43,21 @@ def tag(tokens: Sequence[str], src: str, tgt: str) -> list[str]:
     if _TAG_CORE.search(" ".join(tokens)):
         for token in tokens:
             if is_tag_token(token):
-                raise ReservedTokenInPayload(f"payload contains reserved token {token!r}")
+                raise TagError(f"payload contains reserved token {token!r}")
     return [src_tag(src), tgt_tag(tgt), *tokens]
 
 
 def untag(tokens: Sequence[str]) -> tuple[str, str, list[str]]:
     """Strip the two leading tags; inverse of :func:`tag`, so both codes must be in the language table."""
     if len(tokens) < 2:
-        raise MalformedTags("sequence shorter than the two leading tags")
+        raise TagError("sequence shorter than the two leading tags")
     src_match = TAG_PATTERN.match(tokens[0])
     tgt_match = TAG_PATTERN.match(tokens[1])
     if src_match is None or src_match.group(1) != "src":
-        raise MalformedTags(f"expected a __src_xx__ tag first, got {tokens[0]!r}")
+        raise TagError(f"expected a __src_xx__ tag first, got {tokens[0]!r}")
     if tgt_match is None or tgt_match.group(1) != "tgt":
-        raise MalformedTags(f"expected a __tgt_yy__ tag second, got {tokens[1]!r}")
+        raise TagError(f"expected a __tgt_yy__ tag second, got {tokens[1]!r}")
     src, tgt = src_match.group(2), tgt_match.group(2)
     if get_language(src) == get_language(tgt):
-        raise MalformedTags(f"source and target tags agree on {src!r}")
+        raise TagError(f"source and target tags agree on {src!r}")
     return src, tgt, list(tokens[2:])

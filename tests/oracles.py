@@ -51,6 +51,15 @@ _13A_DIGIT_DASH = re.compile(r"([0-9])(-)")
 _WS = re.compile(r"\s+")
 
 
+def naive_sample_indices(gen, n: int, k: int) -> list[int]:
+    """Partial Fisher-Yates over a full ``list(range(n))``, drawing from ``gen.randbelow``; sorted first k slots."""
+    indices = list(range(n))
+    for i in range(k):
+        j = i + gen.randbelow(n - i)
+        indices[i], indices[j] = indices[j], indices[i]
+    return sorted(indices[:k])
+
+
 def naive_tokenize_13a(line: str) -> str:
     """mteval-v13a as a chain of regex substitutions, every rule on every line."""
     norm = line.replace("<skipped>", "")

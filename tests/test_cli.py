@@ -1,5 +1,6 @@
 """The CLI surfaces every external interface; exercise them like a user."""
 
+import glob
 import json
 import re
 import shlex
@@ -610,3 +611,15 @@ def _readme_cli_commands() -> list[list[str]]:
 def test_readme_cli_examples_parse(words):
     assert words[0] == "multibridge"
     cli.build_parser().parse_args(words[1:])
+
+
+def test_readme_learn_bpe_example_runs_on_a_run_tree(tmp_path, monkeypatch):
+    # The glob must pick the preprocessed files of a `run` tree, not its
+    # BPE-segmented `*.bpe.src` files, whose `@@` tokens learn-bpe rejects.
+    shutil.copytree(GOLDEN / "prep", tmp_path / "prep")
+    monkeypatch.chdir(tmp_path)
+    words = next(words for words in _readme_cli_commands() if words[1] == "learn-bpe")
+    expand = {word: sorted(glob.glob(word)) for word in words if "*" in word or "?" in word}
+    assert [len(paths) for paths in expand.values()] == [12]  # one file per direction of the fixture run
+    assert main([path for word in words[1:] for path in expand.get(word, [word])]) == 0
+    assert Path("codes.txt").is_file() and Path("vocab.txt").is_file()

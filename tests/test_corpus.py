@@ -9,14 +9,8 @@ from hypothesis import strategies as st
 
 from multibridge.corpus import (
     BitextCorpus,
-    CarriageReturn,
     CorpusError,
-    EmptyLine,
-    InvalidUtf8,
-    IoFailure,
-    LineCountMismatch,
     ManifestEntry,
-    ManifestError,
     TrainingManifest,
     TranslationDirection,
     iter_lines,
@@ -95,23 +89,23 @@ class TestLoadBitext:
     def test_line_count_mismatch(self, tmp_path):
         src = _write(tmp_path / "f.en", b"one\ntwo\nthree\n")
         tgt = _write(tmp_path / "f.hi", b"a\nb\nc\nd\n")
-        with pytest.raises(LineCountMismatch) as exc:
+        with pytest.raises(CorpusError) as exc:
             load_bitext(src, tgt, "en", "hi")
-        assert (exc.value.n_src, exc.value.n_tgt) == (3, 4)
+        assert str(exc.value) == "line count mismatch: 3 source lines vs 4 target lines"
 
     def test_whitespace_only_line(self, tmp_path):
         src = _write(tmp_path / "f.en", b"one\n   \nthree\n")
         tgt = _write(tmp_path / "f.hi", b"a\nb\nc\n")
-        with pytest.raises(EmptyLine) as exc:
+        with pytest.raises(CorpusError) as exc:
             load_bitext(src, tgt, "en", "hi")
-        assert exc.value.line_no == 2
+        assert str(exc.value) == f"{src}:2: empty or whitespace-only line"
 
     def test_invalid_utf8(self, tmp_path):
         src = _write(tmp_path / "f.en", b"ok\n\xff\xfe broken\n")
         tgt = _write(tmp_path / "f.hi", b"a\nb\n")
-        with pytest.raises(InvalidUtf8) as exc:
+        with pytest.raises(CorpusError) as exc:
             load_bitext(src, tgt, "en", "hi")
-        assert exc.value.line_no == 2
+        assert str(exc.value) == f"{src}:2: invalid UTF-8"
 
     @pytest.mark.parametrize(
         "content", [b"one\ntwo\r\nthree\n", b"one\ntwo\rmore\nthree\n"], ids=["crlf", "lone-cr"]
@@ -119,10 +113,9 @@ class TestLoadBitext:
     def test_carriage_return_is_a_typed_error(self, tmp_path, content):
         src = _write(tmp_path / "f.en", content)
         tgt = _write(tmp_path / "f.hi", b"a\nb\nc\n")
-        with pytest.raises(CarriageReturn) as exc:
+        with pytest.raises(CorpusError) as exc:
             load_bitext(src, tgt, "en", "hi")
-        assert exc.value.line_no == 2
-        assert str(exc.value).startswith(f"{src}:2: carriage return")
+        assert str(exc.value) == f"{src}:2: carriage return (CRLF line ending?); lines must end in LF"
 
     def test_missing_trailing_newline_ok(self, tmp_path):
         src = _write(tmp_path / "f.en", b"one\ntwo")
@@ -203,7 +196,7 @@ class TestLineFormat:
         assert list(iter_lines(tmp_path / "f")) == ["a\u2028b\x00\x0c\x1c\x85c", "\ufeffd"]
 
     def test_missing_file_is_io_failure(self, tmp_path):
-        with pytest.raises(IoFailure):
+        with pytest.raises(CorpusError, match=f"^cannot read {re.escape(str(tmp_path / 'missing'))}: "):
             list(iter_lines(tmp_path / "missing"))
 
 
@@ -236,7 +229,7 @@ class TestManifest:
 
     def test_duplicate_directions_rejected(self):
         entry = ManifestEntry(TranslationDirection("en", "hi"), "en-hi", 2, "x")
-        with pytest.raises(ManifestError):
+        with pytest.raises(CorpusError, match="^duplicate directions in manifest$"):
             TrainingManifest((entry, entry), seed=1)
 
     def test_json_round_trip(self, tmp_path):
@@ -267,7 +260,7 @@ class TestManifest:
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
-        with pytest.raises(ManifestError, match=re.escape(str(path))):
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: "):
             load_manifest(path)
 
     @pytest.mark.parametrize("content", [b'{"entries": [], "seed": "\xff"}', b'{"entries": [], "seed": 1', b"[]"],
@@ -275,7 +268,7 @@ class TestManifest:
     def test_malformed_document_is_manifest_error(self, tmp_path, content):
         path = tmp_path / "m.json"
         path.write_bytes(content)
-        with pytest.raises(ManifestError, match=re.escape(str(path))):
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: "):
             load_manifest(path)
 
     def test_verify_against_disk(self, tmp_path):
@@ -285,5 +278,6 @@ class TestManifest:
         write_bitext(corpus.swapped(), tmp_path / "hi-en.src", tmp_path / "hi-en.tgt")
         verify_manifest(manifest, tmp_path)
         (tmp_path / "hi-en.src").write_text("only one line\n")
-        with pytest.raises(ManifestError):
+        short = re.escape(str(tmp_path / "hi-en.src"))
+        with pytest.raises(CorpusError, match=f"^{short}: 1 lines on disk but manifest says 2$"):
             verify_manifest(manifest, tmp_path)

@@ -1,11 +1,13 @@
 """numpy is imported by the evaluation layer only, on first use.
 
 Each case runs in a fresh interpreter, so no earlier import in the test
-session can hide an eager one. The last test reads the source instead: it
-checks that something outside the tests uses every public name.
+session can hide an eager one. The last two tests read the source instead:
+they check that something outside the tests uses every public name, and
+that the exception hierarchy stays one error type per layer.
 """
 
 import ast
+import builtins
 import os
 import re
 import subprocess
@@ -130,3 +132,38 @@ def test_every_public_name_is_used_outside_tests():
         if not any(name in _references(tree, node if path == home else None) for path, tree in modules.items()):
             unused.append(name)
     assert unused == [], f"public names nothing outside tests uses: {unused}"
+
+
+def _handled(tree: ast.AST) -> set[str]:
+    """Every name an ``except`` clause of ``tree`` catches, bare or as a module attribute."""
+    return {part.id if isinstance(part, ast.Name) else part.attr
+            for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler) and node.type is not None
+            for part in ast.walk(node.type) if isinstance(part, (ast.Name, ast.Attribute))}
+
+
+def test_every_exception_class_is_a_layer_error():
+    # Every exception class in src/multibridge is MultibridgeError or a
+    # direct subclass of it: one error type per layer, whose message says
+    # what went wrong. A deeper subclass stays only if another module tells
+    # it apart in an except clause in src/ or perfbench/; tests and demos
+    # do not count, and neither does a re-wrap inside its own module.
+    package = ROOT / "src" / "multibridge"
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in [*sorted(package.glob("*.py")), *sorted((ROOT / "perfbench").rglob("*.py"))]}
+    classes = {node.name: (path, [base.id if isinstance(base, ast.Name) else base.attr for base in node.bases
+                                  if isinstance(base, (ast.Name, ast.Attribute))])
+               for path, tree in trees.items() if path.is_relative_to(package)
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+    def is_exception(name: str) -> bool:
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type):
+            return issubclass(builtin, BaseException)
+        return name in classes and any(map(is_exception, classes[name][1]))
+
+    handled = {path: _handled(tree) for path, tree in trees.items()}
+    deep = [name for name, (home, bases) in sorted(classes.items())
+            if is_exception(name) and name != "MultibridgeError" and bases != ["MultibridgeError"]
+            and not any(name in names for path, names in handled.items() if path != home)]
+    assert "MultibridgeError" in classes
+    assert deep == [], f"exception classes below a layer error that no other module catches: {deep}"

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import shutil
 from itertools import permutations
@@ -52,6 +53,33 @@ class TestRunPipeline:
         (work / "config.json").write_text(json.dumps({**doc, "languages": list(order)}))
         run_pipeline(load_config(work / "config.json"))
         assert _tree(work / "out") == _tree(GOLDEN)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_raw_line_order_only_reorders_the_english_centric_files(self, tmp_path, seed):
+        # Shuffle the lines of each en-xx.en/en-xx.xx pair jointly. Mining,
+        # statistics, the BPE model and every xx-yy direction must not move;
+        # each en-xx/xx-en file must be the golden file's lines in the new order.
+        work = tmp_path / "run"
+        shutil.copytree(FIXTURE, work)
+        rng = random.Random(seed)
+        orders = {}
+        for lang in json.loads((work / "config.json").read_text())["languages"]:
+            paths = [work / "raw" / f"en-{lang}.en", work / "raw" / f"en-{lang}.{lang}"]
+            columns = [path.read_bytes().removesuffix(b"\n").split(b"\n") for path in paths]
+            orders[lang] = rng.sample(range(len(columns[0])), len(columns[0]))
+            for path, lines in zip(paths, columns):
+                path.write_bytes(b"".join(lines[i] + b"\n" for i in orders[lang]))
+        run_pipeline(load_config(work / "config.json"))
+        got, golden = _tree(work / "out"), _tree(GOLDEN)
+        assert sorted(got) == sorted(golden)
+        centric = {rel: match.group(1) or match.group(2)
+                   for rel in golden if (match := re.fullmatch(r"(?:en-(\w\w)|(\w\w)-en)\..*", Path(rel).name))}
+        assert len(centric) == 48  # sampled/, prep/ (plain and .bpe) and prep/final/, both sides of six directions
+        for rel, expected in golden.items():
+            if rel in centric:
+                lines = expected.removesuffix(b"\n").split(b"\n")
+                expected = b"".join(lines[i] + b"\n" for i in orders[centric[rel]])
+            assert got[rel] == expected, f"content differs: {rel}"
 
     def test_reruns_byte_identical(self, tmp_path):
         first = _tree(_run_fixture(tmp_path, "a"))

@@ -3,8 +3,12 @@
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multibridge.rng import MASK64, Xoshiro256StarStar, derive_seed, fnv1a64, splitmix64_mix
+
+from oracles import naive_sample_indices
 
 # Golden vectors generated from the public reference C implementations of
 # splitmix64 and xoshiro256** (state seeded with four splitmix64 outputs).
@@ -79,6 +83,23 @@ def test_sample_indices_sorted_subset():
 
 def test_sample_indices_full_range():
     assert Xoshiro256StarStar(1).sample_indices(5, 5) == [0, 1, 2, 3, 4]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, MASK64), st.integers(1, 400).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+@example(seed=0, nk=(1, 0))
+@example(seed=0, nk=(1, 1))
+@example(seed=3, nk=(300, 0))
+@example(seed=3, nk=(300, 300))
+@example(seed=3, nk=(300, 299))
+def test_sample_indices_equals_dense_shuffle_oracle(seed, nk):
+    # The dict of displaced slots makes the same draws as shuffling a full
+    # list(range(n)), so both return the same indices and leave the
+    # generator in the same state.
+    n, k = nk
+    gen, oracle_gen = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    assert gen.sample_indices(n, k) == naive_sample_indices(oracle_gen, n, k)
+    assert gen.next_u64() == oracle_gen.next_u64()
 
 
 def test_derive_seed_stable_and_label_sensitive():

@@ -3,10 +3,8 @@ import filecmp
 import pytest
 
 from multibridge.corpus import BitextCorpus, TranslationDirection, load_manifest, verify_manifest
-from multibridge.mining import NonPivotCorpus, build_pivot_index, mine_all
+from multibridge.mining import MiningError, build_pivot_index, mine_all
 from multibridge.sampling import (
-    InfeasibleSpan,
-    MissingCorpus,
     SampleFraction,
     SamplePairs,
     SamplingError,
@@ -44,7 +42,7 @@ class TestSpanning:
         assert select_spanning_pairs(["bn", "hi"], 1, seed=0) == [("bn", "hi")]
 
     def test_pigeonhole_infeasible(self):
-        with pytest.raises(InfeasibleSpan):
+        with pytest.raises(SamplingError, match="^4 pairs cover at most 8 languages; 10 languages need >= 5$"):
             select_spanning_pairs(INDIC_10, 4, seed=0)
 
     def test_too_many_pairs_rejected(self):
@@ -126,19 +124,19 @@ class TestBuildTrainingSet:
     def test_missing_corpus(self):
         corpora, mined = _mined_fixture()
         plan = SamplingPlan(SamplePairs((("bn", "te"),)), seed=5)
-        with pytest.raises(MissingCorpus):
+        with pytest.raises(SamplingError, match="^no mined corpus for pair bn-te$"):
             build_training_set(corpora.values(), mined, plan)
 
     def test_reversed_mined_keys_rejected(self):
         corpora, mined = _mined_fixture()
         flipped = {(b, a): corpus.swapped() for (a, b), corpus in mined.items()}
-        with pytest.raises(NonPivotCorpus, match=r"^corpus hi-bn: keyed \('hi', 'bn'\), not by its own languages"):
+        with pytest.raises(MiningError, match=r"^corpus hi-bn: keyed \('hi', 'bn'\), not by its own languages"):
             build_training_set(corpora.values(), flipped, SamplingPlan(TrainAll(), seed=5))
 
     def test_mismatched_corpus_languages_rejected(self):
         corpora, mined = _mined_fixture()
         bad = {("bn", "te"): mined[("bn", "hi")]}
-        with pytest.raises(NonPivotCorpus, match=r"^corpus bn-hi: keyed \('bn', 'te'\)"):
+        with pytest.raises(MiningError, match=r"^corpus bn-hi: keyed \('bn', 'te'\)"):
             build_training_set(corpora.values(), bad, SamplingPlan(TrainAll(), 5))
 
     def test_sample_fraction_totals(self):

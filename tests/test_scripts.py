@@ -5,9 +5,8 @@ import pytest
 from multibridge.languages import BLOCK_SIZE, REGISTRY, get_language
 from multibridge.scripts import (
     ASSIGNED_OFFSETS,
+    ScriptError,
     ScriptMap,
-    UnmappableCodepoint,
-    UnsupportedLanguage,
     from_devanagari,
     normalize_unicode,
     to_devanagari,
@@ -63,7 +62,7 @@ class TestToDevanagari:
         assert to_devanagari("abc ক 123!", "bn") == "abc क 123!"
 
     def test_unsupported_language(self):
-        with pytest.raises(UnsupportedLanguage):
+        with pytest.raises(ScriptError, match="^en has no Indic block to map$"):
             to_devanagari("hello", "en")
         with pytest.raises(Exception):
             to_devanagari("hello", "zz")
@@ -83,7 +82,7 @@ class TestFromDevanagari:
 
     def test_unmappable_raises_by_default(self):
         # OM (U+0950) has no slot in the Bengali block (U+09D0 unassigned).
-        with pytest.raises(UnmappableCodepoint):
+        with pytest.raises(ScriptError, match=r"^U\+0950 \(DEVANAGARI OM\) has no bn counterpart$"):
             from_devanagari("ॐ", "bn")
 
     def test_unmappable_passthrough_policy(self):
@@ -134,7 +133,7 @@ def test_tables_ignore_the_interpreter_database(monkeypatch, fresh_tables):
     assert {code: _tables(code) for code in INDIC} == pinned
     assert to_devanagari("\u0c95\u0cf3", "kn") == "\u0915\u0cf3"
     assert to_devanagari("\u0c15\u0c3c", "te") == "\u0915\u093c"
-    with pytest.raises(UnmappableCodepoint):
+    with pytest.raises(ScriptError, match=r"^U\+0973 \(DEVANAGARI LETTER OE\) has no kn counterpart$"):
         from_devanagari("\u0915\u0973", "kn")
 
 

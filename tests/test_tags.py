@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from multibridge.bpe import learn_bpe, apply_bpe
 from multibridge.languages import UnknownLanguage
 from multibridge.tags import (
-    MalformedTags,
-    ReservedTokenInPayload,
     TagError,
     is_tag_token,
     src_tag,
@@ -28,7 +26,7 @@ class TestTag:
         assert tag([], "bn", "ta") == ["__src_bn__", "__tgt_ta__"]
 
     def test_reserved_token_rejected(self):
-        with pytest.raises(ReservedTokenInPayload):
+        with pytest.raises(TagError, match="^payload contains reserved token '__tgt_hi__'$"):
             tag(["x", "__tgt_hi__"], "en", "hi")
 
     def test_same_language_rejected(self):
@@ -50,8 +48,10 @@ class TestUntag:
         assert untag(tag([], "en", "ta")) == ("en", "ta", [])
 
     def test_wrong_order(self):
-        with pytest.raises(MalformedTags):
+        with pytest.raises(TagError, match="^expected a __src_xx__ tag first, got '__tgt_hi__'$"):
             untag(["__tgt_hi__", "__src_en__", "x"])
+        with pytest.raises(TagError, match="^expected a __tgt_yy__ tag second, got '__src_hi__'$"):
+            untag(["__src_en__", "__src_hi__", "x"])
 
     @pytest.mark.parametrize("tokens", [["__src_zz__", "__tgt_hi__", "a"], ["__src_bn__", "__tgt_xx__"]])
     def test_code_outside_language_table_rejected(self, tokens):
@@ -59,10 +59,14 @@ class TestUntag:
             untag(tokens)
 
     def test_missing_tags(self):
-        with pytest.raises(MalformedTags):
+        with pytest.raises(TagError, match="^expected a __src_xx__ tag first, got 'plain'$"):
             untag(["plain", "tokens"])
-        with pytest.raises(MalformedTags):
+        with pytest.raises(TagError, match="^sequence shorter than the two leading tags$"):
             untag(["__src_en__"])
+
+    def test_same_language_tags_rejected(self):
+        with pytest.raises(TagError, match="^source and target tags agree on 'hi'$"):
+            untag(["__src_hi__", "__tgt_hi__", "x"])
 
 
 def test_is_tag_token():
@@ -102,7 +106,7 @@ def test_reserved_token_check_equals_per_token_oracle(tokens):
     if reserved is None:
         assert tag(tokens, "bn", "hi") == ["__src_bn__", "__tgt_hi__", *tokens]
     else:
-        with pytest.raises(ReservedTokenInPayload, match=re.escape(repr(reserved))):
+        with pytest.raises(TagError, match=f"^payload contains reserved token {re.escape(repr(reserved))}$"):
             tag(tokens, "bn", "hi")
 
 
