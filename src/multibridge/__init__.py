@@ -18,148 +18,51 @@ every direction among English and a set of Indic languages:
 Model training itself is out of scope; the pipeline produces the tagged,
 BPE-segmented training files a standard NMT toolkit consumes.
 
-The evaluation names load :mod:`multibridge.metrics`, and numpy with it, on
-first access, so the pipeline and the CLI's other subcommands never pay for
-numpy's import.
+Each public name imports its own module on first use, and so does
+``multibridge.<layer>`` for each layer in ``_EXPORTS`` below. So
+``import multibridge`` loads only :mod:`multibridge.version`, scoring loads
+no pipeline layer, and the pipeline never loads numpy.
 """
 
-from .bpe import (
-    BpeModel,
-    BpeSegmenter,
-    apply_bpe,
-    learn_bpe,
-    load_bpe,
-    revert_bpe,
-    save_bpe,
-)
-from .config import PipelineConfig, load_config, validate_config
-from .corpus import (
-    BitextCorpus,
-    ManifestEntry,
-    TrainingManifest,
-    TranslationDirection,
-    load_bitext,
-    load_manifest,
-    save_manifest,
-    verify_manifest,
-    write_bitext,
-)
-from .errors import ConfigError, MultibridgeError
-from .languages import Language, REGISTRY, get_language, indic_codes
-from .mining import (
-    MiningOutcome,
-    PivotIndex,
-    StatsMatrix,
-    build_pivot_index,
-    extraction_stats,
-    mine_all,
-    mine_pairs_detailed,
-    normalize_pivot,
-)
-from .pipeline import RunReport, preprocess_line, run_pipeline
-from .sampling import (
-    SampleFraction,
-    SamplePairs,
-    SamplingPlan,
-    TrainAll,
-    assemble_training_set,
-    build_training_set,
-    sample_fraction,
-    select_spanning_pairs,
-    spans_all_languages,
-)
-from .scripts import from_devanagari, normalize_unicode, to_devanagari
-from .tags import tag, untag
-from .tokenizers import detokenize, tokenize, tokenize_13a
+import sys
+
 from .version import __version__
 
-_METRICS_NAMES = frozenset({
-    "ComparisonTable",
-    "EmbeddingTable",
-    "EvalReport",
-    "MetricScore",
-    "bleu",
-    "chrf2",
-    "cosine_batch",
-    "load_embeddings",
-    "nway_compare",
-})
+#: Each layer module and the public names it defines.
+_EXPORTS = {
+    "bpe": ("BpeModel", "BpeSegmenter", "apply_bpe", "learn_bpe", "load_bpe", "revert_bpe", "save_bpe"),
+    "config": ("PipelineConfig", "load_config", "validate_config"),
+    "corpus": ("BitextCorpus", "ManifestEntry", "TrainingManifest", "TranslationDirection", "load_bitext",
+               "load_manifest", "save_manifest", "verify_manifest", "write_bitext"),
+    "errors": ("ConfigError", "MultibridgeError"),
+    "languages": ("Language", "REGISTRY", "get_language", "indic_codes"),
+    "metrics": ("ComparisonTable", "EmbeddingTable", "EvalReport", "MetricScore", "bleu", "chrf2",
+                "cosine_batch", "load_embeddings", "nway_compare"),
+    "mining": ("MiningOutcome", "PivotIndex", "StatsMatrix", "build_pivot_index", "extraction_stats", "mine_all",
+               "mine_pairs_detailed", "normalize_pivot"),
+    "pipeline": ("RunReport", "preprocess_line", "run_pipeline"),
+    "rng": (),
+    "sampling": ("SampleFraction", "SamplePairs", "SamplingPlan", "TrainAll", "assemble_training_set",
+                 "build_training_set", "sample_fraction", "select_spanning_pairs", "spans_all_languages"),
+    "scripts": ("from_devanagari", "normalize_unicode", "to_devanagari"),
+    "tags": ("tag", "untag"),
+    "tokenizers": ("detokenize", "tokenize", "tokenize_13a"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_HOME]
 
 
 def __getattr__(name: str):
-    if name in _METRICS_NAMES:
-        from . import metrics
-
-        return getattr(metrics, name)
+    if name in _EXPORTS:
+        __import__(f"{__name__}.{name}")  # also binds the submodule in globals()
+        return sys.modules[f"{__name__}.{name}"]
+    if name in _HOME:
+        value = getattr(__getattr__(_HOME[name]), name)
+        globals()[name] = value
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted(globals().keys() | _METRICS_NAMES)
-
-
-__all__ = [
-    "__version__",
-    "BitextCorpus",
-    "BpeModel",
-    "BpeSegmenter",
-    "ComparisonTable",
-    "ConfigError",
-    "EmbeddingTable",
-    "EvalReport",
-    "Language",
-    "ManifestEntry",
-    "MetricScore",
-    "MiningOutcome",
-    "MultibridgeError",
-    "PipelineConfig",
-    "PivotIndex",
-    "REGISTRY",
-    "RunReport",
-    "SampleFraction",
-    "SamplePairs",
-    "SamplingPlan",
-    "StatsMatrix",
-    "TrainAll",
-    "TrainingManifest",
-    "TranslationDirection",
-    "apply_bpe",
-    "assemble_training_set",
-    "bleu",
-    "build_pivot_index",
-    "build_training_set",
-    "chrf2",
-    "cosine_batch",
-    "detokenize",
-    "extraction_stats",
-    "from_devanagari",
-    "get_language",
-    "indic_codes",
-    "learn_bpe",
-    "load_bitext",
-    "load_bpe",
-    "load_config",
-    "load_embeddings",
-    "load_manifest",
-    "mine_all",
-    "mine_pairs_detailed",
-    "normalize_pivot",
-    "normalize_unicode",
-    "nway_compare",
-    "preprocess_line",
-    "revert_bpe",
-    "run_pipeline",
-    "sample_fraction",
-    "save_bpe",
-    "save_manifest",
-    "select_spanning_pairs",
-    "spans_all_languages",
-    "tag",
-    "to_devanagari",
-    "tokenize",
-    "tokenize_13a",
-    "untag",
-    "validate_config",
-    "verify_manifest",
-    "write_bitext",
-]
+    return sorted(globals().keys() | _EXPORTS.keys() | _HOME.keys())

@@ -44,6 +44,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
+def _check_outputs(outputs: dict[str, str | None], inputs: list[tuple[str, str | None]]) -> None:
+    """Raise ConfigError if two given outputs overlap, or an input overlaps an output.
+
+    Inputs are checked against the outputs only, so an input may repeat.
+    """
+    outputs = {flag: path for flag, path in outputs.items() if path}
+    check_disjoint(outputs)
+    for flag, path in inputs:
+        if path:
+            check_disjoint({flag: path, **outputs})
+
+
 def _cmd_extract(args) -> int:
     check_disjoint({"--inputs": args.inputs, "--out": args.out})
     inputs, out = Path(args.inputs), Path(args.out)
@@ -101,10 +113,7 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_learn_bpe(args) -> int:
-    outputs = {flag: path for flag, path in (("--model", args.model), ("--vocab", args.vocab)) if path}
-    check_disjoint(outputs)
-    for path in args.input or ():  # checked against the outputs only: a repeated --input is fine
-        check_disjoint({"--input": path, **outputs})
+    _check_outputs({"--model": args.model, "--vocab": args.vocab}, [("--input", path) for path in args.input or ()])
 
     def lines():
         for path in args.input or [None]:
@@ -117,6 +126,8 @@ def _cmd_learn_bpe(args) -> int:
 
 
 def _cmd_apply_bpe(args) -> int:
+    _check_outputs({"--output": args.output}, [("--model", args.model), ("--vocab", args.vocab),
+                                               ("--input", args.input)])
     segmenter = BpeSegmenter(load_bpe(args.model, args.vocab))
     segmented = (" ".join(segmenter.segment(line.split())) for line in iter_lines(args.input))
     if args.output:
@@ -138,6 +149,8 @@ def _cmd_tag(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    _check_outputs({"--json": args.json}, [("--hyp", args.hyp), ("--ref", args.ref), ("--emb-a", args.emb_a),
+                                           ("--emb-b", args.emb_b)])
     from .metrics import bleu, chrf2, cosine_batch, load_embeddings  # numpy only for evaluate
 
     if args.metric == "cosine":

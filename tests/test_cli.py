@@ -413,6 +413,29 @@ class TestBpeCommands:
         assert f"{flags} overlap" in capsys.readouterr().err
         assert all((tmp_path / name).read_text() == "low low lower\n" for name in ("train.txt", "codes.txt", "vocab.txt"))
 
+    @pytest.mark.parametrize("argv,flags", [
+        (["apply-bpe", "--model", "m.codes", "--vocab", "m.vocab", "--input", "in.txt", "--output", "m.codes"],
+         "'--model' and '--output'"),
+        (["apply-bpe", "--model", "m.codes", "--vocab", "m.vocab", "--output", "./m.vocab"],
+         "'--vocab' and '--output'"),
+        (["apply-bpe", "--model", "m.codes", "--input", "in.txt", "--output", "in.txt"], "'--input' and '--output'"),
+        (["evaluate", "--metric", "bleu", "--hyp", "h.txt", "--ref", "h.txt", "--json", "h.txt"],
+         "'--hyp' and '--json'"),
+        (["evaluate", "--metric", "chrf2", "--hyp", "h.txt", "--ref", "r.txt", "--json", "r.txt"],
+         "'--ref' and '--json'"),
+        (["evaluate", "--metric", "cosine", "--emb-a", "a.tsv", "--emb-b", "b.tsv", "--json", "b.tsv"],
+         "'--emb-b' and '--json'"),
+    ], ids=["apply-output-is-model", "apply-output-is-vocab", "apply-output-is-input", "evaluate-json-is-hyp",
+            "evaluate-json-is-ref", "evaluate-json-is-embeddings"])
+    def test_command_output_over_its_own_input_is_data_error(self, tmp_path, monkeypatch, capsys, argv, flags):
+        monkeypatch.chdir(tmp_path)
+        names = ("m.codes", "m.vocab", "in.txt", "h.txt", "r.txt", "a.tsv", "b.tsv")
+        for name in names:
+            (tmp_path / name).write_text("low low lower\n")
+        assert main(argv) == 2
+        assert f"{flags} overlap" in capsys.readouterr().err
+        assert all((tmp_path / name).read_text() == "low low lower\n" for name in names)
+
     def test_repeated_input_is_allowed(self, tmp_path):
         train = tmp_path / "train.txt"
         train.write_text("low low lower\n")
@@ -484,15 +507,19 @@ class TestEvaluate:
     def test_perfect_match_prints_100(self, tmp_path):
         hyp = tmp_path / "h.txt"
         hyp.write_text("identical line\n")
-        proc = run_cli("evaluate", "--metric", "chrf2", "--hyp", str(hyp), "--ref", str(hyp))
+        proc = run_cli("evaluate", "--metric", "chrf2", "--hyp", str(hyp), "--ref", str(hyp),
+                       "--json", str(tmp_path / "r.json"))
         assert proc.stdout.split("\t")[1] == "100.0"
+        assert json.loads((tmp_path / "r.json").read_text())["value"] == 100.0
 
     def test_cosine_from_files(self, tmp_path):
         emb = tmp_path / "a.tsv"
         emb.write_text("2 2\n0\t1.0\t0.0\n1\t0.0\t2.0\n")
-        proc = run_cli("evaluate", "--metric", "cosine", "--emb-a", str(emb), "--emb-b", str(emb))
+        proc = run_cli("evaluate", "--metric", "cosine", "--emb-a", str(emb), "--emb-b", str(emb),
+                       "--json", str(tmp_path / "r.json"))
         assert proc.returncode == 0
         assert proc.stdout.split("\t")[1] == "100.0"
+        assert json.loads((tmp_path / "r.json").read_text())["value"] == 100.0
 
     @pytest.mark.parametrize("argv,message", [
         (["--metric", "bleu", "--hyp", "h.txt"], "bleu needs --hyp and --ref"),

@@ -1,9 +1,12 @@
-"""numpy is imported by the evaluation layer only, on first use.
+"""Each public name imports its own module on first use.
 
 Each case runs in a fresh interpreter, so no earlier import in the test
-session can hide an eager one. The last two tests read the source instead:
-they check that something outside the tests uses every public name, and
-that the exception hierarchy stays one error type per layer.
+session can hide an eager one: ``import multibridge`` loads only
+``multibridge.version``, scoring loads no pipeline layer, and only the
+evaluation layer imports numpy. The last three tests read the source
+instead: they check that the export table routes each name to the module
+that defines it, that something outside the tests uses every public name,
+and that the exception hierarchy stays one error type per layer.
 """
 
 import ast
@@ -14,6 +17,10 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
+
+import multibridge
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,6 +55,42 @@ def test_evaluation_name_loads_numpy():
         assert "numpy" not in sys.modules
         assert multibridge.bleu(["a b c d"], ["a b c d"], "none").value == 100.0
         assert "numpy" in sys.modules
+        """
+    )
+
+
+@pytest.mark.parametrize("statement, loaded, absent", [
+    ("import multibridge", ["version"], ["logging", "numpy"]),
+    ("import multibridge.metrics", ["corpus", "errors", "languages", "metrics", "tokenizers", "version"],
+     ["logging"]),
+    ("from multibridge import config, pipeline", None, ["numpy"]),
+], ids=["package", "metrics", "pipeline"])
+def test_import_footprint(statement, loaded, absent):
+    # "metrics" is the eval-nway child's path: it loads no pipeline layer.
+    proc = _run(
+        f"""
+        import sys
+        {statement}
+        print(*sorted(name for name in sys.modules if name.startswith("multibridge.")))
+        print(*[name for name in {absent!r} if name in sys.modules])
+        """
+    )
+    modules, present = proc.stdout.splitlines()
+    if loaded is not None:
+        assert modules.split() == [f"multibridge.{name}" for name in loaded]
+    assert present == "", f"{statement!r} imported {present}"
+
+
+def test_every_layer_module_is_a_package_attribute():
+    layers = sorted(path.stem for path in (ROOT / "src" / "multibridge").glob("*.py")
+                    if path.stem not in ("__init__", "cli"))
+    _run(
+        f"""
+        import sys
+        import multibridge
+        for name in {layers!r}:
+            assert name in dir(multibridge), name
+            assert getattr(multibridge, name) is sys.modules["multibridge." + name], name
         """
     )
 
@@ -103,15 +146,39 @@ def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return found
 
 
+def _defined(tree: ast.Module) -> set[str]:
+    """Every name a module-level ``def``, ``class`` or assignment of ``tree`` binds."""
+    found: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found |= {target.id for target in targets if isinstance(target, ast.Name)}
+    return found
+
+
+def test_export_table_names_each_defining_module():
+    # Routing a name through a module that only re-imports it would load
+    # that module's layers too on first use.
+    package = ROOT / "src" / "multibridge"
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    table = next(ast.literal_eval(node.value) for node in init.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets))
+    defined = {module: _defined(ast.parse((package / f"{module}.py").read_text(encoding="utf-8")))
+               for module in table}
+    misrouted = [f"{module}.{name}" for module, names in table.items() for name in names
+                 if name not in defined[module]]
+    assert misrouted == [], f"export table entries whose module does not define the name: {misrouted}"
+
+
 def test_every_public_name_is_used_outside_tests():
     # Each name in multibridge.__all__, and each public module-level def and
     # class in src/multibridge, must be used outside its own definition: in
     # src/ (the __init__.py re-export does not count), demos/, perfbench/ or
     # README.md. A name only tests use is dead surface: delete it.
     package = ROOT / "src" / "multibridge"
-    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
-    exported = next(ast.literal_eval(node.value) for node in init.body if isinstance(node, ast.Assign)
-                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets))
+    exported = multibridge.__all__
     modules = {path: ast.parse(path.read_text(encoding="utf-8"))
                for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
     definitions = {name: None for name in exported}  # name -> (module, defining node)
