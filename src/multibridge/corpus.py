@@ -5,6 +5,13 @@ codes and vocabularies, embedding tables, stage outputs) goes through
 :func:`iter_lines` and :func:`write_lines`: UTF-8, one line per LF, no CR.
 Anything else is a typed :class:`CorpusError` naming the file and line.
 
+A stage that writes the same column to several paths (the mirror
+directions ``a-b``/``b-a``, or a final target file and its segmented
+source) writes it with :func:`write_once`: once, with every other path a
+hard link of that file. Because names may share an inode,
+:func:`write_text` never writes through a hard link: it replaces the name
+it writes instead.
+
 Bitext lives on disk only as a pair of line-aligned plain-text files
 (one sentence per line), the format used by shared-task data and by the
 pipeline's own mined and sampled output. Whitespace-only lines are hard
@@ -16,11 +23,13 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import MultibridgeError
 
@@ -128,8 +137,16 @@ def parse_floats(fields: list[str], path: str | Path, line_no: int, error: type[
 
 
 def write_text(path: str | Path, text: str) -> None:
-    """Write a whole document as UTF-8, with no newline translation."""
+    """Write a whole document as UTF-8, with no newline translation.
+
+    A regular file with other hard links is unlinked first, so writing one
+    name never changes the others; symlinks and devices are written through.
+    """
     try:
+        with contextlib.suppress(FileNotFoundError):
+            st = os.lstat(path)
+            if stat.S_ISREG(st.st_mode) and st.st_nlink > 1:
+                os.unlink(path)
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write(text)
     except OSError as exc:
@@ -139,6 +156,32 @@ def write_text(path: str | Path, text: str) -> None:
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Write each line followed by one LF; the inverse of :func:`iter_lines`."""
     write_text(path, "\n".join(chain(lines, ("",))))
+
+
+def write_once(files: Iterable[tuple[str | Path, Sequence[str]]]) -> None:
+    """Write each distinct line sequence once, to its first path; its later paths become hard links of that file.
+
+    Sequences are told apart by identity, not content, so no text is
+    compared or held twice. The later paths that are regular files are
+    unlinked before the first is written, so on a rerun that file has one
+    link and is overwritten in place. Where a later path cannot be a link (no hard links on the file
+    system, too many links, a symlink in the way), the lines are written
+    there instead, so the bytes are the same either way.
+    """
+    groups: dict[int, list] = {}
+    for path, lines in files:
+        groups.setdefault(id(lines), [lines]).append(path)
+    for lines, first, *later in groups.values():
+        for path in later:
+            with contextlib.suppress(OSError):
+                if stat.S_ISREG(os.lstat(path).st_mode):
+                    os.unlink(path)
+        write_lines(first, lines)
+        for path in later:
+            try:
+                os.link(first, path)
+            except OSError:
+                write_lines(path, lines)
 
 
 def _read_lines(path: str | Path) -> list[str]:

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 
 from .bpe import BpeSegmenter, learn_bpe, save_bpe
 from .config import PipelineConfig, raw_paths, validate_config
-from .corpus import BitextCorpus, TrainingManifest, load_bitext, write_bitext, write_lines, write_text
+from .corpus import BitextCorpus, TrainingManifest, load_bitext, write_bitext, write_lines, write_once, write_text
 from .errors import MultibridgeError
 from .languages import PIVOT, REGISTRY, get_language
 from .mining import MiningOutcome, StatsMatrix, build_pivot_index, extraction_stats, mine_pairs_detailed
@@ -180,20 +180,24 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
     # reuse a pivot-linked sentence all carry the same text, so from here on
     # each step runs once per distinct input and every file is written from
     # memory. Each cache holds distinct lines only and is dropped as soon as
-    # no later stage reads it.
-    files = [(entry.path, side) for entry in manifest.entries for side in ("src", "tgt")]
+    # no later stage reads it. A mirror direction shares its text columns
+    # (BitextCorpus.swapped), so it also shares the line lists built from
+    # them, and each list is written once: its other paths are hard links.
 
     with _stage("preprocess"):
         config.preprocessed_dir.mkdir(parents=True, exist_ok=True)
         prep = cache(lambda lang, text: " ".join(preprocess_line(text, lang)))
+        columns: dict[tuple[str, int], list[str]] = {}  # (lang, id of a text column) -> its lines
         prep_lines: dict[tuple[str, str], list[str]] = {}
         for entry, corpus in zip(manifest.entries, corpora):
-            prep_lines[entry.path, "src"] = [prep(entry.direction.src, text) for text in corpus.src_texts]
-            prep_lines[entry.path, "tgt"] = [prep(entry.direction.tgt, text) for text in corpus.tgt_texts]
-        for path, side in files:
-            write_lines(config.preprocessed_dir / f"{path}.{side}", prep_lines[path, side])
+            for side, lang, texts in (("src", entry.direction.src, corpus.src_texts),
+                                      ("tgt", entry.direction.tgt, corpus.tgt_texts)):
+                if (lang, id(texts)) not in columns:
+                    columns[lang, id(texts)] = [prep(lang, text) for text in texts]
+                prep_lines[entry.path, side] = columns[lang, id(texts)]
+        write_once((config.preprocessed_dir / f"{path}.{side}", lines) for (path, side), lines in prep_lines.items())
         stages["preprocess"] = {"files": len(prep_lines)}
-        del prep, corpora
+        del prep, columns, corpora
 
     with _stage("learn-bpe"):
         # Each unordered corpus family contributes once (a-b and b-a mirror
@@ -210,16 +214,23 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
     with _stage("apply-bpe"):
         segmenter = BpeSegmenter(model)
         segment = cache(lambda line: " ".join(segmenter.segment(line.split())))
+        segmented: dict[int, list[str]] = {}  # id of a preprocessed list -> its segmented lines
         bpe_lines: dict[tuple[str, str], list[str]] = {}
-        for path, side in files:
-            lines = bpe_lines[path, side] = [segment(line) for line in prep_lines[path, side]]
-            write_lines(config.preprocessed_dir / f"{path}.bpe.{side}", lines)
+        for key, lines in prep_lines.items():
+            if id(lines) not in segmented:
+                segmented[id(lines)] = [segment(line) for line in lines]
+            bpe_lines[key] = segmented[id(lines)]
+        # final/X.tgt is X.bpe.tgt as is, so it is one more name of that list:
+        # linking it here lets a rerun overwrite each list's file in place.
+        final_dir = config.preprocessed_dir / "final"
+        final_dir.mkdir(exist_ok=True)
+        write_once([*((config.preprocessed_dir / f"{path}.bpe.{side}", lines)
+                      for (path, side), lines in bpe_lines.items()),
+                    *((final_dir / f"{entry.path}.tgt", bpe_lines[entry.path, "tgt"]) for entry in manifest.entries)])
         stages["apply-bpe"] = {"files": len(bpe_lines)}
-        del segment, prep_lines
+        del segment, segmented, prep_lines
 
     with _stage("tag"):
-        final_dir = config.preprocessed_dir / "final"
-        final_dir.mkdir(parents=True, exist_ok=True)
         checked: set[str] = set()
         for entry in manifest.entries:
             src, tgt = entry.direction.src, entry.direction.tgt
@@ -232,7 +243,6 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
             # The two tags, then the payload if there is one: tag()'s output, joined.
             tagged = (f"{head} {line}" if line else head for line in src_lines)
             write_lines(final_dir / f"{entry.path}.src", tagged)
-            write_lines(final_dir / f"{entry.path}.tgt", bpe_lines[entry.path, "tgt"])
         stages["tag"] = {"directions": len(manifest.entries)}
 
     report = RunReport(stages, manifest, stats)

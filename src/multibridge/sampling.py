@@ -27,7 +27,8 @@ from .corpus import (
     TrainingManifest,
     TranslationDirection,
     save_manifest,
-    write_bitext,
+    write_bitext,  # unused here, but kept as a module name: perfbench/tracing.py wraps sampling.write_bitext
+    write_once,
 )
 from .errors import MultibridgeError
 from .languages import PIVOT
@@ -198,17 +199,21 @@ def assemble_training_set(
 ) -> tuple[TrainingManifest, list[BitextCorpus]]:
     """Materialize a training set: ``<src>-<tgt>.src``/``.tgt`` files plus ``manifest.json``.
 
-    Returns the manifest and the written corpora, in manifest order.
+    The files of a mirror direction (``b-a`` after ``a-b``) are hard links
+    to those of the direction it mirrors. Returns the manifest and the
+    written corpora, in manifest order.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     corpora = []
+    files = []
     for direction, corpus, label in build_training_set(english_corpora, mined_corpora, plan):
         prefix = direction.label()
-        write_bitext(corpus, out / f"{prefix}.src", out / f"{prefix}.tgt")
+        files += (out / f"{prefix}.src", corpus.src_texts), (out / f"{prefix}.tgt", corpus.tgt_texts)
         entries.append(ManifestEntry(direction, prefix, len(corpus), label))
         corpora.append(corpus)
+    write_once(files)  # swapped() shares the mirrored corpus's columns, so a mirror's files are links
     manifest = TrainingManifest(tuple(entries), plan.seed)
     save_manifest(manifest, out / "manifest.json")
     return manifest, corpora

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -20,6 +21,7 @@ from multibridge.corpus import (
     verify_manifest,
     write_bitext,
     write_lines,
+    write_once,
 )
 
 from oracles import naive_lines_text
@@ -141,6 +143,63 @@ class TestWriteBitext:
         write_bitext(loaded, tmp_path / "d.en", tmp_path / "d.bn")
         assert (tmp_path / "c.en").read_bytes() == (tmp_path / "d.en").read_bytes()
         assert (tmp_path / "c.bn").read_bytes() == (tmp_path / "d.bn").read_bytes()
+
+
+class TestHardLinks:
+    def test_writing_one_name_leaves_its_links(self, tmp_path):
+        write_lines(tmp_path / "a", ["old"])
+        os.link(tmp_path / "a", tmp_path / "b")
+        write_lines(tmp_path / "b", ["new"])
+        assert (tmp_path / "a").read_bytes() == b"old\n"
+        assert (tmp_path / "b").read_bytes() == b"new\n"
+        assert (tmp_path / "a").stat().st_nlink == (tmp_path / "b").stat().st_nlink == 1
+
+    def test_a_symlink_is_written_through(self, tmp_path):
+        write_lines(tmp_path / "a", ["old"])
+        (tmp_path / "b").symlink_to(tmp_path / "a")
+        write_lines(tmp_path / "b", ["new"])
+        assert (tmp_path / "b").is_symlink()
+        assert (tmp_path / "a").read_bytes() == b"new\n"
+
+    def test_write_once_writes_each_sequence_once_and_links_its_other_paths(self, tmp_path):
+        column, equal = ["x", "y"], ["x", "y"]
+        write_once([(tmp_path / "a", column), (tmp_path / "b", equal), (tmp_path / "c", column)])
+        assert {p.read_bytes() for p in tmp_path.iterdir()} == {b"x\ny\n"}
+        assert (tmp_path / "c").stat().st_ino == (tmp_path / "a").stat().st_ino != (tmp_path / "b").stat().st_ino
+
+    def test_write_once_overwrites_the_first_file_in_place_on_a_rerun(self, tmp_path, monkeypatch):
+        old, new = ("old",), ("new",)
+        write_once([(tmp_path / name, old) for name in "abc"])
+        unlinked, unlink = [], os.unlink
+        monkeypatch.setattr(os, "unlink", lambda path: (unlinked.append(Path(path).name), unlink(path)))
+        write_once([(tmp_path / name, new) for name in "abc"])
+        assert unlinked == ["b", "c"]
+        assert {p.read_bytes() for p in tmp_path.iterdir()} == {b"new\n"}
+        assert (tmp_path / "a").stat().st_nlink == 3
+
+    def test_write_once_writes_where_links_are_refused(self, tmp_path, monkeypatch):
+        def refused(*args, **kwargs):
+            raise PermissionError("hard links not supported")
+
+        monkeypatch.setattr(os, "link", refused)
+        column = ["x"]
+        write_once([(tmp_path / "a", column), (tmp_path / "b", column)])
+        assert (tmp_path / "b").read_bytes() == b"x\n"
+        assert (tmp_path / "a").stat().st_nlink == (tmp_path / "b").stat().st_nlink == 1
+
+    def test_write_once_writes_through_a_symlink_at_a_later_path(self, tmp_path):
+        (tmp_path / "elsewhere").write_bytes(b"old\n")
+        (tmp_path / "b").symlink_to(tmp_path / "elsewhere")
+        column = ["x"]
+        write_once([(tmp_path / "a", column), (tmp_path / "b", column)])
+        assert (tmp_path / "b").is_symlink()
+        assert (tmp_path / "elsewhere").read_bytes() == b"x\n"
+
+    def test_write_once_to_a_directory_is_a_corpus_error(self, tmp_path):
+        (tmp_path / "b").mkdir()
+        column = ["x"]
+        with pytest.raises(CorpusError, match="^cannot write "):
+            write_once([(tmp_path / "a", column), (tmp_path / "b", column)])
 
 
 _text = st.text(

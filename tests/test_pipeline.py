@@ -1,7 +1,9 @@
 import json
+import os
 import random
 import re
 import shutil
+from collections import defaultdict
 from itertools import permutations
 from pathlib import Path
 
@@ -231,6 +233,75 @@ class TestComputeOnce:
             assert (prep / "final" / f"{entry.path}.tgt").read_bytes() == (prep / f"{entry.path}.bpe.tgt").read_bytes()
             empty_payloads += bpe_src.count("")
         assert empty_payloads > 0
+
+
+def _inodes(root: Path) -> dict[int, list[str]]:
+    """The files under ``root`` grouped by inode, as paths relative to ``root``."""
+    groups = defaultdict(list)
+    for p in sorted(root.rglob("*")):
+        if p.is_file():
+            groups[p.stat().st_ino].append(str(p.relative_to(root)))
+    return groups
+
+
+class TestHardLinks:
+    # Each stage directory's distinct contents in the fixture run; prep/ includes final/.
+    DISTINCT = {"mined": 7, "sampled": 13, "prep": 39}
+
+    def test_equal_files_share_one_inode_within_each_stage_directory(self, tmp_path):
+        out = _run_fixture(tmp_path, "links")
+        seen = set(_inodes(out.parent / "raw"))
+        paths = 0
+        for stage, distinct in self.DISTINCT.items():
+            inodes = _inodes(out / stage)
+            contents = {(out / stage / group[0]).read_bytes() for group in inodes.values()}
+            assert len(inodes) == len(contents) == distinct, stage
+            assert not seen & inodes.keys(), f"{stage} shares an inode with an earlier directory or raw/"
+            seen |= inodes.keys()
+            paths += sum(map(len, inodes.values()))
+        assert paths == len(_tree(out)) == 107
+
+    def test_without_hard_links_the_tree_is_unchanged(self, tmp_path, monkeypatch):
+        def refused(*args, **kwargs):
+            raise PermissionError("hard links not supported")
+
+        monkeypatch.setattr(os, "link", refused)
+        out = _run_fixture(tmp_path, "no_links")
+        assert _tree(out) == _tree(GOLDEN)
+        assert all(p.stat().st_nlink == 1 for p in out.rglob("*") if p.is_file())
+
+    def test_rerun_over_a_linked_tree_equals_a_fresh_run(self, tmp_path, monkeypatch):
+        # The second config changes every .bpe. and final/ file, so the rerun
+        # rewrites names that share an inode with names it relinks later.
+        out = _run_fixture(tmp_path, "rerun")
+        config = out.parent / "config.json"
+        doc = json.loads(config.read_text())
+        config.write_text(json.dumps({**doc, "bpe": {**doc["bpe"], "num_merges": 30}}))
+        before = _tree(out)
+        unlinked, unlink = [], os.unlink
+        monkeypatch.setattr(os, "unlink", lambda path: (unlinked.append(path), unlink(path)))
+        run_pipeline(load_config(config))
+        monkeypatch.undo()
+        # Only the links are unlinked and made again; each file written
+        # first is overwritten in place.
+        groups = _inodes(out).values()
+        assert len(unlinked) == sum(len(group) - 1 for group in groups) == 48
+
+        fresh = tmp_path / "fresh"
+        shutil.copytree(FIXTURE, fresh)
+        shutil.copy(config, fresh / "config.json")
+        run_pipeline(load_config(fresh / "config.json"))
+        assert _tree(out) == _tree(fresh / "out") != before
+        assert sorted(_inodes(out).values()) == sorted(_inodes(fresh / "out").values())
+
+    def test_cli_sample_over_a_linked_tree_leaves_the_other_stages(self, tmp_path):
+        out = _run_fixture(tmp_path, "resample")
+        before = {stage: _tree(out / stage) for stage in ("mined", "sampled", "prep")}
+        assert main(["sample", "--strategy", "train-all", "--seed", "1", "--inputs", str(out.parent / "raw"),
+                     "--mined", str(out / "mined"), "--out", str(out / "sampled")]) == 0
+        assert _tree(out / "sampled") != before["sampled"]
+        for stage in ("mined", "prep"):
+            assert _tree(out / stage) == before[stage], stage
 
 
 class TestConfig:
