@@ -25,7 +25,7 @@ from .corpus import iter_lines, write_lines, write_text
 from .errors import MultibridgeError
 from .languages import indic_codes
 from .mining import DEFAULT_XPROD_CAP, extraction_stats
-from .pipeline import extract, load_english, load_mined, raw_languages, run_pipeline, write_stats
+from .pipeline import extract, load_english, load_mined, mined_paths, raw_languages, run_pipeline, write_stats
 from .sampling import DEFAULT_PER_PAIR_TARGET, assemble_training_set
 from .scripts import from_devanagari, normalize_unicode, to_devanagari
 from .tags import tag, untag
@@ -67,13 +67,17 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    inputs = Path(args.inputs)
+    inputs, mined_dir = Path(args.inputs), Path(args.mined)
     english = load_english(inputs, raw_languages(inputs))
-    tsv = extraction_stats(english.values(), load_mined(Path(args.mined), english)).to_tsv()
-    if args.out == "-":
-        sys.stdout.write(tsv)
+    mined = load_mined(mined_dir, english)
+    out = None if args.out == "-" else args.out  # --out may sit in --mined, as extract's stats.tsv does
+    _check_outputs({"--out": out}, [("--inputs", args.inputs),
+                                    *(("--mined", path) for pair in mined for path in mined_paths(mined_dir, *pair))])
+    tsv = extraction_stats(english.values(), mined).to_tsv()
+    if out:
+        write_text(out, tsv)
     else:
-        write_text(args.out, tsv)
+        sys.stdout.write(tsv)
     return 0
 
 

@@ -5,12 +5,12 @@ codes and vocabularies, embedding tables, stage outputs) goes through
 :func:`iter_lines` and :func:`write_lines`: UTF-8, one line per LF, no CR.
 Anything else is a typed :class:`CorpusError` naming the file and line.
 
-A stage that writes the same column to several paths (the mirror
-directions ``a-b``/``b-a``, or a final target file and its segmented
-source) writes it with :func:`write_once`: once, with every other path a
-hard link of that file. Because names may share an inode,
-:func:`write_text` never writes through a hard link: it replaces the name
-it writes instead.
+A text column with several names is written once, by :func:`write_once`,
+and its other names are hard links of that file. The callers name them by
+the mirror rule: every unordered pair ``a-b`` is trained in both
+directions, so ``a-b.src`` is also ``b-a.tgt``. Because names may share an
+inode, :func:`write_text` never writes through a hard link: it replaces
+the name it writes instead.
 
 Bitext lives on disk only as a pair of line-aligned plain-text files
 (one sentence per line), the format used by shared-task data and by the
@@ -158,30 +158,24 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     write_text(path, "\n".join(chain(lines, ("",))))
 
 
-def write_once(files: Iterable[tuple[str | Path, Sequence[str]]]) -> None:
-    """Write each distinct line sequence once, to its first path; its later paths become hard links of that file.
+def write_once(lines: Sequence[str], first: str | Path, *links: str | Path) -> None:
+    """Write ``lines`` to ``first`` and make each path in ``links`` a hard link of that file.
 
-    Sequences are told apart by identity, not content, so no text is
-    compared or held twice. The later paths that are regular files are
-    unlinked before the first is written, so on a rerun that file has one
-    link and is overwritten in place. Where a later path cannot be a link (no hard links on the file
-    system, too many links, a symlink in the way), the lines are written
-    there instead, so the bytes are the same either way.
+    Links that are regular files are unlinked first, so on a rerun ``first``
+    has one link and is overwritten in place. Where a link cannot be made (no
+    hard links on the file system, too many links, a symlink in the way), the
+    lines are written there instead, so the bytes are the same either way.
     """
-    groups: dict[int, list] = {}
-    for path, lines in files:
-        groups.setdefault(id(lines), [lines]).append(path)
-    for lines, first, *later in groups.values():
-        for path in later:
-            with contextlib.suppress(OSError):
-                if stat.S_ISREG(os.lstat(path).st_mode):
-                    os.unlink(path)
-        write_lines(first, lines)
-        for path in later:
-            try:
-                os.link(first, path)
-            except OSError:
-                write_lines(path, lines)
+    for path in links:
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.unlink(path)
+    write_lines(first, lines)
+    for path in links:
+        try:
+            os.link(first, path)
+        except OSError:
+            write_lines(path, lines)
 
 
 def _read_lines(path: str | Path) -> list[str]:

@@ -176,77 +176,62 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
         # room for the caches, so peak memory stays where sampling left it.
         del english, mined, mined_corpora
 
-    # Mirrored directions (a-b and b-a), en-X and X-en, and mined pairs that
-    # reuse a pivot-linked sentence all carry the same text, so from here on
-    # each step runs once per distinct input and every file is written from
-    # memory. Each cache holds distinct lines only and is dropped as soon as
-    # no later stage reads it. A mirror direction shares its text columns
-    # (BitextCorpus.swapped), so it also shares the line lists built from
-    # them, and each list is written once: its other paths are hard links.
+    # Each unordered pair a-b is trained in both directions, so column (L, O)
+    # of its corpus is L-O's source and O-L's target: each stage processes it
+    # once and writes it once, as L-O, with its O-L names as hard links. Texts
+    # also repeat across columns (mined pairs reuse English-centric sentences),
+    # so each cache runs a step once per distinct input. Each stage's lines
+    # replace the last stage's, and each cache goes when its stage ends.
+    columns = [column for c in corpora
+               for column in ((c.src_lang, c.tgt_lang, c.src_texts), (c.tgt_lang, c.src_lang, c.tgt_texts))]
+    del corpora
+    prep_dir = config.preprocessed_dir
+    final_dir = prep_dir / "final"
 
     with _stage("preprocess"):
-        config.preprocessed_dir.mkdir(parents=True, exist_ok=True)
+        prep_dir.mkdir(parents=True, exist_ok=True)
         prep = cache(lambda lang, text: " ".join(preprocess_line(text, lang)))
-        columns: dict[tuple[str, int], list[str]] = {}  # (lang, id of a text column) -> its lines
-        prep_lines: dict[tuple[str, str], list[str]] = {}
-        for entry, corpus in zip(manifest.entries, corpora):
-            for side, lang, texts in (("src", entry.direction.src, corpus.src_texts),
-                                      ("tgt", entry.direction.tgt, corpus.tgt_texts)):
-                if (lang, id(texts)) not in columns:
-                    columns[lang, id(texts)] = [prep(lang, text) for text in texts]
-                prep_lines[entry.path, side] = columns[lang, id(texts)]
-        write_once((config.preprocessed_dir / f"{path}.{side}", lines) for (path, side), lines in prep_lines.items())
-        stages["preprocess"] = {"files": len(prep_lines)}
-        del prep, columns, corpora
+        columns = [(lang, other, [prep(lang, text) for text in texts]) for lang, other, texts in columns]
+        for lang, other, lines in columns:
+            write_once(lines, prep_dir / f"{lang}-{other}.src", prep_dir / f"{other}-{lang}.tgt")
+        stages["preprocess"] = {"files": 2 * len(columns)}
+        del prep
 
     with _stage("learn-bpe"):
-        # Each unordered corpus family contributes once (a-b and b-a mirror
-        # each other, so counting both would just double every frequency and
-        # shift the vocabulary threshold). Mined pairs reuse the sentences
-        # of the English-centric corpora, so lines repeat and are counted
-        # once each.
-        training_lines = Counter(line for entry in manifest.entries if entry.direction.src < entry.direction.tgt
-                                 for side in ("src", "tgt") for line in prep_lines[entry.path, side])
+        # Each column is counted once: counting a mirror direction too would
+        # just double every frequency and shift the vocabulary threshold.
+        training_lines = Counter(line for _, _, lines in columns for line in lines)
         model = learn_bpe(training_lines, config.bpe_num_merges, config.bpe_min_frequency)
-        save_bpe(model, config.preprocessed_dir / "bpe.codes", config.preprocessed_dir / "bpe.vocab")
+        save_bpe(model, prep_dir / "bpe.codes", prep_dir / "bpe.vocab")
         stages["learn-bpe"] = {"merges": len(model.merges), "vocab": len(model.vocab or ())}
 
     with _stage("apply-bpe"):
         segmenter = BpeSegmenter(model)
         segment = cache(lambda line: " ".join(segmenter.segment(line.split())))
-        segmented: dict[int, list[str]] = {}  # id of a preprocessed list -> its segmented lines
-        bpe_lines: dict[tuple[str, str], list[str]] = {}
-        for key, lines in prep_lines.items():
-            if id(lines) not in segmented:
-                segmented[id(lines)] = [segment(line) for line in lines]
-            bpe_lines[key] = segmented[id(lines)]
-        # final/X.tgt is X.bpe.tgt as is, so it is one more name of that list:
-        # linking it here lets a rerun overwrite each list's file in place.
-        final_dir = config.preprocessed_dir / "final"
+        columns = [(lang, other, [segment(line) for line in lines]) for lang, other, lines in columns]
+        # final/O-L.tgt is O-L.bpe.tgt as is, so it is one more name of the
+        # column: linking it here lets a rerun overwrite the file in place.
         final_dir.mkdir(exist_ok=True)
-        write_once([*((config.preprocessed_dir / f"{path}.bpe.{side}", lines)
-                      for (path, side), lines in bpe_lines.items()),
-                    *((final_dir / f"{entry.path}.tgt", bpe_lines[entry.path, "tgt"]) for entry in manifest.entries)])
-        stages["apply-bpe"] = {"files": len(bpe_lines)}
-        del segment, segmented, prep_lines
+        for lang, other, lines in columns:
+            write_once(lines, prep_dir / f"{lang}-{other}.bpe.src", prep_dir / f"{other}-{lang}.bpe.tgt",
+                       final_dir / f"{other}-{lang}.tgt")
+        stages["apply-bpe"] = {"files": 2 * len(columns)}
+        del segment
 
     with _stage("tag"):
         checked: set[str] = set()
-        for entry in manifest.entries:
-            src, tgt = entry.direction.src, entry.direction.tgt
-            head = f"{src_tag(src)} {tgt_tag(tgt)}"
-            src_lines = bpe_lines[entry.path, "src"]
-            for line in src_lines:
+        for lang, other, lines in columns:
+            for line in lines:
                 if line not in checked:  # tag() rejects reserved tokens in the payload
-                    tag(line.split(), src, tgt)
+                    tag(line.split(), lang, other)
                     checked.add(line)
             # The two tags, then the payload if there is one: tag()'s output, joined.
-            tagged = (f"{head} {line}" if line else head for line in src_lines)
-            write_lines(final_dir / f"{entry.path}.src", tagged)
-        stages["tag"] = {"directions": len(manifest.entries)}
+            head = f"{src_tag(lang)} {tgt_tag(other)}"
+            write_lines(final_dir / f"{lang}-{other}.src", (f"{head} {line}" if line else head for line in lines))
+        stages["tag"] = {"directions": len(columns)}
 
     report = RunReport(stages, manifest, stats)
     record = {"seed": config.sampling.seed, "stages": stages}
-    write_text(config.preprocessed_dir / "run_report.json", json.dumps(record, indent=2, sort_keys=True) + "\n")
+    write_text(prep_dir / "run_report.json", json.dumps(record, indent=2, sort_keys=True) + "\n")
     return report
 

@@ -199,21 +199,21 @@ def assemble_training_set(
 ) -> tuple[TrainingManifest, list[BitextCorpus]]:
     """Materialize a training set: ``<src>-<tgt>.src``/``.tgt`` files plus ``manifest.json``.
 
-    The files of a mirror direction (``b-a`` after ``a-b``) are hard links
-    to those of the direction it mirrors. Returns the manifest and the
-    written corpora, in manifest order.
+    Each unordered pair ``a-b`` (``a < b``) is written once: ``b-a.tgt`` is
+    a hard link of ``a-b.src`` and ``b-a.src`` one of ``a-b.tgt``. Returns
+    the manifest and the ``a-b`` corpus of each unordered pair, in manifest
+    order.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    corpora = []
-    files = []
+    entries, corpora = [], []
     for direction, corpus, label in build_training_set(english_corpora, mined_corpora, plan):
-        prefix = direction.label()
-        files += (out / f"{prefix}.src", corpus.src_texts), (out / f"{prefix}.tgt", corpus.tgt_texts)
-        entries.append(ManifestEntry(direction, prefix, len(corpus), label))
-        corpora.append(corpus)
-    write_once(files)  # swapped() shares the mirrored corpus's columns, so a mirror's files are links
+        a, b = direction.src, direction.tgt
+        entries.append(ManifestEntry(direction, f"{a}-{b}", len(corpus), label))
+        if a < b:
+            write_once(corpus.src_texts, out / f"{a}-{b}.src", out / f"{b}-{a}.tgt")
+            write_once(corpus.tgt_texts, out / f"{a}-{b}.tgt", out / f"{b}-{a}.src")
+            corpora.append(corpus)
     manifest = TrainingManifest(tuple(entries), plan.seed)
     save_manifest(manifest, out / "manifest.json")
     return manifest, corpora

@@ -100,6 +100,22 @@ class TestExtractStatsSample:
         assert f"{other!r} and '--out' overlap" in capsys.readouterr().err
         assert _tree(tmp_path) == before
 
+    @pytest.mark.parametrize("out,other", [("raw/en-bn.en", "--inputs"), ("mined/bn-hi.bn", "--mined"),
+                                           ("mined/stats.tsv", None)],
+                             ids=["raw-corpus", "mined-corpus", "stats-in-mined"])
+    def test_stats_out_over_its_own_input_is_data_error(self, tmp_path, raw_dir, capsys, out, other):
+        mined = tmp_path / "mined"
+        assert main(["extract", "--inputs", str(raw_dir), "--out", str(mined)]) == 0
+        before = _tree(tmp_path)
+        code = main(["stats", "--inputs", str(raw_dir), "--mined", str(mined), "--out", str(tmp_path / out)])
+        if other is None:  # extract writes its stats.tsv there too
+            assert code == 0
+            assert (tmp_path / out).read_text(encoding="utf-8").startswith("\ten\tbn\thi\tta\n")
+        else:
+            assert code == 2
+            assert f"{other!r} and '--out' overlap" in capsys.readouterr().err
+            assert _tree(tmp_path) == before
+
     def test_extract_then_sample_reproduce_the_golden_run(self, tmp_path, raw_dir):
         # The fixture config's strategy, cap and seed, given as flags.
         out = tmp_path / "out"

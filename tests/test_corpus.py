@@ -161,18 +161,18 @@ class TestHardLinks:
         assert (tmp_path / "b").is_symlink()
         assert (tmp_path / "a").read_bytes() == b"new\n"
 
-    def test_write_once_writes_each_sequence_once_and_links_its_other_paths(self, tmp_path):
-        column, equal = ["x", "y"], ["x", "y"]
-        write_once([(tmp_path / "a", column), (tmp_path / "b", equal), (tmp_path / "c", column)])
-        assert {p.read_bytes() for p in tmp_path.iterdir()} == {b"x\ny\n"}
-        assert (tmp_path / "c").stat().st_ino == (tmp_path / "a").stat().st_ino != (tmp_path / "b").stat().st_ino
+    def test_write_once_writes_the_lines_once_and_links_the_other_paths(self, tmp_path):
+        write_once(["x", "y"], tmp_path / "a", tmp_path / "b", tmp_path / "c")
+        assert {p.stat().st_ino for p in tmp_path.iterdir()} == {(tmp_path / "a").stat().st_ino}
+        assert (tmp_path / "a").stat().st_nlink == 3
+        assert (tmp_path / "a").read_bytes() == b"x\ny\n"
 
     def test_write_once_overwrites_the_first_file_in_place_on_a_rerun(self, tmp_path, monkeypatch):
         old, new = ("old",), ("new",)
-        write_once([(tmp_path / name, old) for name in "abc"])
+        write_once(old, *(tmp_path / name for name in "abc"))
         unlinked, unlink = [], os.unlink
         monkeypatch.setattr(os, "unlink", lambda path: (unlinked.append(Path(path).name), unlink(path)))
-        write_once([(tmp_path / name, new) for name in "abc"])
+        write_once(new, *(tmp_path / name for name in "abc"))
         assert unlinked == ["b", "c"]
         assert {p.read_bytes() for p in tmp_path.iterdir()} == {b"new\n"}
         assert (tmp_path / "a").stat().st_nlink == 3
@@ -183,7 +183,7 @@ class TestHardLinks:
 
         monkeypatch.setattr(os, "link", refused)
         column = ["x"]
-        write_once([(tmp_path / "a", column), (tmp_path / "b", column)])
+        write_once(column, tmp_path / "a", tmp_path / "b")
         assert (tmp_path / "b").read_bytes() == b"x\n"
         assert (tmp_path / "a").stat().st_nlink == (tmp_path / "b").stat().st_nlink == 1
 
@@ -191,7 +191,7 @@ class TestHardLinks:
         (tmp_path / "elsewhere").write_bytes(b"old\n")
         (tmp_path / "b").symlink_to(tmp_path / "elsewhere")
         column = ["x"]
-        write_once([(tmp_path / "a", column), (tmp_path / "b", column)])
+        write_once(column, tmp_path / "a", tmp_path / "b")
         assert (tmp_path / "b").is_symlink()
         assert (tmp_path / "elsewhere").read_bytes() == b"x\n"
 
@@ -199,7 +199,7 @@ class TestHardLinks:
         (tmp_path / "b").mkdir()
         column = ["x"]
         with pytest.raises(CorpusError, match="^cannot write "):
-            write_once([(tmp_path / "a", column), (tmp_path / "b", column)])
+            write_once(column, tmp_path / "a", tmp_path / "b")
 
 
 _text = st.text(

@@ -3,10 +3,11 @@
 Each case runs in a fresh interpreter, so no earlier import in the test
 session can hide an eager one: ``import multibridge`` loads only
 ``multibridge.version``, scoring loads no pipeline layer, and only the
-evaluation layer imports numpy. The last three tests read the source
+evaluation layer imports numpy. The last four tests read the source
 instead: they check that the export table routes each name to the module
 that defines it, that something outside the tests uses every public name,
-and that the exception hierarchy stays one error type per layer.
+that the exception hierarchy stays one error type per layer, and that no
+code tells values apart by object identity.
 """
 
 import ast
@@ -234,3 +235,15 @@ def test_every_exception_class_is_a_layer_error():
             and not any(name in names for path, names in handled.items() if path != home)]
     assert "MultibridgeError" in classes
     assert deep == [], f"exception classes below a layer error that no other module catches: {deep}"
+
+
+def test_no_code_keys_on_object_identity():
+    # Which paths share a column is a naming rule (a-b.src is b-a.tgt), not
+    # an inference from which objects happen to be shared: an id() key
+    # breaks silently when a copy, a cache or an interned empty tuple
+    # changes what is shared.
+    package = ROOT / "src" / "multibridge"
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id"]
+    assert calls == [], f"calls of the builtin id(): {calls}"

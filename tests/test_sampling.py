@@ -2,6 +2,7 @@ import filecmp
 
 import pytest
 
+from multibridge import sampling
 from multibridge.corpus import BitextCorpus, TranslationDirection, load_manifest, verify_manifest
 from multibridge.mining import MiningError, build_pivot_index, mine_all
 from multibridge.sampling import (
@@ -167,6 +168,33 @@ class TestAssembleTrainingSet:
         verify_manifest(manifest, tmp_path / "out")
         assert load_manifest(tmp_path / "out" / "manifest.json") == manifest
         assert {e.strategy for e in manifest.entries} == {"english-centric", "sample-fraction"}
+
+    @pytest.mark.parametrize("strategy", [TrainAll(), SampleFraction(8), SamplePairs((("bn", "ta"),))],
+                             ids=["train-all", "sample-fraction", "sample-pairs"])
+    def test_returns_the_corpus_of_each_unordered_pair_in_manifest_order(self, tmp_path, monkeypatch, strategy):
+        corpora, mined = _mined_fixture()
+        built = []
+
+        def recording(*args):
+            built.extend(build_training_set(*args))
+            return built
+
+        monkeypatch.setattr(sampling, "build_training_set", recording)
+        manifest, returned = assemble_training_set(corpora.values(), mined, SamplingPlan(strategy, 9), tmp_path)
+        expected = [c for d, c, _ in built if d.src < d.tgt]
+        assert [e.direction for e in manifest.entries] == [d for d, _, _ in built]
+        assert len(returned) == len(expected) == len(built) // 2
+        assert all(got is want for got, want in zip(returned, expected))
+
+    def test_only_mirror_names_share_a_file(self, tmp_path):
+        # Empty columns are all the same object, the interned empty tuple,
+        # so the links must follow the names, not object identity.
+        corpora, _ = _mined_fixture()
+        mined = {pair: BitextCorpus(*pair, (), ()) for pair in (("bn", "hi"), ("bn", "ta"))}
+        assemble_training_set(corpora.values(), mined, SamplingPlan(TrainAll(), 1), tmp_path)
+        inode = {p.name: p.stat().st_ino for p in tmp_path.iterdir()}
+        assert inode["bn-hi.src"] == inode["hi-bn.tgt"] and inode["bn-hi.tgt"] == inode["hi-bn.src"]
+        assert len({inode[f"{pair}.{side}"] for pair in ("bn-hi", "bn-ta") for side in ("src", "tgt")}) == 4
 
     def test_byte_identical_reruns(self, tmp_path):
         corpora, mined = _mined_fixture()
