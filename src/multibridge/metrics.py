@@ -7,11 +7,13 @@ case-sensitive, single reference, 0-100 scale. chrF2 is the character
 n-gram F-score with beta=2 over orders 1..6 with all whitespace removed,
 averaging precision and recall over the orders attested in both sides.
 Both take their n-gram statistics as exact integer counts from one sorted
-pass per order over the whole corpus, so no float enters before the formula.
+pass per order over the whole corpus, so no float enters before the formula:
+``_ranks`` numbers each order's distinct n-grams with one ``argsort``.
 
 Sentence embeddings are consumed from files produced externally (this
 toolkit never loads an encoder); cosine similarity is averaged over
-sentences and reported x100.
+sentences and reported x100. An embedding file's values are checked and
+converted in one pass per file.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import TranslationDirection, iter_lines, parse_count, parse_floats
+from .corpus import CorpusError, TranslationDirection, iter_lines, parse_count, parse_floats
 from .errors import MultibridgeError
 from .languages import PIVOT
 from .tokenizers import tokenize_13a
@@ -85,6 +87,17 @@ def _check_streams(hypotheses: Sequence[str], references: Sequence[str]) -> None
         raise MetricError("nothing to score")
 
 
+def _ranks(keys: np.ndarray) -> np.ndarray:
+    """Each key's rank among the distinct keys, ``np.unique(keys, return_inverse=True)[1]`` with one sort."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    ranks = np.empty(len(keys), dtype=np.intp)
+    ranks[:1] = 0
+    np.not_equal(ordered[1:], ordered[:-1], out=ranks[1:])  # 1 where a new key starts
+    ranks[order] = np.cumsum(ranks)
+    return ranks
+
+
 def _clipped_ngram_stats(symbols: np.ndarray, lengths: list[int], max_order: int) -> list[tuple[int, int, int]]:
     """Per order 1..max_order: hypothesis n-grams, reference n-grams and clipped matches.
 
@@ -100,14 +113,14 @@ def _clipped_ngram_stats(symbols: np.ndarray, lengths: list[int], max_order: int
     room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(symbols))  # symbols left in the line
     # An n-gram id is its key's rank among the distinct keys. An order-1 key is (pair, symbol):
     # only the two lines of one pair share ids.
-    unigram = ids = np.unique(pair * (int(symbols.max(initial=0)) + 1) + symbols, return_inverse=True)[1]
+    unigram = ids = _ranks(pair * (int(symbols.max(initial=0)) + 1) + symbols)
     stats = []
     for n in range(1, max_order + 1):
         if n > 1:
             # The id of the n-gram at i is the rank of (id of the (n-1)-gram at i, id of symbol
             # i+n-1). Both are below len(symbols), so keys stay below len(symbols)**2 and int64
             # is exact for any input that fits in memory.
-            ids = np.unique(ids[:-1] * len(symbols) + unigram[n - 1 :], return_inverse=True)[1]
+            ids = _ranks(ids[:-1] * len(symbols) + unigram[n - 1 :])
         inside = room[: len(ids)] >= n  # windows that run past the end of their line are not n-grams
         hyp = ids[:n_hyp_symbols][inside[:n_hyp_symbols]]
         ref = ids[n_hyp_symbols:][inside[n_hyp_symbols:]]
@@ -216,31 +229,53 @@ class EmbeddingTable:
         return self.matrix.shape[1]
 
 
+def _fields(line: str) -> list[str]:
+    """The fields of one embedding-file line, split at runs of spaces and tabs.
+
+    ``str.split()`` would also split at other whitespace (U+00A0, ``\\v``, ...);
+    here such a character stays inside its field and fails that field's check.
+    """
+    fields = line.replace("\t", " ").split(" ")
+    return [field for field in fields if field] if "" in fields else fields
+
+
 def load_embeddings(path) -> EmbeddingTable:
-    """Read an embedding file: header ``d n``, then ``id v1 ... vd`` rows, fields split on whitespace."""
+    """Read an embedding file: header ``d n``, then ``id v1 ... vd`` rows, fields split on spaces and tabs.
+
+    Each row's structure is checked as it is read, and every value of the
+    file in one :func:`~multibridge.corpus.parse_floats` call at the end. If
+    anything fails, the rows read so far are re-parsed one by one first, so
+    the error reported is the first in file order: a bad float on line 3
+    wins over a short row on line 5.
+    """
     lines = iter_lines(path)
-    header = next(lines, "").split()
+    header = _fields(next(lines, ""))
     if len(header) != 2:
         raise MetricError(f"{path}:1: expected 'd n' header")
     dim, n = (parse_count(field, path, 1, MetricError) for field in header)
     if dim < 1:
         raise MetricError(f"{path}:1: dimension must be at least 1, got {dim}")
     first_line: dict[int, int] = {}  # sentence id -> line it first appears on, in file order
-    rows = []
-    for line_no, line in enumerate(lines, start=2):
-        parts = line.split()
-        if len(parts) != dim + 1:
-            raise MetricError(f"{path}:{line_no}: expected id plus {dim} floats")
-        sid = parse_count(parts[0], path, line_no, MetricError)
-        if sid in first_line:
-            raise MetricError(f"{path}:{line_no}: duplicate sentence id {sid} (first at line {first_line[sid]})")
-        first_line[sid] = line_no
-        rows.append(parse_floats(parts[1:], path, line_no, MetricError))
+    values: list[str] = []  # the value fields of every row read, row after row
+    try:
+        for line_no, line in enumerate(lines, start=2):
+            parts = _fields(line)
+            if len(parts) != dim + 1:
+                raise MetricError(f"{path}:{line_no}: expected id plus {dim} floats")
+            sid = parse_count(parts[0], path, line_no, MetricError)
+            if sid in first_line:
+                raise MetricError(f"{path}:{line_no}: duplicate sentence id {sid} (first at line {first_line[sid]})")
+            first_line[sid] = line_no
+            values += parts[1:]
+        floats = parse_floats(values, path, 2, MetricError)  # fails only where some row below fails
+    except (CorpusError, MetricError):
+        for row in range(len(values) // dim):  # row i is on line i + 2
+            parse_floats(values[row * dim : (row + 1) * dim], path, row + 2, MetricError)
+        raise
     ids = tuple(first_line)
     if len(ids) != n:
         raise MetricError(f"{path}: header says {n} rows, found {len(ids)}")
-    matrix = np.asarray(rows, dtype=np.float64).reshape(len(ids), dim)
-    return EmbeddingTable(ids, matrix)
+    return EmbeddingTable(ids, np.array(floats, dtype=np.float64).reshape(len(ids), dim))
 
 
 def cosine_batch(a: EmbeddingTable, b: EmbeddingTable) -> MetricScore:

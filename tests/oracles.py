@@ -13,8 +13,10 @@ import string
 import unicodedata
 from collections import Counter
 
-from multibridge.corpus import TranslationDirection
-from multibridge.metrics import METRIC_ORDER, ComparisonTable, MetricError
+import numpy as np
+
+from multibridge.corpus import TranslationDirection, iter_lines, parse_count, parse_floats
+from multibridge.metrics import METRIC_ORDER, ComparisonTable, EmbeddingTable, MetricError
 from multibridge.tokenizers import tokenize_13a
 
 
@@ -251,6 +253,33 @@ def naive_mean_cosine(vectors_a: list[list[float]], vectors_b: list[list[float]]
         norm_b = math.sqrt(sum(y * y for y in vb))
         total += dot / (norm_a * norm_b)
     return 100.0 * total / len(vectors_a)
+
+
+def naive_load_embeddings(path) -> EmbeddingTable:
+    """Row by row: each row's fields, id and floats checked in turn, so the first bad line in file order wins."""
+    lines = iter_lines(path)
+    header = next(lines, "").split()
+    if len(header) != 2:
+        raise MetricError(f"{path}:1: expected 'd n' header")
+    dim, n = (parse_count(field, path, 1, MetricError) for field in header)
+    if dim < 1:
+        raise MetricError(f"{path}:1: dimension must be at least 1, got {dim}")
+    first_line: dict[int, int] = {}  # sentence id -> line it first appears on, in file order
+    rows = []
+    for line_no, line in enumerate(lines, start=2):
+        parts = line.split()
+        if len(parts) != dim + 1:
+            raise MetricError(f"{path}:{line_no}: expected id plus {dim} floats")
+        sid = parse_count(parts[0], path, line_no, MetricError)
+        if sid in first_line:
+            raise MetricError(f"{path}:{line_no}: duplicate sentence id {sid} (first at line {first_line[sid]})")
+        first_line[sid] = line_no
+        rows.append(parse_floats(parts[1:], path, line_no, MetricError))
+    ids = tuple(first_line)
+    if len(ids) != n:
+        raise MetricError(f"{path}: header says {n} rows, found {len(ids)}")
+    matrix = np.asarray(rows, dtype=np.float64).reshape(len(ids), dim)
+    return EmbeddingTable(ids, matrix)
 
 
 def _ngram_counts(tokens, max_order: int) -> Counter:

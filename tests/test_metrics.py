@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -8,12 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from multibridge.cli import main
 from multibridge.corpus import CorpusError, TranslationDirection, parse_floats
+from multibridge.errors import MultibridgeError
 from multibridge.metrics import (
     EmbeddingTable,
     EvalReport,
     MetricError,
     MetricScore,
+    _ranks,
     bleu,
     chrf2,
     cosine_batch,
@@ -21,7 +25,7 @@ from multibridge.metrics import (
     nway_compare,
 )
 
-from oracles import naive_bleu, naive_chrf2, naive_mean_cosine, naive_nway
+from oracles import naive_bleu, naive_chrf2, naive_load_embeddings, naive_mean_cosine, naive_nway
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "metrics_golden.json").read_text())
 
@@ -136,6 +140,21 @@ class TestNgramStatistics:
     def test_chrf2_lone_surrogate(self):
         assert chrf2(["\ud800a"], ["\ud800a"]).value == 100.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(-(2**63), 2**63 - 1), max_size=40),
+        st.lists(st.integers(-2, 2), max_size=40),  # tie-heavy
+        st.tuples(st.integers(-(2**63), 2**63 - 1), st.integers(0, 40)).map(lambda v: [v[0]] * v[1]),  # all equal
+    ))
+    @example([])
+    @example([7])
+    def test_ranks_equal_np_unique_inverse(self, values):
+        keys = np.array(values, dtype=np.int64)
+        expected = np.unique(keys, return_inverse=True)[1]
+        got = _ranks(keys)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
 
 def _table(vectors, ids=None):
     matrix = np.asarray(vectors, dtype=np.float64)
@@ -181,6 +200,62 @@ class TestCosine:
         empty = EmbeddingTable((), np.zeros((0, 2)))
         with pytest.raises(MetricError, match="^empty embedding tables$"):
             cosine_batch(empty, empty)
+
+
+def _load_outcome(loader, path):
+    """The ids and exact matrix bytes a loader returns, or the type and message it raises."""
+    try:
+        table = loader(path)
+    except MultibridgeError as exc:
+        return type(exc), str(exc)
+    return table.ids, table.matrix.dtype, table.matrix.shape, table.matrix.tobytes()
+
+
+_EMB_VALUE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-3, 3).map(lambda x: f"{x:.6f}"),
+    st.sampled_from(["0", "-0", "+1", ".5", "5.", "1e5", "-2.5E-3"]),
+)
+_EMB_SEPARATOR = st.sampled_from([" ", "\t", "  ", " \t "])
+# float() alone accepts the last five bad floats, and int() the ids "-1", "+0" and "\u0967".
+_BAD_FLOAT = st.sampled_from(["abc", "1.2.3", "1e", "--1", "inf", "-nan", "1e999", "1_0", "\u0967.\u096b"])
+_BAD_ID = st.sampled_from(["x", "-1", "+0", "1.0", "\u0967"])
+_DEFECTS = ("float", "field-count", "id", "duplicate-id", "utf8", "cr")
+
+
+@st.composite
+def _embedding_file(draw, defects):
+    """An embedding file; with ``defects`` > 0, that many drawn defects on different rows."""
+    dim = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(max(defects, 2) if defects else 0, 6))
+    ids = draw(st.lists(st.integers(0, 10**20), min_size=n_rows, max_size=n_rows, unique=True))
+    rows = [[str(sid), *draw(st.lists(_EMB_VALUE, min_size=dim, max_size=dim))] for sid in ids]
+    header = [str(dim), str(n_rows)]
+    damage: dict[int, tuple[int, bytes]] = {}  # line index -> (byte position, byte to insert)
+    for row in draw(st.permutations(range(n_rows)))[:defects]:
+        kind = draw(st.sampled_from(_DEFECTS))
+        fields = rows[row]
+        if kind == "float":
+            fields[draw(st.integers(1, dim))] = draw(_BAD_FLOAT)
+        elif kind == "field-count":
+            fields[:] = fields[:-1] if draw(st.booleans()) else [*fields, draw(_EMB_VALUE)]
+        elif kind == "id":
+            fields[0] = draw(_BAD_ID)
+        elif kind == "duplicate-id":
+            fields[0] = rows[draw(st.sampled_from([r for r in range(n_rows) if r != row]))][0]
+        else:  # a byte put into the line: this row's, or the header's
+            line = draw(st.sampled_from([row + 1, 0]))
+            damage[line] = (draw(st.integers(0, 100)), b"\xff" if kind == "utf8" else b"\r")
+    lines = []
+    for index, fields in enumerate([header, *rows]):
+        sep = draw(_EMB_SEPARATOR)
+        line = (draw(st.sampled_from(["", sep])) + sep.join(fields) + draw(st.sampled_from(["", sep]))).encode()
+        if index in damage:
+            at, byte = damage[index]
+            at = min(at, len(line))
+            line = line[:at] + byte + line[at:]
+        lines.append(line)
+    return b"\n".join(lines) + draw(st.sampled_from([b"\n", b""]))
 
 
 class TestEmbeddingFile:
@@ -249,6 +324,43 @@ class TestEmbeddingFile:
         with pytest.raises(MetricError) as info:
             load_embeddings(tmp_path / "dup.tsv")
         assert str(info.value) == f"{tmp_path / 'dup.tsv'}:4: duplicate sentence id 0 (first at line 2)"
+
+    # str.split() also splits at each of these characters.
+    @pytest.mark.parametrize("content,line", [
+        ("2 1\n0 1.0\u00a02.0\n", 2),
+        ("2 1\n0 1.0\v2.0\n", 2),
+        ("2\u20031\n0 1.0 2.0\n", 1),
+        ("2 1\u3000\n0 1.0 2.0\n", 1),
+        ("2 1\n0 1.0 2.0\f\n", 2),
+        ("2 1\n\u00850 1.0 2.0\n", 2),
+        ("2 1\n0\x1f1.0 2.0\n", 2),
+        ("2 1\n0 1.0\u20282.0\n", 2),
+    ], ids=["nbsp", "vertical-tab", "em-space-header", "ideographic-space-header", "form-feed-at-end",
+            "next-line-at-start", "unit-separator-after-id", "line-separator"])
+    def test_only_spaces_and_tabs_separate_fields(self, tmp_path, capsys, content, line):
+        path = tmp_path / "e.tsv"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(MetricError, match=f"^{tmp_path / 'e.tsv'}:{line}: "):
+            load_embeddings(path)
+        assert main(["evaluate", "--metric", "cosine", "--emb-a", str(path), "--emb-b", str(path)]) == 2
+        assert f"multibridge: {path}:{line}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line5", [b"3 1.0", b"3 1.0 \xff", b"3 1.0 2.0\r", b"0 1.0 2.0"],
+                             ids=["short-row", "invalid-utf8", "cr", "duplicate-id"])
+    def test_bad_float_wins_over_a_later_error(self, tmp_path, line5):
+        (tmp_path / "e.tsv").write_bytes(b"2 4\n0 1.0 2.0\n1 1.0 x\n2 1.0 2.0\n" + line5 + b"\n")
+        with pytest.raises(MetricError) as info:
+            load_embeddings(tmp_path / "e.tsv")
+        assert str(info.value) == f"{tmp_path / 'e.tsv'}:3: expected 2 finite decimal floats"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_row_by_row_oracle(self, data):
+        content = data.draw(_embedding_file(defects=data.draw(st.integers(0, 2))))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "e.tsv"
+            path.write_bytes(content)
+            assert _load_outcome(load_embeddings, path) == _load_outcome(naive_load_embeddings, path)
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4))
     def test_every_finite_repr_loads_back(self, values):
