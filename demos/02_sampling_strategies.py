@@ -47,9 +47,10 @@ mined = {
 
 for strategy in (SamplePairs((("bn", "hi"),)), SampleFraction(10), TrainAll()):
     entries = build_training_set(english, mined, SamplingPlan(strategy, seed=5))
-    mined_total = sum(len(c) for _, c, label in entries if label != "english-centric")
-    english_total = sum(len(c) for _, c, label in entries if label == "english-centric")
-    print(f"\n{strategy.name}: {len(entries)} directional entries, "
-          f"{english_total} English-centric + {mined_total} mined pairs")
-    for direction, corpus, label in entries:
-        print(f"    {direction.label():>6}  {len(corpus):>3} pairs  [{label}]")
+    mined_total = sum(len(c) for c, label in entries if label != "english-centric")
+    english_total = sum(len(c) for c, label in entries if label == "english-centric")
+    print(f"\n{strategy.name}: {len(entries)} pairs, each trained in both directions, "
+          f"{english_total} English-centric + {mined_total} mined sentence pairs")
+    for corpus, label in entries:
+        a, b = corpus.src_lang, corpus.tgt_lang
+        print(f"    {a}-{b} and {b}-{a}  {len(corpus):>3} pairs  [{label}]")

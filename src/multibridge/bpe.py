@@ -357,18 +357,25 @@ def load_bpe(codes_path: str | Path, vocab_path: str | Path | None = None) -> Bp
     first_line: dict[tuple[str, str], int] = {}  # merge -> line it first appears on, in file order
     for line_no, line in enumerate(lines, start=2):
         parts = line.split(" ")
-        if len(parts) != 2:
+        if len(parts) != 2 or not all(parts):
             raise BpeError(f"{codes_path}:{line_no}: expected 'left right'")
         pair = (parts[0], parts[1])
         if pair in first_line:
             raise BpeError(f"{codes_path}:{line_no}: duplicate merge {line!r} (first at line {first_line[pair]})")
+        if len(first_line) == num_merges:
+            raise BpeError(f"{codes_path}:{line_no}: more merges than the configured budget ({num_merges})")
         first_line[pair] = line_no
     vocab = None
     if vocab_path is not None:
-        vocab = {}
+        vocab, symbol_line = {}, {}
         for line_no, line in enumerate(iter_lines(vocab_path), start=1):
             parts = line.split(" ")
             if len(parts) != 2 or not parts[0]:
                 raise BpeError(f"{vocab_path}:{line_no}: expected 'symbol count'")
-            vocab[parts[0]] = parse_count(parts[1], vocab_path, line_no, BpeError)
+            symbol, count = parts
+            if symbol in symbol_line:  # a dict load would keep the last count without a word
+                first = symbol_line[symbol]
+                raise BpeError(f"{vocab_path}:{line_no}: duplicate symbol {symbol!r} (first at line {first})")
+            symbol_line[symbol] = line_no
+            vocab[symbol] = parse_count(count, vocab_path, line_no, BpeError)
     return BpeModel(tuple(first_line), vocab, num_merges, min_frequency)

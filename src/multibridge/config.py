@@ -61,7 +61,7 @@ def raw_paths(raw_dir: Path, lang: str) -> tuple[Path, Path]:
 
 #: Keys that no longer change output. Old configs still carry them, so each
 #: is accepted at the one value the pipeline always had and rejected otherwise.
-_LEGACY_KEYS = {"pivot": PIVOT, "workers": 1, "eval": {"bleu_tokenization": "13a"}}
+_LEGACY_KEYS = {"pivot": PIVOT, "workers": 1}
 
 #: Every key a config may hold, per table; anything else is a typo.
 _TOP_KEYS = {

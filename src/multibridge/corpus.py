@@ -7,10 +7,10 @@ Anything else is a typed :class:`CorpusError` naming the file and line.
 
 A text column with several names is written once, by :func:`write_once`,
 and its other names are hard links of that file. The callers name them by
-the mirror rule: every unordered pair ``a-b`` is trained in both
-directions, so ``a-b.src`` is also ``b-a.tgt``. Because names may share an
-inode, :func:`write_text` never writes through a hard link: it replaces
-the name it writes instead.
+the mirror rule: column ``(L, O)``, the ``L`` texts of a corpus between
+``L`` and ``O``, is both ``L-O.src`` and ``O-L.tgt``. Because names may
+share an inode, :func:`write_text` never writes through a hard link: it
+replaces the name it writes instead.
 
 Bitext lives on disk only as a pair of line-aligned plain-text files
 (one sentence per line), the format used by shared-task data and by the
@@ -66,9 +66,6 @@ class BitextCorpus:
 
     def __len__(self) -> int:
         return len(self.src_texts)
-
-    def swapped(self) -> "BitextCorpus":
-        return BitextCorpus(self.tgt_lang, self.src_lang, self.tgt_texts, self.src_texts)
 
 
 @dataclass(frozen=True, order=True)
@@ -130,7 +127,7 @@ def parse_floats(fields: list[str], path: str | Path, line_no: int, error: type[
     values = None
     if text.isascii() and not text.encode().translate(None, _FLOAT_BYTES):  # deleting them leaves nothing
         with contextlib.suppress(ValueError):  # e.g. "1e" or "1.2.3"
-            values = [float(field) for field in fields]
+            values = list(map(float, fields))
     if values is None or not all(map(math.isfinite, values)):
         raise error(f"{path}:{line_no}: expected {len(fields)} finite decimal floats")
     return values

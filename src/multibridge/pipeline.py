@@ -164,7 +164,7 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
 
     with _stage("sample"):
         mined_corpora = {pair: outcome.corpus for pair, outcome in mined.items()}
-        manifest, corpora = assemble_training_set(
+        manifest, columns = assemble_training_set(
             english.values(), mined_corpora, config.sampling, config.sampled_dir
         )
         stages["sample"] = {
@@ -172,19 +172,15 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
             "entries": len(manifest.entries),
             "total_pairs": manifest.total_pairs(),
         }
-        # Only the sampled corpora are read below; dropping the rest makes
+        # Only the sampled columns are read below; dropping the rest makes
         # room for the caches, so peak memory stays where sampling left it.
         del english, mined, mined_corpora
 
-    # Each unordered pair a-b is trained in both directions, so column (L, O)
-    # of its corpus is L-O's source and O-L's target: each stage processes it
+    # Column (L, O) is L-O's source and O-L's target: each stage processes it
     # once and writes it once, as L-O, with its O-L names as hard links. Texts
     # also repeat across columns (mined pairs reuse English-centric sentences),
     # so each cache runs a step once per distinct input. Each stage's lines
     # replace the last stage's, and each cache goes when its stage ends.
-    columns = [column for c in corpora
-               for column in ((c.src_lang, c.tgt_lang, c.src_texts), (c.tgt_lang, c.src_lang, c.tgt_texts))]
-    del corpora
     prep_dir = config.preprocessed_dir
     final_dir = prep_dir / "final"
 

@@ -11,6 +11,10 @@ how much mined non-English data joins it:
 Every stochastic choice flows through the pinned generator in
 :mod:`multibridge.rng`, with one labeled child stream per language pair,
 so a fixed seed reproduces the training set byte for byte.
+
+The sampler handles each unordered pair once, and the training set holds
+it in both directions: of a corpus between ``L`` and ``O``, the column of
+``L`` texts is the source of ``L-O`` and the target of ``O-L``.
 """
 
 from __future__ import annotations
@@ -152,12 +156,12 @@ def build_training_set(
     english_corpora: Iterable[BitextCorpus],
     mined_corpora: Mapping[tuple[str, str], BitextCorpus],
     plan: SamplingPlan,
-) -> list[tuple[TranslationDirection, BitextCorpus, str]]:
-    """Select the directional corpora a plan admits, without touching disk.
+) -> list[tuple[BitextCorpus, str]]:
+    """The corpus of each unordered pair a plan admits, with its manifest label, without touching disk.
 
-    Every selected unordered pair is emitted in both directions, built from
-    the same (possibly sampled) subset, so the two directions mirror each
-    other exactly.
+    First each English-centric corpus as loaded (``en-xx``), in language
+    order, then each selected mined pair ``a-b``, sampled where the plan
+    says so, in pair order.
     """
     english = check_orientation(english_corpora, mined_corpora)
     if isinstance(plan.strategy, SamplePairs):
@@ -175,20 +179,8 @@ def build_training_set(
         }
     else:
         selected = mined_corpora
-
-    entries: list[tuple[TranslationDirection, BitextCorpus, str]] = []
-    for other, corpus in sorted(english.items()):
-        entries.append((TranslationDirection(PIVOT, other), corpus, "english-centric"))
-        entries.append((TranslationDirection(other, PIVOT), corpus.swapped(), "english-centric"))
-
-    for pair in sorted(selected):
-        corpus = selected[pair]
-        label = plan.strategy.name
-        entries.append((TranslationDirection(*pair), corpus, label))
-        entries.append((TranslationDirection(pair[1], pair[0]), corpus.swapped(), label))
-
-    entries.sort(key=lambda item: (item[2] != "english-centric", item[0]))
-    return entries
+    return ([(corpus, "english-centric") for _, corpus in sorted(english.items())]
+            + [(selected[pair], plan.strategy.name) for pair in sorted(selected)])
 
 
 def assemble_training_set(
@@ -196,24 +188,24 @@ def assemble_training_set(
     mined_corpora: Mapping[tuple[str, str], BitextCorpus],
     plan: SamplingPlan,
     out_dir: str | Path,
-) -> tuple[TrainingManifest, list[BitextCorpus]]:
+) -> tuple[TrainingManifest, list[tuple[str, str, tuple[str, ...]]]]:
     """Materialize a training set: ``<src>-<tgt>.src``/``.tgt`` files plus ``manifest.json``.
 
-    Each unordered pair ``a-b`` (``a < b``) is written once: ``b-a.tgt`` is
-    a hard link of ``a-b.src`` and ``b-a.src`` one of ``a-b.tgt``. Returns
-    the manifest and the ``a-b`` corpus of each unordered pair, in manifest
-    order.
+    Each column ``(L, O, texts)`` is written once, as ``L-O.src``, with
+    ``O-L.tgt`` a hard link of it, and gets one manifest entry, ``L-O``.
+    Returns the manifest and the two columns of each corpus
+    :func:`build_training_set` gave, in its order.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    entries, corpora = [], []
-    for direction, corpus, label in build_training_set(english_corpora, mined_corpora, plan):
-        a, b = direction.src, direction.tgt
-        entries.append(ManifestEntry(direction, f"{a}-{b}", len(corpus), label))
-        if a < b:
-            write_once(corpus.src_texts, out / f"{a}-{b}.src", out / f"{b}-{a}.tgt")
-            write_once(corpus.tgt_texts, out / f"{a}-{b}.tgt", out / f"{b}-{a}.src")
-            corpora.append(corpus)
+    entries, columns = [], []
+    for corpus, label in build_training_set(english_corpora, mined_corpora, plan):
+        a, b = corpus.src_lang, corpus.tgt_lang
+        for lang, other, texts in ((a, b, corpus.src_texts), (b, a, corpus.tgt_texts)):
+            entries.append(ManifestEntry(TranslationDirection(lang, other), f"{lang}-{other}", len(corpus), label))
+            write_once(texts, out / f"{lang}-{other}.src", out / f"{other}-{lang}.tgt")
+            columns.append((lang, other, texts))
+    entries.sort(key=lambda entry: (entry.strategy != "english-centric", entry.direction))
     manifest = TrainingManifest(tuple(entries), plan.seed)
     save_manifest(manifest, out / "manifest.json")
-    return manifest, corpora
+    return manifest, columns

@@ -113,23 +113,28 @@ def test_sampling_contracts(tmp_path):
     target = 15
     plan = SamplingPlan(SampleFraction(target), seed=11)
     entries = build_training_set(corpora.values(), mined, plan)
-    sampled_total = sum(len(c) for _, c, label in entries if label == "sample-fraction")
-    assert sampled_total == 2 * sum(min(len(c), target) for c in mined.values())
+    sampled_total = sum(len(c) for c, label in entries if label == "sample-fraction")
+    assert sampled_total == sum(min(len(c), target) for c in mined.values())
 
-    assemble_training_set(corpora.values(), mined, plan, tmp_path / "one")
+    manifest, _ = assemble_training_set(corpora.values(), mined, plan, tmp_path / "one")
     assemble_training_set(corpora.values(), mined, plan, tmp_path / "two")
+    assert sum(e.count for e in manifest.entries if e.strategy == "sample-fraction") == 2 * sampled_total
     names = sorted(p.name for p in (tmp_path / "one").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "two").iterdir())
     match, mismatch, errors = filecmp.cmpfiles(tmp_path / "one", tmp_path / "two", names, shallow=False)
     assert not mismatch and not errors
+    one = tmp_path / "one"
+    for entry in manifest.entries:  # both directions of a pair are the same texts, mirrored
+        s, t = entry.direction.src, entry.direction.tgt
+        assert (one / f"{s}-{t}.src").read_bytes() == (one / f"{t}-{s}.tgt").read_bytes()
 
     train_all = {
-        d: set(zip(c.src_texts, c.tgt_texts))
-        for d, c, _ in build_training_set(corpora.values(), mined, SamplingPlan(TrainAll(), 11))
+        (c.src_lang, c.tgt_lang): set(zip(c.src_texts, c.tgt_texts))
+        for c, _ in build_training_set(corpora.values(), mined, SamplingPlan(TrainAll(), 11))
     }
     for strategy in (SamplePairs((("bn", "hi"), ("ta", "te"))), SampleFraction(target)):
-        for d, c, _ in build_training_set(corpora.values(), mined, SamplingPlan(strategy, 11)):
-            assert set(zip(c.src_texts, c.tgt_texts)) <= train_all[d]
+        for c, _ in build_training_set(corpora.values(), mined, SamplingPlan(strategy, 11)):
+            assert set(zip(c.src_texts, c.tgt_texts)) <= train_all[(c.src_lang, c.tgt_lang)]
 
 
 def test_bpe_learn_oracle_and_revert_identity():

@@ -374,6 +374,26 @@ class TestModelFile:
             load_bpe(tmp_path / "codes")
         assert str(info.value) == f"{tmp_path / 'codes'}:4: duplicate merge 'l o' (first at line 2)"
 
+    @pytest.mark.parametrize("codes,line,error", [
+        ("#bpe num_merges=5 min_frequency=1\nl o\na \n", 3, "expected 'left right'"),
+        ("#bpe num_merges=5 min_frequency=1\n o\n", 2, "expected 'left right'"),
+        ("#bpe num_merges=0 min_frequency=1\nl o\n", 2, "more merges than the configured budget (0)"),
+        ("#bpe num_merges=1 min_frequency=1\nl o\no w\n", 3, "more merges than the configured budget (1)"),
+    ], ids=["empty-right", "empty-left", "budget-0", "budget-1"])
+    def test_bad_merge_line_names_its_line(self, tmp_path, codes, line, error):
+        (tmp_path / "codes").write_text(codes)
+        with pytest.raises(BpeError) as info:
+            load_bpe(tmp_path / "codes")
+        assert str(info.value) == f"{tmp_path / 'codes'}:{line}: {error}"
+
+    def test_duplicate_vocab_symbol_names_both_lines(self, tmp_path):
+        # A dict load would keep the last count, 1, without a word.
+        (tmp_path / "codes").write_bytes(self.GOOD_CODES)
+        (tmp_path / "vocab").write_text("ab 3\nlo 2\nab 1\n")
+        with pytest.raises(BpeError) as info:
+            load_bpe(tmp_path / "codes", tmp_path / "vocab")
+        assert str(info.value) == f"{tmp_path / 'vocab'}:3: duplicate symbol 'ab' (first at line 1)"
+
     def test_duplicate_merge_built_in_code_rejected(self):
         with pytest.raises(BpeError, match=r"duplicate merge rule \('l', 'o'\)"):
             BpeModel((("l", "o"), ("o", "w"), ("l", "o")), None, 5, 1)

@@ -14,7 +14,7 @@ import pytest
 from multibridge import cli, pipeline
 from multibridge.bpe import load_bpe
 from multibridge.cli import main
-from multibridge.corpus import load_bitext, load_manifest
+from multibridge.corpus import BitextCorpus, load_bitext, load_manifest
 from multibridge.languages import indic_codes
 from multibridge.pipeline import preprocess_line
 
@@ -288,9 +288,12 @@ class TestStrictModelFiles:
         ("codes", b"#bpe num_merges=5 min_frequency=1\nl \xffo\n", 2),
         ("codes", b"#bpe num_merges=x min_frequency=1\n", 1),
         ("codes", b"#bpe num_merges=5 min_frequency=1\nl o\nl o\n", 3),
+        ("codes", b"#bpe num_merges=5 min_frequency=1\nl o\na \n", 3),
+        ("codes", b"#bpe num_merges=0 min_frequency=1\nl o\n", 2),
         ("vocab", b"lo 2\r\n", 1),
         ("vocab", b"lo 2\n\xff 1\n", 2),
         ("vocab", b"lo 2\nb x\n", 2),
+        ("vocab", b"ab 3\nab 1\n", 2),
         ("emb", b"2 1\r\n0\t1.0\t0.0\r\n", 1),
         ("emb", b"2 1\n0\t1.0\t\xff\n", 2),
         ("emb", b"2 1\n0 1.0 abc\n", 2),
@@ -299,7 +302,8 @@ class TestStrictModelFiles:
     ]
 
     @pytest.mark.parametrize("kind,content,line", CASES, ids=[
-        "codes-crlf", "codes-utf8", "codes-number", "codes-duplicate", "vocab-crlf", "vocab-utf8", "vocab-number",
+        "codes-crlf", "codes-utf8", "codes-number", "codes-duplicate", "codes-empty-side", "codes-budget",
+        "vocab-crlf", "vocab-utf8", "vocab-number", "vocab-duplicate",
         "emb-crlf", "emb-utf8", "emb-number", "emb-header", "emb-duplicate-id",
     ])
     def test_bad_file_is_data_error(self, tmp_path, capsys, kind, content, line):
@@ -580,7 +584,8 @@ class TestOrientation:
         load = pipeline.load_english
 
         def flipped(raw, languages):
-            return {lang: corpus.swapped() for lang, corpus in load(raw, languages).items()}
+            return {lang: BitextCorpus(lang, c.src_lang, c.tgt_texts, c.src_texts)
+                    for lang, c in load(raw, languages).items()}
 
         monkeypatch.setattr(pipeline, "load_english", flipped)
         monkeypatch.setattr(cli, "load_english", flipped)

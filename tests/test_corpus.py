@@ -51,11 +51,6 @@ class TestBitextCorpus:
         with pytest.raises(ValueError, match="^2 source texts vs 1 target texts$"):
             BitextCorpus("en", "hi", ("a", "b"), ("c",))
 
-    def test_swapped(self):
-        corpus = BitextCorpus("en", "hi", ("a",), ("b",))
-        assert corpus.swapped() == BitextCorpus("hi", "en", ("b",), ("a",))
-        assert corpus.swapped().src_texts is corpus.tgt_texts  # the columns are shared, not copied
-
 
 # Drawn texts, biased towards the edge cases: empty, whitespace-only
 # (Unicode spaces too), LF, CR, and the line breaks other than LF and CR
@@ -75,7 +70,6 @@ def test_bitext_corpus_rejects_exactly_the_bad_texts_property(src, tgt):
             BitextCorpus("en", "hi", tuple(src), tuple(tgt))
     else:
         corpus = BitextCorpus("en", "hi", tuple(src), tuple(tgt))
-        assert corpus.swapped().swapped() == corpus
         assert len(corpus) == len(src)
 
 
@@ -334,7 +328,7 @@ class TestManifest:
         manifest = self._manifest()
         corpus = BitextCorpus("en", "hi", ("a", "c"), ("b", "d"))
         write_bitext(corpus, tmp_path / "en-hi.src", tmp_path / "en-hi.tgt")
-        write_bitext(corpus.swapped(), tmp_path / "hi-en.src", tmp_path / "hi-en.tgt")
+        write_bitext(BitextCorpus("hi", "en", ("b", "d"), ("a", "c")), tmp_path / "hi-en.src", tmp_path / "hi-en.tgt")
         verify_manifest(manifest, tmp_path)
         (tmp_path / "hi-en.src").write_text("only one line\n")
         short = re.escape(str(tmp_path / "hi-en.src"))

@@ -81,13 +81,14 @@ def _broken_inputs(case):
     english = english_centric_fixture(31, ["bn", "hi", "ta"], n_english=30)
     mined = mine_all(build_pivot_index(english.values()), ["bn", "hi", "ta"], None)
     corpora = list(english.values())
+    bn_en = BitextCorpus("bn", "en", english["bn"].tgt_texts, english["bn"].src_texts)
     if case == "xx-en":
-        return [english["bn"].swapped(), english["hi"], english["ta"]], mined, "bn-en"
+        return [bn_en, english["hi"], english["ta"]], mined, "bn-en"
     if case == "second corpus":
         return [*corpora, english["bn"]], mined, "en-bn"
     if case == "pivot in mined":  # ("bn", "en") is canonical and the corpus's own key
-        return corpora, {("bn", "en"): english["bn"].swapped(), **mined}, "bn-en"
-    return corpora, {(b, a): corpus.swapped() for (a, b), corpus in mined.items()}, "hi-bn"
+        return corpora, {("bn", "en"): bn_en, **mined}, "bn-en"
+    return corpora, {(b, a): BitextCorpus(b, a, c.tgt_texts, c.src_texts) for (a, b), c in mined.items()}, "hi-bn"
 
 
 #: The rule each case of :func:`_broken_inputs` breaks, as the error states it.

@@ -166,6 +166,20 @@ class TestComputeOnce:
             mirror = f"{entry.direction.tgt}-{entry.direction.src}"
             assert (out / "prep" / f"{entry.path}.src").read_bytes() == (out / "prep" / f"{mirror}.tgt").read_bytes()
 
+    def test_builds_one_corpus_per_pair_and_stage(self, tmp_path, monkeypatch):
+        # Loaded en-xx corpora, mined xx-yy corpora, and the sample of each
+        # mined pair; a reversed direction is the same corpus's other column.
+        built = []
+        real = corpus.BitextCorpus.__post_init__
+
+        def counting(self):
+            built.append(f"{self.src_lang}-{self.tgt_lang}")
+            real(self)
+
+        monkeypatch.setattr(corpus.BitextCorpus, "__post_init__", counting)
+        _run_fixture(tmp_path, "built")
+        assert sorted(built) == ["bn-hi", "bn-hi", "bn-ta", "bn-ta", "en-bn", "en-hi", "en-ta", "hi-ta", "hi-ta"]
+
     def test_reads_only_the_raw_corpora(self, tmp_path, monkeypatch):
         # Every stage after extract works from memory: sampled files are
         # written for the record, never read back.
@@ -347,14 +361,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             load_config(bad)
 
-    def test_eval_key_accepted_at_old_default(self, tmp_path):
-        work = tmp_path / "legacy_eval"
-        shutil.copytree(FIXTURE, work)
-        doc = json.loads((work / "config.json").read_text())
+    def test_eval_key_rejected_at_old_default(self, tmp_path):
+        # 'eval' changed no output even at its one accepted value, so it is now an unknown key.
+        bad = tmp_path / "bad.json"
+        doc = json.loads((FIXTURE / "config.json").read_text())
         doc["eval"] = {"bleu_tokenization": "13a"}
-        (work / "config.json").write_text(json.dumps(doc))
-        config = load_config(work / "config.json")
-        assert not hasattr(config, "eval_tokenization")
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="^unknown config key 'eval'$"):
+            load_config(bad)
 
     @pytest.mark.parametrize("value", [{"bleu_tokenization": "none"}, {"bleu_tokenization": "intl"}, {}])
     def test_eval_key_rejected_at_other_values(self, tmp_path, value):

@@ -3,7 +3,7 @@ import filecmp
 import pytest
 
 from multibridge import sampling
-from multibridge.corpus import BitextCorpus, TranslationDirection, load_manifest, verify_manifest
+from multibridge.corpus import BitextCorpus, load_manifest, verify_manifest
 from multibridge.mining import MiningError, build_pivot_index, mine_all
 from multibridge.sampling import (
     SampleFraction,
@@ -111,16 +111,24 @@ class TestBuildTrainingSet:
         corpora, mined = _mined_fixture()
         plan = SamplingPlan(SamplePairs(()), seed=5)
         entries = build_training_set(corpora.values(), mined, plan)
-        assert all(label == "english-centric" for _, _, label in entries)
-        assert len(entries) == 6  # 3 languages x 2 directions
+        assert entries == [(corpora[lang], "english-centric") for lang in ("bn", "hi", "ta")]
 
-    def test_both_directions_mirror(self):
+    def test_both_directions_mirror(self, tmp_path):
+        # Each unordered pair comes once; its other direction is the same
+        # corpus read the other way, on disk as in the returned columns.
         corpora, mined = _mined_fixture()
         plan = SamplingPlan(TrainAll(), seed=5)
-        entries = {d: c for d, c, _ in build_training_set(corpora.values(), mined, plan)}
-        fwd = entries[TranslationDirection("bn", "hi")]
-        bwd = entries[TranslationDirection("hi", "bn")]
-        assert (fwd.tgt_texts, fwd.src_texts) == (bwd.src_texts, bwd.tgt_texts)
+        entries = build_training_set(corpora.values(), mined, plan)
+        pairs = [(c.src_lang, c.tgt_lang) for c, _ in entries]
+        assert pairs == [("en", "bn"), ("en", "hi"), ("en", "ta"), ("bn", "hi"), ("bn", "ta"), ("hi", "ta")]
+        manifest, columns = assemble_training_set(corpora.values(), mined, plan, tmp_path)
+        assert len(manifest.entries) == len(columns) == 2 * len(entries)
+        for entry in manifest.entries:
+            s, t = entry.direction.src, entry.direction.tgt
+            assert (tmp_path / f"{s}-{t}.src").read_bytes() == (tmp_path / f"{t}-{s}.tgt").read_bytes()
+        for (corpus, _), forward, backward in zip(entries, columns[::2], columns[1::2]):
+            a, b = corpus.src_lang, corpus.tgt_lang
+            assert forward == (a, b, corpus.src_texts) and backward == (b, a, corpus.tgt_texts)
 
     def test_missing_corpus(self):
         corpora, mined = _mined_fixture()
@@ -130,7 +138,7 @@ class TestBuildTrainingSet:
 
     def test_reversed_mined_keys_rejected(self):
         corpora, mined = _mined_fixture()
-        flipped = {(b, a): corpus.swapped() for (a, b), corpus in mined.items()}
+        flipped = {(b, a): BitextCorpus(b, a, c.tgt_texts, c.src_texts) for (a, b), c in mined.items()}
         with pytest.raises(MiningError, match=r"^corpus hi-bn: keyed \('hi', 'bn'\), not by its own languages"):
             build_training_set(corpora.values(), flipped, SamplingPlan(TrainAll(), seed=5))
 
@@ -140,24 +148,26 @@ class TestBuildTrainingSet:
         with pytest.raises(MiningError, match=r"^corpus bn-hi: keyed \('bn', 'te'\)"):
             build_training_set(corpora.values(), bad, SamplingPlan(TrainAll(), 5))
 
-    def test_sample_fraction_totals(self):
+    def test_sample_fraction_totals(self, tmp_path):
         corpora, mined = _mined_fixture()
         target = 10
         plan = SamplingPlan(SampleFraction(target), seed=5)
         entries = build_training_set(corpora.values(), mined, plan)
-        sampled_total = sum(len(c) for _, c, label in entries if label == "sample-fraction")
-        expected = 2 * sum(min(len(c), target) for c in mined.values())
-        assert sampled_total == expected
+        expected = sum(min(len(c), target) for c in mined.values())
+        assert sum(len(c) for c, label in entries if label == "sample-fraction") == expected
+        manifest, _ = assemble_training_set(corpora.values(), mined, plan, tmp_path)
+        assert sum(e.count for e in manifest.entries if e.strategy == "sample-fraction") == 2 * expected
 
     def test_subset_of_train_all(self):
         corpora, mined = _mined_fixture()
         all_entries = {
-            d: set(zip(c.src_texts, c.tgt_texts))
-            for d, c, _ in build_training_set(corpora.values(), mined, SamplingPlan(TrainAll(), 5))
+            (c.src_lang, c.tgt_lang): set(zip(c.src_texts, c.tgt_texts))
+            for c, _ in build_training_set(corpora.values(), mined, SamplingPlan(TrainAll(), 5))
         }
         for strategy in (SamplePairs((("bn", "hi"),)), SampleFraction(7)):
-            for d, c, label in build_training_set(corpora.values(), mined, SamplingPlan(strategy, 5)):
-                assert set(zip(c.src_texts, c.tgt_texts)) <= all_entries[d], (strategy, d, label)
+            for c, label in build_training_set(corpora.values(), mined, SamplingPlan(strategy, 5)):
+                pair = (c.src_lang, c.tgt_lang)
+                assert set(zip(c.src_texts, c.tgt_texts)) <= all_entries[pair], (strategy, pair, label)
 
 
 class TestAssembleTrainingSet:
@@ -171,7 +181,7 @@ class TestAssembleTrainingSet:
 
     @pytest.mark.parametrize("strategy", [TrainAll(), SampleFraction(8), SamplePairs((("bn", "ta"),))],
                              ids=["train-all", "sample-fraction", "sample-pairs"])
-    def test_returns_the_corpus_of_each_unordered_pair_in_manifest_order(self, tmp_path, monkeypatch, strategy):
+    def test_returns_both_columns_of_each_pair(self, tmp_path, monkeypatch, strategy):
         corpora, mined = _mined_fixture()
         built = []
 
@@ -180,11 +190,16 @@ class TestAssembleTrainingSet:
             return built
 
         monkeypatch.setattr(sampling, "build_training_set", recording)
-        manifest, returned = assemble_training_set(corpora.values(), mined, SamplingPlan(strategy, 9), tmp_path)
-        expected = [c for d, c, _ in built if d.src < d.tgt]
-        assert [e.direction for e in manifest.entries] == [d for d, _, _ in built]
-        assert len(returned) == len(expected) == len(built) // 2
-        assert all(got is want for got, want in zip(returned, expected))
+        manifest, columns = assemble_training_set(corpora.values(), mined, SamplingPlan(strategy, 9), tmp_path)
+        expected = [(c.src_lang, c.tgt_lang, c.src_texts, c.tgt_texts, label) for c, label in built]
+        assert len(columns) == len(manifest.entries) == 2 * len(built)
+        for (a, b, src, tgt, _), forward, backward in zip(expected, columns[::2], columns[1::2]):
+            assert forward[:2] == (a, b) and forward[2] is src
+            assert backward[:2] == (b, a) and backward[2] is tgt
+        # One manifest entry per column: English-centric first, then by direction.
+        listed = [(e.direction.src, e.direction.tgt, e.count, e.strategy) for e in manifest.entries]
+        want = [(lang, other, len(src), label) for a, b, src, _, label in expected for lang, other in ((a, b), (b, a))]
+        assert listed == sorted(want, key=lambda e: (e[3] != "english-centric", e[:2]))
 
     def test_only_mirror_names_share_a_file(self, tmp_path):
         # Empty columns are all the same object, the interned empty tuple,
