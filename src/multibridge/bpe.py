@@ -20,6 +20,7 @@ the separator is what makes segmentation reversible.
 from __future__ import annotations
 
 import heapq
+import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -345,15 +346,18 @@ def save_bpe(model: BpeModel, codes_path: str | Path, vocab_path: str | Path | N
         write_lines(vocab_path, (f"{sym} {count}" for sym, count in ranked))
 
 
+#: The one header :func:`save_bpe` writes; the two counts are checked by ``parse_count``.
+_CODES_HEADER = re.compile(r"#bpe num_merges=(\S*) min_frequency=(\S*)")
+
+
 def load_bpe(codes_path: str | Path, vocab_path: str | Path | None = None) -> BpeModel:
     """Load a model saved by :func:`save_bpe`."""
     lines = iter_lines(codes_path)
-    header = next(lines, "")
-    fields = dict(part.split("=", 1) for part in header.removeprefix("#bpe").split() if "=" in part)
-    if not header.startswith("#bpe") or "num_merges" not in fields or "min_frequency" not in fields:
+    header = _CODES_HEADER.fullmatch(next(lines, ""))
+    if header is None:
         raise BpeError(f"{codes_path}:1: not a BPE codes file")
-    num_merges = parse_count(fields["num_merges"], codes_path, 1, BpeError)
-    min_frequency = parse_count(fields["min_frequency"], codes_path, 1, BpeError)
+    num_merges = parse_count(header[1], codes_path, 1, BpeError)
+    min_frequency = parse_count(header[2], codes_path, 1, BpeError)
     first_line: dict[tuple[str, str], int] = {}  # merge -> line it first appears on, in file order
     for line_no, line in enumerate(lines, start=2):
         parts = line.split(" ")

@@ -51,18 +51,37 @@ class BitextCorpus:
     tgt_texts: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.src_lang == self.tgt_lang:
-            raise ValueError(f"source and target language are both {self.src_lang!r}")
-        object.__setattr__(self, "src_texts", tuple(self.src_texts))  # no copy when already a tuple
-        object.__setattr__(self, "tgt_texts", tuple(self.tgt_texts))
-        if len(self.src_texts) != len(self.tgt_texts):
-            raise ValueError(f"{len(self.src_texts)} source texts vs {len(self.tgt_texts)} target texts")
+        self._check_shape()
         for side, texts in (("src", self.src_texts), ("tgt", self.tgt_texts)):
             for text in texts:
                 if not text.strip():
                     raise ValueError(f"{side} text is empty after trimming")
                 if "\n" in text or "\r" in text:
                     raise ValueError(f"{side} text contains a newline")
+
+    def _check_shape(self) -> None:
+        """Two distinct languages and equal-length columns, stored as tuples; no text is read."""
+        if self.src_lang == self.tgt_lang:
+            raise ValueError(f"source and target language are both {self.src_lang!r}")
+        object.__setattr__(self, "src_texts", tuple(self.src_texts))  # no copy when already a tuple
+        object.__setattr__(self, "tgt_texts", tuple(self.tgt_texts))
+        if len(self.src_texts) != len(self.tgt_texts):
+            raise ValueError(f"{len(self.src_texts)} source texts vs {len(self.tgt_texts)} target texts")
+
+    @classmethod
+    def _checked(cls, src_lang: str, tgt_lang: str, src_texts: Sequence[str], tgt_texts: Sequence[str]) -> BitextCorpus:
+        """A corpus over texts that an earlier check already passed, built without walking them again.
+
+        Only the shape is checked. The callers are the derived corpora, whose
+        texts are selected from checked corpora, and :func:`load_bitext`, whose
+        lines :func:`_read_lines` checks; ``test_imports.py`` lists them.
+        """
+        corpus = object.__new__(cls)
+        for name, value in (("src_lang", src_lang), ("tgt_lang", tgt_lang),
+                            ("src_texts", src_texts), ("tgt_texts", tgt_texts)):
+            object.__setattr__(corpus, name, value)
+        corpus._check_shape()
+        return corpus
 
     def __len__(self) -> int:
         return len(self.src_texts)
@@ -194,7 +213,7 @@ def load_bitext(src_path: str | Path, tgt_path: str | Path, src_lang: str, tgt_l
     tgt_lines = _read_lines(tgt_path)
     if len(src_lines) != len(tgt_lines):
         raise CorpusError(f"line count mismatch: {len(src_lines)} source lines vs {len(tgt_lines)} target lines")
-    return BitextCorpus(src_lang, tgt_lang, src_lines, tgt_lines)
+    return BitextCorpus._checked(src_lang, tgt_lang, src_lines, tgt_lines)
 
 
 def write_bitext(corpus: BitextCorpus, src_path: str | Path, tgt_path: str | Path) -> None:

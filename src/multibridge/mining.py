@@ -109,6 +109,8 @@ def mine_pairs_detailed(
     cross product of the two sets (capped per key), then drop identical-text
     pairs and global duplicates. Traversal is sorted by pivot key and
     lexicographic within each cross product, so output is deterministic.
+    ``index`` is one :func:`build_pivot_index` returns: its texts come from
+    corpora that checked them, so the mined corpus does not check them again.
     """
     if PIVOT in (l1, l2):
         raise MiningError(f"cannot mine the pivot language {PIVOT!r}")
@@ -135,7 +137,7 @@ def mine_pairs_detailed(
             # sentence that leaked into the corpus.
             if x != y:
                 kept[x, y] = None
-    corpus = BitextCorpus(l1, l2, tuple(x for x, _ in kept), tuple(y for _, y in kept))
+    corpus = BitextCorpus._checked(l1, l2, tuple(x for x, _ in kept), tuple(y for _, y in kept))
     return MiningOutcome(corpus, raw, tuple(capped))
 
 

@@ -148,8 +148,8 @@ def sample_fraction(corpus: BitextCorpus, target_n: int, seed: int) -> BitextCor
         return corpus
     rng = Xoshiro256StarStar(seed)
     keep = rng.sample_indices(len(corpus), target_n)
-    return BitextCorpus(corpus.src_lang, corpus.tgt_lang,
-                        tuple(corpus.src_texts[i] for i in keep), tuple(corpus.tgt_texts[i] for i in keep))
+    return BitextCorpus._checked(corpus.src_lang, corpus.tgt_lang,
+                                 tuple(corpus.src_texts[i] for i in keep), tuple(corpus.tgt_texts[i] for i in keep))
 
 
 def build_training_set(

@@ -334,8 +334,9 @@ class TestModelFile:
 
     def test_reject_garbage(self, tmp_path):
         (tmp_path / "bad.txt").write_text("not a header\n")
-        with pytest.raises(BpeError):
+        with pytest.raises(BpeError) as info:
             load_bpe(tmp_path / "bad.txt")
+        assert str(info.value) == f"{tmp_path / 'bad.txt'}:1: not a BPE codes file"
 
     GOOD_CODES = b"#bpe num_merges=5 min_frequency=1\nl o\n"
     CRLF = "carriage return (CRLF line ending?); lines must end in LF"
@@ -345,6 +346,12 @@ class TestModelFile:
         (b"#bpe num_merges=5 min_frequency=1\nl \xffo\n", None, "codes", 2, "invalid UTF-8"),
         (b"#bpe num_merges=x min_frequency=1\n", None, "codes", 1, BpeError),
         (b"#bpe num_merges=5 min_frequency=1.5\n", None, "codes", 1, BpeError),
+        # Only the header save_bpe writes: a field-by-field parse would load
+        # these four, the first as a 0-merge model.
+        (b"#bpe num_merges=5 num_merges=0 min_frequency=1\n", None, "codes", 1, BpeError),
+        (b"#bpexyz num_merges=5 min_frequency=1 foo=bar\n", None, "codes", 1, BpeError),
+        (b"#bpe junk num_merges=2 min_frequency=1\n", None, "codes", 1, BpeError),
+        (b"#bpe min_frequency=1 num_merges=5\n", None, "codes", 1, BpeError),
         (GOOD_CODES, b"lo 2\r\n", "vocab", 1, CRLF),
         (GOOD_CODES, b"lo 2\n\xff 1\n", "vocab", 2, "invalid UTF-8"),
         (GOOD_CODES, b"lo 2\nb x\n", "vocab", 2, BpeError),
@@ -352,7 +359,8 @@ class TestModelFile:
         (GOOD_CODES, b"lo 2\nw  3\n", "vocab", 2, BpeError),
         (GOOD_CODES, b"lo 2\n 3\n", "vocab", 2, BpeError),
         (GOOD_CODES, b"lo 2\nw 3 4\n", "vocab", 2, BpeError),
-    ], ids=["codes-crlf", "codes-utf8", "num-merges", "min-frequency", "vocab-crlf", "vocab-utf8", "vocab-count",
+    ], ids=["codes-crlf", "codes-utf8", "num-merges", "min-frequency", "header-repeated-field",
+            "header-suffixed-tag", "header-extra-word", "header-reordered", "vocab-crlf", "vocab-utf8", "vocab-count",
             "vocab-double-space", "vocab-empty-symbol", "vocab-three-fields"])
     def test_malformed_files_are_typed_errors(self, tmp_path, codes, vocab, bad, line, error):
         (tmp_path / "codes").write_bytes(codes)

@@ -287,6 +287,10 @@ class TestStrictModelFiles:
         ("codes", b"#bpe num_merges=5 min_frequency=1\r\nl o\r\n", 1),
         ("codes", b"#bpe num_merges=5 min_frequency=1\nl \xffo\n", 2),
         ("codes", b"#bpe num_merges=x min_frequency=1\n", 1),
+        ("codes", b"#bpe num_merges=5 num_merges=0 min_frequency=1\n", 1),
+        ("codes", b"#bpexyz num_merges=5 min_frequency=1 foo=bar\n", 1),
+        ("codes", b"#bpe junk num_merges=2 min_frequency=1\n", 1),
+        ("codes", b"#bpe min_frequency=1 num_merges=5\n", 1),
         ("codes", b"#bpe num_merges=5 min_frequency=1\nl o\nl o\n", 3),
         ("codes", b"#bpe num_merges=5 min_frequency=1\nl o\na \n", 3),
         ("codes", b"#bpe num_merges=0 min_frequency=1\nl o\n", 2),
@@ -302,7 +306,8 @@ class TestStrictModelFiles:
     ]
 
     @pytest.mark.parametrize("kind,content,line", CASES, ids=[
-        "codes-crlf", "codes-utf8", "codes-number", "codes-duplicate", "codes-empty-side", "codes-budget",
+        "codes-crlf", "codes-utf8", "codes-number", "codes-header-repeated-field", "codes-header-suffixed-tag",
+        "codes-header-extra-word", "codes-header-reordered", "codes-duplicate", "codes-empty-side", "codes-budget",
         "vocab-crlf", "vocab-utf8", "vocab-number", "vocab-duplicate",
         "emb-crlf", "emb-utf8", "emb-number", "emb-header", "emb-duplicate-id",
     ])

@@ -23,6 +23,8 @@ from multibridge.corpus import (
     write_lines,
     write_once,
 )
+from multibridge.mining import build_pivot_index, mine_pairs_detailed
+from multibridge.sampling import sample_fraction
 
 from oracles import naive_lines_text
 
@@ -71,6 +73,51 @@ def test_bitext_corpus_rejects_exactly_the_bad_texts_property(src, tgt):
     else:
         corpus = BitextCorpus("en", "hi", tuple(src), tuple(tgt))
         assert len(corpus) == len(src)
+
+
+def _rebuilt(corpus: BitextCorpus) -> BitextCorpus:
+    """The public constructor, with every check, on a corpus's own columns."""
+    return BitextCorpus(corpus.src_lang, corpus.tgt_lang, corpus.src_texts, corpus.tgt_texts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_any_text, max_size=5), st.lists(_any_text, max_size=5))
+def test_loaded_corpus_equals_public_constructor_property(src, tgt):
+    # load_bitext skips the constructor's text walk: its own line checks must
+    # reject every file whose lines the walk would reject, and build the same
+    # corpus from every other file.
+    with tempfile.TemporaryDirectory() as tmp:
+        files = []
+        for name, texts in (("f.en", src), ("f.hi", tgt)):
+            files.append(Path(tmp) / name)
+            files[-1].write_bytes("".join(f"{text}\n" for text in texts).encode())
+        try:
+            loaded = load_bitext(*files, "en", "hi")
+        except CorpusError:
+            loaded = None
+    lines = ["".join(f"{text}\n" for text in texts).split("\n")[:-1] for texts in (src, tgt)]
+    try:
+        public = BitextCorpus("en", "hi", *lines)
+    except ValueError:
+        public = None
+    assert loaded == public
+
+
+_pivot_rows = st.lists(st.tuples(st.sampled_from(["a", "b", "A ", "c"]), st.sampled_from(["x", "y", "a", "x y"])),
+                       max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pivot_rows, _pivot_rows, st.sampled_from([None, 0, 1, 3]), st.integers(1, 6), st.integers(0, 2**64 - 1))
+def test_derived_corpora_equal_public_constructor_property(bn_rows, hi_rows, cap, target, seed):
+    # Mined and sampled corpora skip the constructor's text walk, since they
+    # select texts from checked corpora; each equals the corpus the public
+    # constructor builds from the same columns.
+    english = [BitextCorpus("en", lang, tuple(e for e, _ in rows), tuple(t for _, t in rows))
+               for lang, rows in (("bn", bn_rows), ("hi", hi_rows))]
+    mined = mine_pairs_detailed(build_pivot_index(english), "bn", "hi", cap).corpus
+    for corpus in (mined, sample_fraction(mined, target, seed), *(sample_fraction(c, target, seed) for c in english)):
+        assert corpus == _rebuilt(corpus)
 
 
 class TestLoadBitext:

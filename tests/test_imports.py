@@ -3,11 +3,12 @@
 Each case runs in a fresh interpreter, so no earlier import in the test
 session can hide an eager one: ``import multibridge`` loads only
 ``multibridge.version``, scoring loads no pipeline layer, and only the
-evaluation layer imports numpy. The last four tests read the source
+evaluation layer imports numpy. The last five tests read the source
 instead: they check that the export table routes each name to the module
 that defines it, that something outside the tests uses every public name,
-that the exception hierarchy stays one error type per layer, and that no
-code tells values apart by object identity.
+that the exception hierarchy stays one error type per layer, that no
+code tells values apart by object identity, and where corpora are built
+without the per-text check.
 """
 
 import ast
@@ -247,3 +248,15 @@ def test_no_code_keys_on_object_identity():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id"]
     assert calls == [], f"calls of the builtin id(): {calls}"
+
+
+def test_checked_corpus_constructor_uses():
+    # BitextCorpus._checked skips the per-text check, so each use must build
+    # from texts an earlier check passed: a mined or sampled selection of
+    # checked corpora, or lines _read_lines checked. A new use is a reviewed
+    # change to this list.
+    package = ROOT / "src" / "multibridge"
+    uses = sorted(f"{path.name}:{getattr(top, 'name', '<module>')}" for path in sorted(package.glob("*.py"))
+                  for top in ast.parse(path.read_text(encoding="utf-8")).body for node in ast.walk(top)
+                  if "_checked" in (getattr(node, "attr", None), getattr(node, "id", None)))
+    assert uses == ["corpus.py:load_bitext", "mining.py:mine_pairs_detailed", "sampling.py:sample_fraction"]

@@ -169,15 +169,23 @@ class TestComputeOnce:
     def test_builds_one_corpus_per_pair_and_stage(self, tmp_path, monkeypatch):
         # Loaded en-xx corpora, mined xx-yy corpora, and the sample of each
         # mined pair; a reversed direction is the same corpus's other column.
-        built = []
-        real = corpus.BitextCorpus.__post_init__
+        # Each is built by one of the two constructors; the run's texts are
+        # all checked on reading, so none goes through the public one's walk.
+        built, walked = [], []
+        real_post_init, real_checked = corpus.BitextCorpus.__post_init__, corpus.BitextCorpus._checked
 
-        def counting(self):
-            built.append(f"{self.src_lang}-{self.tgt_lang}")
-            real(self)
+        def counting_post_init(self):
+            walked.append(f"{self.src_lang}-{self.tgt_lang}")
+            real_post_init(self)
 
-        monkeypatch.setattr(corpus.BitextCorpus, "__post_init__", counting)
+        def counting_checked(src_lang, tgt_lang, src_texts, tgt_texts):
+            built.append(f"{src_lang}-{tgt_lang}")
+            return real_checked(src_lang, tgt_lang, src_texts, tgt_texts)
+
+        monkeypatch.setattr(corpus.BitextCorpus, "__post_init__", counting_post_init)
+        monkeypatch.setattr(corpus.BitextCorpus, "_checked", staticmethod(counting_checked))
         _run_fixture(tmp_path, "built")
+        assert walked == []
         assert sorted(built) == ["bn-hi", "bn-hi", "bn-ta", "bn-ta", "en-bn", "en-hi", "en-ta", "hi-ta", "hi-ta"]
 
     def test_reads_only_the_raw_corpora(self, tmp_path, monkeypatch):

@@ -82,6 +82,15 @@ class TestTokenize:
         assert tokenize(text, "hi") == naive_tokenize_indic(text)
 
 
+def test_every_codepoint_below_u1000_equals_the_oracles():
+    # The properties above draw from fixed alphabets; this pins each
+    # tokenizer's character classes themselves, one codepoint at a time,
+    # between letters, between digits and at the end of a word.
+    texts = [text for cp in range(0x1000) for text in (f"a{chr(cp)}b", f"1{chr(cp)}2", f"x{chr(cp)}")]
+    assert [text for text in texts if tokenize_13a(text) != naive_tokenize_13a(text)] == []
+    assert [text for text in texts if tokenize(text, "hi") != naive_tokenize_indic(text)] == []
+
+
 SAMPLE_SENTENCES = [
     ("hello, world.", "en"),
     ("It costs $3.50 (tax included)!", "en"),
