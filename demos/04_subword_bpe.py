@@ -27,9 +27,9 @@ rare = learn_bpe(["low low lower"], num_merges=10, min_frequency=2)
 print("\nwith a frequency floor, rare subwords fall back to characters:")
 print("  apply_bpe('lower') =", apply_bpe(rare, ["lower"]))
 
-# Language control tags must never be split; they are reserved tokens.
-tagged = tag(["newest", "lowest"], "bn", "hi")
-print("\ntagged + segmented:", apply_bpe(model, tagged, reserved=tagged[:2]))
+# Segment first, then prepend the language control tags, so BPE never sees them.
+segmented = apply_bpe(model, ["newest", "lowest"])
+print("\nsegmented + tagged:", tag(segmented, "bn", "hi"))
 
 # The codes file round-trips byte-identically.
 import tempfile

@@ -275,14 +275,13 @@ class BpeSegmenter:
     A word in the model's ``training_segments`` is looked up there; any
     other word is encoded from the merge ranks. Each distinct symbol is
     rendered and checked against the vocabulary once, and a word's
-    subwords are joined from those per-symbol results. Reserved tokens
-    start out cached as themselves.
+    subwords are joined from those per-symbol results.
     """
 
-    def __init__(self, model: BpeModel, reserved: Iterable[str] = ()):
+    def __init__(self, model: BpeModel):
         self.model = model
         self._ranks = model.ranks()
-        self._cache: dict[str, list[str]] = {token: [token] for token in reserved}
+        self._cache: dict[str, list[str]] = {}
         self._symbol_cache: tuple[dict[str, list[str]], dict[str, list[str]]] = ({}, {})  # non-final, final
 
     def _symbol_subwords(self, symbol: str, final: bool) -> list[str]:
@@ -310,13 +309,12 @@ class BpeSegmenter:
         return out
 
 
-def apply_bpe(model: BpeModel, tokens: Sequence[str], reserved: Iterable[str] = ()) -> list[str]:
+def apply_bpe(model: BpeModel, tokens: Sequence[str]) -> list[str]:
     """Segment tokens into @@-convention subwords.
 
-    ``reserved`` tokens (e.g. language control tags) pass through whole.
     Subwords missing from the model vocabulary are re-split to characters.
     """
-    return BpeSegmenter(model, reserved).segment(tokens)
+    return BpeSegmenter(model).segment(tokens)
 
 
 def revert_bpe(subwords: Sequence[str]) -> list[str]:

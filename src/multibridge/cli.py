@@ -104,7 +104,7 @@ def _cmd_preprocess(args) -> int:
             if args.detokenize:
                 text = detokenize(text.split())
             if args.from_devanagari:
-                text = from_devanagari(text, lang, args.unmappable)
+                text = from_devanagari(text, lang, args.unmappable or "error")
         else:
             if args.normalize:
                 text = normalize_unicode(text, lang)
@@ -143,12 +143,11 @@ def _cmd_apply_bpe(args) -> int:
 
 
 def _cmd_tag(args) -> int:
+    if not args.strip:
+        tag((), args.src, args.tgt)  # checks both codes before stdin is read
     for line in iter_lines():
-        if args.strip:
-            _, _, tokens = untag(line.split())
-            sys.stdout.write(" ".join(tokens) + "\n")
-        else:
-            sys.stdout.write(" ".join(tag(line.split(), args.src, args.tgt)) + "\n")
+        tokens = untag(line.split())[2] if args.strip else tag(line.split(), args.src, args.tgt)
+        sys.stdout.write(" ".join(tokens) + "\n")
     return 0
 
 
@@ -221,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-devanagari", action="store_true")
     p.add_argument("--tokenize", action="store_true")
     p.add_argument("--detokenize", action="store_true")
-    p.add_argument("--unmappable", choices=["error", "pass"], default="error")
+    p.add_argument("--unmappable", choices=["error", "pass"], help="for --from-devanagari (default error)")
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("learn-bpe", help="learn BPE merges from tokenized text")
@@ -273,6 +272,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     if args.command == "tag" and not args.strip and not (args.src and args.tgt):
         parser.error("tag requires --src and --tgt (or --strip)")
+    if args.command == "tag" and args.strip and (args.src, args.tgt) != (None, None):
+        parser.error("--strip does not read --src or --tgt")
     if args.command == "preprocess":
         forward = args.normalize or args.to_devanagari or args.tokenize
         reverse = args.detokenize or args.from_devanagari
@@ -280,6 +281,10 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("forward and reverse operations cannot be combined")
         if not (forward or reverse):
             parser.error("nothing to do: pass --tokenize, --to-devanagari, ...")
+        if args.unmappable is not None and not args.from_devanagari:
+            parser.error("only --from-devanagari reads --unmappable")
+        if (args.to_devanagari or args.from_devanagari) and args.lang not in indic_codes():
+            parser.error(f"{args.lang} has no Indic block to map")
     if args.command == "evaluate":
         if args.metric == "cosine" and not (args.emb_a and args.emb_b):
             parser.error("cosine needs --emb-a and --emb-b")

@@ -32,7 +32,7 @@ from .languages import PIVOT, REGISTRY, get_language
 from .mining import MiningOutcome, StatsMatrix, build_pivot_index, extraction_stats, mine_pairs_detailed
 from .sampling import assemble_training_set
 from .scripts import normalize_unicode, to_devanagari
-from .tags import src_tag, tag, tgt_tag
+from .tags import tag
 from .tokenizers import tokenize
 
 logger = logging.getLogger(__name__)
@@ -215,14 +215,9 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
         del segment
 
     with _stage("tag"):
-        checked: set[str] = set()
         for lang, other, lines in columns:
-            for line in lines:
-                if line not in checked:  # tag() rejects reserved tokens in the payload
-                    tag(line.split(), lang, other)
-                    checked.add(line)
-            # The two tags, then the payload if there is one: tag()'s output, joined.
-            head = f"{src_tag(lang)} {tgt_tag(other)}"
+            # No payload token can be a tag: both tokenizers split every "_" off.
+            head = " ".join(tag((), lang, other))
             write_lines(final_dir / f"{lang}-{other}.src", (f"{head} {line}" if line else head for line in lines))
         stages["tag"] = {"directions": len(columns)}
 

@@ -1,8 +1,8 @@
 """Source- and target-language control tokens for the multilingual model.
 
 Every encoder input starts with two reserved tokens: ``__src_xx__`` then
-``__tgt_yy__``. Both are single tokens that subword segmentation must
-never split (pass them as ``reserved`` to the BPE applier).
+``__tgt_yy__``. Tags are added after subword segmentation and are never
+passed to BPE, so they stay single tokens.
 """
 
 from __future__ import annotations

@@ -221,14 +221,10 @@ def _rank_order_encode(token: str, merges: list[tuple[str, str]]) -> tuple[str, 
         symbols = _oracle_merge(symbols, merges[min(present)])
 
 
-def naive_segment(tokens: list[str], merges: list[tuple[str, str]], vocab: dict[str, int] | None,
-                  reserved: frozenset[str] = frozenset()) -> list[str]:
+def naive_segment(tokens: list[str], merges: list[tuple[str, str]], vocab: dict[str, int] | None) -> list[str]:
     """Segment word by word: render all of a word's subwords, then re-split each one outside ``vocab``."""
     out: list[str] = []
     for token in tokens:
-        if token in reserved:
-            out.append(token)
-            continue
         symbols = _rank_order_encode(token, merges)
         rendered = [s + "@@" for s in symbols[:-1]] + [symbols[-1][: -len(_EOW)]]
         for i, subword in enumerate(rendered):

@@ -195,14 +195,13 @@ def test_per_symbol_vocabulary_and_segmenter_equal_per_word_oracles(tokens, num_
     assert model.vocab == naive_vocab(tokens, merges, min_frequency)
 
     unseen = data.draw(st.lists(st.text("abcz", min_size=1, max_size=8), max_size=5))
-    reserved = frozenset(data.draw(st.lists(st.sampled_from(tokens), max_size=2))) | {"__src_hi__"}
-    queries = tokens + unseen + ["__src_hi__"]
+    queries = tokens + unseen
     with tempfile.TemporaryDirectory() as tmp:
         codes, vocab = Path(tmp) / "codes.txt", Path(tmp) / "vocab.txt"
         save_bpe(model, codes, vocab)
         models = [model, load_bpe(codes, vocab), load_bpe(codes)]
     for m in models:
-        assert BpeSegmenter(m, reserved).segment(queries) == naive_segment(queries, merges, m.vocab, reserved)
+        assert BpeSegmenter(m).segment(queries) == naive_segment(queries, merges, m.vocab)
 
 
 class TestSeparatorInToken:
@@ -251,11 +250,6 @@ class TestApply:
         segmented = apply_bpe(model, ["lower"])
         assert segmented == ["l@@", "o@@", "w@@", "e@@", "r"]
         assert apply_bpe(model, ["low"]) == ["low"]
-
-    def test_reserved_tokens_pass_through(self):
-        model = learn_bpe([TOY], num_merges=50, min_frequency=1)
-        tagged = apply_bpe(model, ["__src_bn__", "newest"], reserved=["__src_bn__", "__tgt_hi__"])
-        assert tagged == ["__src_bn__", "newest"]
 
     def test_segmenter_bulk_equals_single(self):
         model = learn_bpe([TOY], num_merges=50, min_frequency=1)

@@ -365,6 +365,20 @@ class TestPreprocess:
         assert info.value.code == 1
         assert "nothing to do" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("operation", ["--tokenize", "--normalize", "--to-devanagari", "--detokenize"])
+    def test_unmappable_without_from_devanagari_is_usage_error(self, capsys, operation):
+        with pytest.raises(SystemExit) as info:
+            main(["preprocess", "--lang", "bn", operation, "--unmappable", "pass"])
+        assert info.value.code == 1
+        assert "only --from-devanagari reads --unmappable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("operation", ["--to-devanagari", "--from-devanagari"])
+    def test_script_mapping_for_english_is_usage_error_whatever_the_input(self, operation):
+        for stdin in ("", "hello\n"):
+            proc = run_cli("preprocess", "--lang", "en", operation, stdin=stdin)
+            assert proc.returncode == 1, stdin
+            assert "en has no Indic block to map" in proc.stderr and proc.stdout == ""
+
 
 class TestBpeCommands:
     def test_learn_and_apply(self, tmp_path):
@@ -496,6 +510,24 @@ class TestTagCommand:
         assert proc.returncode == 2
         assert f"unknown language code: {bad!r}" in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("src,tgt,message", [
+        ("en", "en", "source and target language are both 'en'"),
+        ("zz", "hi", "unknown language code: 'zz'"),
+    ], ids=["same", "unknown"])
+    def test_codes_are_checked_before_stdin_is_read(self, src, tgt, message):
+        for stdin in ("", "a b\n"):
+            proc = run_cli("tag", "--src", src, "--tgt", tgt, stdin=stdin)
+            assert proc.returncode == 2, stdin
+            assert f"multibridge: {message}" in proc.stderr and proc.stdout == ""
+
+    @pytest.mark.parametrize("flags", [["--src", "bn"], ["--tgt", "hi"], ["--src", "bn", "--tgt", "hi"]],
+                             ids=["src", "tgt", "both"])
+    def test_strip_with_language_flag_is_usage_error(self, capsys, flags):
+        with pytest.raises(SystemExit) as info:
+            main(["tag", "--strip", *flags])
+        assert info.value.code == 1
+        assert "--strip does not read --src or --tgt" in capsys.readouterr().err
 
     def test_strip_code_outside_language_table_is_data_error(self):
         proc = run_cli("tag", "--strip", stdin="__src_zz__ __tgt_hi__ a b\n")

@@ -3,12 +3,13 @@
 Each case runs in a fresh interpreter, so no earlier import in the test
 session can hide an eager one: ``import multibridge`` loads only
 ``multibridge.version``, scoring loads no pipeline layer, and only the
-evaluation layer imports numpy. The last five tests read the source
+evaluation layer imports numpy. The last six tests read the source
 instead: they check that the export table routes each name to the module
 that defines it, that something outside the tests uses every public name,
-that the exception hierarchy stays one error type per layer, that no
-code tells values apart by object identity, and where corpora are built
-without the per-text check.
+that each module uses every name it imports, that the exception
+hierarchy stays one error type per layer, that no code tells values
+apart by object identity, and where corpora are built without the
+per-text check.
 """
 
 import ast
@@ -201,6 +202,25 @@ def test_every_public_name_is_used_outside_tests():
         if not any(name in _references(tree, node if path == home else None) for path, tree in modules.items()):
             unused.append(name)
     assert unused == [], f"public names nothing outside tests uses: {unused}"
+
+
+def test_every_imported_name_is_used():
+    # A name a module imports but never uses is what a removed call leaves
+    # behind. The one exception is sampling.write_bitext, kept as a module
+    # name because perfbench/tracing.py wraps it there (ROADMAP item 3b
+    # deletes it). A string constant counts as a use, as the package's
+    # __all__ re-exports __version__.
+    package = ROOT / "src" / "multibridge"
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        used = {node.id for node in nodes if isinstance(node, ast.Name)}
+        used |= {node.value for node in nodes if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        unused += [f"{path.stem}.{name}" for node in nodes
+                   if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                   for name in [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                   if name not in used]
+    assert unused == ["sampling.write_bitext"], f"imported names their module never uses: {unused}"
 
 
 def _handled(tree: ast.AST) -> set[str]:

@@ -4,16 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multibridge.bpe import learn_bpe, apply_bpe
 from multibridge.languages import UnknownLanguage
-from multibridge.tags import (
-    TagError,
-    is_tag_token,
-    src_tag,
-    tag,
-    tgt_tag,
-    untag,
-)
+from multibridge.tags import TagError, is_tag_token, tag, untag
 
 from oracles import naive_reserved_token
 
@@ -109,10 +101,3 @@ def test_reserved_token_check_equals_per_token_oracle(tokens):
         with pytest.raises(TagError, match=f"^payload contains reserved token {re.escape(repr(reserved))}$"):
             tag(tokens, "bn", "hi")
 
-
-def test_tags_survive_bpe_unsplit():
-    model = learn_bpe(["__src_bn__ __tgt_hi__ _ s r c b n"], num_merges=50, min_frequency=1)
-    reserved = [src_tag("bn"), src_tag("hi"), tgt_tag("bn"), tgt_tag("hi")]
-    segmented = apply_bpe(model, tag(["srcbn"], "bn", "hi"), reserved=reserved)
-    assert segmented[0] == "__src_bn__"
-    assert segmented[1] == "__tgt_hi__"

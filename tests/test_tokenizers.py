@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multibridge.languages import REGISTRY
+from multibridge.pipeline import preprocess_line
 from multibridge.tokenizers import detokenize, tokenize, tokenize_13a
 
 from oracles import naive_tokenize_13a, naive_tokenize_indic
@@ -89,6 +91,22 @@ def test_every_codepoint_below_u1000_equals_the_oracles():
     texts = [text for cp in range(0x1000) for text in (f"a{chr(cp)}b", f"1{chr(cp)}2", f"x{chr(cp)}")]
     assert [text for text in texts if tokenize_13a(text) != naive_tokenize_13a(text)] == []
     assert [text for text in texts if tokenize(text, "hi") != naive_tokenize_indic(text)] == []
+
+
+# Underscores, tag-shaped strings and the text around them in a real line:
+# 13a's entity and <skipped> rules, numeric runs, Latin and Indic letters.
+_UNDERSCORE_PIECES = st.sampled_from([
+    "_", "__", "__src_hi__", "x__tgt_bn__y", "__tgt_en__", "src_ta", "<skipped>", "&quot;", " ", "\u00a0",
+    *"09,.:/-", "a", "Z", "\u0915", "\u093f", "\u0985", "\u0ba4", "\u0967",
+])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(sorted(REGISTRY)), st.lists(_UNDERSCORE_PIECES, max_size=16).map("".join))
+def test_every_underscore_is_a_token_of_its_own(lang, text):
+    # run prepends the tags after BPE and checks no payload for them: this
+    # is why no preprocessed token can be a __src_xx__ or __tgt_yy__ tag.
+    assert [token for token in preprocess_line(text, lang) if "_" in token and token != "_"] == []
 
 
 SAMPLE_SENTENCES = [

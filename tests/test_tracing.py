@@ -40,6 +40,7 @@ def test_tracer_reports_the_fixture_run(tmp_path):
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout)
     assert metrics["mining.mine_calls"] == 3  # bn-hi, bn-ta, hi-ta
+    assert metrics["tags.tag_calls"] == 12  # one per direction: the tag stage checks no payload line
     for stage in ("extract", "sample", "preprocess", "learn_bpe", "apply_bpe", "tag"):
         assert metrics[f"pipeline.{stage}_s"] > 0, stage
 
