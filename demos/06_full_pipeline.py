@@ -1,9 +1,12 @@
 """The whole pipeline on the bundled three-language fixture.
 
 extract -> stats -> sample -> preprocess -> learn-bpe -> apply-bpe -> tag,
-driven by one JSON config. Rerunning produces a byte-identical tree.
+driven by one JSON config that names one output root, ``out_dir``: the run
+writes ``mined/``, ``sampled/`` and ``prep/`` under it. Rerunning produces a
+byte-identical tree.
 """
 
+import json
 import shutil
 import tempfile
 from pathlib import Path
@@ -15,6 +18,13 @@ FIXTURE = Path(__file__).resolve().parent.parent / "tests" / "data" / "pipeline_
 with tempfile.TemporaryDirectory() as tmp:
     work = Path(tmp) / "run"
     shutil.copytree(FIXTURE, work)
+    # The fixture still names the three stage directories, the older form of
+    # one output root; this copy names the root itself.
+    config = json.loads((work / "config.json").read_text())
+    for key in ("mined_dir", "sampled_dir", "preprocessed_dir"):
+        del config[key]
+    config["out_dir"] = "out"
+    (work / "config.json").write_text(json.dumps(config, indent=2) + "\n")
     print("config:", (work / "config.json").read_text())
 
     report = run_pipeline(load_config(work / "config.json"))

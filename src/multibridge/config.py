@@ -1,17 +1,18 @@
 """Pipeline configuration: one JSON document.
 
 Relative paths resolve against the directory containing the config file.
-The four directories must be disjoint: none may equal or contain another.
-Validation resolves every referenced input before any stage runs.
+A run writes ``mined/``, ``sampled/`` and ``prep/`` under ``out_dir``, which
+must neither equal, contain nor sit inside ``raw_dir``. Older configs name
+the three instead (``mined_dir``, ``sampled_dir``, ``preprocessed_dir``); they
+are read as ``out_dir`` P only as P/mined, P/sampled and P/prep. Validation
+resolves every referenced input before any stage runs.
 
 Example::
 
     {
       "languages": ["bn", "hi", "ta"],
       "raw_dir": "raw",
-      "mined_dir": "out/mined",
-      "sampled_dir": "out/sampled",
-      "preprocessed_dir": "out/prep",
+      "out_dir": "out",
       "sampling": {"strategy": "sample-fraction", "per_pair_target": 100000},
       "bpe": {"num_merges": 32000, "min_frequency": 5},
       "xprod_cap": 64,
@@ -25,7 +26,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .bpe import DEFAULT_MIN_FREQUENCY, DEFAULT_NUM_MERGES
 from .errors import ConfigError
@@ -44,13 +45,16 @@ from .sampling import (
 class PipelineConfig:
     languages: tuple[str, ...]
     raw_dir: Path
-    mined_dir: Path
-    sampled_dir: Path
-    preprocessed_dir: Path
+    out_dir: Path
     sampling: SamplingPlan
     bpe_num_merges: int
     bpe_min_frequency: int
     xprod_cap: int | None
+    # The fixed layout of the tree under out_dir.
+    mined_dir = property(lambda self: self.out_dir / "mined")
+    sampled_dir = property(lambda self: self.out_dir / "sampled")
+    prep_dir = property(lambda self: self.out_dir / "prep")
+    final_dir = property(lambda self: self.out_dir / "prep" / "final")
 
 
 def raw_paths(raw_dir: Path, lang: str) -> tuple[Path, Path]:
@@ -63,10 +67,13 @@ def raw_paths(raw_dir: Path, lang: str) -> tuple[Path, Path]:
 #: is accepted at the one value the pipeline always had and rejected otherwise.
 _LEGACY_KEYS = {"pivot": PIVOT, "workers": 1}
 
+#: The stage-directory keys ``out_dir`` replaced, each with its fixed name under it.
+_LEGACY_STAGE_DIRS = {"mined_dir": "mined", "sampled_dir": "sampled", "preprocessed_dir": "prep"}
+
 #: Every key a config may hold, per table; anything else is a typo.
 _TOP_KEYS = {
-    "languages", "raw_dir", "mined_dir", "sampled_dir", "preprocessed_dir",
-    "sampling", "bpe", "xprod_cap", "seed", *_LEGACY_KEYS,
+    "languages", "raw_dir", "out_dir", "sampling", "bpe", "xprod_cap", "seed",
+    *_LEGACY_KEYS, *_LEGACY_STAGE_DIRS,
 }
 _SAMPLING_KEYS = {"strategy", "pairs", "per_pair_target"}
 _BPE_KEYS = {"num_merges", "min_frequency"}
@@ -75,7 +82,8 @@ _BPE_KEYS = {"num_merges", "min_frequency"}
 def _table(value: object, known: set[str], where: str) -> dict:
     """``value`` as a table whose keys are all in ``known``; ``where`` prefixes key names."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{where or 'config'} must be a table, not {type(value).__name__}")
+        name = repr(where.removesuffix(".")) if where else "config"
+        raise ConfigError(f"{name} must be a table, not {type(value).__name__}")
     unknown = sorted(set(value) - known)
     if unknown:
         raise ConfigError("unknown config key " + ", ".join(repr(where + key) for key in unknown))
@@ -106,8 +114,10 @@ def parse_pairs(items: object) -> tuple[tuple[str, str], ...]:
     return tuple(pairs)
 
 
-def parse_sampling(sampling: object, seed: int) -> SamplingPlan:
+def parse_sampling(sampling: object, seed: object) -> SamplingPlan:
     """The sampling plan of a ``sampling`` table: ``strategy`` plus its ``pairs`` or ``per_pair_target``."""
+    if type(seed) is not int or not 0 <= seed < 2**64:  # the generator would draw a wider seed mod 2**64
+        raise ConfigError(f"'seed' must be an integer in [0, 2**64), not {seed!r}")
     sampling = _table(sampling, _SAMPLING_KEYS, "sampling.")
     name = sampling.get("strategy")
     if name == "sample-pairs":
@@ -153,7 +163,6 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"'languages' must be a list of language codes, not {languages!r}")
     if len(set(languages)) != len(languages):
         raise ConfigError(f"'languages' lists a language twice: {languages!r}")
-    seed = _int(doc, "seed", 1)
     bpe = _table(doc.get("bpe", {}), _BPE_KEYS, "bpe.")
     cap = doc.get("xprod_cap", DEFAULT_XPROD_CAP)
     cap = None if cap is None else _int(doc, "xprod_cap", DEFAULT_XPROD_CAP, minimum=0)
@@ -162,15 +171,30 @@ def load_config(path: str | Path) -> PipelineConfig:
             raise ConfigError(
                 f"{key!r} was removed; it is accepted only as {only_value!r}, not {doc[key]!r}"
             )
-    dirs = {key: resolve(key) for key in ("raw_dir", "mined_dir", "sampled_dir", "preprocessed_dir")}
+    dirs = {"raw_dir": resolve("raw_dir"), "out_dir": _out_dir(doc, resolve)}
     check_disjoint(dirs)
     return PipelineConfig(
         languages=tuple(languages),
         **dirs,
-        sampling=parse_sampling(doc.get("sampling", {"strategy": "train-all"}), seed),
+        sampling=parse_sampling(doc.get("sampling", {"strategy": "train-all"}), doc.get("seed", 1)),
         bpe_num_merges=_int(bpe, "num_merges", DEFAULT_NUM_MERGES, "bpe.", 0),
         bpe_min_frequency=_int(bpe, "min_frequency", DEFAULT_MIN_FREQUENCY, "bpe.", 0),
         xprod_cap=cap or None,
+    )
+
+
+def _out_dir(doc: dict, resolve: Callable[[str], Path]) -> Path:
+    """``out_dir``, or ``P`` where the legacy stage keys name exactly ``P/mined``, ``P/sampled`` and ``P/prep``."""
+    legacy = _LEGACY_STAGE_DIRS.keys() & doc.keys()
+    if not legacy:
+        return resolve("out_dir")
+    if "out_dir" not in doc and legacy == _LEGACY_STAGE_DIRS.keys():
+        parent = resolve("mined_dir").parent
+        if all(resolve(key) == parent / name for key, name in _LEGACY_STAGE_DIRS.items()):
+            return parent
+    raise ConfigError(
+        "'out_dir' replaced 'mined_dir', 'sampled_dir' and 'preprocessed_dir': the three are accepted "
+        "only together, without 'out_dir', as P/mined, P/sampled and P/prep of one directory P"
     )
 
 

@@ -8,7 +8,10 @@ raw-pair section. The later stages run from memory and cannot be resumed
 through the CLI. With a fixed seed the whole output tree is
 byte-identical across runs and platforms: all stage outputs are sorted,
 counts are integers, and every random draw goes through the pinned
-generator.
+generator. The one known exception is NFC, which uses the interpreter's
+Unicode database: Python 3.10's Unicode 13.0 lacks the Telugu nukta
+U+0C3C, so its ``prep/`` bytes for Telugu text holding it differ from
+those of 3.11 and later.
 """
 
 from __future__ import annotations
@@ -181,8 +184,7 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
     # also repeat across columns (mined pairs reuse English-centric sentences),
     # so each cache runs a step once per distinct input. Each stage's lines
     # replace the last stage's, and each cache goes when its stage ends.
-    prep_dir = config.preprocessed_dir
-    final_dir = prep_dir / "final"
+    prep_dir, final_dir = config.prep_dir, config.final_dir
 
     with _stage("preprocess"):
         prep_dir.mkdir(parents=True, exist_ok=True)

@@ -655,8 +655,58 @@ class TestRunCommand:
         doc["preprocessed_dir"] = prep
         (work / "config.json").write_text(json.dumps(doc))
         assert main(["run", "--config", str(work / "config.json")]) == 2
-        assert "'sampled_dir' and 'preprocessed_dir' overlap" in capsys.readouterr().err
+        assert "multibridge: 'out_dir' replaced" in capsys.readouterr().err
         assert not (work / "out").exists()
+
+    # Each is a change to the fixture's config; None deletes a key. The
+    # fixture names its stage directories with the legacy keys.
+    LEGACY = dict.fromkeys(("mined_dir", "sampled_dir", "preprocessed_dir"))
+
+    @pytest.mark.parametrize("change", [
+        {"preprocessed_dir": None},
+        {"sampled_dir": None, "preprocessed_dir": None},
+        {"mined_dir": "elsewhere/mined"},
+        {"preprocessed_dir": "out/preprocessed"},
+        {"out_dir": "out"},
+        {"out_dir": "out", "mined_dir": None, "sampled_dir": None},
+        {**LEGACY, "out_dir": "raw"},
+        {**LEGACY, "out_dir": "raw/out"},
+        {**LEGACY, "out_dir": "."},
+        {"mined_dir": "raw/mined", "sampled_dir": "raw/sampled", "preprocessed_dir": "raw/prep"},
+        LEGACY,
+    ], ids=["partial-legacy-set", "one-legacy-key", "non-sibling", "renamed-subdirectory", "out-dir-and-legacy",
+            "out-dir-and-one-legacy-key", "out-dir-is-raw", "out-dir-inside-raw", "out-dir-contains-raw",
+            "legacy-root-is-raw", "no-output-root"])
+    def test_misplaced_output_root_is_data_error(self, tmp_path, capsys, change):
+        work = tmp_path / "run"
+        shutil.copytree(FIXTURE, work)
+        doc = json.loads((work / "config.json").read_text())
+        doc.update(change)
+        (work / "config.json").write_text(json.dumps({key: value for key, value in doc.items() if value is not None}))
+        before = sorted(work.rglob("*"))
+        assert main(["run", "--config", str(work / "config.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("multibridge: ") and "'out_dir'" in err
+        assert sorted(work.rglob("*")) == before
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 77 + 2**64, 77 - 2**64],
+                             ids=["negative", "2-64", "77-plus-2-64", "77-minus-2-64"])
+    def test_seed_outside_64_bits_is_data_error(self, tmp_path, raw_dir, capsys, seed):
+        # The generator keeps a seed's low 64 bits, so 77 + 2**64 would draw
+        # what 77 draws and record another seed. `sample --seed` shares the check.
+        message = f"multibridge: 'seed' must be an integer in [0, 2**64), not {seed}\n"
+        work = tmp_path / "run"
+        shutil.copytree(FIXTURE, work)
+        doc = json.loads((work / "config.json").read_text())
+        (work / "config.json").write_text(json.dumps({**doc, "seed": seed}))
+        assert main(["run", "--config", str(work / "config.json")]) == 2
+        assert capsys.readouterr().err == message
+        assert not (work / "out").exists()
+        out = tmp_path / "sampled"
+        assert main(["sample", "--strategy", "train-all", "--seed", str(seed),
+                     "--inputs", str(raw_dir), "--mined", str(GOLDEN_MINED), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
     def test_registry_key_is_rejected(self, tmp_path, capsys):
         # The language table is fixed; a registry file, even a valid one, is a config error.

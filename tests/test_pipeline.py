@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import random
@@ -18,6 +19,7 @@ from multibridge.errors import ConfigError
 from multibridge.pipeline import PipelineStageError, preprocess_line, run_pipeline
 from multibridge.tags import tag, untag
 
+ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = Path(__file__).parent / "data" / "pipeline_fixture"
 GOLDEN = Path(__file__).parent / "data" / "pipeline_golden" / "out"
 
@@ -82,6 +84,18 @@ class TestRunPipeline:
                 lines = expected.removesuffix(b"\n").split(b"\n")
                 expected = b"".join(lines[i] + b"\n" for i in orders[centric[rel]])
             assert got[rel] == expected, f"content differs: {rel}"
+
+    def test_out_dir_config_writes_the_golden_tree(self, tmp_path):
+        legacy = _run_fixture(tmp_path, "legacy")
+        work = tmp_path / "out_dir"
+        shutil.copytree(FIXTURE, work)
+        doc = json.loads((work / "config.json").read_text())
+        for key in ("mined_dir", "sampled_dir", "preprocessed_dir"):
+            del doc[key]
+        (work / "config.json").write_text(json.dumps({**doc, "out_dir": "out"}))
+        run_pipeline(load_config(work / "config.json"))
+        assert _tree(work / "out") == _tree(GOLDEN)
+        assert sorted(_inodes(work / "out").values()) == sorted(_inodes(legacy).values())
 
     def test_reruns_byte_identical(self, tmp_path):
         first = _tree(_run_fixture(tmp_path, "a"))
@@ -427,6 +441,12 @@ class TestConfig:
         ("seed", "abc", "'seed'"),
         ("seed", True, "'seed'"),
         ("seed", 1.5, "'seed'"),
+        ("seed", -1, "'seed'"),
+        ("seed", 2**64, "'seed'"),
+        ("seed", 77 + 2**64, "'seed'"),
+        ("seed", 77 - 2**64, "'seed'"),
+        ("bpe", None, "'bpe' must be a table, not NoneType"),
+        ("sampling", None, "'sampling' must be a table, not NoneType"),
         ("bpe", {"num_merges": "x"}, "'bpe.num_merges'"),
         ("bpe", {"num_merges": -3}, "'bpe.num_merges'"),
         ("bpe", {"min_frequency": -1}, "'bpe.min_frequency'"),
@@ -443,7 +463,8 @@ class TestConfig:
         ("sampling", {"strategy": "sample-pairs", "pairs": ["bn-bn"]}, "'bn-bn'"),
         ("sampling", {"strategy": "sample-pairs", "pairs": [["bn", "hi"]]}, "malformed pair ['bn', 'hi']"),
     ], ids=[
-        "seed-str", "seed-bool", "seed-float", "merges-str", "merges-negative", "min-frequency-negative",
+        "seed-str", "seed-bool", "seed-float", "seed-negative", "seed-2-64", "seed-77-plus-2-64",
+        "seed-77-minus-2-64", "bpe-null", "sampling-null", "merges-str", "merges-negative", "min-frequency-negative",
         "languages-str", "languages-int-item", "languages-duplicate", "cap-negative", "cap-str", "raw-dir-int",
         "per-pair-str", "per-pair-zero", "pairs-str", "pair-int", "pair-same-language", "pair-list",
     ])
@@ -471,18 +492,54 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"'sampling.{key}'"):
             load_config(bad)
 
-    @pytest.mark.parametrize("key,value,other", [
-        ("preprocessed_dir", "out/sampled", "sampled_dir"),
-        ("preprocessed_dir", "out/sampled/prep", "sampled_dir"),
-        ("mined_dir", "{work}/out/prep/../sampled", "sampled_dir"),
-        ("raw_dir", "out", "mined_dir"),
+    # The stage directories sit at fixed names under one output root: a
+    # legacy stage key placed anywhere else, and an output root overlapping
+    # raw_dir, are errors naming 'out_dir'.
+    @pytest.mark.parametrize("key,value,message", [
+        ("preprocessed_dir", "out/sampled", "'out_dir' replaced"),
+        ("preprocessed_dir", "out/sampled/prep", "'out_dir' replaced"),
+        ("mined_dir", "{work}/out/prep/../sampled", "'out_dir' replaced"),
+        ("raw_dir", "out", "'raw_dir' and 'out_dir' overlap"),
     ], ids=["equal", "nested", "absolute-equal", "output-inside-raw"])
-    def test_overlapping_dirs_rejected(self, tmp_path, key, value, other):
+    def test_overlapping_dirs_rejected(self, tmp_path, key, value, message):
         doc = json.loads((FIXTURE / "config.json").read_text())
         doc[key] = value.format(work=tmp_path)
         (tmp_path / "c.json").write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match=f"{other!r} and {key!r} overlap|{key!r} and {other!r} overlap"):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(tmp_path / "c.json")
+
+    def test_legacy_stage_keys_are_read_as_out_dir(self, tmp_path):
+        doc = json.loads((FIXTURE / "config.json").read_text())
+        doc.update(mined_dir=f"{tmp_path}/elsewhere/../out/mined", sampled_dir="out/./sampled")
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        config = load_config(tmp_path / "c.json")
+        out = (tmp_path / "out").resolve()
+        assert config.out_dir == out
+        assert (config.mined_dir, config.sampled_dir, config.prep_dir, config.final_dir) == (
+            out / "mined", out / "sampled", out / "prep", out / "prep" / "final")
+
+    @pytest.mark.parametrize("seed", [0, 77, 2**64 - 1])
+    def test_every_64_bit_seed_accepted(self, tmp_path, seed):
+        doc = json.loads((FIXTURE / "config.json").read_text())
+        (tmp_path / "c.json").write_text(json.dumps({**doc, "seed": seed}))
+        assert load_config(tmp_path / "c.json").sampling.seed == seed
+        assert parse_sampling({"strategy": "train-all"}, seed).seed == seed
+
+    def test_every_config_the_repository_writes_loads(self, tmp_path):
+        # The fixture and the benchmark's pipeline workloads keep the legacy
+        # stage keys; each must load, validate and put its tree in <work>/out.
+        spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        configs = {"fixture": FIXTURE / "config.json"}
+        for name, workload in workloads.WORKLOADS.items():
+            if workload["kind"] == "pipeline":
+                configs[name] = workloads.write_inputs(name, "tiny", tmp_path / name, 1)
+        assert len(configs) == 3
+        for name, path in configs.items():
+            config = load_config(path)
+            validate_config(config)
+            assert config.out_dir == (path.parent / "out").resolve(), name
 
     def test_cap_zero_or_null_disables(self, tmp_path):
         for value in (0, None):
