@@ -173,8 +173,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = load_config(args.config)
-    report = run_pipeline(config)
+    report = run_pipeline(load_config(args.config))
     logging.info("pipeline complete: %d manifest entries, %d mined pairs",
                  len(report.manifest.entries), report.stats.unique_unordered_total())
     return 0

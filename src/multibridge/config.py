@@ -1,11 +1,12 @@
 """Pipeline configuration: one JSON document.
 
 Relative paths resolve against the directory containing the config file.
-A run writes ``mined/``, ``sampled/`` and ``prep/`` under ``out_dir``, which
-must neither equal, contain nor sit inside ``raw_dir``. Older configs name
-the three instead (``mined_dir``, ``sampled_dir``, ``preprocessed_dir``); they
-are read as ``out_dir`` P only as P/mined, P/sampled and P/prep. Validation
-resolves every referenced input before any stage runs.
+A run replaces ``mined/``, ``sampled/`` and ``prep/`` under ``out_dir``, which
+must neither equal, contain nor sit inside ``raw_dir``; nor may the config
+file sit inside the three. Older configs name the three instead
+(``mined_dir``, ``sampled_dir``, ``preprocessed_dir``); they are read as
+``out_dir`` P only as P/mined, P/sampled and P/prep. Validation resolves
+every referenced input before any stage runs.
 
 Example::
 
@@ -55,6 +56,7 @@ class PipelineConfig:
     sampled_dir = property(lambda self: self.out_dir / "sampled")
     prep_dir = property(lambda self: self.out_dir / "prep")
     final_dir = property(lambda self: self.out_dir / "prep" / "final")
+    stage_dirs = property(lambda self: (self.mined_dir, self.sampled_dir, self.prep_dir))  # what a run replaces
 
 
 def raw_paths(raw_dir: Path, lang: str) -> tuple[Path, Path]:
@@ -173,7 +175,7 @@ def load_config(path: str | Path) -> PipelineConfig:
             )
     dirs = {"raw_dir": resolve("raw_dir"), "out_dir": _out_dir(doc, resolve)}
     check_disjoint(dirs)
-    return PipelineConfig(
+    config = PipelineConfig(
         languages=tuple(languages),
         **dirs,
         sampling=parse_sampling(doc.get("sampling", {"strategy": "train-all"}), doc.get("seed", 1)),
@@ -181,6 +183,9 @@ def load_config(path: str | Path) -> PipelineConfig:
         bpe_min_frequency=_int(bpe, "min_frequency", DEFAULT_MIN_FREQUENCY, "bpe.", 0),
         xprod_cap=cap or None,
     )
+    if any(path.resolve().is_relative_to(stage_dir) for stage_dir in config.stage_dirs):
+        raise ConfigError(f"config {path} is inside a stage directory under 'out_dir', which a run deletes")
+    return config
 
 
 def _out_dir(doc: dict, resolve: Callable[[str], Path]) -> Path:

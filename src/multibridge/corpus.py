@@ -6,11 +6,13 @@ codes and vocabularies, embedding tables, stage outputs) goes through
 Anything else is a typed :class:`CorpusError` naming the file and line.
 
 A text column with several names is written once, by :func:`write_once`,
-and its other names are hard links of that file. The callers name them by
-the mirror rule: column ``(L, O)``, the ``L`` texts of a corpus between
-``L`` and ``O``, is both ``L-O.src`` and ``O-L.tgt``. Because names may
-share an inode, :func:`write_text` never writes through a hard link: it
-replaces the name it writes instead.
+and its other names are hard links of that file, or copies where a name
+exists already (``run`` empties its stage directories first, so it makes
+every link afresh). The callers name them by the mirror rule: column
+``(L, O)``, the ``L`` texts of a corpus between ``L`` and ``O``, is both
+``L-O.src`` and ``O-L.tgt``. Because names may share an inode,
+:func:`write_text` never writes through a hard link: it replaces the name
+it writes instead.
 
 Bitext lives on disk only as a pair of line-aligned plain-text files
 (one sentence per line), the format used by shared-task data and by the
@@ -177,15 +179,10 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
 def write_once(lines: Sequence[str], first: str | Path, *links: str | Path) -> None:
     """Write ``lines`` to ``first`` and make each path in ``links`` a hard link of that file.
 
-    Links that are regular files are unlinked first, so on a rerun ``first``
-    has one link and is overwritten in place. Where a link cannot be made (no
-    hard links on the file system, too many links, a symlink in the way), the
-    lines are written there instead, so the bytes are the same either way.
+    Where a link cannot be made (a name already there, no hard links on the
+    file system, too many links), the lines are written there instead, so the
+    bytes are the same either way.
     """
-    for path in links:
-        with contextlib.suppress(OSError):
-            if stat.S_ISREG(os.lstat(path).st_mode):
-                os.unlink(path)
     write_lines(first, lines)
     for path in links:
         try:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import logging
+import shutil
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -159,6 +160,11 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
 
     with _stage("extract"):
         english = load_english(config.raw_dir, config.languages)
+        # Replaced whole, so no earlier file survives; all checked before any delete, none deleted through a link.
+        if not_dirs := [str(d) for d in config.stage_dirs if d.is_symlink() or d.exists() and not d.is_dir()]:
+            raise MultibridgeError(f"not a plain directory, so a run cannot replace it: {', '.join(not_dirs)}")
+        for stage_dir in filter(Path.exists, config.stage_dirs):
+            shutil.rmtree(stage_dir)
         mined, stages["extract"] = extract(english, combinations(english, 2), config.xprod_cap, config.mined_dir)
 
     with _stage("stats"):
@@ -167,14 +173,9 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
 
     with _stage("sample"):
         mined_corpora = {pair: outcome.corpus for pair, outcome in mined.items()}
-        manifest, columns = assemble_training_set(
-            english.values(), mined_corpora, config.sampling, config.sampled_dir
-        )
-        stages["sample"] = {
-            "strategy": config.sampling.strategy.name,
-            "entries": len(manifest.entries),
-            "total_pairs": manifest.total_pairs(),
-        }
+        manifest, columns = assemble_training_set(english.values(), mined_corpora, config.sampling, config.sampled_dir)
+        stages["sample"] = {"strategy": config.sampling.strategy.name, "entries": len(manifest.entries),
+                            "total_pairs": manifest.total_pairs()}
         # Only the sampled columns are read below; dropping the rest makes
         # room for the caches, so peak memory stays where sampling left it.
         del english, mined, mined_corpora
@@ -207,8 +208,7 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
         segmenter = BpeSegmenter(model)
         segment = cache(lambda line: " ".join(segmenter.segment(line.split())))
         columns = [(lang, other, [segment(line) for line in lines]) for lang, other, lines in columns]
-        # final/O-L.tgt is O-L.bpe.tgt as is, so it is one more name of the
-        # column: linking it here lets a rerun overwrite the file in place.
+        # final/O-L.tgt is O-L.bpe.tgt as is, so it is one more name of the column.
         final_dir.mkdir(exist_ok=True)
         for lang, other, lines in columns:
             write_once(lines, prep_dir / f"{lang}-{other}.bpe.src", prep_dir / f"{other}-{lang}.bpe.tgt",
@@ -223,8 +223,7 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
             write_lines(final_dir / f"{lang}-{other}.src", (f"{head} {line}" if line else head for line in lines))
         stages["tag"] = {"directions": len(columns)}
 
-    report = RunReport(stages, manifest, stats)
-    record = {"seed": config.sampling.seed, "stages": stages}
+    record = {"seed": config.sampling.seed, "stages": stages}  # written last: it marks a complete run
     write_text(prep_dir / "run_report.json", json.dumps(record, indent=2, sort_keys=True) + "\n")
-    return report
+    return RunReport(stages, manifest, stats)
 

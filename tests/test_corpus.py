@@ -208,15 +208,13 @@ class TestHardLinks:
         assert (tmp_path / "a").stat().st_nlink == 3
         assert (tmp_path / "a").read_bytes() == b"x\ny\n"
 
-    def test_write_once_overwrites_the_first_file_in_place_on_a_rerun(self, tmp_path, monkeypatch):
-        old, new = ("old",), ("new",)
-        write_once(old, *(tmp_path / name for name in "abc"))
-        unlinked, unlink = [], os.unlink
-        monkeypatch.setattr(os, "unlink", lambda path: (unlinked.append(Path(path).name), unlink(path)))
-        write_once(new, *(tmp_path / name for name in "abc"))
-        assert unlinked == ["b", "c"]
-        assert {p.read_bytes() for p in tmp_path.iterdir()} == {b"new\n"}
-        assert (tmp_path / "a").stat().st_nlink == 3
+    def test_write_once_over_existing_names_leaves_an_outside_link(self, tmp_path):
+        write_once(["old"], *(tmp_path / name for name in "abc"))
+        os.link(tmp_path / "a", tmp_path / "outside")
+        write_once(["new"], *(tmp_path / name for name in "abc"))
+        assert [(p.name, p.read_bytes()) for p in sorted(tmp_path.iterdir())] == [
+            ("a", b"new\n"), ("b", b"new\n"), ("c", b"new\n"), ("outside", b"old\n")]
+        assert (tmp_path / "outside").stat().st_nlink == 1
 
     def test_write_once_writes_where_links_are_refused(self, tmp_path, monkeypatch):
         def refused(*args, **kwargs):

@@ -3,13 +3,13 @@
 Each case runs in a fresh interpreter, so no earlier import in the test
 session can hide an eager one: ``import multibridge`` loads only
 ``multibridge.version``, scoring loads no pipeline layer, and only the
-evaluation layer imports numpy. The last six tests read the source
+evaluation layer imports numpy. The last seven tests read the source
 instead: they check that the export table routes each name to the module
 that defines it, that something outside the tests uses every public name,
 that each module uses every name it imports, that the exception
 hierarchy stays one error type per layer, that no code tells values
-apart by object identity, and where corpora are built without the
-per-text check.
+apart by object identity, where corpora are built without the per-text
+check, and which functions delete files.
 """
 
 import ast
@@ -280,3 +280,27 @@ def test_checked_corpus_constructor_uses():
                   for top in ast.parse(path.read_text(encoding="utf-8")).body for node in ast.walk(top)
                   if "_checked" in (getattr(node, "attr", None), getattr(node, "id", None)))
     assert uses == ["corpus.py:load_bitext", "mining.py:mine_pairs_detailed", "sampling.py:sample_fraction"]
+
+
+#: The deleting calls by name: shutil.rmtree, os.unlink, os.remove, os.rmdir, Path.unlink and Path.rmdir.
+_DELETING = {"rmtree", "unlink", "remove", "rmdir"}
+
+
+def _deletes(node: ast.AST) -> bool:
+    """Whether ``node`` names a deleting call, as an attribute, a name or an imported name."""
+    if isinstance(node, ast.alias):
+        return node.name in _DELETING
+    if isinstance(node, ast.Attribute) and node.attr == "remove":  # list.remove deletes nothing on disk
+        return isinstance(node.value, ast.Name) and node.value.id == "os"
+    return (getattr(node, "attr", None) or getattr(node, "id", None)) in _DELETING
+
+
+def test_only_two_functions_delete_files():
+    # run_pipeline replaces its three stage directories and write_text
+    # replaces a hard-linked name. Nothing else in the package deletes, so
+    # what the toolkit removes from disk is one reviewed list.
+    package = ROOT / "src" / "multibridge"
+    uses = sorted({f"{path.name}:{getattr(top, 'name', '<module>')}" for path in sorted(package.glob("*.py"))
+                   for top in ast.parse(path.read_text(encoding="utf-8")).body for node in ast.walk(top)
+                   if _deletes(node)})
+    assert uses == ["corpus.py:write_text", "pipeline.py:run_pipeline"]

@@ -306,22 +306,15 @@ class TestHardLinks:
         assert _tree(out) == _tree(GOLDEN)
         assert all(p.stat().st_nlink == 1 for p in out.rglob("*") if p.is_file())
 
-    def test_rerun_over_a_linked_tree_equals_a_fresh_run(self, tmp_path, monkeypatch):
-        # The second config changes every .bpe. and final/ file, so the rerun
-        # rewrites names that share an inode with names it relinks later.
+    def test_rerun_over_a_linked_tree_equals_a_fresh_run(self, tmp_path):
+        # The second config changes every .bpe. and final/ file, which share
+        # inodes in the first tree.
         out = _run_fixture(tmp_path, "rerun")
         config = out.parent / "config.json"
         doc = json.loads(config.read_text())
         config.write_text(json.dumps({**doc, "bpe": {**doc["bpe"], "num_merges": 30}}))
         before = _tree(out)
-        unlinked, unlink = [], os.unlink
-        monkeypatch.setattr(os, "unlink", lambda path: (unlinked.append(path), unlink(path)))
         run_pipeline(load_config(config))
-        monkeypatch.undo()
-        # Only the links are unlinked and made again; each file written
-        # first is overwritten in place.
-        groups = _inodes(out).values()
-        assert len(unlinked) == sum(len(group) - 1 for group in groups) == 48
 
         fresh = tmp_path / "fresh"
         shutil.copytree(FIXTURE, fresh)
@@ -338,6 +331,86 @@ class TestHardLinks:
         assert _tree(out / "sampled") != before["sampled"]
         for stage in ("mined", "prep"):
             assert _tree(out / stage) == before[stage], stage
+
+
+def _out_dir_config(out_dir: str) -> dict:
+    """The fixture's config with ``out_dir`` in place of its three legacy stage keys."""
+    doc = json.loads((FIXTURE / "config.json").read_text())
+    for key in ("mined_dir", "sampled_dir", "preprocessed_dir"):
+        del doc[key]
+    return {**doc, "out_dir": out_dir}
+
+
+@pytest.fixture(scope="module")
+def full_run(tmp_path_factory) -> Path:
+    """A fixture work directory after one full bn/hi/ta run; tests link to it and must not write into it."""
+    return _run_fixture(tmp_path_factory.mktemp("full"), "work").parent
+
+
+class TestRerun:
+    # A run replaces mined/, sampled/ and prep/, so a rerun over any earlier
+    # tree equals a fresh run of its own config.
+    @pytest.mark.parametrize("change", [
+        {"languages": ["bn", "hi"]},
+        {"languages": ["bn", "ta"]},
+        {"languages": ["hi", "ta"]},
+        {"sampling": {"strategy": "train-all"}},
+    ], ids=["bn-hi", "bn-ta", "hi-ta", "train-all"])
+    def test_rerun_over_a_full_tree_equals_a_fresh_run(self, tmp_path, full_run, change):
+        # Linked, not copied, so the earlier tree keeps its link groups; the
+        # shared run must come through unchanged, as the run never writes
+        # through a link.
+        work = tmp_path / "rerun"
+        shutil.copytree(full_run, work, copy_function=os.link)
+        doc = {**json.loads((FIXTURE / "config.json").read_text()), **change}
+        (work / "changed.json").write_text(json.dumps(doc))
+        run_pipeline(load_config(work / "changed.json"))
+
+        fresh = tmp_path / "fresh"
+        shutil.copytree(FIXTURE, fresh)
+        (fresh / "changed.json").write_text(json.dumps(doc))
+        run_pipeline(load_config(fresh / "changed.json"))
+        assert _tree(work / "out") == _tree(fresh / "out")
+        assert len(_tree(work / "out")) == (55 if len(doc["languages"]) == 2 else 107)
+        assert sorted(_inodes(work / "out").values()) == sorted(_inodes(fresh / "out").values())
+        assert _tree(full_run / "out") == _tree(GOLDEN)
+
+    def test_failed_rerun_leaves_no_run_report(self, tmp_path, monkeypatch, capsys):
+        out = _run_fixture(tmp_path, "failed")
+        calls, write_lines = [], corpus.write_lines
+
+        def failing(*args):
+            calls.append(args[0])
+            if len(calls) == 3:
+                raise OSError("disk full")
+            write_lines(*args)
+
+        monkeypatch.setattr(pipeline, "write_lines", failing)
+        assert main(["run", "--config", str(out.parent / "config.json")]) == 2
+        assert capsys.readouterr().err.startswith("multibridge: ")
+        assert len(calls) == 3
+        assert not (out / "prep" / "run_report.json").exists()
+
+    @pytest.mark.parametrize("stage", ["mined", "sampled", "prep"])
+    @pytest.mark.parametrize("kind", ["symlink", "file"])
+    def test_stage_path_that_is_not_a_directory_is_a_data_error(self, tmp_path, capsys, stage, kind):
+        # All three are checked before anything is deleted, and a symlink's
+        # target is never deleted through. The config names out_dir, as the
+        # legacy form would resolve a symlinked prep/ elsewhere and fail.
+        out = _run_fixture(tmp_path, "odd")
+        (out.parent / "config.json").write_text(json.dumps(_out_dir_config("out")))
+        target = tmp_path / "elsewhere"
+        (out / stage).rename(target)
+        if kind == "symlink":
+            (out / stage).symlink_to(target, target_is_directory=True)
+        else:
+            (out / stage).write_text("not a directory\n")
+        before, kept = _tree(out), _tree(target)
+        assert main(["run", "--config", str(out.parent / "config.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("multibridge: stage 'extract' failed: not a plain directory") and str(out / stage) in err
+        assert _tree(out) == before
+        assert _tree(target) == kept
 
 
 class TestConfig:
@@ -517,6 +590,21 @@ class TestConfig:
         assert config.out_dir == out
         assert (config.mined_dir, config.sampled_dir, config.prep_dir, config.final_dir) == (
             out / "mined", out / "sampled", out / "prep", out / "prep" / "final")
+
+    @pytest.mark.parametrize("stage", ["mined", "sampled", "prep", "prep/final"])
+    def test_config_inside_a_stage_directory_rejected(self, tmp_path, capsys, stage):
+        # A run deletes its stage directories, and the config would go with them.
+        out = _run_fixture(tmp_path, "inside")
+        doc = {**_out_dir_config(str(out)), "raw_dir": str(out.parent / "raw")}
+        (out / "c.json").write_text(json.dumps(doc))
+        assert load_config(out / "c.json").out_dir == out.resolve()  # out_dir itself is not replaced
+        (out / stage / "c.json").write_text(json.dumps(doc))
+        before = _tree(out)
+        with pytest.raises(ConfigError, match="is inside a stage directory under 'out_dir'"):
+            load_config(out / stage / "c.json")
+        assert main(["run", "--config", str(out / stage / "c.json")]) == 2
+        assert capsys.readouterr().err.startswith("multibridge: config ")
+        assert _tree(out) == before
 
     @pytest.mark.parametrize("seed", [0, 77, 2**64 - 1])
     def test_every_64_bit_seed_accepted(self, tmp_path, seed):
