@@ -153,12 +153,12 @@ def load_config(path: str | Path) -> PipelineConfig:
     _table(doc, _TOP_KEYS, "")
     base = path.parent
 
-    def resolve(key: str) -> Path:
+    def path_of(key: str) -> Path:
         if key not in doc:
             raise ConfigError(f"config is missing {key!r}")
         if not isinstance(doc[key], str):
             raise ConfigError(f"{key!r} must be a path string, not {doc[key]!r}")
-        return (base / doc[key]).resolve()
+        return base / doc[key]
 
     languages = doc.get("languages", [])
     if not (isinstance(languages, list) and all(isinstance(code, str) for code in languages)):
@@ -173,7 +173,7 @@ def load_config(path: str | Path) -> PipelineConfig:
             raise ConfigError(
                 f"{key!r} was removed; it is accepted only as {only_value!r}, not {doc[key]!r}"
             )
-    dirs = {"raw_dir": resolve("raw_dir"), "out_dir": _out_dir(doc, resolve)}
+    dirs = {"raw_dir": path_of("raw_dir").resolve(), "out_dir": _out_dir(doc, path_of)}
     check_disjoint(dirs)
     config = PipelineConfig(
         languages=tuple(languages),
@@ -188,14 +188,18 @@ def load_config(path: str | Path) -> PipelineConfig:
     return config
 
 
-def _out_dir(doc: dict, resolve: Callable[[str], Path]) -> Path:
+def _out_dir(doc: dict, path_of: Callable[[str], Path]) -> Path:
     """``out_dir``, or ``P`` where the legacy stage keys name exactly ``P/mined``, ``P/sampled`` and ``P/prep``."""
     legacy = _LEGACY_STAGE_DIRS.keys() & doc.keys()
     if not legacy:
-        return resolve("out_dir")
+        return path_of("out_dir").resolve()
     if "out_dir" not in doc and legacy == _LEGACY_STAGE_DIRS.keys():
-        parent = resolve("mined_dir").parent
-        if all(resolve(key) == parent / name for key, name in _LEGACY_STAGE_DIRS.items()):
+        # Only each key's parent is resolved: a stage path that is a symlink still names its
+        # place under P, and the run rejects the link.
+        stages = {key: path_of(key) for key in _LEGACY_STAGE_DIRS}
+        parent = stages["mined_dir"].parent.resolve()
+        if all(path.parent.resolve() == parent and path.name == _LEGACY_STAGE_DIRS[key]
+               for key, path in stages.items()):
             return parent
     raise ConfigError(
         "'out_dir' replaced 'mined_dir', 'sampled_dir' and 'preprocessed_dir': the three are accepted "

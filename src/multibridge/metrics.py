@@ -12,20 +12,25 @@ pass per order over the whole corpus, so no float enters before the formula:
 
 Sentence embeddings are consumed from files produced externally (this
 toolkit never loads an encoder); cosine similarity is averaged over
-sentences and reported x100. An embedding file's values are checked and
-converted in one pass per file.
+sentences and reported x100. An embedding file is read one of two ways. A
+clean file, whose bytes are only those of decimal floats, spaces, tabs and
+LFs, is converted in one call to numpy's C text reader, without a Python
+object per field; its shape and values are checked after. Every other file
+is read row by row, so its first bad line names the error.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CorpusError, TranslationDirection, iter_lines, parse_count, parse_floats
+from .corpus import TranslationDirection, iter_lines, parse_count, parse_floats
 from .errors import MultibridgeError
 from .languages import PIVOT
 from .tokenizers import tokenize_13a
@@ -239,15 +244,50 @@ def _fields(line: str) -> list[str]:
     return [field for field in fields if field] if "" in fields else fields
 
 
-def load_embeddings(path) -> EmbeddingTable:
-    """Read an embedding file: header ``d n``, then ``id v1 ... vd`` rows, fields split on spaces and tabs.
+#: Every byte of a clean embedding file. On fields of these alone numpy's
+#: text reader accepts exactly what float() accepts, and both round each
+#: decimal correctly, so they give the same bits.
+_CLEAN_BYTES = b"0123456789+-.eE \t\n"
 
-    Each row's structure is checked as it is read, and every value of the
-    file in one :func:`~multibridge.corpus.parse_floats` call at the end. If
-    anything fails, the rows read so far are re-parsed one by one first, so
-    the error reported is the first in file order: a bad float on line 3
-    wins over a short row on line 5.
+
+def _parse_rows(body: bytes) -> np.ndarray:
+    """Every row of ``body`` as float64 in one call to numpy's C text reader; ValueError on a bad field.
+
+    It skips blank rows and, without ``usecols``, fails on a row whose field count differs from the first's.
     """
+    return np.loadtxt(io.BytesIO(body), dtype=np.float64, comments=None, ndmin=2)
+
+
+def _load_clean(path) -> EmbeddingTable | None:
+    """The table of a clean file, or None: the row-by-row reader then judges the file."""
+    try:
+        data = Path(path).read_bytes()
+    except (OSError, TypeError):  # unreadable, or None for stdin: the row-by-row reader's to handle
+        return None
+    if data.translate(None, _CLEAN_BYTES):  # deleting them leaves something: CR, '#', non-ASCII, ...
+        return None
+    header, _, body = data.partition(b"\n")
+    fields = header.split()
+    rows = body.removesuffix(b"\n").split(b"\n")  # [b""] when there are none
+    heads = [(row.split(maxsplit=1) or [b""])[0] for row in rows]  # b"" for a blank row
+    if len(fields) != 2 or not all(count.isdigit() for count in [*fields, *heads]):
+        return None
+    dim, n = map(int, fields)
+    ids = tuple(map(int, heads))  # exact, where the reader's float64 copy of a long id is not
+    if dim < 1 or len(set(ids)) != len(ids):
+        return None
+    try:
+        table = _parse_rows(body)
+    except ValueError:
+        return None
+    # Every row has an id, so the reader skipped none and the shape counts them all.
+    if table.shape != (n, dim + 1) or not np.isfinite(table[:, 1:]).all():
+        return None
+    return EmbeddingTable(ids, table[:, 1:])
+
+
+def _load_rows(path) -> EmbeddingTable:
+    """Row by row: each row's fields, id and floats checked in turn, so the first bad line raises."""
     lines = iter_lines(path)
     header = _fields(next(lines, ""))
     if len(header) != 2:
@@ -256,26 +296,33 @@ def load_embeddings(path) -> EmbeddingTable:
     if dim < 1:
         raise MetricError(f"{path}:1: dimension must be at least 1, got {dim}")
     first_line: dict[int, int] = {}  # sentence id -> line it first appears on, in file order
-    values: list[str] = []  # the value fields of every row read, row after row
-    try:
-        for line_no, line in enumerate(lines, start=2):
-            parts = _fields(line)
-            if len(parts) != dim + 1:
-                raise MetricError(f"{path}:{line_no}: expected id plus {dim} floats")
-            sid = parse_count(parts[0], path, line_no, MetricError)
-            if sid in first_line:
-                raise MetricError(f"{path}:{line_no}: duplicate sentence id {sid} (first at line {first_line[sid]})")
-            first_line[sid] = line_no
-            values += parts[1:]
-        floats = parse_floats(values, path, 2, MetricError)  # fails only where some row below fails
-    except (CorpusError, MetricError):
-        for row in range(len(values) // dim):  # row i is on line i + 2
-            parse_floats(values[row * dim : (row + 1) * dim], path, row + 2, MetricError)
-        raise
+    rows = []
+    for line_no, line in enumerate(lines, start=2):
+        parts = _fields(line)
+        if len(parts) != dim + 1:
+            raise MetricError(f"{path}:{line_no}: expected id plus {dim} floats")
+        sid = parse_count(parts[0], path, line_no, MetricError)
+        if sid in first_line:
+            raise MetricError(f"{path}:{line_no}: duplicate sentence id {sid} (first at line {first_line[sid]})")
+        first_line[sid] = line_no
+        rows.append(parse_floats(parts[1:], path, line_no, MetricError))
     ids = tuple(first_line)
     if len(ids) != n:
         raise MetricError(f"{path}: header says {n} rows, found {len(ids)}")
-    return EmbeddingTable(ids, np.array(floats, dtype=np.float64).reshape(len(ids), dim))
+    return EmbeddingTable(ids, np.array(rows, dtype=np.float64).reshape(len(ids), dim))
+
+
+def load_embeddings(path) -> EmbeddingTable:
+    """Read an embedding file: header ``d n``, then ``id v1 ... vd`` rows, fields split on spaces and tabs.
+
+    A clean file (only ASCII digits, ``+-.eE``, spaces, tabs and LFs; a
+    ``d n`` header of counts; ``n`` rows with unique ids; ``d + 1`` finite
+    fields on every row) is converted in one call to numpy's C text reader,
+    which rounds each decimal exactly as ``float()`` does. Every other file
+    goes to a row-by-row reader, which raises the first error in file
+    order: a bad float on line 3 wins over a short row on line 5.
+    """
+    return _load_clean(path) or _load_rows(path)
 
 
 def cosine_batch(a: EmbeddingTable, b: EmbeddingTable) -> MetricScore:

@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 import random
@@ -17,6 +18,7 @@ from multibridge.metrics import (
     EvalReport,
     MetricError,
     MetricScore,
+    _parse_rows,
     _ranks,
     bleu,
     chrf2,
@@ -220,7 +222,31 @@ _EMB_SEPARATOR = st.sampled_from([" ", "\t", "  ", " \t "])
 # float() alone accepts the last five bad floats, and int() the ids "-1", "+0" and "\u0967".
 _BAD_FLOAT = st.sampled_from(["abc", "1.2.3", "1e", "--1", "inf", "-nan", "1e999", "1_0", "\u0967.\u096b"])
 _BAD_ID = st.sampled_from(["x", "-1", "+0", "1.0", "\u0967"])
-_DEFECTS = ("float", "field-count", "id", "duplicate-id", "utf8", "cr")
+
+
+def _near_halfway(x: float, nudge: int) -> str:
+    """The exact decimal halfway between ``x`` and the next float up, plus ``nudge`` units 900 digits down."""
+    context = decimal.Context(prec=2000)  # exact: a float's decimal has at most 767 significant digits
+    halfway = context.divide(context.add(decimal.Decimal(x), decimal.Decimal(math.nextafter(x, math.inf))), 2)
+    return str(context.add(halfway, decimal.Decimal(nudge).scaleb(halfway.adjusted() - 900)))
+
+
+_SUBNORMAL = st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)
+# Fields of the bytes the one-call path lets through: random strings of its alphabet, reprs,
+# subnormals, and mantissas of 300 digits and more, among them the hardest to round: a
+# decimal at, just below or just above the halfway point between two floats.
+_CLEAN_FIELD = st.one_of(
+    st.text("0123456789+-.eE", min_size=1, max_size=12),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    _SUBNORMAL.map(repr),
+    st.builds(_near_halfway, st.one_of(_SUBNORMAL, st.floats(-1e308, 1e308)), st.sampled_from([-1, 0, 1])),
+    st.builds("{}.{}e{}".format, st.integers(1, 9), st.text("0123456789", min_size=300, max_size=400),
+              st.integers(-700, 400)),
+    st.sampled_from(["-0", "+0", "-0.0", "-0e5", "-1e-999", "1e999", "-1e999", "4.9e-324", "2.4703282292062327e-324",
+                     "2.4703282292062328e-324"]),
+)
+_DEFECTS = ("float", "field-count", "id", "duplicate-id", "utf8", "cr", "comment", "blank", "spaces", "blank-end",
+            "count")
 
 
 @st.composite
@@ -232,6 +258,9 @@ def _embedding_file(draw, defects):
     rows = [[str(sid), *draw(st.lists(_EMB_VALUE, min_size=dim, max_size=dim))] for sid in ids]
     header = [str(dim), str(n_rows)]
     damage: dict[int, tuple[int, bytes]] = {}  # line index -> (byte position, byte to insert)
+    extra: dict[int, bytes] = {}  # line index -> a line put before it
+    end = draw(st.sampled_from([b"\n", b""]))
+    keep_rows = True
     for row in draw(st.permutations(range(n_rows)))[:defects]:
         kind = draw(st.sampled_from(_DEFECTS))
         fields = rows[row]
@@ -243,19 +272,28 @@ def _embedding_file(draw, defects):
             fields[0] = draw(_BAD_ID)
         elif kind == "duplicate-id":
             fields[0] = rows[draw(st.sampled_from([r for r in range(n_rows) if r != row]))][0]
+        elif kind in ("blank", "spaces"):  # a line of nothing, or of separators only, before this row
+            extra[row + 1] = b"" if kind == "blank" else draw(_EMB_SEPARATOR).encode()
+        elif kind == "blank-end":
+            end = b"\n\n"
+        elif kind == "count":  # the header's row count off by one, or "d 0" with or without the rows
+            header[1] = str(draw(st.sampled_from([n_rows - 1, n_rows + 1, 0])))
+            keep_rows = header[1] != "0" or draw(st.booleans())
+        elif kind == "comment":
+            damage[row + 1] = (draw(st.integers(0, 100)), b"#")
         else:  # a byte put into the line: this row's, or the header's
             line = draw(st.sampled_from([row + 1, 0]))
             damage[line] = (draw(st.integers(0, 100)), b"\xff" if kind == "utf8" else b"\r")
     lines = []
-    for index, fields in enumerate([header, *rows]):
+    for index, fields in enumerate([header, *(rows if keep_rows else [])]):
         sep = draw(_EMB_SEPARATOR)
         line = (draw(st.sampled_from(["", sep])) + sep.join(fields) + draw(st.sampled_from(["", sep]))).encode()
         if index in damage:
             at, byte = damage[index]
             at = min(at, len(line))
             line = line[:at] + byte + line[at:]
-        lines.append(line)
-    return b"\n".join(lines) + draw(st.sampled_from([b"\n", b""]))
+        lines += [extra[index], line] if index in extra else [line]
+    return b"\n".join(lines) + end
 
 
 class TestEmbeddingFile:
@@ -361,6 +399,22 @@ class TestEmbeddingFile:
             path = Path(tmp) / "e.tsv"
             path.write_bytes(content)
             assert _load_outcome(load_embeddings, path) == _load_outcome(naive_load_embeddings, path)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_CLEAN_FIELD, min_size=1, max_size=3), _EMB_SEPARATOR)
+    def test_text_reader_accepts_exactly_what_float_accepts(self, fields, sep):
+        # The one-call path's premise: on the bytes it lets through, numpy's reader as the
+        # loader calls it takes exactly the fields float() takes, to the bit (-0.0 included).
+        try:
+            expected = ((1, len(fields)), np.array([list(map(float, fields))]).tobytes())
+        except ValueError:
+            expected = "rejected"
+        try:
+            table = _parse_rows(sep.join(fields).encode())
+            got = (table.shape, table.tobytes())
+        except ValueError:
+            got = "rejected"
+        assert got == expected
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4))
     def test_every_finite_repr_loads_back(self, values):

@@ -392,16 +392,17 @@ class TestRerun:
         assert not (out / "prep" / "run_report.json").exists()
 
     @pytest.mark.parametrize("stage", ["mined", "sampled", "prep"])
-    @pytest.mark.parametrize("kind", ["symlink", "file"])
+    @pytest.mark.parametrize("kind", ["symlink", "file", "legacy-symlink"])
     def test_stage_path_that_is_not_a_directory_is_a_data_error(self, tmp_path, capsys, stage, kind):
         # All three are checked before anything is deleted, and a symlink's
-        # target is never deleted through. The config names out_dir, as the
-        # legacy form would resolve a symlinked prep/ elsewhere and fail.
+        # target is never deleted through. The config names out_dir, or for
+        # legacy-symlink keeps the fixture's three legacy stage keys.
         out = _run_fixture(tmp_path, "odd")
-        (out.parent / "config.json").write_text(json.dumps(_out_dir_config("out")))
+        if kind != "legacy-symlink":
+            (out.parent / "config.json").write_text(json.dumps(_out_dir_config("out")))
         target = tmp_path / "elsewhere"
         (out / stage).rename(target)
-        if kind == "symlink":
+        if kind.endswith("symlink"):
             (out / stage).symlink_to(target, target_is_directory=True)
         else:
             (out / stage).write_text("not a directory\n")
