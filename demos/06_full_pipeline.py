@@ -1,6 +1,6 @@
 """The whole pipeline on the bundled three-language fixture.
 
-extract -> stats -> sample -> preprocess -> learn-bpe -> apply-bpe -> tag,
+extract (with stats.tsv) -> sample -> preprocess -> learn-bpe -> apply-bpe -> tag,
 driven by one JSON config that names one output root, ``out_dir``: the run
 writes ``mined/``, ``sampled/`` and ``prep/`` under it. Rerunning produces a
 byte-identical tree.

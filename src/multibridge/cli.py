@@ -25,7 +25,7 @@ from .corpus import iter_lines, write_lines, write_text
 from .errors import MultibridgeError
 from .languages import indic_codes
 from .mining import DEFAULT_XPROD_CAP, extraction_stats
-from .pipeline import extract, load_english, load_mined, mined_paths, raw_languages, run_pipeline, write_stats
+from .pipeline import extract, load_english, load_mined, mined_paths, raw_languages, run_pipeline
 from .sampling import DEFAULT_PER_PAIR_TARGET, assemble_training_set
 from .scripts import from_devanagari, normalize_unicode, to_devanagari
 from .tags import tag, untag
@@ -61,8 +61,7 @@ def _cmd_extract(args) -> int:
     inputs, out = Path(args.inputs), Path(args.out)
     english = load_english(inputs, raw_languages(inputs))
     pairs = parse_pairs(args.pairs.split(",")) if args.pairs else combinations(english, 2)
-    mined, _ = extract(english, pairs, None if args.xprod_cap == 0 else args.xprod_cap, out)
-    write_stats(english, mined, out)
+    extract(english, pairs, None if args.xprod_cap == 0 else args.xprod_cap, out)
     return 0
 
 

@@ -56,7 +56,7 @@ class PipelineConfig:
     sampled_dir = property(lambda self: self.out_dir / "sampled")
     prep_dir = property(lambda self: self.out_dir / "prep")
     final_dir = property(lambda self: self.out_dir / "prep" / "final")
-    stage_dirs = property(lambda self: (self.mined_dir, self.sampled_dir, self.prep_dir))  # what a run replaces
+    stage_dirs = property(lambda self: (self.prep_dir, self.mined_dir, self.sampled_dir))  # what a run replaces
 
 
 def raw_paths(raw_dir: Path, lang: str) -> tuple[Path, Path]:

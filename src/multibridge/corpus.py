@@ -5,14 +5,14 @@ codes and vocabularies, embedding tables, stage outputs) goes through
 :func:`iter_lines` and :func:`write_lines`: UTF-8, one line per LF, no CR.
 Anything else is a typed :class:`CorpusError` naming the file and line.
 
-A text column with several names is written once, by :func:`write_once`,
-and its other names are hard links of that file, or copies where a name
-exists already (``run`` empties its stage directories first, so it makes
-every link afresh). The callers name them by the mirror rule: column
-``(L, O)``, the ``L`` texts of a corpus between ``L`` and ``O``, is both
-``L-O.src`` and ``O-L.tgt``. Because names may share an inode,
-:func:`write_text` never writes through a hard link: it replaces the name
-it writes instead.
+Every call that changes the disk is in this module. A stage writes only
+into a directory that :func:`new_dir` makes or finds empty; ``run`` deletes
+only through :func:`clear_dirs`. A text column with several names is
+written once, by :func:`write_once`, and its other names are hard links of
+that file. The callers name them by the mirror rule: column ``(L, O)``,
+the ``L`` texts of a corpus between ``L`` and ``O``, is both ``L-O.src``
+and ``O-L.tgt``. Because names may share an inode, :func:`write_text`
+never writes through a hard link: it replaces the name it writes instead.
 
 Bitext lives on disk only as a pair of line-aligned plain-text files
 (one sentence per line), the format used by shared-task data and by the
@@ -26,6 +26,7 @@ import contextlib
 import json
 import math
 import os
+import shutil
 import stat
 import sys
 from dataclasses import dataclass
@@ -105,13 +106,15 @@ class TranslationDirection:
 
 
 def decode_line(raw: bytes, path: str | Path, line_no: int) -> str:
-    """Decode one line (without its LF) strictly: UTF-8 only, no CR."""
+    """Decode one line (without its LF) strictly: UTF-8 only, no CR, no byte-order mark opening line 1."""
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError:
         raise CorpusError(f"{path}:{line_no}: invalid UTF-8") from None
     if "\r" in text:
         raise CorpusError(f"{path}:{line_no}: carriage return (CRLF line ending?); lines must end in LF")
+    if line_no == 1 and text.startswith("\ufeff"):
+        raise CorpusError(f"{path}:1: byte-order mark (U+FEFF); files must be UTF-8 without one")
     return text
 
 
@@ -133,7 +136,10 @@ def parse_count(text: str, path: str | Path, line_no: int, error: type[Multibrid
     """
     if not (text.isascii() and text.isdigit()):
         raise error(f"{path}:{line_no}: expected an integer, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts (4,300 by default since 3.11)
+        raise error(f"{path}:{line_no}: integer of {len(text)} digits is too long") from None
 
 
 #: The bytes of ASCII decimal floats and the spaces between them. On text of
@@ -152,6 +158,23 @@ def parse_floats(fields: list[str], path: str | Path, line_no: int, error: type[
     if values is None or not all(map(math.isfinite, values)):
         raise error(f"{path}:{line_no}: expected {len(fields)} finite decimal floats")
     return values
+
+
+def new_dir(path: str | Path) -> None:
+    """Make the directory ``path`` and its parents; one already there must be an empty plain directory."""
+    try:
+        os.makedirs(path)
+    except FileExistsError:
+        if os.path.islink(path) or not os.path.isdir(path) or os.listdir(path):
+            raise CorpusError(f"{path} exists and is not an empty directory") from None
+
+
+def clear_dirs(paths: Sequence[Path]) -> None:
+    """Delete each of ``paths`` that exists, whole; each must be a plain directory, and all are checked first."""
+    if not_dirs := [str(p) for p in paths if p.is_symlink() or p.exists() and not p.is_dir()]:
+        raise CorpusError(f"not a plain directory, so a run cannot replace it: {', '.join(not_dirs)}")
+    for path in filter(Path.exists, paths):
+        shutil.rmtree(path)
 
 
 def write_text(path: str | Path, text: str) -> None:
@@ -179,9 +202,9 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
 def write_once(lines: Sequence[str], first: str | Path, *links: str | Path) -> None:
     """Write ``lines`` to ``first`` and make each path in ``links`` a hard link of that file.
 
-    Where a link cannot be made (a name already there, no hard links on the
-    file system, too many links), the lines are written there instead, so the
-    bytes are the same either way.
+    Where a link cannot be made (no hard links on the file system, too many
+    links), the lines are written there instead, so the bytes are the same
+    either way.
     """
     write_lines(first, lines)
     for path in links:

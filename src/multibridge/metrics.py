@@ -272,16 +272,14 @@ def _load_clean(path) -> EmbeddingTable | None:
     heads = [(row.split(maxsplit=1) or [b""])[0] for row in rows]  # b"" for a blank row
     if len(fields) != 2 or not all(count.isdigit() for count in [*fields, *heads]):
         return None
-    dim, n = map(int, fields)
-    ids = tuple(map(int, heads))  # exact, where the reader's float64 copy of a long id is not
-    if dim < 1 or len(set(ids)) != len(ids):
-        return None
     try:
+        dim, n = map(int, fields)
+        ids = tuple(map(int, heads))  # exact, where the reader's float64 copy of a long id is not
         table = _parse_rows(body)
-    except ValueError:
+    except ValueError:  # a bad field, or a count past int()'s limit on digits, which parse_count names
         return None
     # Every row has an id, so the reader skipped none and the shape counts them all.
-    if table.shape != (n, dim + 1) or not np.isfinite(table[:, 1:]).all():
+    if dim < 1 or len(set(ids)) != len(ids) or table.shape != (n, dim + 1) or not np.isfinite(table[:, 1:]).all():
         return None
     return EmbeddingTable(ids, table[:, 1:])
 

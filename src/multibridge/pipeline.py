@@ -1,12 +1,13 @@
-"""End-to-end orchestration: extract, stats, sample, preprocess, BPE, tag.
+"""End-to-end orchestration: extract (which writes ``stats.tsv`` too), sample, preprocess, BPE, tag.
 
-The CLI's ``extract`` (which also writes ``stats.tsv``) and ``sample``
-subcommands run the same stage code as :func:`run_pipeline`, so
-``mined/`` and ``sampled/`` can be built stage by stage with the bytes of
-a full run; ``stats`` recomputes the table from disk, without the
-raw-pair section. The later stages run from memory and cannot be resumed
-through the CLI. With a fixed seed the whole output tree is
-byte-identical across runs and platforms: all stage outputs are sorted,
+Each stage writes only into a directory it makes new; :func:`run_pipeline`
+first deletes the ``mined/``, ``sampled/`` and ``prep/`` of an earlier run.
+The CLI's ``extract`` and ``sample`` subcommands run the same stage code
+as :func:`run_pipeline`, so ``mined/`` and ``sampled/`` can be built stage
+by stage with the bytes of a full run; ``stats`` recomputes the table from
+disk, without the raw-pair section. The later stages run from memory and
+cannot be resumed through the CLI. With a fixed seed the whole output tree
+is byte-identical across runs and platforms: all stage outputs are sorted,
 counts are integers, and every random draw goes through the pinned
 generator. The one known exception is NFC, which uses the interpreter's
 Unicode database: Python 3.10's Unicode 13.0 lacks the Telugu nukta
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import json
 import logging
-import shutil
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -30,10 +30,11 @@ from typing import Iterable, Mapping
 
 from .bpe import BpeSegmenter, learn_bpe, save_bpe
 from .config import PipelineConfig, raw_paths, validate_config
-from .corpus import BitextCorpus, TrainingManifest, load_bitext, write_bitext, write_lines, write_once, write_text
+from .corpus import (BitextCorpus, TrainingManifest, clear_dirs, load_bitext, new_dir, write_bitext, write_lines,
+                     write_once, write_text)
 from .errors import MultibridgeError
 from .languages import PIVOT, REGISTRY, get_language
-from .mining import MiningOutcome, StatsMatrix, build_pivot_index, extraction_stats, mine_pairs_detailed
+from .mining import MiningError, StatsMatrix, build_pivot_index, extraction_stats, mine_pairs_detailed
 from .sampling import assemble_training_set
 from .scripts import normalize_unicode, to_devanagari
 from .tags import tag
@@ -120,35 +121,30 @@ def load_mined(mined_dir: Path, languages: Iterable[str]) -> dict[tuple[str, str
 
 
 def extract(english: Mapping[str, BitextCorpus], pairs: Iterable[tuple[str, str]], xprod_cap: int | None,
-            mined_dir: Path) -> tuple[dict[tuple[str, str], MiningOutcome], dict]:
-    """Mine each canonical pair and write it to ``mined_dir``; returns the outcomes and the stage's record."""
+            mined_dir: Path) -> tuple[dict[tuple[str, str], BitextCorpus], StatsMatrix, dict]:
+    """Mine each pair into the new directory ``mined_dir``, with ``stats.tsv``; returns corpora, table and record."""
     pairs = sorted(set(pairs))
-    unloaded = sorted({lang for pair in pairs for lang in pair} - english.keys())
-    if unloaded:
+    if unloaded := sorted({lang for pair in pairs for lang in pair} - english.keys()):
         raise MultibridgeError(f"no {PIVOT}-xx corpus loaded for {', '.join(unloaded)}")
+    if xprod_cap is not None and xprod_cap < 0:  # checked before new_dir, so a bad cap makes no directory
+        raise MiningError(f"cross-product cap must be non-negative, not {xprod_cap}")
+    new_dir(mined_dir)
     index = build_pivot_index(english.values())
-    mined = {(a, b): mine_pairs_detailed(index, a, b, xprod_cap) for a, b in pairs}
-    mined_dir.mkdir(parents=True, exist_ok=True)
-    for (a, b), outcome in mined.items():
+    outcomes = {(a, b): mine_pairs_detailed(index, a, b, xprod_cap) for a, b in pairs}
+    for (a, b), outcome in outcomes.items():
         write_bitext(outcome.corpus, *mined_paths(mined_dir, a, b))
         logger.info("mined %s-%s: %d pairs (%d raw, %d capped keys)",
                     a, b, len(outcome.corpus), outcome.raw_pair_count, len(outcome.capped_keys))
-    return mined, {
-        "pivot_keys": len(index),
-        "mined_pairs": {f"{a}-{b}": len(o.corpus) for (a, b), o in mined.items()},
-        "raw_pairs": {f"{a}-{b}": o.raw_pair_count for (a, b), o in mined.items()},
-        "capped_keys": sum(len(o.capped_keys) for o in mined.values()),
-    }
-
-
-def write_stats(english: Mapping[str, BitextCorpus], mined: Mapping[tuple[str, str], MiningOutcome],
-                mined_dir: Path) -> StatsMatrix:
-    """Write ``stats.tsv`` next to the mined corpora, with the raw (pre-dedup) pair counts after the table."""
-    corpora = {pair: outcome.corpus for pair, outcome in mined.items()}
-    raw_counts = {pair: outcome.raw_pair_count for pair, outcome in mined.items()}
-    stats = replace(extraction_stats(english.values(), corpora), raw_pair_counts=raw_counts or None)
+    mined = {pair: outcome.corpus for pair, outcome in outcomes.items()}
+    raw_counts = {pair: outcome.raw_pair_count for pair, outcome in outcomes.items()}
+    stats = replace(extraction_stats(english.values(), mined), raw_pair_counts=raw_counts or None)
     write_text(mined_dir / "stats.tsv", stats.to_tsv())
-    return stats
+    return mined, stats, {
+        "pivot_keys": len(index),
+        "mined_pairs": {f"{a}-{b}": len(corpus) for (a, b), corpus in mined.items()},
+        "raw_pairs": {f"{a}-{b}": count for (a, b), count in raw_counts.items()},
+        "capped_keys": sum(len(o.capped_keys) for o in outcomes.values()),
+    }
 
 
 def run_pipeline(config: PipelineConfig) -> RunReport:
@@ -160,25 +156,18 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
 
     with _stage("extract"):
         english = load_english(config.raw_dir, config.languages)
-        # Replaced whole, so no earlier file survives; all checked before any delete, none deleted through a link.
-        if not_dirs := [str(d) for d in config.stage_dirs if d.is_symlink() or d.exists() and not d.is_dir()]:
-            raise MultibridgeError(f"not a plain directory, so a run cannot replace it: {', '.join(not_dirs)}")
-        for stage_dir in filter(Path.exists, config.stage_dirs):
-            shutil.rmtree(stage_dir)
-        mined, stages["extract"] = extract(english, combinations(english, 2), config.xprod_cap, config.mined_dir)
-
-    with _stage("stats"):
-        stats = write_stats(english, mined, config.mined_dir)
+        clear_dirs(config.stage_dirs)  # prep/ first, so a reset that fails part-way leaves no run_report.json
+        mined, stats, stages["extract"] = extract(english, combinations(english, 2), config.xprod_cap,
+                                                  config.mined_dir)
         stages["stats"] = {"grand_total": stats.grand_total(), "unique_pairs": stats.unique_unordered_total()}
 
     with _stage("sample"):
-        mined_corpora = {pair: outcome.corpus for pair, outcome in mined.items()}
-        manifest, columns = assemble_training_set(english.values(), mined_corpora, config.sampling, config.sampled_dir)
+        manifest, columns = assemble_training_set(english.values(), mined, config.sampling, config.sampled_dir)
         stages["sample"] = {"strategy": config.sampling.strategy.name, "entries": len(manifest.entries),
                             "total_pairs": manifest.total_pairs()}
         # Only the sampled columns are read below; dropping the rest makes
         # room for the caches, so peak memory stays where sampling left it.
-        del english, mined, mined_corpora
+        del english, mined
 
     # Column (L, O) is L-O's source and O-L's target: each stage processes it
     # once and writes it once, as L-O, with its O-L names as hard links. Texts
@@ -188,7 +177,7 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
     prep_dir, final_dir = config.prep_dir, config.final_dir
 
     with _stage("preprocess"):
-        prep_dir.mkdir(parents=True, exist_ok=True)
+        new_dir(prep_dir)
         prep = cache(lambda lang, text: " ".join(preprocess_line(text, lang)))
         columns = [(lang, other, [prep(lang, text) for text in texts]) for lang, other, texts in columns]
         for lang, other, lines in columns:
@@ -209,7 +198,7 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
         segment = cache(lambda line: " ".join(segmenter.segment(line.split())))
         columns = [(lang, other, [segment(line) for line in lines]) for lang, other, lines in columns]
         # final/O-L.tgt is O-L.bpe.tgt as is, so it is one more name of the column.
-        final_dir.mkdir(exist_ok=True)
+        new_dir(final_dir)
         for lang, other, lines in columns:
             write_once(lines, prep_dir / f"{lang}-{other}.bpe.src", prep_dir / f"{other}-{lang}.bpe.tgt",
                        final_dir / f"{other}-{lang}.tgt")

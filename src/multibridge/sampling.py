@@ -30,6 +30,7 @@ from .corpus import (
     ManifestEntry,
     TrainingManifest,
     TranslationDirection,
+    new_dir,
     save_manifest,
     write_bitext,  # unused here, but kept as a module name: perfbench/tracing.py wraps sampling.write_bitext
     write_once,
@@ -189,7 +190,7 @@ def assemble_training_set(
     plan: SamplingPlan,
     out_dir: str | Path,
 ) -> tuple[TrainingManifest, list[tuple[str, str, tuple[str, ...]]]]:
-    """Materialize a training set: ``<src>-<tgt>.src``/``.tgt`` files plus ``manifest.json``.
+    """Materialize a training set in the new directory ``out_dir``: ``<src>-<tgt>.src``/``.tgt`` and ``manifest.json``.
 
     Each column ``(L, O, texts)`` is written once, as ``L-O.src``, with
     ``O-L.tgt`` a hard link of it, and gets one manifest entry, ``L-O``.
@@ -197,7 +198,7 @@ def assemble_training_set(
     :func:`build_training_set` gave, in its order.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    new_dir(out)
     entries, columns = [], []
     for corpus, label in build_training_set(english_corpora, mined_corpora, plan):
         a, b = corpus.src_lang, corpus.tgt_lang

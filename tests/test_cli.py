@@ -17,6 +17,7 @@ from multibridge.cli import main
 from multibridge.corpus import BitextCorpus, load_bitext, load_manifest
 from multibridge.languages import indic_codes
 from multibridge.pipeline import preprocess_line
+from multibridge.version import __version__
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 FIXTURE = Path(__file__).parent / "data" / "pipeline_fixture"
@@ -55,6 +56,13 @@ class TestExitCodes:
 
     def test_success_is_0(self):
         assert run_cli("--version").returncode == 0
+
+
+def test_version_matches_pyproject():
+    # Every metric signature embeds version.__version__, and metrics_golden.json pins those signatures.
+    tomllib = pytest.importorskip("tomllib", reason="tomllib is in the standard library from Python 3.11")
+    project = tomllib.loads((README.parent / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["version"] == __version__
 
 
 class TestExtractStatsSample:
@@ -129,6 +137,55 @@ class TestExtractStatsSample:
             assert sorted(got) == sorted(expected)
             for rel in expected:
                 assert got[rel] == expected[rel], f"content differs: {stage}/{rel}"
+
+    def test_sample_out_holding_an_earlier_set_is_refused(self, tmp_path, raw_dir, capsys):
+        # Written beside the first set, a second would leave pairs its manifest does not list.
+        out = tmp_path / "sampled"
+        argv = ["--seed", "1", "--inputs", str(raw_dir), "--mined", str(GOLDEN_MINED), "--out", str(out)]
+        assert main(["sample", "--strategy", "train-all", *argv]) == 0
+        inodes = {p.name: (p.stat().st_ino, p.stat().st_nlink) for p in out.iterdir()}
+        before = _tree(out)
+        assert main(["sample", "--strategy", "sample-pairs", "--pairs", "bn-hi,hi-ta", *argv]) == 2
+        assert capsys.readouterr().err == f"multibridge: {out} exists and is not an empty directory\n"
+        assert _tree(out) == before
+        assert {p.name: (p.stat().st_ino, p.stat().st_nlink) for p in out.iterdir()} == inodes
+
+    @pytest.mark.parametrize("kind", ["stale-pair", "file", "symlink"])
+    def test_extract_out_that_is_not_an_empty_directory_is_refused(self, tmp_path, raw_dir, capsys, kind):
+        out = tmp_path / "mined"
+        if kind == "stale-pair":
+            shutil.copytree(GOLDEN_MINED, out)
+            for name in ("gu-hi.gu", "gu-hi.hi"):
+                shutil.copy(out / "bn-hi.bn", out / name)
+        elif kind == "file":
+            out.write_text("not a directory\n")
+        else:
+            (tmp_path / "empty").mkdir()
+            out.symlink_to(tmp_path / "empty", target_is_directory=True)
+        before = _tree(tmp_path)
+        assert main(["extract", "--inputs", str(raw_dir), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"multibridge: {out} exists and is not an empty directory")
+        assert _tree(tmp_path) == before
+
+    def test_empty_out_directories_are_written(self, tmp_path, raw_dir):
+        out = tmp_path / "out"
+        for stage in ("mined", "sampled"):
+            (out / stage).mkdir(parents=True)
+        assert main(["extract", "--inputs", str(raw_dir), "--out", str(out / "mined")]) == 0
+        assert main([
+            "sample", "--strategy", "sample-fraction", "--per-pair", "12", "--seed", "77",
+            "--inputs", str(raw_dir), "--mined", str(out / "mined"), "--out", str(out / "sampled"),
+        ]) == 0
+        assert _tree(out) == {rel: data for rel, data in _tree(GOLDEN).items() if not rel.startswith("prep/")}
+
+    def test_byte_order_mark_bitext_is_data_error(self, tmp_path, raw_dir):
+        en_bn = raw_dir / "en-bn.en"
+        en_bn.write_bytes(b"\xef\xbb\xbf" + en_bn.read_bytes())
+        proc = run_cli("extract", "--inputs", str(raw_dir), "--out", str(tmp_path / "mined"))
+        assert proc.returncode == 2
+        assert f"multibridge: {en_bn}:1: byte-order mark" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "mined").exists()
 
     # Each stray file's content is copied from a real corpus file.
     STRAYS = {"en-en.en": "en-bn.en", "en-zz.en": "en-bn.en", "en-zz.zz": "en-bn.bn"}
@@ -270,12 +327,25 @@ class TestStrictStdin:
         assert message in proc.stderr.decode()
         assert b"\xef\xbf\xbd" not in proc.stdout  # no U+FFFD replacement leaked through
 
+    def test_byte_order_mark_is_data_error(self):
+        # Kept, U+FEFF would be text: glued to the first token, or splitting a pivot key from its twin.
+        proc = _run_cli_bytes("preprocess", "--lang", "en", "--tokenize", stdin=b"\xef\xbb\xbfhello world\n")
+        assert proc.returncode == 2
+        assert proc.stderr.decode().startswith("multibridge: <stdin>:1: byte-order mark")
+        assert proc.stdout == b""
+
     def test_bad_input_file_is_data_error(self, tmp_path, bpe_codes):
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"ok\n\xff\n")
         proc = run_cli("apply-bpe", "--model", str(bpe_codes), "--input", str(bad))
         assert proc.returncode == 2
         assert f"{bad}:2: invalid UTF-8" in proc.stderr
+
+
+# 5,000 digits: past the limit CPython 3.11 and later put on int() of a string.
+_HUGE = b"9" * 5000
+_HUGE_UNCONVERTED = pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+                                       reason="this interpreter converts 5,000-digit integers")
 
 
 class TestStrictModelFiles:
@@ -303,6 +373,10 @@ class TestStrictModelFiles:
         ("emb", b"2 1\n0 1.0 abc\n", 2),
         ("emb", b"2 x\n", 1),
         ("emb", b"2 2\n0 1.0 0.0\n0 2.0 0.0\n", 3),
+        pytest.param("emb", b"1 " + _HUGE + b"\n0 1.0\n", 1, marks=_HUGE_UNCONVERTED),
+        pytest.param("emb", b"1 1\n" + _HUGE + b" 1.0\n", 2, marks=_HUGE_UNCONVERTED),
+        pytest.param("codes", b"#bpe num_merges=" + _HUGE + b" min_frequency=1\nl o\n", 1, marks=_HUGE_UNCONVERTED),
+        pytest.param("vocab", b"lo " + _HUGE + b"\n", 1, marks=_HUGE_UNCONVERTED),
     ]
 
     @pytest.mark.parametrize("kind,content,line", CASES, ids=[
@@ -310,6 +384,7 @@ class TestStrictModelFiles:
         "codes-header-extra-word", "codes-header-reordered", "codes-duplicate", "codes-empty-side", "codes-budget",
         "vocab-crlf", "vocab-utf8", "vocab-number", "vocab-duplicate",
         "emb-crlf", "emb-utf8", "emb-number", "emb-header", "emb-duplicate-id",
+        "emb-huge-count", "emb-huge-id", "codes-huge-count", "vocab-huge-count",
     ])
     def test_bad_file_is_data_error(self, tmp_path, capsys, kind, content, line):
         files = {"codes": self.CODES, "vocab": b"lo 2\n", "emb": self.EMB, "input": b"low\n"}
@@ -323,6 +398,7 @@ class TestStrictModelFiles:
                     "--input", str(tmp_path / "input")]
         assert main(argv) == 2
         assert f"multibridge: {tmp_path / kind}:{line}:" in capsys.readouterr().err
+
 
 
 class TestPreprocess:

@@ -274,7 +274,7 @@ class TestLineFormat:
             try:
                 lines = list(iter_lines(src))
             except CorpusError:
-                assert b"\r" in raw or _not_utf8(raw)
+                assert b"\r" in raw or _not_utf8(raw) or raw.startswith(b"\xef\xbb\xbf")
                 return
             write_lines(out, lines)
             assert out.read_bytes() == (raw if raw.endswith(b"\n") or not raw else raw + b"\n")

@@ -9,7 +9,7 @@ that defines it, that something outside the tests uses every public name,
 that each module uses every name it imports, that the exception
 hierarchy stays one error type per layer, that no code tells values
 apart by object identity, where corpora are built without the per-text
-check, and which functions delete files.
+check, and which functions change the disk.
 """
 
 import ast
@@ -282,25 +282,35 @@ def test_checked_corpus_constructor_uses():
     assert uses == ["corpus.py:load_bitext", "mining.py:mine_pairs_detailed", "sampling.py:sample_fraction"]
 
 
-#: The deleting calls by name: shutil.rmtree, os.unlink, os.remove, os.rmdir, Path.unlink and Path.rmdir.
-_DELETING = {"rmtree", "unlink", "remove", "rmdir"}
+#: The calls that change the disk, by name: making and deleting directories and files, links and renames,
+#: and pathlib's own writers. str.replace and list.remove share a name, so those two count only as os.<name>.
+_DISK = {"mkdir", "makedirs", "rmtree", "rmdir", "unlink", "link", "hardlink_to", "symlink", "symlink_to", "rename",
+         "renames", "write_text", "write_bytes", "touch", "copyfile", "copytree", "move"}
+_OS_ONLY = {"remove", "replace"}
 
 
-def _deletes(node: ast.AST) -> bool:
-    """Whether ``node`` names a deleting call, as an attribute, a name or an imported name."""
-    if isinstance(node, ast.alias):
-        return node.name in _DELETING
-    if isinstance(node, ast.Attribute) and node.attr == "remove":  # list.remove deletes nothing on disk
-        return isinstance(node.value, ast.Name) and node.value.id == "os"
-    return (getattr(node, "attr", None) or getattr(node, "id", None)) in _DELETING
+def _changes_disk(node: ast.AST) -> bool:
+    """Whether ``node`` names a call that changes the disk, or is an ``open`` whose mode may write."""
+    if isinstance(node, ast.ImportFrom):  # corpus.write_text is the one writer other modules import
+        names = _DISK | _OS_ONLY if node.module in ("os", "shutil") else _DISK - {"write_text"}
+        return any(alias.name in names for alias in node.names)
+    if isinstance(node, ast.Call) and "open" in (getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+        if isinstance(node.func, ast.Attribute) and getattr(node.func.value, "id", None) == "os":
+            return True  # os.open takes flags, not a mode
+        position = 1 if isinstance(node.func, ast.Name) else 0  # open(path, mode) or Path(...).open(mode)
+        modes = node.args[position:position + 1] + [k.value for k in node.keywords if k.arg == "mode"]
+        return any(not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt")) for mode in modes)
+    if isinstance(node, ast.Attribute):
+        return node.attr in _DISK or node.attr in _OS_ONLY and getattr(node.value, "id", None) == "os"
+    return isinstance(node, ast.Name) and node.id in _DISK - {"write_text"}
 
 
-def test_only_two_functions_delete_files():
-    # run_pipeline replaces its three stage directories and write_text
-    # replaces a hard-linked name. Nothing else in the package deletes, so
-    # what the toolkit removes from disk is one reviewed list.
+def test_only_corpus_changes_the_disk():
+    # Every directory the toolkit makes or deletes, and every file it writes,
+    # links or removes, goes through these four functions, so what a run does
+    # to the disk can be counted, or made to fail, in one module.
     package = ROOT / "src" / "multibridge"
     uses = sorted({f"{path.name}:{getattr(top, 'name', '<module>')}" for path in sorted(package.glob("*.py"))
                    for top in ast.parse(path.read_text(encoding="utf-8")).body for node in ast.walk(top)
-                   if _deletes(node)})
-    assert uses == ["corpus.py:write_text", "pipeline.py:run_pipeline"]
+                   if _changes_disk(node)})
+    assert uses == ["corpus.py:clear_dirs", "corpus.py:new_dir", "corpus.py:write_once", "corpus.py:write_text"]

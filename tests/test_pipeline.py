@@ -1,5 +1,8 @@
+import contextlib
 import importlib.util
+import io
 import json
+import math
 import os
 import random
 import re
@@ -7,8 +10,11 @@ import shutil
 from collections import defaultdict
 from itertools import permutations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multibridge import corpus, pipeline
 from multibridge.bpe import BpeSegmenter, learn_bpe, load_bpe, revert_bpe
@@ -323,14 +329,16 @@ class TestHardLinks:
         assert _tree(out) == _tree(fresh / "out") != before
         assert sorted(_inodes(out).values()) == sorted(_inodes(fresh / "out").values())
 
-    def test_cli_sample_over_a_linked_tree_leaves_the_other_stages(self, tmp_path):
+    def test_cli_sample_over_a_linked_tree_is_refused(self, tmp_path, capsys):
+        # sample --out must be absent or empty, so it never writes beside a
+        # run's files, nor through the links they share.
         out = _run_fixture(tmp_path, "resample")
-        before = {stage: _tree(out / stage) for stage in ("mined", "sampled", "prep")}
+        before, groups = _tree(out), sorted(_inodes(out).values())
         assert main(["sample", "--strategy", "train-all", "--seed", "1", "--inputs", str(out.parent / "raw"),
-                     "--mined", str(out / "mined"), "--out", str(out / "sampled")]) == 0
-        assert _tree(out / "sampled") != before["sampled"]
-        for stage in ("mined", "prep"):
-            assert _tree(out / stage) == before[stage], stage
+                     "--mined", str(out / "mined"), "--out", str(out / "sampled")]) == 2
+        assert capsys.readouterr().err.startswith(f"multibridge: {out / 'sampled'} exists and is not an empty")
+        assert _tree(out) == before
+        assert sorted(_inodes(out).values()) == groups
 
 
 def _out_dir_config(out_dir: str) -> dict:
@@ -412,6 +420,80 @@ class TestRerun:
         assert err.startswith("multibridge: stage 'extract' failed: not a plain directory") and str(out / stage) in err
         assert _tree(out) == before
         assert _tree(target) == kept
+
+
+@contextlib.contextmanager
+def _failing_disk(fail_from: float):
+    """Patch every call by which ``corpus`` changes the disk; from call number ``fail_from`` on, each raises OSError.
+
+    Yields the list of the names of the calls made.
+    """
+    calls = []
+
+    def counted(fn, name):
+        def call(*args, **kwargs):
+            if name != "open" or set(args[1] if len(args) > 1 else kwargs.get("mode", "r")) - set("rbt"):
+                calls.append(name)
+                if len(calls) >= fail_from:
+                    raise OSError(f"injected fault at disk operation {len(calls)} ({name})")
+            return fn(*args, **kwargs)
+        return call
+
+    patched_os = SimpleNamespace(**vars(os))
+    for name in ("makedirs", "unlink", "link"):
+        setattr(patched_os, name, counted(getattr(os, name), name))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "os", patched_os)
+        patch.setattr(corpus, "shutil", SimpleNamespace(rmtree=counted(shutil.rmtree, "rmtree")))
+        patch.setattr(corpus, "open", counted(open, "open"), raising=False)
+        yield calls
+
+
+class TestFaultAtEveryOperation:
+    # A train-all run over the fixture's sample-fraction tree, so the two
+    # trees differ. The fault persists from operation k on, as a full disk
+    # does: a single failed link would only make write_once write a copy.
+    CHANGE = {"sampling": {"strategy": "train-all"}}
+
+    def _rerun(self, full_run: Path, work: Path, fail_from: float) -> tuple[int, str, list[str]]:
+        shutil.copytree(full_run, work, copy_function=os.link)
+        (work / "changed.json").write_text(json.dumps({**json.loads((FIXTURE / "config.json").read_text()),
+                                                       **self.CHANGE}))
+        with _failing_disk(fail_from) as calls, contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["run", "--config", str(work / "changed.json")])
+        return code, err.getvalue(), calls
+
+    @pytest.fixture(scope="class")
+    def operations(self, full_run, tmp_path_factory) -> list[str]:
+        """The disk operations of a clean rerun, in order."""
+        code, err, calls = self._rerun(full_run, tmp_path_factory.mktemp("clean") / "work", math.inf)
+        assert code == 0, err
+        return calls
+
+    def _check(self, full_run: Path, work: Path, k: int) -> None:
+        code, err, calls = self._rerun(full_run, work, k)
+        assert code == 2
+        assert err.startswith("multibridge: ") and "injected fault" in err and "Traceback" not in err
+        if k == 1:  # the reset's first delete is prep/: nothing has changed, and the earlier report is true
+            assert _tree(work / "out") == _tree(full_run / "out")
+        else:
+            assert not (work / "out" / "prep" / "run_report.json").exists()
+
+    def test_operations_are_the_seam_calls(self, operations):
+        assert operations[:3] == ["rmtree"] * 3 and operations[3] == "makedirs"
+        assert operations[-1] == "open"  # run_report.json, written last
+        assert set(operations) == {"rmtree", "makedirs", "open", "link"}
+
+    # The first two are the reset's first two deletes: after one delete, the report must be gone.
+    @pytest.mark.parametrize("which", ["first", "second", "last"])
+    def test_fault_at_a_fixed_operation(self, full_run, operations, tmp_path, which):
+        self._check(full_run, tmp_path / "work", {"first": 1, "second": 2, "last": len(operations)}[which])
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_fault_at_a_drawn_operation(self, full_run, operations, tmp_path_factory, data):
+        k = data.draw(st.integers(1, len(operations)), label="k")
+        self._check(full_run, tmp_path_factory.mktemp("fault") / "work", k)
 
 
 class TestConfig:

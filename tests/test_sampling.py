@@ -1,9 +1,10 @@
 import filecmp
+import re
 
 import pytest
 
 from multibridge import sampling
-from multibridge.corpus import BitextCorpus, load_manifest, verify_manifest
+from multibridge.corpus import BitextCorpus, CorpusError, load_manifest, verify_manifest
 from multibridge.mining import MiningError, build_pivot_index, mine_all
 from multibridge.sampling import (
     SampleFraction,
@@ -210,6 +211,19 @@ class TestAssembleTrainingSet:
         inode = {p.name: p.stat().st_ino for p in tmp_path.iterdir()}
         assert inode["bn-hi.src"] == inode["hi-bn.tgt"] and inode["bn-hi.tgt"] == inode["hi-bn.src"]
         assert len({inode[f"{pair}.{side}"] for pair in ("bn-hi", "bn-ta") for side in ("src", "tgt")}) == 4
+
+    def test_directory_that_is_not_empty_is_refused_before_sampling(self, tmp_path, monkeypatch):
+        # A set written beside an earlier one would leave files its manifest does not list.
+        corpora, mined = _mined_fixture()
+        (tmp_path / "bn-ta.src").write_text("stale\n")
+
+        def never(*args):
+            raise AssertionError("sampled before the directory was checked")
+
+        monkeypatch.setattr(sampling, "build_training_set", never)
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(tmp_path))} exists and is not an empty directory"):
+            assemble_training_set(corpora.values(), mined, SamplingPlan(TrainAll(), 1), tmp_path)
+        assert [(p.name, p.read_text()) for p in tmp_path.iterdir()] == [("bn-ta.src", "stale\n")]
 
     def test_byte_identical_reruns(self, tmp_path):
         corpora, mined = _mined_fixture()
