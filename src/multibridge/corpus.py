@@ -23,6 +23,7 @@ errors: silently dropping them would desynchronize the alignment.
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import math
 import os
@@ -199,18 +200,27 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     write_text(path, "\n".join(chain(lines, ("",))))
 
 
+#: The ``os.link`` errnos that, as ``PermissionError`` does, mean no link can be made at that name.
+_NO_LINK_HERE = {errno.EMLINK, errno.EXDEV, errno.ENOTSUP, errno.EOPNOTSUPP, errno.EEXIST}
+
+
 def write_once(lines: Sequence[str], first: str | Path, *links: str | Path) -> None:
     """Write ``lines`` to ``first`` and make each path in ``links`` a hard link of that file.
 
-    Where a link cannot be made (no hard links on the file system, too many
-    links), the lines are written there instead, so the bytes are the same
-    either way.
+    Where no link can be made at a path (``PermissionError``, as EPERM on a
+    file system without hard links; too many links; another file system;
+    links not supported; a name already there, written as :func:`write_text`
+    writes any name), the lines are written there instead, so the bytes are
+    the same either way. Any other failed link (ENOSPC, EIO, ...) is a
+    :class:`CorpusError`, as a failed write is.
     """
     write_lines(first, lines)
     for path in links:
         try:
             os.link(first, path)
-        except OSError:
+        except OSError as exc:
+            if not isinstance(exc, PermissionError) and exc.errno not in _NO_LINK_HERE:
+                raise CorpusError(f"cannot write {path} as a link of {first}: {exc}") from exc
             write_lines(path, lines)
 
 

@@ -259,10 +259,10 @@ def _parse_rows(body: bytes) -> np.ndarray:
 
 
 def _load_clean(path) -> EmbeddingTable | None:
-    """The table of a clean file, or None: the row-by-row reader then judges the file."""
+    """The table of the clean file at ``path`` (never stdin), or None: the row-by-row reader then judges it."""
     try:
         data = Path(path).read_bytes()
-    except (OSError, TypeError):  # unreadable, or None for stdin: the row-by-row reader's to handle
+    except OSError:  # unreadable: the row-by-row reader names the path
         return None
     if data.translate(None, _CLEAN_BYTES):  # deleting them leaves something: CR, '#', non-ASCII, ...
         return None
@@ -311,7 +311,7 @@ def _load_rows(path) -> EmbeddingTable:
 
 
 def load_embeddings(path) -> EmbeddingTable:
-    """Read an embedding file: header ``d n``, then ``id v1 ... vd`` rows, fields split on spaces and tabs.
+    """Read the file at ``path`` (no stdin): header ``d n``, then ``id v1 ... vd`` rows, split on spaces and tabs.
 
     A clean file (only ASCII digits, ``+-.eE``, spaces, tabs and LFs; a
     ``d n`` header of counts; ``n`` rows with unique ids; ``d + 1`` finite

@@ -12,9 +12,11 @@ per language as a pair of translation tables:
   counterpart is unassigned in the target script (e.g. OM has no Bengali
   slot) have no counterpart and trigger the unmappable policy.
 
-Normalization is NFC plus nukta canonicalization: each script's
-base+nukta sequences are composed into their precomposed forms (NFC alone
-leaves most of these decomposed because they are composition-excluded).
+Normalization is NFC plus nukta canonicalization. NFC composes every
+base+nukta letter but the composition-excluded ones, which it always
+leaves decomposed, so each script's table lists exactly the base+nukta
+decompositions of its composition-excluded letters: 8 Devanagari,
+3 Bengali, 6 Gurmukhi and 2 Oriya.
 """
 
 from __future__ import annotations
@@ -25,12 +27,9 @@ from functools import lru_cache
 from .errors import MultibridgeError
 from .languages import BLOCK_SIZE, DEVANAGARI_BASE, Language, get_language
 
-#: Per-script canonicalization of nukta sequences into precomposed forms.
+#: Per script, the base+nukta decomposition of each composition-excluded letter, and the letter.
 DEFAULT_CANONICALIZATIONS: dict[str, dict[str, str]] = {
-    "Devanagari": {  # letters with a precomposed nukta form
-        "ऩ": "ऩ",
-        "ऱ": "ऱ",
-        "ऴ": "ऴ",
+    "Devanagari": {
         "क़": "क़",
         "ख़": "ख़",
         "ग़": "ग़",
@@ -85,16 +84,15 @@ class ScriptError(MultibridgeError):
     """Every script-processing error: a language with no Indic block, or an unmappable codepoint."""
 
 
-def normalize_unicode(text: str, lang: str | None = None) -> str:
+def normalize_unicode(text: str, lang: str) -> str:
     """NFC normalization plus script-specific nukta composition.
 
-    For an Indic ``lang`` only its script's table applies; for English, or
-    with no ``lang``, all tables do (they touch disjoint blocks, so this is
-    safe).
+    For an Indic ``lang`` only its script's table applies; for English all
+    tables do (they touch disjoint blocks, so this is safe).
     """
     text = unicodedata.normalize("NFC", text)
-    language = None if lang is None else get_language(lang)
-    if language is not None and language.is_indic:
+    language = get_language(lang)
+    if language.is_indic:
         selected = [DEFAULT_CANONICALIZATIONS.get(language.script, {})]
     else:
         selected = DEFAULT_CANONICALIZATIONS.values()

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -225,6 +226,16 @@ class TestHardLinks:
         write_once(column, tmp_path / "a", tmp_path / "b")
         assert (tmp_path / "b").read_bytes() == b"x\n"
         assert (tmp_path / "a").stat().st_nlink == (tmp_path / "b").stat().st_nlink == 1
+
+    @pytest.mark.parametrize("code", ["ENOSPC", "EIO", "ENOENT", None])
+    def test_write_once_link_fault_is_a_corpus_error(self, tmp_path, monkeypatch, code):
+        def failing(*args, **kwargs):
+            raise OSError(getattr(errno, code), code) if code else OSError("fault")
+
+        monkeypatch.setattr(os, "link", failing)
+        with pytest.raises(CorpusError, match=f"^cannot write {re.escape(str(tmp_path / 'b'))} as a link of "):
+            write_once(["x"], tmp_path / "a", tmp_path / "b")
+        assert not (tmp_path / "b").exists()
 
     def test_write_once_writes_through_a_symlink_at_a_later_path(self, tmp_path):
         (tmp_path / "elsewhere").write_bytes(b"old\n")

@@ -9,8 +9,13 @@ interpreter runs ``python -m multibridge.cli run`` on a copy of the fixture,
 whose config keeps the legacy stage-directory keys. The tree must hold the
 golden bytes and the hard-link groups of the in-process run. The metrics
 layer needs numpy, which these interpreters may lack, so it stays out.
+
+Each interpreter also runs ``nukta_contract.py``: under its own Unicode
+database, the nukta tables must equal the derived composition-excluded
+letters, and the sequences NFC composes must still normalize to their letters.
 """
 
+import json
 import os
 import re
 import shutil
@@ -22,6 +27,9 @@ import pytest
 
 from multibridge.config import load_config
 from multibridge.pipeline import run_pipeline
+from multibridge.scripts import DEFAULT_CANONICALIZATIONS
+
+from nukta_contract import LANGS, NFC_COMPOSED
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "tests" / "data" / "pipeline_fixture"
@@ -78,3 +86,14 @@ def test_fixture_run_matches_golden_tree(tmp_path, in_process_groups, python):
     assert proc.returncode == 0, proc.stderr
     assert _tree(work / "out") == _tree(GOLDEN)
     assert _link_groups(work / "out") == in_process_groups
+
+
+@pytest.mark.parametrize("python", _interpreters())
+def test_nukta_contract_holds(python):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([str(python), str(ROOT / "tests" / "nukta_contract.py")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout)
+    assert found["derived"] == DEFAULT_CANONICALIZATIONS
+    assert found["composed"] == {code: list(NFC_COMPOSED.values()) for code in LANGS}

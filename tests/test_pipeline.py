@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import importlib.util
 import io
 import json
@@ -312,6 +313,35 @@ class TestHardLinks:
         assert _tree(out) == _tree(GOLDEN)
         assert all(p.stat().st_nlink == 1 for p in out.rglob("*") if p.is_file())
 
+    # The errors by which os.link says the file system cannot link here: each writes a copy.
+    @pytest.mark.parametrize("code", ["EPERM", "EMLINK", "EXDEV", "ENOTSUP", "EOPNOTSUPP", "EEXIST"])
+    def test_where_a_link_cannot_be_made_the_tree_is_unchanged(self, tmp_path, monkeypatch, code):
+        def refused(*args, **kwargs):
+            raise OSError(getattr(errno, code), code)
+
+        monkeypatch.setattr(os, "link", refused)
+        out = _run_fixture(tmp_path, "no_links")
+        assert _tree(out) == _tree(GOLDEN)
+
+    # Any other failed link is a fault, as a failed write is: exit 2 and no run report.
+    @pytest.mark.parametrize("code", ["ENOSPC", "EIO", None])
+    def test_a_link_that_fails_otherwise_is_exit_2(self, tmp_path, monkeypatch, capsys, code):
+        work, link, made = tmp_path / "work", os.link, []
+        shutil.copytree(FIXTURE, work)
+
+        def fifth_fails(src, dst):
+            made.append(dst)
+            if len(made) == 5:
+                raise OSError(getattr(errno, code), code) if code else OSError("fault")
+            link(src, dst)
+
+        monkeypatch.setattr(os, "link", fifth_fails)
+        assert main(["run", "--config", str(work / "config.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("multibridge: ") and f"cannot write {made[4]} as a link of " in err
+        assert len(made) == 5
+        assert not (work / "out" / "prep" / "run_report.json").exists()
+
     def test_rerun_over_a_linked_tree_equals_a_fresh_run(self, tmp_path):
         # The second config changes every .bpe. and final/ file, which share
         # inodes in the first tree.
@@ -423,10 +453,11 @@ class TestRerun:
 
 
 @contextlib.contextmanager
-def _failing_disk(fail_from: float):
-    """Patch every call by which ``corpus`` changes the disk; from call number ``fail_from`` on, each raises OSError.
+def _failing_disk(fail_from: float, persist: bool = True):
+    """Patch every call by which ``corpus`` changes the disk; call number ``fail_from`` raises OSError.
 
-    Yields the list of the names of the calls made.
+    With ``persist`` every later call raises too, as on a full disk; without
+    it only that one call fails. Yields the list of the names of the calls made.
     """
     calls = []
 
@@ -434,7 +465,7 @@ def _failing_disk(fail_from: float):
         def call(*args, **kwargs):
             if name != "open" or set(args[1] if len(args) > 1 else kwargs.get("mode", "r")) - set("rbt"):
                 calls.append(name)
-                if len(calls) >= fail_from:
+                if len(calls) == fail_from or persist and len(calls) > fail_from:
                     raise OSError(f"injected fault at disk operation {len(calls)} ({name})")
             return fn(*args, **kwargs)
         return call
@@ -451,15 +482,16 @@ def _failing_disk(fail_from: float):
 
 class TestFaultAtEveryOperation:
     # A train-all run over the fixture's sample-fraction tree, so the two
-    # trees differ. The fault persists from operation k on, as a full disk
-    # does: a single failed link would only make write_once write a copy.
+    # trees differ. The fault either persists from operation k on, as a full
+    # disk does, or hits operation k alone.
     CHANGE = {"sampling": {"strategy": "train-all"}}
 
-    def _rerun(self, full_run: Path, work: Path, fail_from: float) -> tuple[int, str, list[str]]:
+    def _rerun(self, full_run: Path, work: Path, fail_from: float,
+               persist: bool = True) -> tuple[int, str, list[str]]:
         shutil.copytree(full_run, work, copy_function=os.link)
         (work / "changed.json").write_text(json.dumps({**json.loads((FIXTURE / "config.json").read_text()),
                                                        **self.CHANGE}))
-        with _failing_disk(fail_from) as calls, contextlib.redirect_stderr(io.StringIO()) as err:
+        with _failing_disk(fail_from, persist) as calls, contextlib.redirect_stderr(io.StringIO()) as err:
             code = main(["run", "--config", str(work / "changed.json")])
         return code, err.getvalue(), calls
 
@@ -470,8 +502,8 @@ class TestFaultAtEveryOperation:
         assert code == 0, err
         return calls
 
-    def _check(self, full_run: Path, work: Path, k: int) -> None:
-        code, err, calls = self._rerun(full_run, work, k)
+    def _check(self, full_run: Path, work: Path, k: int, persist: bool = True) -> None:
+        code, err, calls = self._rerun(full_run, work, k, persist)
         assert code == 2
         assert err.startswith("multibridge: ") and "injected fault" in err and "Traceback" not in err
         if k == 1:  # the reset's first delete is prep/: nothing has changed, and the earlier report is true
@@ -494,6 +526,19 @@ class TestFaultAtEveryOperation:
     def test_fault_at_a_drawn_operation(self, full_run, operations, tmp_path_factory, data):
         k = data.draw(st.integers(1, len(operations)), label="k")
         self._check(full_run, tmp_path_factory.mktemp("fault") / "work", k)
+
+    # A failed link is a fault like any other, not a reason to write a copy.
+    @pytest.mark.parametrize("which", ["first", "second", "first link", "last link", "last"])
+    def test_single_fault_at_a_fixed_operation(self, full_run, operations, tmp_path, which):
+        links = [k for k, name in enumerate(operations, start=1) if name == "link"]
+        k = {"first": 1, "second": 2, "first link": links[0], "last link": links[-1], "last": len(operations)}[which]
+        self._check(full_run, tmp_path / "work", k, persist=False)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_single_fault_at_a_drawn_operation(self, full_run, operations, tmp_path_factory, data):
+        k = data.draw(st.integers(1, len(operations)), label="k")
+        self._check(full_run, tmp_path_factory.mktemp("single") / "work", k, persist=False)
 
 
 class TestConfig:

@@ -5,6 +5,7 @@ import pytest
 from multibridge.languages import BLOCK_SIZE, REGISTRY, get_language
 from multibridge.scripts import (
     ASSIGNED_OFFSETS,
+    DEFAULT_CANONICALIZATIONS,
     ScriptError,
     ScriptMap,
     from_devanagari,
@@ -13,6 +14,8 @@ from multibridge.scripts import (
     _script_map,
 )
 
+from nukta_contract import LANGS, NFC_COMPOSED, composition_excluded
+
 INDIC = [code for code, lang in REGISTRY.items() if lang.is_indic]
 NON_DEVA = [code for code in INDIC if get_language(code).block_base != 0x0900]
 
@@ -20,10 +23,10 @@ NON_DEVA = [code for code in INDIC if get_language(code).block_base != 0x0900]
 class TestNormalizeUnicode:
     def test_plain_nfc_text_unchanged(self):
         for text in ("hello world", "नमस्ते", "ঢাকা", "", "abc 123 !?"):
-            assert normalize_unicode(text) == text
+            assert normalize_unicode(text, "en") == text
 
     def test_nfd_recomposed(self):
-        assert normalize_unicode("é") == "é"
+        assert normalize_unicode("é", "en") == "é"
 
     def test_devanagari_qa_composed(self):
         # base + nukta -> precomposed QA, which plain NFC never produces
@@ -45,8 +48,21 @@ class TestNormalizeUnicode:
         # A Bengali-language call must not touch Devanagari sequences.
         assert normalize_unicode("क़", "bn") == "क़"
 
+    @pytest.mark.parametrize("db", [unicodedata, unicodedata.ucd_3_2_0], ids=["interpreter", "ucd_3_2_0"])
+    def test_tables_hold_exactly_the_composition_excluded_letters(self, db):
+        # A sequence that NFC composes could never match an entry.
+        assert composition_excluded(db) == DEFAULT_CANONICALIZATIONS
+        assert {script: len(table) for script, table in DEFAULT_CANONICALIZATIONS.items()} == {
+            "Devanagari": 8, "Bengali": 3, "Oriya": 2, "Gurmukhi": 6}
+
+    @pytest.mark.parametrize("code", LANGS)
+    def test_nfc_composes_the_letters_without_a_table_entry(self, code):
+        for seq, letter in NFC_COMPOSED.items():
+            assert normalize_unicode(seq, code) == normalize_unicode(letter, code) == letter
+            assert normalize_unicode(f"a{seq}\u093e b", code) == f"a{letter}\u093e b"
+
     def test_ascii_unchanged(self):
-        assert normalize_unicode("plain ascii, nothing else!") == "plain ascii, nothing else!"
+        assert normalize_unicode("plain ascii, nothing else!", "en") == "plain ascii, nothing else!"
 
 
 class TestToDevanagari:
