@@ -334,12 +334,12 @@ def revert_bpe(subwords: Sequence[str]) -> list[str]:
 
 
 def save_bpe(model: BpeModel, codes_path: str | Path, vocab_path: str | Path | None = None) -> None:
-    """Write the codes file (and optionally the vocabulary file)."""
+    """Write the codes file and, given ``vocab_path``, the vocabulary file; neither if the model has none to save."""
+    if vocab_path is not None and model.vocab is None:
+        raise BpeError("model has no vocabulary to save")
     header = f"#bpe num_merges={model.num_merges} min_frequency={model.min_frequency}"
     write_lines(codes_path, [header, *(f"{left} {right}" for left, right in model.merges)])
     if vocab_path is not None:
-        if model.vocab is None:
-            raise BpeError("model has no vocabulary to save")
         ranked = sorted(model.vocab.items(), key=lambda kv: (-kv[1], kv[0]))
         write_lines(vocab_path, (f"{sym} {count}" for sym, count in ranked))
 

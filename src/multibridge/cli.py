@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: extract, stats, sample, preprocess, learn-bpe, apply-bpe,
+Subcommands: extract, sample, preprocess, learn-bpe, apply-bpe,
 tag, evaluate, run. Exit codes: 0 success, 1 usage error, 2 data error.
 
 Line-oriented subcommands (preprocess, apply-bpe, tag) read stdin and
@@ -24,8 +24,8 @@ from .config import check_disjoint, load_config, parse_pairs, parse_sampling
 from .corpus import iter_lines, write_lines, write_text
 from .errors import MultibridgeError
 from .languages import indic_codes
-from .mining import DEFAULT_XPROD_CAP, extraction_stats
-from .pipeline import extract, load_english, load_mined, mined_paths, raw_languages, run_pipeline
+from .mining import DEFAULT_XPROD_CAP
+from .pipeline import extract, load_english, load_mined, raw_languages, run_pipeline
 from .sampling import DEFAULT_PER_PAIR_TARGET, assemble_training_set
 from .scripts import from_devanagari, normalize_unicode, to_devanagari
 from .tags import tag, untag
@@ -62,21 +62,6 @@ def _cmd_extract(args) -> int:
     english = load_english(inputs, raw_languages(inputs))
     pairs = parse_pairs(args.pairs.split(",")) if args.pairs else combinations(english, 2)
     extract(english, pairs, None if args.xprod_cap == 0 else args.xprod_cap, out)
-    return 0
-
-
-def _cmd_stats(args) -> int:
-    inputs, mined_dir = Path(args.inputs), Path(args.mined)
-    english = load_english(inputs, raw_languages(inputs))
-    mined = load_mined(mined_dir, english)
-    out = None if args.out == "-" else args.out  # --out may sit in --mined, as extract's stats.tsv does
-    _check_outputs({"--out": out}, [("--inputs", args.inputs),
-                                    *(("--mined", path) for pair in mined for path in mined_paths(mined_dir, *pair))])
-    tsv = extraction_stats(english.values(), mined).to_tsv()
-    if out:
-        write_text(out, tsv)
-    else:
-        sys.stdout.write(tsv)
     return 0
 
 
@@ -193,12 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xprod-cap", type=int, default=DEFAULT_XPROD_CAP,
                    help="per-key cross product cap, 0 disables (default %(default)s)")
     p.set_defaults(func=_cmd_extract)
-
-    p = sub.add_parser("stats", help="emit the pair-count statistics table")
-    p.add_argument("--inputs", required=True)
-    p.add_argument("--mined", required=True)
-    p.add_argument("--out", default="-", help="TSV output path, - for stdout")
-    p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("sample", help="assemble a training set")
     p.add_argument("--strategy", required=True, choices=["sample-pairs", "sample-fraction", "train-all"])

@@ -34,10 +34,6 @@ class Language:
     script: str
     block_base: int | None
 
-    def __post_init__(self) -> None:
-        if len(self.code) != 2 or not self.code.isascii() or not self.code.islower():
-            raise ValueError(f"language code must be two lowercase ASCII letters: {self.code!r}")
-
     @property
     def is_indic(self) -> bool:
         return self.block_base is not None

@@ -1,18 +1,17 @@
 """End-to-end orchestration: extract (which writes ``stats.tsv`` too), sample, preprocess, BPE, tag.
 
 Each stage writes only into a directory it makes new; :func:`run_pipeline`
-first deletes the ``mined/``, ``sampled/`` and ``prep/`` of an earlier run.
-The CLI's ``extract`` and ``sample`` subcommands run the same stage code
-as :func:`run_pipeline`, so ``mined/`` and ``sampled/`` can be built stage
-by stage with the bytes of a full run; ``stats`` recomputes the table from
-disk, without the raw-pair section. The later stages run from memory and
-cannot be resumed through the CLI. With a fixed seed the whole output tree
-is byte-identical across runs and platforms: all stage outputs are sorted,
-counts are integers, and every random draw goes through the pinned
-generator. The one known exception is NFC, which uses the interpreter's
-Unicode database: Python 3.10's Unicode 13.0 lacks the Telugu nukta
-U+0C3C, so its ``prep/`` bytes for Telugu text holding it differ from
-those of 3.11 and later.
+first deletes the ``mined/``, ``sampled/`` and ``prep/`` of an earlier
+run. The CLI's ``extract`` and ``sample`` subcommands run the same stage
+code as :func:`run_pipeline`, so ``mined/`` and ``sampled/`` can be built
+stage by stage with the bytes of a full run. The later stages run from
+memory and cannot be resumed through the CLI. With a fixed seed the whole
+output tree is byte-identical across runs and platforms: all stage outputs
+are sorted, counts are integers, and every random draw goes through the
+pinned generator. The one known exception is NFC, which uses the
+interpreter's Unicode database: Python 3.10's Unicode 13.0 lacks the
+Telugu nukta U+0C3C, so its ``prep/`` bytes for Telugu text holding it
+differ from those of 3.11 and later.
 """
 
 from __future__ import annotations

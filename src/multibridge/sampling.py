@@ -168,7 +168,7 @@ def build_training_set(
     if isinstance(plan.strategy, SamplePairs):
         for pair in plan.strategy.pairs:
             if PIVOT in pair:
-                raise SamplingError(f"sample-pairs list may not include the pivot: {pair}")
+                raise SamplingError(f"sample-pairs list may not include the pivot: {pair[0]}-{pair[1]}")
             if pair not in mined_corpora:
                 raise SamplingError(f"no mined corpus for pair {pair[0]}-{pair[1]}")
         selected = {pair: mined_corpora[pair] for pair in plan.strategy.pairs}

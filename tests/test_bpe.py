@@ -219,6 +219,13 @@ class TestSeparatorInToken:
                 apply_bpe(m, ["low", token])
 
 
+def test_empty_token_is_rejected():
+    model = learn_bpe([TOY], num_merges=10, min_frequency=1)
+    for m in (model, BpeModel(model.merges, None, model.num_merges, model.min_frequency)):
+        with pytest.raises(BpeError, match="^cannot segment an empty token$"):
+            apply_bpe(m, ["low", ""])
+
+
 class TestApply:
     def test_frequent_token_emitted_whole(self):
         model = learn_bpe([TOY], num_merges=50, min_frequency=1)
@@ -399,6 +406,23 @@ class TestModelFile:
     def test_duplicate_merge_built_in_code_rejected(self):
         with pytest.raises(BpeError, match=r"duplicate merge rule \('l', 'o'\)"):
             BpeModel((("l", "o"), ("o", "w"), ("l", "o")), None, 5, 1)
+
+    @pytest.mark.parametrize("merges,budget,message", [
+        ((("l", "o"), ("o", "w")), 1, "more merges than the configured budget"),
+        ((("", "o"),), 5, "empty side in merge rule ('', 'o')"),
+        ((("l", "o"), ("lo", "")), 5, "empty side in merge rule ('lo', '')"),
+    ], ids=["over-budget", "empty-left", "empty-right"])
+    def test_bad_model_built_in_code_rejected(self, merges, budget, message):
+        with pytest.raises(BpeError) as info:
+            BpeModel(merges, None, budget, 1)
+        assert str(info.value) == message
+
+    def test_saving_a_vocabulary_the_model_lacks_writes_nothing(self, tmp_path):
+        model = BpeModel((("l", "o"),), None, 5, 1)
+        with pytest.raises(BpeError) as info:
+            save_bpe(model, tmp_path / "codes.txt", tmp_path / "vocab.txt")
+        assert str(info.value) == "model has no vocabulary to save"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("codes,vocab,bad,line", [
         ("#bpe num_merges=५ min_frequency=1\n", None, "codes", 1),

@@ -57,6 +57,14 @@ class TestExitCodes:
     def test_success_is_0(self):
         assert run_cli("--version").returncode == 0
 
+    def test_stats_is_an_unknown_subcommand(self, tmp_path):
+        # extract and run write the pair-count table; no subcommand rebuilds it from disk.
+        proc = run_cli("stats", "--inputs", str(tmp_path / "raw"), "--mined", str(tmp_path / "mined"))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage: multibridge ")
+        assert "multibridge: error: argument command: invalid choice: 'stats'" in proc.stderr
+        assert proc.stdout == "" and list(tmp_path.iterdir()) == []
+
 
 def test_version_matches_pyproject():
     # Every metric signature embeds version.__version__, and metrics_golden.json pins those signatures.
@@ -66,17 +74,11 @@ def test_version_matches_pyproject():
 
 
 class TestExtractStatsSample:
-    def test_extract_then_stats_then_sample(self, tmp_path, raw_dir):
+    def test_extract_then_sample(self, tmp_path, raw_dir):
         mined = tmp_path / "mined"
         assert main(["extract", "--inputs", str(raw_dir), "--out", str(mined)]) == 0
         corpus = load_bitext(mined / "bn-hi.bn", mined / "bn-hi.hi", "bn", "hi")
         assert len(corpus) > 0
-
-        table = tmp_path / "table.tsv"
-        assert main(["stats", "--inputs", str(raw_dir), "--mined", str(mined), "--out", str(table)]) == 0
-        lines = table.read_text().splitlines()
-        assert lines[0].split("\t") == ["", "en", "bn", "hi", "ta"]
-        assert lines[-2].startswith("SUM\t")
 
         sampled = tmp_path / "sampled"
         assert main([
@@ -107,22 +109,6 @@ class TestExtractStatsSample:
         ]) == 2
         assert f"{other!r} and '--out' overlap" in capsys.readouterr().err
         assert _tree(tmp_path) == before
-
-    @pytest.mark.parametrize("out,other", [("raw/en-bn.en", "--inputs"), ("mined/bn-hi.bn", "--mined"),
-                                           ("mined/stats.tsv", None)],
-                             ids=["raw-corpus", "mined-corpus", "stats-in-mined"])
-    def test_stats_out_over_its_own_input_is_data_error(self, tmp_path, raw_dir, capsys, out, other):
-        mined = tmp_path / "mined"
-        assert main(["extract", "--inputs", str(raw_dir), "--out", str(mined)]) == 0
-        before = _tree(tmp_path)
-        code = main(["stats", "--inputs", str(raw_dir), "--mined", str(mined), "--out", str(tmp_path / out)])
-        if other is None:  # extract writes its stats.tsv there too
-            assert code == 0
-            assert (tmp_path / out).read_text(encoding="utf-8").startswith("\ten\tbn\thi\tta\n")
-        else:
-            assert code == 2
-            assert f"{other!r} and '--out' overlap" in capsys.readouterr().err
-            assert _tree(tmp_path) == before
 
     def test_extract_then_sample_reproduce_the_golden_run(self, tmp_path, raw_dir):
         # The fixture config's strategy, cap and seed, given as flags.
@@ -200,12 +186,6 @@ class TestExtractStatsSample:
         assert proc.returncode == 0, proc.stderr
         assert _tree(mined) == _tree(GOLDEN_MINED)
 
-    def test_stats_recomputes_the_table_without_raw_pairs(self, raw_dir, capsys):
-        assert main(["stats", "--inputs", str(raw_dir), "--mined", str(GOLDEN_MINED)]) == 0
-        table, raw_section = (GOLDEN_MINED / "stats.tsv").read_text(encoding="utf-8").split("\n\n")
-        assert raw_section.startswith("# raw pair")
-        assert capsys.readouterr().out == table + "\n"
-
     @pytest.mark.parametrize("argv,message", [
         (["--xprod-cap", "-1"], "cross-product cap must be non-negative"),
         (["--pairs", "bn-zz"], "no en-xx corpus loaded for zz"),
@@ -237,6 +217,34 @@ class TestExtractStatsSample:
         assert (mined / "bn-hi.bn").exists()
         assert not (mined / "bn-ta.bn").exists()
 
+    @pytest.mark.parametrize("pairs,message", [
+        ("bn-en", "sample-pairs list may not include the pivot: bn-en"),
+        ("bn-hi,hi-bn", "duplicate pairs in sample-pairs list"),
+    ], ids=["pivot", "duplicate"])
+    def test_bad_sample_pairs_are_data_errors(self, tmp_path, raw_dir, pairs, message):
+        out = tmp_path / "sampled"
+        proc = run_cli("sample", "--strategy", "sample-pairs", "--pairs", pairs, "--seed", "1",
+                       "--inputs", str(raw_dir), "--mined", str(GOLDEN_MINED), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == f"multibridge: {message}\n"
+        assert not out.exists() or not any(out.iterdir())  # the pair check follows sample's new_dir
+
+    def test_english_file_without_its_counterpart_is_data_error(self, tmp_path, raw_dir, capsys):
+        (raw_dir / "en-hi.hi").unlink()
+        mined = tmp_path / "mined"
+        assert main(["extract", "--inputs", str(raw_dir), "--out", str(mined)]) == 2
+        assert capsys.readouterr().err == f"multibridge: missing counterpart file for {raw_dir / 'en-hi.en'}\n"
+        assert not mined.exists()
+
+    def test_mined_directory_without_pairs_is_data_error(self, tmp_path, raw_dir, capsys):
+        mined, out = tmp_path / "mined", tmp_path / "sampled"
+        mined.mkdir()
+        (mined / "stats.tsv").write_text("\ten\n")
+        assert main(["sample", "--strategy", "train-all", "--seed", "1",
+                     "--inputs", str(raw_dir), "--mined", str(mined), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"multibridge: no mined corpora found in {mined}\n"
+        assert not out.exists()
+
     def test_sample_pairs_requires_pairs(self, raw_dir, tmp_path):
         proc = run_cli(
             "sample", "--strategy", "sample-pairs", "--seed", "1",
@@ -259,28 +267,26 @@ class TestExtractStatsSample:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
-    def test_stats_ignores_stale_pair_files(self, tmp_path, raw_dir, capsys):
-        clean = tmp_path / "clean"
-        shutil.copytree(GOLDEN_MINED, clean)
+    def test_sample_ignores_stale_pair_files(self, tmp_path, raw_dir):
         stale = tmp_path / "stale"
         shutil.copytree(GOLDEN_MINED, stale)
         shutil.copy(stale / "bn-hi.bn", stale / "gu-hi.gu")
         shutil.copy(stale / "bn-hi.hi", stale / "gu-hi.hi")
-        tables = []
-        for mined in (clean, stale):
-            assert main(["stats", "--inputs", str(raw_dir), "--mined", str(mined)]) == 0
-            tables.append(capsys.readouterr().out)
-        assert tables[0] == tables[1]
-        assert tables[0].splitlines()[0].split("\t") == ["", "en", "bn", "hi", "ta"]
+        sampled = tmp_path / "sampled"
+        assert main(["sample", "--strategy", "sample-fraction", "--per-pair", "12", "--seed", "77",
+                     "--inputs", str(raw_dir), "--mined", str(stale), "--out", str(sampled)]) == 0
+        assert _tree(sampled) == _tree(GOLDEN / "sampled")
 
     def test_half_written_pair_is_data_error(self, tmp_path, raw_dir):
         mined = tmp_path / "mined"
         shutil.copytree(GOLDEN_MINED, mined)
         (mined / "bn-ta.ta").unlink()
-        proc = run_cli("stats", "--inputs", str(raw_dir), "--mined", str(mined))
+        out = tmp_path / "sampled"
+        proc = run_cli("sample", "--strategy", "train-all", "--seed", "1",
+                       "--inputs", str(raw_dir), "--mined", str(mined), "--out", str(out))
         assert proc.returncode == 2
-        assert "bn-ta" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"multibridge: mined pair bn-ta in {mined} has only one of its two files\n"
+        assert not out.exists()
 
     def test_crlf_bitext_is_data_error(self, tmp_path, raw_dir):
         en_bn = raw_dir / "en-bn.en"
@@ -412,6 +418,11 @@ class TestPreprocess:
         forward = run_cli("preprocess", "--lang", "bn", "--to-devanagari", stdin="আমি ভাত খাই।\n")
         backward = run_cli("preprocess", "--lang", "bn", "--from-devanagari", stdin=forward.stdout)
         assert backward.stdout == "আমি ভাত খাই।\n"
+
+    def test_detokenize(self):
+        proc = run_cli("preprocess", "--lang", "en", "--detokenize", stdin="Hello , world !\n( 1,000 )\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "Hello, world!\n(1,000)\n"
 
     def test_unmappable_policy(self):
         proc = run_cli("preprocess", "--lang", "bn", "--from-devanagari", stdin="ॐ\n")
@@ -683,6 +694,17 @@ class TestEvaluate:
         assert main(["evaluate", "--metric", "bleu", "--hyp", str(hyp), "--ref", str(hyp)]) == 0
         assert "+tok.13a+" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("content,message", [
+        (None, "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+        ("2 3\n0 1.0 0.0\n1 0.0 1.0\n", "{path}: header says 3 rows, found 2"),
+    ], ids=["missing-file", "header-row-count"])
+    def test_bad_embedding_file_is_data_error(self, tmp_path, capsys, content, message):
+        path = tmp_path / "a.emb"
+        if content is not None:
+            path.write_text(content)
+        assert main(["evaluate", "--metric", "cosine", "--emb-a", str(path), "--emb-b", str(path)]) == 2
+        assert capsys.readouterr().err == "multibridge: " + message.format(path=path) + "\n"
+
     def test_length_mismatch_is_data_error(self, tmp_path):
         hyp = tmp_path / "h.txt"
         ref = tmp_path / "r.txt"
@@ -692,7 +714,7 @@ class TestEvaluate:
 
 
 class TestOrientation:
-    @pytest.mark.parametrize("command", ["extract", "stats", "sample", "run"])
+    @pytest.mark.parametrize("command", ["extract", "sample", "run"])
     def test_xx_en_corpus_is_data_error(self, tmp_path, raw_dir, monkeypatch, capsys, command):
         load = pipeline.load_english
 
@@ -705,7 +727,6 @@ class TestOrientation:
         shutil.copytree(FIXTURE, tmp_path / "work")
         argv = {
             "extract": ["--out", str(tmp_path / "mined")],
-            "stats": ["--mined", str(GOLDEN_MINED)],
             "sample": ["--strategy", "train-all", "--seed", "1", "--mined", str(GOLDEN_MINED),
                        "--out", str(tmp_path / "sampled")],
         }
@@ -783,6 +804,29 @@ class TestRunCommand:
                      "--inputs", str(raw_dir), "--mined", str(GOLDEN_MINED), "--out", str(out)]) == 2
         assert capsys.readouterr().err == message
         assert not out.exists()
+
+    @pytest.mark.parametrize("change,message", [
+        ({"sampling": {"strategy": "sample-pairs", "pairs": []}}, "sample-pairs needs a non-empty 'pairs' list"),
+        ({"sampling": {"strategy": "sample-pairs", "pairs": ["bn-hi", "hi-bn"]}},
+         "duplicate pairs in sample-pairs list"),
+        ({"languages": ["bn"]}, "stage 'validate' failed: need at least two non-pivot languages"),
+        ({"raw_dir": "nowhere"}, "stage 'validate' failed: raw corpus directory not found: {work}/nowhere"),
+    ], ids=["empty-sample-pairs", "duplicate-sample-pairs", "one-language", "missing-raw-dir"])
+    def test_bad_config_value_is_data_error(self, tmp_path, capsys, change, message):
+        work = (tmp_path / "run").resolve()
+        shutil.copytree(FIXTURE, work)
+        doc = json.loads((work / "config.json").read_text())
+        (work / "config.json").write_text(json.dumps({**doc, **change}))
+        assert main(["run", "--config", str(work / "config.json")]) == 2
+        assert capsys.readouterr().err == "multibridge: " + message.format(work=work) + "\n"
+        assert not (work / "out").exists()
+
+    @pytest.mark.parametrize("name,reason", [("missing.json", "[Errno 2] No such file or directory"),
+                                             (".", "[Errno 21] Is a directory")], ids=["missing", "directory"])
+    def test_unreadable_config_is_data_error(self, tmp_path, capsys, name, reason):
+        path = tmp_path / name
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"multibridge: cannot read config {path}: {reason}: '{path}'\n"
 
     def test_registry_key_is_rejected(self, tmp_path, capsys):
         # The language table is fixed; a registry file, even a valid one, is a config error.

@@ -380,6 +380,12 @@ class TestManifest:
         with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: "):
             load_manifest(path)
 
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+    def test_unreadable_manifest_is_manifest_error(self, tmp_path, name):
+        path = tmp_path / name
+        with pytest.raises(CorpusError, match=f"^cannot read {re.escape(str(path))}: "):
+            load_manifest(path)
+
     def test_verify_against_disk(self, tmp_path):
         manifest = self._manifest()
         corpus = BitextCorpus("en", "hi", ("a", "c"), ("b", "d"))

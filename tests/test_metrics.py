@@ -203,6 +203,16 @@ class TestCosine:
         with pytest.raises(MetricError, match="^empty embedding tables$"):
             cosine_batch(empty, empty)
 
+    @pytest.mark.parametrize("ids,matrix,message", [
+        ((0, 1), np.zeros((3, 2)), "embedding matrix shape does not match ids"),
+        ((0,), np.zeros(2), "embedding matrix shape does not match ids"),
+        ((4, 4), np.ones((2, 2)), "duplicate sentence ids in embedding table"),
+    ], ids=["rows-differ-from-ids", "one-dimensional", "duplicate-ids"])
+    def test_table_rejects_a_bad_shape_or_duplicate_ids(self, ids, matrix, message):
+        with pytest.raises(MetricError) as info:
+            EmbeddingTable(ids, matrix)
+        assert str(info.value) == message
+
 
 def _load_outcome(loader, path):
     """The ids and exact matrix bytes a loader returns, or the type and message it raises."""
@@ -491,6 +501,17 @@ class TestNwayCompare:
         # pooled micro average across all three directions
         assert micro.avg_row["bleu"] == pytest.approx((10 * 100 + 20 * 300 + 30 * 600) / 1000)
         assert macro.avg_row["bleu"] == pytest.approx((15.0 + 30.0) / 2)
+
+    def test_micro_average_over_zero_sentences_is_empty(self):
+        reports = [_report("bn", "hi", {"bleu": 10.0}, n=0), _report("hi", "bn", {"bleu": 20.0}, n=0)]
+        micro = nway_compare(reports, ["bn", "hi"], average="micro")
+        assert dict(micro.rows) == {"bn": {"bleu": None}, "hi": {"bleu": None}}
+        assert micro.avg_row == {"bleu": None}
+        assert nway_compare(reports, ["bn", "hi"], average="macro").avg_row == {"bleu": 15.0}
+
+    def test_unknown_average_rejected(self):
+        with pytest.raises(MetricError, match="^unknown average 'median'$"):
+            nway_compare([_report("bn", "hi", {"bleu": 10.0})], ["bn", "hi"], average="median")
 
     def test_english_row_separate(self):
         reports = [

@@ -163,6 +163,15 @@ class TestMinePairs:
         with pytest.raises(MiningError, match="^language list includes the pivot 'en'$"):
             mine_all(index, ["en", "bn"])
 
+    def test_self_pair_rejected(self):
+        index = build_pivot_index([_corpus("en", "bn", [("x", "y")])])
+        with pytest.raises(MiningError, match="^cannot mine a language against itself: 'bn'$"):
+            mine_pairs_detailed(index, "bn", "bn")
+        with pytest.raises(MiningError, match="^need at least two non-pivot languages to mine pairs$"):
+            mine_all(index, ["bn", "bn"])
+        with pytest.raises(ValueError, match="^not a pair: 'bn', 'bn'$"):
+            canonical_pair("bn", "bn")
+
     def test_deterministic_order(self):
         corpora = [
             _corpus("en", "bn", [("b key", "B2"), ("a key", "B1"), ("b key", "B0")]),

@@ -55,6 +55,11 @@ class TestSpanning:
         with pytest.raises(SamplingError):
             select_spanning_pairs(["en", "hi", "bn"], 2, seed=0)
 
+    @pytest.mark.parametrize("languages", [[], ["hi"], ["hi", "hi"]], ids=["none", "one", "one-twice"])
+    def test_fewer_than_two_languages_rejected(self, languages):
+        with pytest.raises(SamplingError, match="^need at least two languages to form pairs$"):
+            select_spanning_pairs(languages, 1, seed=0)
+
     def test_selection_spans_and_is_deterministic(self):
         first = select_spanning_pairs(INDIC_10, 11, seed=42)
         second = select_spanning_pairs(INDIC_10, 11, seed=42)
@@ -99,6 +104,11 @@ class TestSampleFraction:
     def test_target_must_be_positive(self):
         with pytest.raises(SamplingError):
             sample_fraction(_tiny_corpus("bn", "hi", 5), 0, seed=1)
+
+    @pytest.mark.parametrize("target", [0, -3])
+    def test_strategy_target_must_be_positive(self, target):
+        with pytest.raises(SamplingError, match="^per-pair target must be positive$"):
+            SampleFraction(target)
 
 
 def _mined_fixture(seed=30, langs=("bn", "hi", "ta")):

@@ -4,10 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multibridge.languages import UnknownLanguage
-from multibridge.tags import TagError, is_tag_token, tag, untag
+from multibridge.languages import REGISTRY, UnknownLanguage
+from multibridge.tags import TAG_PATTERN, TagError, is_tag_token, src_tag, tag, tgt_tag, untag
 
 from oracles import naive_reserved_token
+
+
+def test_every_language_code_is_two_lowercase_ascii_letters():
+    # TAG_PATTERN accepts two lowercase ASCII letters only, so a code of any other shape could not be tagged.
+    for code, lang in REGISTRY.items():
+        assert lang.code == code
+        assert len(code) == 2 and code.isascii() and code.isalpha() and code.islower()
+        assert TAG_PATTERN.match(src_tag(code)) and TAG_PATTERN.match(tgt_tag(code))
 
 
 class TestTag:
