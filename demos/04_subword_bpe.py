@@ -5,7 +5,7 @@ segments any token into known subwords with "@@" marking non-final
 pieces, and revert_bpe undoes it exactly.
 """
 
-from multibridge import apply_bpe, learn_bpe, load_bpe, revert_bpe, save_bpe, tag
+from multibridge import BpeSegmenter, learn_bpe, load_bpe, revert_bpe, save_bpe, tag
 
 CORPUS = "low low low lower lower newest newest newest newest widest wide wide"
 
@@ -16,19 +16,20 @@ for i, (left, right) in enumerate(model.merges):
 
 print("\nvocabulary (frequency >= 2):", sorted(model.vocab))
 
+segmenter = BpeSegmenter(model)  # builds the rank table and caches once, for every call below
 for token in ("newest", "lowest", "wideness", "xyz"):
-    subwords = apply_bpe(model, [token])
-    print(f"\napply_bpe({token!r}) = {subwords}")
+    subwords = segmenter.segment([token])
+    print(f"\nsegment([{token!r}]) = {subwords}")
     print("  revert:", revert_bpe(subwords))
 
 # Out-of-vocabulary subwords are re-split into characters at apply time,
 # the standard vocabulary-threshold behaviour.
 rare = learn_bpe(["low low lower"], num_merges=10, min_frequency=2)
 print("\nwith a frequency floor, rare subwords fall back to characters:")
-print("  apply_bpe('lower') =", apply_bpe(rare, ["lower"]))
+print("  segment(['lower']) =", BpeSegmenter(rare).segment(["lower"]))
 
 # Segment first, then prepend the language control tags, so BPE never sees them.
-segmented = apply_bpe(model, ["newest", "lowest"])
+segmented = segmenter.segment(["newest", "lowest"])
 print("\nsegmented + tagged:", tag(segmented, "bn", "hi"))
 
 # The codes file round-trips byte-identically.

@@ -30,7 +30,7 @@ from .version import __version__
 
 #: Each layer module and the public names it defines.
 _EXPORTS = {
-    "bpe": ("BpeModel", "BpeSegmenter", "apply_bpe", "learn_bpe", "load_bpe", "revert_bpe", "save_bpe"),
+    "bpe": ("BpeModel", "BpeSegmenter", "learn_bpe", "load_bpe", "revert_bpe", "save_bpe"),
     "config": ("PipelineConfig", "load_config", "validate_config"),
     "corpus": ("BitextCorpus", "ManifestEntry", "TrainingManifest", "TranslationDirection", "load_bitext",
                "load_manifest", "save_manifest", "verify_manifest", "write_bitext"),

@@ -302,6 +302,7 @@ class BpeSegmenter:
         return got
 
     def segment(self, tokens: Sequence[str]) -> list[str]:
+        """Segment tokens into @@-convention subwords."""
         out: list[str] = []
         cache = self._cache
         for token in tokens:
@@ -309,16 +310,8 @@ class BpeSegmenter:
         return out
 
 
-def apply_bpe(model: BpeModel, tokens: Sequence[str]) -> list[str]:
-    """Segment tokens into @@-convention subwords.
-
-    Subwords missing from the model vocabulary are re-split to characters.
-    """
-    return BpeSegmenter(model).segment(tokens)
-
-
 def revert_bpe(subwords: Sequence[str]) -> list[str]:
-    """Undo @@-convention segmentation; inverse of :func:`apply_bpe`."""
+    """Undo @@-convention segmentation; inverse of :meth:`BpeSegmenter.segment`."""
     tokens: list[str] = []
     buffer: list[str] = []
     for subword in subwords:

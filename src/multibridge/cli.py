@@ -61,7 +61,7 @@ def _cmd_extract(args) -> int:
     inputs, out = Path(args.inputs), Path(args.out)
     english = load_english(inputs, raw_languages(inputs))
     pairs = parse_pairs(args.pairs.split(",")) if args.pairs else combinations(english, 2)
-    extract(english, pairs, None if args.xprod_cap == 0 else args.xprod_cap, out)
+    extract(english, pairs, args.xprod_cap, out)
     return 0
 
 
@@ -82,20 +82,17 @@ def _cmd_sample(args) -> int:
 
 def _cmd_preprocess(args) -> int:
     lang = args.lang
-    reverse = args.detokenize or args.from_devanagari
-    for text in iter_lines():
-        if reverse:
-            if args.detokenize:
-                text = detokenize(text.split())
-            if args.from_devanagari:
-                text = from_devanagari(text, lang, args.unmappable or "error")
-        else:
-            if args.normalize:
-                text = normalize_unicode(text, lang)
-            if args.to_devanagari:
-                text = to_devanagari(text, lang)
-            if args.tokenize:
-                text = " ".join(tokenize(text, lang))
+    for text in iter_lines():  # main lets through only forward or only reverse steps
+        if args.detokenize:
+            text = detokenize(text.split())
+        if args.from_devanagari:
+            text = from_devanagari(text, lang, args.unmappable or "error")
+        if args.normalize:
+            text = normalize_unicode(text, lang)
+        if args.to_devanagari:
+            text = to_devanagari(text, lang)
+        if args.tokenize:
+            text = " ".join(tokenize(text, lang))
         sys.stdout.write(text + "\n")
     return 0
 

@@ -50,7 +50,7 @@ class PipelineConfig:
     sampling: SamplingPlan
     bpe_num_merges: int
     bpe_min_frequency: int
-    xprod_cap: int | None
+    xprod_cap: int  # 0 is no cap
     # The fixed layout of the tree under out_dir.
     mined_dir = property(lambda self: self.out_dir / "mined")
     sampled_dir = property(lambda self: self.out_dir / "sampled")
@@ -166,8 +166,6 @@ def load_config(path: str | Path) -> PipelineConfig:
     if len(set(languages)) != len(languages):
         raise ConfigError(f"'languages' lists a language twice: {languages!r}")
     bpe = _table(doc.get("bpe", {}), _BPE_KEYS, "bpe.")
-    cap = doc.get("xprod_cap", DEFAULT_XPROD_CAP)
-    cap = None if cap is None else _int(doc, "xprod_cap", DEFAULT_XPROD_CAP, minimum=0)
     for key, only_value in _LEGACY_KEYS.items():
         if key in doc and doc[key] != only_value:
             raise ConfigError(
@@ -181,7 +179,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         sampling=parse_sampling(doc.get("sampling", {"strategy": "train-all"}), doc.get("seed", 1)),
         bpe_num_merges=_int(bpe, "num_merges", DEFAULT_NUM_MERGES, "bpe.", 0),
         bpe_min_frequency=_int(bpe, "min_frequency", DEFAULT_MIN_FREQUENCY, "bpe.", 0),
-        xprod_cap=cap or None,
+        xprod_cap=_int(doc, "xprod_cap", DEFAULT_XPROD_CAP, minimum=0),
     )
     if any(path.resolve().is_relative_to(stage_dir) for stage_dir in config.stage_dirs):
         raise ConfigError(f"config {path} is inside a stage directory under 'out_dir', which a run deletes")

@@ -101,14 +101,15 @@ def mine_pairs_detailed(
     index: PivotIndex,
     l1: str,
     l2: str,
-    xprod_cap: int | None = DEFAULT_XPROD_CAP,
+    xprod_cap: int = DEFAULT_XPROD_CAP,
 ) -> MiningOutcome:
     """Join two languages' translation sets through shared pivot keys.
 
     For every pivot key with translations in both languages, emit the full
-    cross product of the two sets (capped per key), then drop identical-text
-    pairs and global duplicates. Traversal is sorted by pivot key and
-    lexicographic within each cross product, so output is deterministic.
+    cross product of the two sets (at most ``xprod_cap`` pairs per key; a
+    cap of 0 is no cap), then drop identical-text pairs and global
+    duplicates. Traversal is sorted by pivot key and lexicographic within
+    each cross product, so output is deterministic.
     ``index`` is one :func:`build_pivot_index` returns: its texts come from
     corpora that checked them, so the mined corpus does not check them again.
     """
@@ -116,7 +117,7 @@ def mine_pairs_detailed(
         raise MiningError(f"cannot mine the pivot language {PIVOT!r}")
     if l1 == l2:
         raise MiningError(f"cannot mine a language against itself: {l1!r}")
-    if xprod_cap is not None and xprod_cap < 0:
+    if xprod_cap < 0:
         raise MiningError(f"cross-product cap must be non-negative, not {xprod_cap}")
 
     # Pivot keys are unique, so the sort never compares the translation sets.
@@ -128,10 +129,10 @@ def mine_pairs_detailed(
     raw = 0
     capped: list[str] = []
     for key, side1, side2 in candidates:
-        if xprod_cap is not None and len(side1) * len(side2) > xprod_cap:
+        if xprod_cap and len(side1) * len(side2) > xprod_cap:
             capped.append(key)
             logger.info("cross product capped at %d for pivot key %r", xprod_cap, key)
-        for x, y in islice(product(sorted(side1), sorted(side2)), xprod_cap):
+        for x, y in islice(product(sorted(side1), sorted(side2)), xprod_cap or None):
             raw += 1
             # Identical text on both sides is almost always an untranslated
             # sentence that leaked into the corpus.
@@ -151,7 +152,7 @@ def canonical_pair(l1: str, l2: str) -> tuple[str, str]:
 def mine_all(
     index: PivotIndex,
     languages: Sequence[str],
-    xprod_cap: int | None = DEFAULT_XPROD_CAP,
+    xprod_cap: int = DEFAULT_XPROD_CAP,
 ) -> dict[tuple[str, str], BitextCorpus]:
     """Mine every unordered pair among ``languages``."""
     langs = list(dict.fromkeys(languages))

@@ -119,13 +119,13 @@ def load_mined(mined_dir: Path, languages: Iterable[str]) -> dict[tuple[str, str
     return mined
 
 
-def extract(english: Mapping[str, BitextCorpus], pairs: Iterable[tuple[str, str]], xprod_cap: int | None,
+def extract(english: Mapping[str, BitextCorpus], pairs: Iterable[tuple[str, str]], xprod_cap: int,
             mined_dir: Path) -> tuple[dict[tuple[str, str], BitextCorpus], StatsMatrix, dict]:
     """Mine each pair into the new directory ``mined_dir``, with ``stats.tsv``; returns corpora, table and record."""
     pairs = sorted(set(pairs))
     if unloaded := sorted({lang for pair in pairs for lang in pair} - english.keys()):
         raise MultibridgeError(f"no {PIVOT}-xx corpus loaded for {', '.join(unloaded)}")
-    if xprod_cap is not None and xprod_cap < 0:  # checked before new_dir, so a bad cap makes no directory
+    if xprod_cap < 0:  # checked before new_dir, so a bad cap makes no directory
         raise MiningError(f"cross-product cap must be non-negative, not {xprod_cap}")
     new_dir(mined_dir)
     index = build_pivot_index(english.values())

@@ -55,6 +55,9 @@ class SamplePairs:
     name = "sample-pairs"
 
     def __post_init__(self) -> None:
+        for a, b in self.pairs:
+            if a == b:
+                raise SamplingError(f"sample-pairs list pairs {a!r} with itself")
         canon = tuple(canonical_pair(*p) for p in self.pairs)
         if len(set(canon)) != len(canon):
             raise SamplingError("duplicate pairs in sample-pairs list")
@@ -153,6 +156,15 @@ def sample_fraction(corpus: BitextCorpus, target_n: int, seed: int) -> BitextCor
                                  tuple(corpus.src_texts[i] for i in keep), tuple(corpus.tgt_texts[i] for i in keep))
 
 
+def _check_sample_pairs(plan: SamplingPlan, mined_corpora: Mapping[tuple[str, str], BitextCorpus]) -> None:
+    """Raise :class:`SamplingError` if a sample-pairs plan names the pivot or a pair that was not mined."""
+    for pair in plan.strategy.pairs if isinstance(plan.strategy, SamplePairs) else ():
+        if PIVOT in pair:
+            raise SamplingError(f"sample-pairs list may not include the pivot: {pair[0]}-{pair[1]}")
+        if pair not in mined_corpora:
+            raise SamplingError(f"no mined corpus for pair {pair[0]}-{pair[1]}")
+
+
 def build_training_set(
     english_corpora: Iterable[BitextCorpus],
     mined_corpora: Mapping[tuple[str, str], BitextCorpus],
@@ -165,12 +177,8 @@ def build_training_set(
     says so, in pair order.
     """
     english = check_orientation(english_corpora, mined_corpora)
+    _check_sample_pairs(plan, mined_corpora)
     if isinstance(plan.strategy, SamplePairs):
-        for pair in plan.strategy.pairs:
-            if PIVOT in pair:
-                raise SamplingError(f"sample-pairs list may not include the pivot: {pair[0]}-{pair[1]}")
-            if pair not in mined_corpora:
-                raise SamplingError(f"no mined corpus for pair {pair[0]}-{pair[1]}")
         selected = {pair: mined_corpora[pair] for pair in plan.strategy.pairs}
     elif isinstance(plan.strategy, SampleFraction):
         target = plan.strategy.per_pair_target
@@ -198,6 +206,7 @@ def assemble_training_set(
     :func:`build_training_set` gave, in its order.
     """
     out = Path(out_dir)
+    _check_sample_pairs(plan, mined_corpora)  # before new_dir, so a plan that cannot run makes no directory
     new_dir(out)
     entries, columns = [], []
     for corpus, label in build_training_set(english_corpora, mined_corpora, plan):

@@ -7,8 +7,9 @@ whole suite) under a stdlib line tracer, ``sys.settrace``, which turns on
 line events only in frames of ``src/multibridge``. Python subprocesses the
 tests start are traced too: a ``sitecustomize.py`` placed first on
 ``PYTHONPATH`` installs the same tracer in each, and each writes its lines
-to a shared directory at exit. A subprocess that a test starts with a
-``PYTHONPATH`` of its own does not load that file and is not traced.
+to a shared directory at exit. A test that starts a subprocess with a
+``PYTHONPATH`` of its own keeps the inherited entries after its own, so
+the subprocess still loads that file; one that drops them is not traced.
 
 Prints each executable line that no process reached as
 ``path:line: text``, then the count. The executable lines are those the

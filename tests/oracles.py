@@ -101,8 +101,8 @@ def naive_tokenize_indic(text: str) -> list[str]:
 
 
 def naive_capped_mine(index: dict[str, dict[str, set[str]]], l1: str, l2: str,
-                      xprod_cap: int | None) -> tuple[list[tuple[str, str]], int, tuple[str, ...]]:
-    """Capped pivot join as nested loops with an explicit per-key budget.
+                      xprod_cap: int) -> tuple[list[tuple[str, str]], int, tuple[str, ...]]:
+    """Capped pivot join as nested loops with an explicit per-key budget; a cap of 0 is no cap.
 
     Returns the mined pairs in order, the raw (pre-drop) pair count and the
     pivot keys whose cross product hit the cap.
@@ -122,7 +122,7 @@ def naive_capped_mine(index: dict[str, dict[str, set[str]]], l1: str, l2: str,
     for key, side1, side2 in candidates:
         xs = sorted(side1)
         ys = sorted(side2)
-        budget = xprod_cap if xprod_cap is not None else len(xs) * len(ys)
+        budget = xprod_cap or len(xs) * len(ys)
         if len(xs) * len(ys) > budget:
             capped.append(key)
         emitted = 0

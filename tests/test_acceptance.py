@@ -56,7 +56,7 @@ def test_pivot_mining_oracle_equivalence():
             max_variants=rng.choice([1, 2, 3]),
         )
         index = build_pivot_index(corpora.values())
-        mined = mine_all(index, langs, xprod_cap=None)
+        mined = mine_all(index, langs, xprod_cap=0)
         for (a, b), corpus in mined.items():
             expected = nested_loop_mine(
                 corpus_observations(corpora[a]), corpus_observations(corpora[b])
@@ -69,7 +69,7 @@ def test_pivot_mining_oracle_equivalence():
         langs = NON_ENGLISH[:2]
         corpora = english_centric_fixture(2000 + i, langs, n_english=n_english, overlap=0.6)
         index = build_pivot_index(corpora.values())
-        mined = mine_all(index, langs, xprod_cap=None)
+        mined = mine_all(index, langs, xprod_cap=0)
         for (a, b), corpus in mined.items():
             expected = nested_loop_mine(
                 corpus_observations(corpora[a]), corpus_observations(corpora[b])
@@ -108,7 +108,7 @@ def test_sampling_contracts(tmp_path):
     """Totals, byte-identical reruns, and subset relations hold exactly."""
     langs = ["bn", "hi", "ta", "te"]
     corpora = english_centric_fixture(321, langs, n_english=120, overlap=0.7)
-    mined = mine_all(build_pivot_index(corpora.values()), langs, None)
+    mined = mine_all(build_pivot_index(corpora.values()), langs, 0)
 
     target = 15
     plan = SamplingPlan(SampleFraction(target), seed=11)

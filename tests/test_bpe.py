@@ -12,7 +12,6 @@ from multibridge.bpe import (
     BpeError,
     BpeModel,
     BpeSegmenter,
-    apply_bpe,
     learn_bpe,
     _encode,
     load_bpe,
@@ -52,7 +51,7 @@ class TestLearn:
     def test_zero_merges_gives_char_segmentation(self):
         model = learn_bpe(["abc abc"], num_merges=0, min_frequency=1)
         assert model.merges == ()
-        assert apply_bpe(model, ["abc"]) == ["a@@", "b@@", "c"]
+        assert BpeSegmenter(model).segment(["abc"]) == ["a@@", "b@@", "c"]
 
     def test_merge_floor_stops_early(self):
         # every word unique: all pair counts are 1 < floor 2
@@ -216,28 +215,28 @@ class TestSeparatorInToken:
         model = learn_bpe([TOY], num_merges=10, min_frequency=1)
         for m in (model, BpeModel(model.merges, None, model.num_merges, model.min_frequency)):
             with pytest.raises(BpeError, match="contains the separator"):
-                apply_bpe(m, ["low", token])
+                BpeSegmenter(m).segment(["low", token])
 
 
 def test_empty_token_is_rejected():
     model = learn_bpe([TOY], num_merges=10, min_frequency=1)
     for m in (model, BpeModel(model.merges, None, model.num_merges, model.min_frequency)):
         with pytest.raises(BpeError, match="^cannot segment an empty token$"):
-            apply_bpe(m, ["low", ""])
+            BpeSegmenter(m).segment(["low", ""])
 
 
 class TestApply:
     def test_frequent_token_emitted_whole(self):
         model = learn_bpe([TOY], num_merges=50, min_frequency=1)
-        assert apply_bpe(model, ["newest"]) == ["newest"]
+        assert BpeSegmenter(model).segment(["newest"]) == ["newest"]
 
     def test_unseen_characters_fully_split(self):
         model = learn_bpe([TOY], num_merges=50, min_frequency=1)
-        assert apply_bpe(model, ["xyz"]) == ["x@@", "y@@", "z"]
+        assert BpeSegmenter(model).segment(["xyz"]) == ["x@@", "y@@", "z"]
 
     def test_deterministic(self):
         model = learn_bpe([TOY], num_merges=50, min_frequency=1)
-        assert apply_bpe(model, ["lowest"]) == apply_bpe(model, ["lowest"])
+        assert BpeSegmenter(model).segment(["lowest"]) == BpeSegmenter(model).segment(["lowest"])
 
     def test_matches_sequential_reference(self):
         rng = random.Random(99)
@@ -248,21 +247,21 @@ class TestApply:
         model = learn_bpe([" ".join(tokens)], num_merges=40, min_frequency=1)
         unfiltered = BpeModel(model.merges, None, model.num_merges, model.min_frequency)
         for token in set(tokens) | {"aabbccdd", "eee", "z"}:
-            assert apply_bpe(unfiltered, [token]) == sequential_apply(token, list(model.merges))
+            assert BpeSegmenter(unfiltered).segment([token]) == sequential_apply(token, list(model.merges))
 
     def test_oov_subword_resplit_to_chars(self):
         # "low" appears twice, "lower" once; with threshold 2 the whole-word
         # subword "lower" falls out of the vocabulary and is re-split.
         model = learn_bpe(["low low lower"], num_merges=100, min_frequency=2)
-        segmented = apply_bpe(model, ["lower"])
+        segmented = BpeSegmenter(model).segment(["lower"])
         assert segmented == ["l@@", "o@@", "w@@", "e@@", "r"]
-        assert apply_bpe(model, ["low"]) == ["low"]
+        assert BpeSegmenter(model).segment(["low"]) == ["low"]
 
     def test_segmenter_bulk_equals_single(self):
         model = learn_bpe([TOY], num_merges=50, min_frequency=1)
         segmenter = BpeSegmenter(model)
         tokens = TOY.split() + ["unseen"]
-        assert segmenter.segment(tokens) == apply_bpe(model, tokens)
+        assert segmenter.segment(tokens) == [s for token in tokens for s in BpeSegmenter(model).segment([token])]
 
 
 class TestRevert:
@@ -279,7 +278,7 @@ class TestRevert:
     def test_round_trip_toy(self):
         model = learn_bpe([TOY], num_merges=10, min_frequency=1)
         tokens = TOY.split() + ["unseen", "xyzzy"]
-        assert revert_bpe(apply_bpe(model, tokens)) == tokens
+        assert revert_bpe(BpeSegmenter(model).segment(tokens)) == tokens
 
 
 _token = st.text(
@@ -292,7 +291,7 @@ _token = st.text(
 @given(st.lists(_token, min_size=0, max_size=30))
 def test_revert_apply_identity_property(tokens):
     model = learn_bpe([TOY], num_merges=10, min_frequency=1)
-    assert revert_bpe(apply_bpe(model, tokens)) == tokens
+    assert revert_bpe(BpeSegmenter(model).segment(tokens)) == tokens
 
 
 @settings(max_examples=50, deadline=None)
@@ -300,7 +299,7 @@ def test_revert_apply_identity_property(tokens):
 def test_concatenation_reproduces_token(tokens):
     model = learn_bpe([" ".join(tokens)], num_merges=20, min_frequency=1)
     for token in tokens:
-        subwords = apply_bpe(model, [token])
+        subwords = BpeSegmenter(model).segment([token])
         assert "".join(s.removesuffix("@@") for s in subwords) == token
 
 
@@ -330,8 +329,8 @@ class TestModelFile:
         assert loaded.vocab is None
         # with the vocab filter "lo@@" is out-of-vocabulary and re-split;
         # without it the learned merges apply untouched
-        assert apply_bpe(model, ["lower"]) == ["l@@", "o@@", "w@@", "e@@", "r"]
-        assert apply_bpe(loaded, ["lower"]) == ["lo@@", "w@@", "e@@", "r"]
+        assert BpeSegmenter(model).segment(["lower"]) == ["l@@", "o@@", "w@@", "e@@", "r"]
+        assert BpeSegmenter(loaded).segment(["lower"]) == ["lo@@", "w@@", "e@@", "r"]
 
     def test_reject_garbage(self, tmp_path):
         (tmp_path / "bad.txt").write_text("not a header\n")

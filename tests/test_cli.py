@@ -227,7 +227,7 @@ class TestExtractStatsSample:
                        "--inputs", str(raw_dir), "--mined", str(GOLDEN_MINED), "--out", str(out))
         assert proc.returncode == 2
         assert proc.stderr == f"multibridge: {message}\n"
-        assert not out.exists() or not any(out.iterdir())  # the pair check follows sample's new_dir
+        assert not out.exists()
 
     def test_english_file_without_its_counterpart_is_data_error(self, tmp_path, raw_dir, capsys):
         (raw_dir / "en-hi.hi").unlink()

@@ -29,7 +29,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _run(code: str, stdin: str = "") -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # src first, so this checkout's package loads; then the caller's path, so a sitecustomize on it still runs.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env, input=stdin,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

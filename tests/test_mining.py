@@ -79,7 +79,7 @@ class TestBuildIndex:
 def _broken_inputs(case):
     """English-centric and mined corpora that break one orientation rule, and the corpus that breaks it."""
     english = english_centric_fixture(31, ["bn", "hi", "ta"], n_english=30)
-    mined = mine_all(build_pivot_index(english.values()), ["bn", "hi", "ta"], None)
+    mined = mine_all(build_pivot_index(english.values()), ["bn", "hi", "ta"], 0)
     corpora = list(english.values())
     bn_en = BitextCorpus("bn", "en", english["bn"].tgt_texts, english["bn"].src_texts)
     if case == "xx-en":
@@ -191,7 +191,7 @@ class TestMinePairs:
         outcome = mine_pairs_detailed(index, "bn", "hi", xprod_cap=7)
         assert len(outcome.corpus) == 7
         assert outcome.capped_keys == ("greeting",)
-        uncapped = mine_pairs_detailed(index, "bn", "hi", xprod_cap=None)
+        uncapped = mine_pairs_detailed(index, "bn", "hi", xprod_cap=0)
         assert len(uncapped.corpus) == 100
         assert uncapped.capped_keys == ()
 
@@ -199,12 +199,11 @@ class TestMinePairs:
         index = build_pivot_index([_corpus("en", "bn", [("hi", "B")]), _corpus("en", "hi", [("hi", "H")])])
         with pytest.raises(MiningError, match="non-negative"):
             mine_pairs_detailed(index, "bn", "hi", xprod_cap=-1)
-        assert len(mine_pairs_detailed(index, "bn", "hi", xprod_cap=0).corpus) == 0
 
     def test_matches_nested_loop_oracle(self):
         corpora = english_centric_fixture(3, ["bn", "hi"], n_english=80, overlap=0.6)
         index = build_pivot_index(corpora.values())
-        mined = mine_pairs_detailed(index, "bn", "hi", xprod_cap=None).corpus
+        mined = mine_pairs_detailed(index, "bn", "hi", xprod_cap=0).corpus
         expected = nested_loop_mine(
             corpus_observations(corpora["bn"]), corpus_observations(corpora["hi"])
         )
@@ -221,7 +220,7 @@ class TestMinePairs:
     ))
     def test_cap_equals_budget_loop_oracle(self, index):
         size = max((len(s.get("bn", ())) * len(s.get("hi", ())) for s in index.values()), default=0)
-        for cap in (None, 0, size, max(size - 1, 0)):
+        for cap in (0, 1, size, max(size - 1, 0)):
             outcome = mine_pairs_detailed(index, "bn", "hi", xprod_cap=cap)
             pairs, raw, capped = naive_capped_mine(index, "bn", "hi", cap)
             assert _rows(outcome.corpus) == pairs
@@ -239,21 +238,21 @@ class TestMineAll:
     def test_swap_symmetry(self):
         corpora = english_centric_fixture(12, ["bn", "hi"], n_english=60)
         index = build_pivot_index(corpora.values())
-        forward = mine_pairs_detailed(index, "bn", "hi", xprod_cap=None).corpus
-        backward = mine_pairs_detailed(index, "hi", "bn", xprod_cap=None).corpus
+        forward = mine_pairs_detailed(index, "bn", "hi", xprod_cap=0).corpus
+        backward = mine_pairs_detailed(index, "hi", "bn", xprod_cap=0).corpus
         assert len(forward) == len(backward)
         assert set(_rows(forward)) == set(zip(backward.tgt_texts, backward.src_texts))
 
     def test_monotonicity(self):
         base = english_centric_fixture(13, ["bn", "hi", "ta"], n_english=50)
         extra = english_centric_fixture(14, ["bn", "hi", "ta"], n_english=30)
-        small = mine_all(build_pivot_index(base.values()), ["bn", "hi", "ta"], None)
+        small = mine_all(build_pivot_index(base.values()), ["bn", "hi", "ta"], 0)
         grown_corpora = [
             BitextCorpus("en", lang, base[lang].src_texts + extra[lang].src_texts,
                          base[lang].tgt_texts + extra[lang].tgt_texts)
             for lang in ["bn", "hi", "ta"]
         ]
-        grown = mine_all(build_pivot_index(grown_corpora), ["bn", "hi", "ta"], None)
+        grown = mine_all(build_pivot_index(grown_corpora), ["bn", "hi", "ta"], 0)
         for pair in small:
             assert len(grown[pair]) >= len(small[pair])
 
@@ -321,7 +320,7 @@ class TestStatsMatrix:
     def test_from_corpora(self):
         corpora = english_centric_fixture(22, ["bn", "hi", "ta"], n_english=50)
         index = build_pivot_index(corpora.values())
-        mined = mine_all(index, ["bn", "hi", "ta"], None)
+        mined = mine_all(index, ["bn", "hi", "ta"], 0)
         matrix = extraction_stats(corpora.values(), mined)
         assert matrix.languages == ("bn", "hi", "ta")
         total = sum(len(c) for c in mined.values())

@@ -656,6 +656,7 @@ class TestConfig:
         ("languages", ["bn", "hi", "bn"], "'languages'"),
         ("xprod_cap", -1, "'xprod_cap'"),
         ("xprod_cap", "64", "'xprod_cap'"),
+        ("xprod_cap", None, "'xprod_cap' must be an integer >= 0, not None"),
         ("raw_dir", 5, "'raw_dir'"),
         ("sampling", {"strategy": "sample-fraction", "per_pair_target": "12"}, "'sampling.per_pair_target'"),
         ("sampling", {"strategy": "sample-fraction", "per_pair_target": 0}, "'sampling.per_pair_target'"),
@@ -666,8 +667,8 @@ class TestConfig:
     ], ids=[
         "seed-str", "seed-bool", "seed-float", "seed-negative", "seed-2-64", "seed-77-plus-2-64",
         "seed-77-minus-2-64", "bpe-null", "sampling-null", "merges-str", "merges-negative", "min-frequency-negative",
-        "languages-str", "languages-int-item", "languages-duplicate", "cap-negative", "cap-str", "raw-dir-int",
-        "per-pair-str", "per-pair-zero", "pairs-str", "pair-int", "pair-same-language", "pair-list",
+        "languages-str", "languages-int-item", "languages-duplicate", "cap-negative", "cap-str", "cap-null",
+        "raw-dir-int", "per-pair-str", "per-pair-zero", "pairs-str", "pair-int", "pair-same-language", "pair-list",
     ])
     def test_wrong_type_or_range_rejected_at_load(self, tmp_path, key, value, name):
         bad = tmp_path / "bad.json"
@@ -757,12 +758,12 @@ class TestConfig:
             validate_config(config)
             assert config.out_dir == (path.parent / "out").resolve(), name
 
-    def test_cap_zero_or_null_disables(self, tmp_path):
-        for value in (0, None):
-            doc = json.loads((FIXTURE / "config.json").read_text())
-            doc["xprod_cap"] = value
-            (tmp_path / "c.json").write_text(json.dumps(doc))
-            assert load_config(tmp_path / "c.json").xprod_cap is None
+    def test_cap_zero_is_read_as_zero(self, tmp_path):
+        # 0 is the one spelling of "no cap", in the config as in mine_pairs_detailed and --xprod-cap.
+        doc = json.loads((FIXTURE / "config.json").read_text())
+        doc["xprod_cap"] = 0
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        assert load_config(tmp_path / "c.json").xprod_cap == 0
 
     def test_pivot_in_languages_rejected(self, tmp_path):
         work = tmp_path / "cfg3"

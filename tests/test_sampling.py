@@ -110,11 +110,15 @@ class TestSampleFraction:
         with pytest.raises(SamplingError, match="^per-pair target must be positive$"):
             SampleFraction(target)
 
+    def test_self_pair_is_sampling_error(self):
+        with pytest.raises(SamplingError, match="^sample-pairs list pairs 'bn' with itself$"):
+            SamplePairs((("hi", "ta"), ("bn", "bn")))
+
 
 def _mined_fixture(seed=30, langs=("bn", "hi", "ta")):
     corpora = english_centric_fixture(seed, list(langs), n_english=60, overlap=0.7)
     index = build_pivot_index(corpora.values())
-    return corpora, mine_all(index, list(langs), None)
+    return corpora, mine_all(index, list(langs), 0)
 
 
 class TestBuildTrainingSet:
@@ -234,6 +238,16 @@ class TestAssembleTrainingSet:
         with pytest.raises(CorpusError, match=f"^{re.escape(str(tmp_path))} exists and is not an empty directory"):
             assemble_training_set(corpora.values(), mined, SamplingPlan(TrainAll(), 1), tmp_path)
         assert [(p.name, p.read_text()) for p in tmp_path.iterdir()] == [("bn-ta.src", "stale\n")]
+
+    @pytest.mark.parametrize("pair,message", [
+        (("bn", "en"), "sample-pairs list may not include the pivot: bn-en"),
+        (("bn", "te"), "no mined corpus for pair bn-te"),
+    ], ids=["pivot", "not-mined"])
+    def test_plan_that_cannot_run_makes_no_directory(self, tmp_path, pair, message):
+        corpora, mined = _mined_fixture()
+        with pytest.raises(SamplingError, match=f"^{message}$"):
+            assemble_training_set(corpora.values(), mined, SamplingPlan(SamplePairs((pair,)), 5), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         corpora, mined = _mined_fixture()
