@@ -13,8 +13,11 @@ When a vocabulary with a frequency floor is attached, out-of-vocabulary
 subwords are re-split into characters at apply time, mirroring the
 vocabulary-threshold behaviour of subword-nmt.
 
-Tokens must not contain whitespace or the literal ``@@`` separator;
-the separator is what makes segmentation reversible.
+Tokens must not contain whitespace, the ``@@`` separator or the ``</w>``
+end-of-word marker. The separator is what makes segmentation reversible;
+without the marker inside a token, no merge can rebuild a pair an earlier
+merge took, so the learner and rank-order application segment every
+training word alike.
 """
 
 from __future__ import annotations
@@ -82,6 +85,8 @@ def _word_symbols(token: str) -> tuple[str, ...]:
         raise BpeError("cannot segment an empty token")
     if SEPARATOR in token:
         raise BpeError(f"token {token!r} contains the separator {SEPARATOR!r}")
+    if END_OF_WORD in token:
+        raise BpeError(f"token {token!r} contains the end-of-word marker {END_OF_WORD!r}")
     if len(token) == 1:
         return (token + END_OF_WORD,)
     return tuple(token[:-1]) + (token[-1] + END_OF_WORD,)
@@ -127,14 +132,7 @@ def learn_bpe(
     so a caller that already holds repeated lines splits each one once.
     ``min_frequency`` filters the resulting vocabulary, applied at
     segmentation time; ``merge_floor`` is the learn-time stopping floor.
-
-    The learner merges every word in merge order, while :class:`BpeSegmenter`
-    repeatedly merges the lowest-ranked pair a word holds. The two agree
-    unless a merge creates, inside a word, a pair that an earlier merge
-    already took: rank order would merge it again and the learner would
-    not. Such a word is left out of ``training_segments``; every other
-    training word's final segmentation is kept there. A rebuilt pair is
-    never learned a second time.
+    Every training word's final segmentation is kept in ``training_segments``.
     """
     for name, value in (("num_merges", num_merges), ("min_frequency", min_frequency), ("merge_floor", merge_floor)):
         if value < 0:
@@ -162,19 +160,13 @@ def learn_bpe(
     heapq.heapify(heap)
 
     merges: list[tuple[str, str]] = []
-    taken: set[tuple[str, str]] = set()  # the pairs in ``merges``
-    tokens = list(token_counts)
-    departed: set[str] = set()  # words whose segmentation rank order would not reproduce
     while len(merges) < num_merges:
-        # A later merge can rebuild a taken pair inside a token that holds
-        # END_OF_WORD; the pair is still learned only once.
-        while heap and (heap[0][1] in taken or -heap[0][0] != pair_counts[heap[0][1]]):
+        while heap and -heap[0][0] != pair_counts[heap[0][1]]:
             heapq.heappop(heap)
         if not heap:
             break
         best_pair = heapq.heappop(heap)[1]
         merges.append(best_pair)
-        taken.add(best_pair)
         left, right = best_pair
         merged = left + right
 
@@ -218,8 +210,6 @@ def learn_bpe(
                 pair_words[new].append(wid)
                 changed.add(old)
                 changed.add(new)
-                if new in taken:  # rank order would merge it again
-                    departed.add(tokens[wid])
         for pair in changed:
             count = pair_counts[pair]
             if count >= floor:
@@ -235,11 +225,8 @@ def learn_bpe(
         final_counts[symbols[-1]] += freq
     vocab = {_render(symbol, final): count for counts, final in ((inner_counts, False), (final_counts, True))
              for symbol, count in counts.items() if count >= min_frequency}
-    segments = dict(zip(tokens, words))
-    for token in departed:
-        del segments[token]
     model = BpeModel(tuple(merges), vocab, num_merges, min_frequency)
-    object.__setattr__(model, "training_segments", segments)
+    object.__setattr__(model, "training_segments", dict(zip(token_counts, words)))
     return model
 
 

@@ -7,12 +7,13 @@ Anything else is a typed :class:`CorpusError` naming the file and line.
 
 Every call that changes the disk is in this module. A stage writes only
 into a directory that :func:`new_dir` makes or finds empty; ``run`` deletes
-only through :func:`clear_dirs`. A text column with several names is
-written once, by :func:`write_once`, and its other names are hard links of
-that file. The callers name them by the mirror rule: column ``(L, O)``,
-the ``L`` texts of a corpus between ``L`` and ``O``, is both ``L-O.src``
-and ``O-L.tgt``. Because names may share an inode, :func:`write_text`
-never writes through a hard link: it replaces the name it writes instead.
+only through :func:`clear_dirs`, and only while :func:`lock_dir` holds its
+output root. A text column with several names is written once, by
+:func:`write_once`, and its other names are hard links of that file. The
+callers name them by the mirror rule: column ``(L, O)``, the ``L`` texts
+of a corpus between ``L`` and ``O``, is both ``L-O.src`` and ``O-L.tgt``.
+Because names may share an inode, :func:`write_text` never writes through
+a hard link: it replaces the name it writes instead.
 
 Bitext lives on disk only as a pair of line-aligned plain-text files
 (one sentence per line), the format used by shared-task data and by the
@@ -36,6 +37,11 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import MultibridgeError
+
+try:
+    import fcntl
+except ImportError:  # Windows: no flock(2), so keeping one run per directory is the user's job
+    fcntl = None
 
 
 class CorpusError(MultibridgeError):
@@ -176,6 +182,31 @@ def clear_dirs(paths: Sequence[Path]) -> None:
         raise CorpusError(f"not a plain directory, so a run cannot replace it: {', '.join(not_dirs)}")
     for path in filter(Path.exists, paths):
         shutil.rmtree(path)
+
+
+@contextlib.contextmanager
+def lock_dir(path: str | Path) -> Iterator[None]:
+    """Hold an exclusive lock on the directory ``path`` while the block runs; :func:`new_dir` makes it if missing.
+
+    The lock is ``flock(2)`` on the directory itself, so it makes no file, and
+    the kernel drops it when the process ends. A second holder, in this
+    process or another, is refused with a :class:`CorpusError`. Without
+    ``fcntl`` (Windows) nothing is locked.
+    """
+    if not os.path.isdir(path):
+        new_dir(path)
+    if fcntl is None:
+        yield
+        return
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise CorpusError(f"another run is using {path}") from None
+        yield
+    finally:
+        os.close(fd)
 
 
 def write_text(path: str | Path, text: str) -> None:

@@ -2,9 +2,11 @@
 
 Each stage writes only into a directory it makes new; :func:`run_pipeline`
 first deletes the ``mined/``, ``sampled/`` and ``prep/`` of an earlier
-run. The CLI's ``extract`` and ``sample`` subcommands run the same stage
-code as :func:`run_pipeline`, so ``mined/`` and ``sampled/`` can be built
-stage by stage with the bytes of a full run. The later stages run from
+run, and locks ``out_dir`` from before that reset until its report is
+written, so a second run on the same root is refused. The CLI's
+``extract`` and ``sample`` subcommands run the same stage code as
+:func:`run_pipeline`, so ``mined/`` and ``sampled/`` can be built stage
+by stage with the bytes of a full run. The later stages run from
 memory and cannot be resumed through the CLI. With a fixed seed the whole
 output tree is byte-identical across runs and platforms: all stage outputs
 are sorted, counts are integers, and every random draw goes through the
@@ -29,8 +31,8 @@ from typing import Iterable, Mapping
 
 from .bpe import BpeSegmenter, learn_bpe, save_bpe
 from .config import PipelineConfig, raw_paths, validate_config
-from .corpus import (BitextCorpus, TrainingManifest, clear_dirs, load_bitext, new_dir, write_bitext, write_lines,
-                     write_once, write_text)
+from .corpus import (BitextCorpus, TrainingManifest, clear_dirs, load_bitext, lock_dir, new_dir, write_bitext,
+                     write_lines, write_once, write_text)
 from .errors import MultibridgeError
 from .languages import PIVOT, REGISTRY, get_language
 from .mining import MiningError, StatsMatrix, build_pivot_index, extraction_stats, mine_pairs_detailed
@@ -125,19 +127,20 @@ def extract(english: Mapping[str, BitextCorpus], pairs: Iterable[tuple[str, str]
     pairs = sorted(set(pairs))
     if unloaded := sorted({lang for pair in pairs for lang in pair} - english.keys()):
         raise MultibridgeError(f"no {PIVOT}-xx corpus loaded for {', '.join(unloaded)}")
-    if xprod_cap < 0:  # checked before new_dir, so a bad cap makes no directory
+    if xprod_cap < 0:  # checked before lock_dir, so a bad cap makes no directory
         raise MiningError(f"cross-product cap must be non-negative, not {xprod_cap}")
-    new_dir(mined_dir)
-    index = build_pivot_index(english.values())
-    outcomes = {(a, b): mine_pairs_detailed(index, a, b, xprod_cap) for a, b in pairs}
-    for (a, b), outcome in outcomes.items():
-        write_bitext(outcome.corpus, *mined_paths(mined_dir, a, b))
-        logger.info("mined %s-%s: %d pairs (%d raw, %d capped keys)",
-                    a, b, len(outcome.corpus), outcome.raw_pair_count, len(outcome.capped_keys))
-    mined = {pair: outcome.corpus for pair, outcome in outcomes.items()}
-    raw_counts = {pair: outcome.raw_pair_count for pair, outcome in outcomes.items()}
-    stats = replace(extraction_stats(english.values(), mined), raw_pair_counts=raw_counts or None)
-    write_text(mined_dir / "stats.tsv", stats.to_tsv())
+    with lock_dir(mined_dir):
+        new_dir(mined_dir)  # checked under the lock, so no other extract can be writing here
+        index = build_pivot_index(english.values())
+        outcomes = {(a, b): mine_pairs_detailed(index, a, b, xprod_cap) for a, b in pairs}
+        for (a, b), outcome in outcomes.items():
+            write_bitext(outcome.corpus, *mined_paths(mined_dir, a, b))
+            logger.info("mined %s-%s: %d pairs (%d raw, %d capped keys)",
+                        a, b, len(outcome.corpus), outcome.raw_pair_count, len(outcome.capped_keys))
+        mined = {pair: outcome.corpus for pair, outcome in outcomes.items()}
+        raw_counts = {pair: outcome.raw_pair_count for pair, outcome in outcomes.items()}
+        stats = replace(extraction_stats(english.values(), mined), raw_pair_counts=raw_counts or None)
+        write_text(mined_dir / "stats.tsv", stats.to_tsv())
     return mined, stats, {
         "pivot_keys": len(index),
         "mined_pairs": {f"{a}-{b}": len(corpus) for (a, b), corpus in mined.items()},
@@ -147,11 +150,15 @@ def extract(english: Mapping[str, BitextCorpus], pairs: Iterable[tuple[str, str]
 
 
 def run_pipeline(config: PipelineConfig) -> RunReport:
-    """Run every stage; any failure aborts with the stage name attached."""
-    stages: dict[str, dict] = {}
-
+    """Run every stage, holding ``out_dir``'s lock after validation; any failure aborts with the stage name attached."""
     with _stage("validate"):
         validate_config(config)
+    with lock_dir(config.out_dir):
+        return _run_stages(config)
+
+
+def _run_stages(config: PipelineConfig) -> RunReport:
+    stages: dict[str, dict] = {}
 
     with _stage("extract"):
         english = load_english(config.raw_dir, config.languages)

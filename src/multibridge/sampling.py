@@ -30,6 +30,7 @@ from .corpus import (
     ManifestEntry,
     TrainingManifest,
     TranslationDirection,
+    lock_dir,
     new_dir,
     save_manifest,
     write_bitext,  # unused here, but kept as a module name: perfbench/tracing.py wraps sampling.write_bitext
@@ -55,9 +56,11 @@ class SamplePairs:
     name = "sample-pairs"
 
     def __post_init__(self) -> None:
-        for a, b in self.pairs:
-            if a == b:
-                raise SamplingError(f"sample-pairs list pairs {a!r} with itself")
+        for pair in self.pairs:
+            if not (isinstance(pair, tuple) and len(pair) == 2 and all(isinstance(code, str) for code in pair)):
+                raise SamplingError(f"sample-pairs entry {pair!r} is not a pair of two language codes")
+            if pair[0] == pair[1]:
+                raise SamplingError(f"sample-pairs list pairs {pair[0]!r} with itself")
         canon = tuple(canonical_pair(*p) for p in self.pairs)
         if len(set(canon)) != len(canon):
             raise SamplingError("duplicate pairs in sample-pairs list")
@@ -206,16 +209,17 @@ def assemble_training_set(
     :func:`build_training_set` gave, in its order.
     """
     out = Path(out_dir)
-    _check_sample_pairs(plan, mined_corpora)  # before new_dir, so a plan that cannot run makes no directory
-    new_dir(out)
-    entries, columns = [], []
-    for corpus, label in build_training_set(english_corpora, mined_corpora, plan):
-        a, b = corpus.src_lang, corpus.tgt_lang
-        for lang, other, texts in ((a, b, corpus.src_texts), (b, a, corpus.tgt_texts)):
-            entries.append(ManifestEntry(TranslationDirection(lang, other), f"{lang}-{other}", len(corpus), label))
-            write_once(texts, out / f"{lang}-{other}.src", out / f"{other}-{lang}.tgt")
-            columns.append((lang, other, texts))
-    entries.sort(key=lambda entry: (entry.strategy != "english-centric", entry.direction))
-    manifest = TrainingManifest(tuple(entries), plan.seed)
-    save_manifest(manifest, out / "manifest.json")
+    _check_sample_pairs(plan, mined_corpora)  # before lock_dir, so a plan that cannot run makes no directory
+    with lock_dir(out):
+        new_dir(out)  # checked under the lock, so no other sample can be writing here
+        entries, columns = [], []
+        for corpus, label in build_training_set(english_corpora, mined_corpora, plan):
+            a, b = corpus.src_lang, corpus.tgt_lang
+            for lang, other, texts in ((a, b, corpus.src_texts), (b, a, corpus.tgt_texts)):
+                entries.append(ManifestEntry(TranslationDirection(lang, other), f"{lang}-{other}", len(corpus), label))
+                write_once(texts, out / f"{lang}-{other}.src", out / f"{other}-{lang}.tgt")
+                columns.append((lang, other, texts))
+        entries.sort(key=lambda entry: (entry.strategy != "english-centric", entry.direction))
+        manifest = TrainingManifest(tuple(entries), plan.seed)
+        save_manifest(manifest, out / "manifest.json")
     return manifest, columns

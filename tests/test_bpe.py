@@ -116,39 +116,35 @@ def test_learner_matches_brute_force_property(tokens, num_merges, merge_floor):
 def test_training_segments_equal_rank_order_encoding(tokens, num_merges, merge_floor):
     model = learn_bpe([" ".join(tokens)], num_merges, 1, merge_floor)
     ranks = model.ranks()
-    assert model.training_segments.keys() <= set(tokens)
+    assert model.training_segments.keys() == set(tokens)
     for token, symbols in model.training_segments.items():
         assert symbols == _encode(token, ranks)
 
 
+# The characters of the end-of-word marker, in tokens that never hold the
+# marker itself: the symbols they make can still end like a word's last one.
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.text("ab</w>", min_size=1, max_size=10).filter(lambda token: "</w>" not in token),
+             min_size=1, max_size=25),
+    st.integers(0, 60),
+    st.integers(0, 2),
+)
+def test_no_learned_merge_is_left_in_a_training_word(tokens, num_merges, merge_floor):
+    model = learn_bpe(tokens, num_merges, 1, merge_floor)
+    assert model.training_segments.keys() == set(tokens)
+    for symbols in model.training_segments.values():
+        assert not set(model.merges) & set(zip(symbols, symbols[1:]))
+
+
 class TestTrainingSegments:
-    # The literal end-of-word marker inside a token lets merge 4 ("b", "</w>")
-    # rebuild the pair ("a", "b</w>") in "ab</w>ab" after merge 3 took it.
-    RECREATES = ["ab</w>ab", "b</w></w>", "ab"]
-
-    def test_word_whose_merge_recreates_an_earlier_pair_is_left_out(self):
-        model = learn_bpe(self.RECREATES, num_merges=5, min_frequency=0)
-        assert model.merges[3:] == (("a", "b</w>"), ("b", "</w>"))
-        learner_order = sequential_apply("ab</w>ab", list(model.merges))
-        assert learner_order != naive_segment(["ab</w>ab"], list(model.merges), None)
-        assert set(model.training_segments) == {"b</w></w>", "ab"}
-
     def test_learned_and_loaded_models_segment_alike(self, tmp_path):
-        for tokens, num_merges, min_frequency in ((TOY.split(), 10, 2), (self.RECREATES, 5, 1)):
-            model = learn_bpe(tokens, num_merges, min_frequency, merge_floor=1)
-            save_bpe(model, tmp_path / "codes.txt", tmp_path / "vocab.txt")
-            loaded = load_bpe(tmp_path / "codes.txt", tmp_path / "vocab.txt")
-            assert loaded == model and not loaded.training_segments
-            assert BpeSegmenter(model).segment(tokens) == BpeSegmenter(loaded).segment(tokens)
-
-    def test_pair_rebuilt_by_a_later_merge_is_learned_once(self, tmp_path):
-        # Merge 5 ("b", "</w>") rebuilds ("a", "b</w>") in "ab</w>ab"; with a
-        # floor of 1 its count of 1 would make it merge 6 as well.
-        model = learn_bpe(self.RECREATES, num_merges=10, min_frequency=1, merge_floor=1)
-        assert len(set(model.merges)) == len(model.merges) == 9
-        assert model.merges[:5] == learn_bpe(self.RECREATES, num_merges=5, min_frequency=1, merge_floor=1).merges
+        tokens = TOY.split()
+        model = learn_bpe(tokens, 10, 2, merge_floor=1)
         save_bpe(model, tmp_path / "codes.txt", tmp_path / "vocab.txt")
-        assert load_bpe(tmp_path / "codes.txt", tmp_path / "vocab.txt") == model
+        loaded = load_bpe(tmp_path / "codes.txt", tmp_path / "vocab.txt")
+        assert loaded == model and not loaded.training_segments
+        assert BpeSegmenter(model).segment(tokens) == BpeSegmenter(loaded).segment(tokens)
 
     def test_table_is_not_a_constructor_argument_and_is_not_carried_over(self):
         model = learn_bpe([TOY], num_merges=10, min_frequency=1)
@@ -173,8 +169,8 @@ def test_line_counts_learn_as_the_repeated_lines(lines, num_merges, min_frequenc
     assert counted.training_segments == streamed.training_segments
 
 
-# Tie-heavy pieces; "</w>" makes tokens whose later merges rebuild a taken pair.
-_PIECES = [("a",), ("a", "b"), ("a", "b", "c"), ("a", "a", "b"), ("a", "b", "</w>")]
+# Tie-heavy pieces.
+_PIECES = [("a",), ("a", "b"), ("a", "b", "c"), ("a", "a", "b")]
 
 
 @settings(max_examples=200, deadline=None)
@@ -203,19 +199,30 @@ def test_per_symbol_vocabulary_and_segmenter_equal_per_word_oracles(tokens, num_
         assert BpeSegmenter(m).segment(queries) == naive_segment(queries, merges, m.vocab)
 
 
+# Both reserved strings: the separator and the end-of-word marker.
+_RESERVED_IN = ["lo@@w", "low@@", "@@low", "@@", "ab</w>ab", "</w>", "x</w>"]
+
+
+def _reserved_message(token: str) -> str:
+    if "@@" in token:
+        return f"token {token!r} contains the separator '@@'"
+    return f"token {token!r} contains the end-of-word marker '</w>'"
+
+
 class TestSeparatorInToken:
-    @pytest.mark.parametrize("token", ["lo@@w", "low@@", "@@low", "@@"])
+    @pytest.mark.parametrize("token", _RESERVED_IN)
     def test_learner_rejects_it(self, token):
         with pytest.raises(BpeError) as info:
             learn_bpe(["low " + token], num_merges=5, min_frequency=1)
-        assert str(info.value) == f"token {token!r} contains the separator '@@'"
+        assert str(info.value) == _reserved_message(token)
 
-    @pytest.mark.parametrize("token", ["lo@@w", "low@@", "@@low", "@@"])
+    @pytest.mark.parametrize("token", _RESERVED_IN)
     def test_rank_order_encoding_rejects_it(self, token):
         model = learn_bpe([TOY], num_merges=10, min_frequency=1)
         for m in (model, BpeModel(model.merges, None, model.num_merges, model.min_frequency)):
-            with pytest.raises(BpeError, match="contains the separator"):
+            with pytest.raises(BpeError) as info:
                 BpeSegmenter(m).segment(["low", token])
+            assert str(info.value) == _reserved_message(token)
 
 
 def test_empty_token_is_rejected():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from multibridge import cli, pipeline
+from multibridge import cli, pipeline, sampling
 from multibridge.bpe import load_bpe
 from multibridge.cli import main
 from multibridge.corpus import BitextCorpus, load_bitext, load_manifest
@@ -505,23 +505,20 @@ class TestBpeCommands:
         assert f"'{argument}' must be an integer >= 0, not -1" in capsys.readouterr().err
         assert not codes.exists()
 
-    def test_pair_rebuilt_by_a_later_merge_is_learned_once(self, tmp_path):
-        train = tmp_path / "train.txt"
-        train.write_text("ab</w>ab b</w></w> ab\n")
-        codes = tmp_path / "codes.txt"
-        assert main(["learn-bpe", "--merges", "10", "--min-freq", "1", "--merge-floor", "1",
-                     "--input", str(train), "--model", str(codes)]) == 0
-        merges = codes.read_text().splitlines()[1:]
-        assert len(set(merges)) == len(merges)
-        assert load_bpe(codes).merges == tuple(tuple(line.split(" ")) for line in merges)
-
-    @pytest.mark.parametrize("command", ["learn-bpe", "apply-bpe"])
-    def test_token_holding_the_separator_is_data_error(self, tmp_path, capsys, bpe_codes, command):
+    # Both reserved strings; a separator case is named by its command alone.
+    @pytest.mark.parametrize("command,token,reserved", [
+        pytest.param(command, token, reserved, id=command if token == "lo@@w" else f"{command}-{token}")
+        for token, reserved in (
+            ("lo@@w", "the separator '@@'"), ("ab</w>ab", "the end-of-word marker '</w>'"),
+            ("</w>", "the end-of-word marker '</w>'"), ("x</w>", "the end-of-word marker '</w>'"),
+        ) for command in ("learn-bpe", "apply-bpe")
+    ])
+    def test_token_holding_the_separator_is_data_error(self, tmp_path, capsys, bpe_codes, command, token, reserved):
         src = tmp_path / "in.txt"
-        src.write_text("low lo@@w\n")
+        src.write_text(f"low {token}\n")
         model = tmp_path / "new-codes.txt" if command == "learn-bpe" else bpe_codes
         assert main([command, "--input", str(src), "--model", str(model)]) == 2
-        assert "token 'lo@@w' contains the separator '@@'" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"multibridge: token {token!r} contains {reserved}\n"
         assert model.exists() == (command == "apply-bpe")
 
 
@@ -853,6 +850,49 @@ class TestRunCommand:
         assert main(["run", "--config", str(work / "config.toml")]) == 2
         assert "config.toml: invalid JSON" in capsys.readouterr().err
         assert not (work / "out").exists()
+
+
+class TestOneRunPerDirectory:
+    # Run A, in this process, starts run B on the same directory at A's first
+    # file write and waits for it. B must be refused before it deletes or
+    # writes anything, and A must then finish as if it were alone.
+    @staticmethod
+    def _check(monkeypatch, module, name: str, out: Path, argv: list[str]) -> None:
+        seen = []
+        write = getattr(module, name)
+
+        def first_write_starts_b(*args, **kwargs):
+            if not seen:
+                before = _tree(out)
+                seen.append((run_cli(*argv), before, _tree(out)))
+            return write(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, first_write_starts_b)
+        assert main(argv) == 0
+        [(second, before, after)] = seen
+        assert second.returncode == 2
+        assert second.stderr == f"multibridge: another run is using {out}\n"
+        assert after == before
+
+    def test_run(self, tmp_path, monkeypatch):
+        work = tmp_path / "run"
+        shutil.copytree(FIXTURE, work)
+        out = (work / "out").resolve()
+        self._check(monkeypatch, sampling, "write_once", out, ["run", "--config", str(work / "config.json")])
+        assert _tree(out) == _tree(GOLDEN)
+
+    def test_extract(self, tmp_path, raw_dir, monkeypatch):
+        out = tmp_path / "mined"
+        argv = ["extract", "--inputs", str(raw_dir), "--out", str(out)]
+        self._check(monkeypatch, pipeline, "write_bitext", out, argv)
+        assert _tree(out) == _tree(GOLDEN_MINED)
+
+    def test_sample(self, tmp_path, raw_dir, monkeypatch):
+        out = tmp_path / "sampled"
+        argv = ["sample", "--strategy", "sample-fraction", "--per-pair", "12", "--seed", "77",
+                "--inputs", str(raw_dir), "--mined", str(GOLDEN_MINED), "--out", str(out)]
+        self._check(monkeypatch, sampling, "write_once", out, argv)
+        assert _tree(out) == _tree(GOLDEN / "sampled")
 
 
 def _readme_cli_commands() -> list[list[str]]:

@@ -2,7 +2,10 @@ import errno
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,7 @@ from multibridge.corpus import (
     iter_lines,
     load_bitext,
     load_manifest,
+    lock_dir,
     save_manifest,
     verify_manifest,
     write_bitext,
@@ -273,6 +277,44 @@ def test_write_load_identity_property(tmp_path_factory, rows):
 _PIECES = [b"\n", b"\r\n", b"\r", b"\xef\xbb\xbf", b"\x00", "\u2028".encode(), b"\xff", b"\xe0\xa4",
            b"a", b" ", b"\t", "\u0915".encode()]
 _FILE_BYTES = st.one_of(st.binary(max_size=64), st.lists(st.sampled_from(_PIECES), max_size=24).map(b"".join))
+
+
+class TestLockDir:
+    def test_second_holder_is_refused_until_the_first_lets_go(self, tmp_path):
+        root = tmp_path / "a" / "out"
+        with lock_dir(root):
+            assert root.is_dir() and not any(root.iterdir())
+            with pytest.raises(CorpusError, match=f"^another run is using {re.escape(str(root))}$"):
+                with lock_dir(root):
+                    pass
+        with lock_dir(root):
+            pass
+        assert not any(root.iterdir())
+
+    def test_path_that_is_a_file_is_refused(self, tmp_path):
+        path = tmp_path / "out"
+        path.write_text("not a directory\n")
+        with pytest.raises(CorpusError, match="exists and is not an empty directory"):
+            with lock_dir(path):
+                pass
+        assert path.read_text() == "not a directory\n"
+
+    def test_without_fcntl_the_directory_is_made_and_nothing_is_locked(self, tmp_path):
+        # As on Windows: the module imports without fcntl, and a second holder is let in.
+        code = textwrap.dedent(f"""
+            import sys
+            sys.modules["fcntl"] = None
+            from multibridge.corpus import lock_dir
+            with lock_dir({str(tmp_path / "out")!r}), lock_dir({str(tmp_path / "out")!r}):
+                print("both held")
+        """)
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "both held\n"
+        assert (tmp_path / "out").is_dir()
 
 
 class TestLineFormat:

@@ -308,10 +308,11 @@ def _changes_disk(node: ast.AST) -> bool:
 
 def test_only_corpus_changes_the_disk():
     # Every directory the toolkit makes or deletes, and every file it writes,
-    # links or removes, goes through these four functions, so what a run does
+    # links or removes, goes through these five functions, so what a run does
     # to the disk can be counted, or made to fail, in one module.
     package = ROOT / "src" / "multibridge"
     uses = sorted({f"{path.name}:{getattr(top, 'name', '<module>')}" for path in sorted(package.glob("*.py"))
                    for top in ast.parse(path.read_text(encoding="utf-8")).body for node in ast.walk(top)
                    if _changes_disk(node)})
-    assert uses == ["corpus.py:clear_dirs", "corpus.py:new_dir", "corpus.py:write_once", "corpus.py:write_text"]
+    assert uses == ["corpus.py:clear_dirs", "corpus.py:lock_dir", "corpus.py:new_dir", "corpus.py:write_once",
+                    "corpus.py:write_text"]

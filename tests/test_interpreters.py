@@ -36,6 +36,11 @@ FIXTURE = ROOT / "tests" / "data" / "pipeline_fixture"
 GOLDEN = ROOT / "tests" / "data" / "pipeline_golden" / "out"
 
 
+def _env() -> dict[str, str]:
+    # src first, so this checkout's package loads; then the caller's path, so a sitecustomize on it still runs.
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
 def _version(name: str) -> tuple[int, int] | None:
     match = re.match(r"(\d+)\.(\d+)", name)
     return (int(match[1]), int(match[2])) if match else None
@@ -80,9 +85,8 @@ def in_process_groups(tmp_path_factory):
 def test_fixture_run_matches_golden_tree(tmp_path, in_process_groups, python):
     work = tmp_path / "run"
     shutil.copytree(FIXTURE, work)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([str(python), "-m", "multibridge.cli", "run", "--config", str(work / "config.json")],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert _tree(work / "out") == _tree(GOLDEN)
     assert _link_groups(work / "out") == in_process_groups
@@ -90,9 +94,8 @@ def test_fixture_run_matches_golden_tree(tmp_path, in_process_groups, python):
 
 @pytest.mark.parametrize("python", _interpreters())
 def test_nukta_contract_holds(python):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([str(python), str(ROOT / "tests" / "nukta_contract.py")],
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     found = json.loads(proc.stdout)
     assert found["derived"] == DEFAULT_CANONICALIZATIONS

@@ -114,6 +114,13 @@ class TestSampleFraction:
         with pytest.raises(SamplingError, match="^sample-pairs list pairs 'bn' with itself$"):
             SamplePairs((("hi", "ta"), ("bn", "bn")))
 
+    @pytest.mark.parametrize("entry", [("bn",), ("bn", "hi", "ta"), "bnhi", (1, 2)],
+                             ids=["one-item", "three-items", "string", "not-strings"])
+    def test_entry_that_is_not_a_pair_of_codes_is_sampling_error(self, entry):
+        with pytest.raises(SamplingError) as info:
+            SamplePairs((("hi", "ta"), entry))
+        assert str(info.value) == f"sample-pairs entry {entry!r} is not a pair of two language codes"
+
 
 def _mined_fixture(seed=30, langs=("bn", "hi", "ta")):
     corpora = english_centric_fixture(seed, list(langs), n_english=60, overlap=0.7)

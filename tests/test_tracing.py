@@ -17,6 +17,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = Path(__file__).parent / "data" / "pipeline_fixture"
 
+
+def _env() -> dict[str, str]:
+    # src and perfbench first; then the caller's path, so a sitecustomize on it still runs.
+    entries = [str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, entries)))
+
 _RUN_TRACED = """
 import json, sys
 from pathlib import Path
@@ -34,8 +40,7 @@ print(json.dumps(tracer.layer_metrics(work / "out")))
 def test_tracer_reports_the_fixture_run(tmp_path):
     work = tmp_path / "run"
     shutil.copytree(FIXTURE, work)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(ROOT / "src"), str(ROOT / "perfbench"))))
-    proc = subprocess.run([sys.executable, "-c", _RUN_TRACED, str(work)], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", _RUN_TRACED, str(work)], env=_env(), capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout)
@@ -68,10 +73,9 @@ def test_tracer_reports_the_metrics_layer(tmp_path):
         Path(f"{stem}.ref").write_text("\n".join(_EVAL_TEXT[tgt]) + "\n", encoding="utf-8")
         _write_embeddings(Path(f"{stem}.hyp.emb"), [(1.0, 0.0), (0.5, 0.5), (0.0, 2.0)])
         _write_embeddings(Path(f"{stem}.ref.emb"), [(1.0, 0.1), (0.5, 0.4), (0.3, 2.0)])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(ROOT / "src"), str(ROOT / "perfbench"))))
     command = [sys.executable, str(ROOT / "perfbench" / "child.py"), "--kind", "eval", "--work", str(tmp_path),
                "--spawned", str(time.monotonic()), "--trace", "1"]
-    proc = subprocess.run(command, env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run(command, env=_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout)["layers"]
     for name in ("metrics.bleu_13a_s", "metrics.bleu_none_s", "metrics.chrf2_s", "tokenizers.tokenize_13a_s",
