@@ -21,7 +21,7 @@ from pathlib import Path
 from .bpe import (DEFAULT_MERGE_FLOOR, DEFAULT_MIN_FREQUENCY, DEFAULT_NUM_MERGES, BpeSegmenter, learn_bpe,
                   load_bpe, save_bpe)
 from .config import check_disjoint, load_config, parse_pairs, parse_sampling
-from .corpus import iter_lines, write_lines, write_text
+from .corpus import iter_lines, lock_dir, write_lines, write_text
 from .errors import MultibridgeError
 from .languages import indic_codes
 from .mining import DEFAULT_XPROD_CAP
@@ -61,7 +61,10 @@ def _cmd_extract(args) -> int:
     inputs, out = Path(args.inputs), Path(args.out)
     english = load_english(inputs, raw_languages(inputs))
     pairs = parse_pairs(args.pairs.split(",")) if args.pairs else combinations(english, 2)
-    extract(english, pairs, args.xprod_cap, out)
+    # A shared lock on the parent of --out: a run whose root it is refuses this command and is refused by it,
+    # while stage commands that write sibling directories run side by side. run_pipeline holds its root already.
+    with lock_dir(out.parent, shared=True):
+        extract(english, pairs, args.xprod_cap, out)
     return 0
 
 
@@ -75,7 +78,8 @@ def _cmd_sample(args) -> int:
     plan = parse_sampling(sampling, args.seed)
     inputs = Path(args.inputs)
     english = load_english(inputs, raw_languages(inputs))
-    manifest, _ = assemble_training_set(english.values(), load_mined(Path(args.mined), english), plan, args.out)
+    with lock_dir(Path(args.out).parent, shared=True):  # as in _cmd_extract
+        manifest, _ = assemble_training_set(english.values(), load_mined(Path(args.mined), english), plan, args.out)
     logging.info("wrote %d manifest entries, %d pairs total", len(manifest.entries), manifest.total_pairs())
     return 0
 

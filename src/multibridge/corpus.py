@@ -185,13 +185,14 @@ def clear_dirs(paths: Sequence[Path]) -> None:
 
 
 @contextlib.contextmanager
-def lock_dir(path: str | Path) -> Iterator[None]:
-    """Hold an exclusive lock on the directory ``path`` while the block runs; :func:`new_dir` makes it if missing.
+def lock_dir(path: str | Path, shared: bool = False) -> Iterator[None]:
+    """Hold a lock on the directory ``path`` while the block runs; :func:`new_dir` makes it if missing.
 
     The lock is ``flock(2)`` on the directory itself, so it makes no file, and
-    the kernel drops it when the process ends. A second holder, in this
-    process or another, is refused with a :class:`CorpusError`. Without
-    ``fcntl`` (Windows) nothing is locked.
+    the kernel drops it when the process ends. An exclusive lock refuses every
+    other holder, in this process or another, and a shared one refuses only an
+    exclusive holder, each with a :class:`CorpusError`. Without ``fcntl``
+    (Windows) nothing is locked.
     """
     if not os.path.isdir(path):
         new_dir(path)
@@ -201,7 +202,7 @@ def lock_dir(path: str | Path) -> Iterator[None]:
     fd = os.open(path, os.O_RDONLY)
     try:
         try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            fcntl.flock(fd, (fcntl.LOCK_SH if shared else fcntl.LOCK_EX) | fcntl.LOCK_NB)
         except BlockingIOError:
             raise CorpusError(f"another run is using {path}") from None
         yield

@@ -17,18 +17,35 @@ clean file, whose bytes are only those of decimal floats, spaces, tabs and
 LFs, is converted in one call to numpy's C text reader, without a Python
 object per field; its shape and values are checked after. Every other file
 is read row by row, so its first bad line names the error.
+
+No metric calls a BLAS routine, so numpy is imported with a one-thread
+OpenBLAS pool: more threads would only busy-wait, costing CPU time, and one
+thread fixes the summation order of any BLAS call a later metric makes,
+whatever the host's core count. A thread count the caller set, in
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``,
+wins; a process that imported numpy first keeps its pool; and
+``os.environ`` is left as it was found, so later-loaded libraries and
+subprocesses see the caller's environment.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import os
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
+if os.environ.keys() & {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}:  # OpenBLAS reads all three
+    import numpy as np
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when numpy loads OpenBLAS
+    try:
+        import numpy as np
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .corpus import TranslationDirection, iter_lines, parse_count, parse_floats
 from .errors import MultibridgeError

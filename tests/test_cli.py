@@ -853,25 +853,35 @@ class TestRunCommand:
 
 
 class TestOneRunPerDirectory:
-    # Run A, in this process, starts run B on the same directory at A's first
-    # file write and waits for it. B must be refused before it deletes or
-    # writes anything, and A must then finish as if it were alone.
+    # Command A, in this process, starts command B at A's first file write (or
+    # at the call named) and waits for it. When both would use one directory,
+    # B must be refused before it deletes or writes anything, and A must then
+    # finish as if it were alone.
     @staticmethod
-    def _check(monkeypatch, module, name: str, out: Path, argv: list[str]) -> None:
+    def _race(monkeypatch, module, name: str, watched: Path, first: list[str], second: list[str]):
+        """Run ``first``, which must exit 0, with ``second`` started at its first call of ``module.name``.
+
+        Returns ``second``'s process and the tree of ``watched`` before and after it ran.
+        """
         seen = []
-        write = getattr(module, name)
+        call = getattr(module, name)
 
-        def first_write_starts_b(*args, **kwargs):
+        def first_call_starts_b(*args, **kwargs):
             if not seen:
-                before = _tree(out)
-                seen.append((run_cli(*argv), before, _tree(out)))
-            return write(*args, **kwargs)
+                before = _tree(watched)
+                seen.append((run_cli(*second), before, _tree(watched)))
+            return call(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, first_write_starts_b)
-        assert main(argv) == 0
-        [(second, before, after)] = seen
-        assert second.returncode == 2
-        assert second.stderr == f"multibridge: another run is using {out}\n"
+        monkeypatch.setattr(module, name, first_call_starts_b)
+        assert main(first) == 0
+        [(proc, before, after)] = seen
+        return proc, before, after
+
+    @classmethod
+    def _check(cls, monkeypatch, module, name: str, out: Path, argv: list[str], second: list[str] | None = None):
+        proc, before, after = cls._race(monkeypatch, module, name, out, argv, second or argv)
+        assert proc.returncode == 2
+        assert proc.stderr == f"multibridge: another run is using {out}\n"
         assert after == before
 
     def test_run(self, tmp_path, monkeypatch):
@@ -893,6 +903,40 @@ class TestOneRunPerDirectory:
                 "--inputs", str(raw_dir), "--mined", str(GOLDEN_MINED), "--out", str(out)]
         self._check(monkeypatch, sampling, "write_once", out, argv)
         assert _tree(out) == _tree(GOLDEN / "sampled")
+
+    # A stage command that writes into a stage directory of a run's root,
+    # against that run, in both orders: the stage command holds a shared lock
+    # on the parent of --out, and the run an exclusive one on its root.
+    def test_extract_into_a_run_root_refuses_the_run(self, tmp_path, monkeypatch):
+        work = tmp_path / "run"
+        shutil.copytree(FIXTURE, work)
+        out = (work / "out").resolve()
+        argv = ["extract", "--inputs", str(work / "raw"), "--pairs", "bn-hi", "--out"]
+        self._check(monkeypatch, pipeline, "write_bitext", out, [*argv, str(out / "mined")],
+                    second=["run", "--config", str(work / "config.json")])
+        alone = tmp_path / "alone" / "mined"
+        assert main([*argv, str(alone)]) == 0
+        assert _tree(out) == {f"mined/{rel}": data for rel, data in _tree(alone).items()}
+        assert {rel: data for rel, data in _tree(alone).items() if rel.startswith("bn-hi.")} == {
+            rel: data for rel, data in _tree(GOLDEN_MINED).items() if rel.startswith("bn-hi.")}
+
+    def test_run_refuses_an_extract_into_its_root(self, tmp_path, monkeypatch):
+        # B starts once A has reset the root and before A's extract makes mined/.
+        work = tmp_path / "run"
+        shutil.copytree(FIXTURE, work)
+        out = (work / "out").resolve()
+        self._check(monkeypatch, pipeline, "extract", out, ["run", "--config", str(work / "config.json")],
+                    second=["extract", "--inputs", str(work / "raw"), "--pairs", "bn-hi", "--out", str(out / "mined")])
+        assert _tree(out) == _tree(GOLDEN)
+
+    def test_extracts_into_sibling_directories_run_side_by_side(self, tmp_path, raw_dir, monkeypatch):
+        first, second = tmp_path / "out" / "a", tmp_path / "out" / "b"
+        proc, before, after = self._race(monkeypatch, pipeline, "write_bitext", first,
+                                         ["extract", "--inputs", str(raw_dir), "--out", str(first)],
+                                         ["extract", "--inputs", str(raw_dir), "--out", str(second)])
+        assert proc.returncode == 0, proc.stderr
+        assert after == before
+        assert _tree(first) == _tree(second) == _tree(GOLDEN_MINED)
 
 
 def _readme_cli_commands() -> list[list[str]]:

@@ -3,13 +3,14 @@
 Each case runs in a fresh interpreter, so no earlier import in the test
 session can hide an eager one: ``import multibridge`` loads only
 ``multibridge.version``, scoring loads no pipeline layer, and only the
-evaluation layer imports numpy. The last seven tests read the source
-instead: they check that the export table routes each name to the module
-that defines it, that something outside the tests uses every public name,
-that each module uses every name it imports, that the exception
-hierarchy stays one error type per layer, that no code tells values
-apart by object identity, where corpora are built without the per-text
-check, and which functions change the disk.
+evaluation layer imports numpy, with a one-thread OpenBLAS pool unless the
+caller sets its own. The last eight tests read the source instead: they
+check that the export table routes each name to the module that defines
+it, that something outside the tests uses every public name, that each
+module uses every name it imports, that the exception hierarchy stays one
+error type per layer, that no code tells values apart by object identity,
+where corpora are built without the per-text check, which functions
+change the disk, and that no metric calls a BLAS routine.
 """
 
 import ast
@@ -59,6 +60,36 @@ def test_evaluation_name_loads_numpy():
         assert "numpy" not in sys.modules
         assert multibridge.bleu(["a b c d"], ["a b c d"], "none").value == 100.0
         assert "numpy" in sys.modules
+        """
+    )
+
+
+@pytest.mark.parametrize("preset, threads", [
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+    ({"OMP_NUM_THREADS": "2"}, 2),
+    ({"GOTO_NUM_THREADS": "2"}, 2),
+], ids=["default", "caller-set", "caller-set-omp", "caller-set-goto"])
+def test_metrics_loads_numpy_with_a_one_thread_blas_pool(preset, threads):
+    # No metric calls BLAS, so a second OpenBLAS thread would only spin. A thread
+    # count the caller set wins, and the import leaves os.environ as it found it.
+    import numpy as np
+
+    if not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2:
+        pytest.skip("counting threads needs /proc/self/task and at least two cores")
+    if "openblas" not in np.__config__.CONFIG["Build Dependencies"]["blas"]["name"].lower():
+        pytest.skip("numpy is not built with OpenBLAS")
+    _run(
+        f"""
+        import os, sys
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            os.environ.pop(name, None)
+        os.environ.update({preset!r})
+        before = dict(os.environ)
+        import multibridge.metrics
+        assert "numpy" in sys.modules
+        assert len(os.listdir("/proc/self/task")) == {threads}, os.listdir("/proc/self/task")
+        assert dict(os.environ) == before
         """
     )
 
@@ -316,3 +347,28 @@ def test_only_corpus_changes_the_disk():
                    if _changes_disk(node)})
     assert uses == ["corpus.py:clear_dirs", "corpus.py:lock_dir", "corpus.py:new_dir", "corpus.py:write_once",
                     "corpus.py:write_text"]
+
+
+
+#: numpy names that call BLAS on float arrays. Of numpy.linalg only ``norm``, a plain reduction, may be used.
+_BLAS = {"dot", "vdot", "inner", "outer", "matmul", "tensordot", "einsum"}
+
+
+def _calls_blas(node: ast.AST) -> bool:
+    """Whether ``node`` is a matrix product, a BLAS name, a ``linalg`` name other than ``norm``, or a ``from numpy`` import.
+
+    A name imported from numpy would hide from the attribute check, so every numpy name is reached through ``np.``.
+    """
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    if isinstance(node, ast.Attribute):
+        return node.attr in _BLAS or node.attr != "norm" and getattr(node.value, "attr", None) == "linalg"
+    return isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")
+
+
+def test_metrics_call_no_blas_routine():
+    # metrics.py loads numpy with a one-thread OpenBLAS pool, which costs nothing
+    # only while no metric calls BLAS: a matrix product would lose the second core.
+    tree = ast.parse((ROOT / "src" / "multibridge" / "metrics.py").read_text(encoding="utf-8"))
+    uses = [f"metrics.py:{node.lineno}" for node in ast.walk(tree) if _calls_blas(node)]
+    assert uses == [], f"BLAS uses in metrics.py: {uses}"
