@@ -5,8 +5,9 @@ the final character, the convention subword-nmt codes files use. Learning
 greedily merges the most frequent adjacent symbol pair; ties break to the
 lexicographically smallest (left, right) pair, a portable rule pinned
 here because insertion-order tie-breaking is not reproducible across
-implementations. The learner takes each merge from a lazily invalidated
-heap and recounts only the pairs next to each merge site.
+implementations. The learner edits each training word in place and
+recounts only the pairs next to each merge site; a heap entry may
+overstate its pair's count, and is corrected when it reaches the top.
 
 Applied output uses the ``@@`` continuation suffix on non-final subwords.
 When a vocabulary with a frequency floor is attached, out-of-vocabulary
@@ -53,8 +54,8 @@ class BpeModel:
     ``training_segments`` maps a word to its final symbols, exactly as
     rank-order application of ``merges`` leaves them, so segmenting a word
     found there needs no encoding. Only :func:`learn_bpe` fills it, for its
-    own training words, with the symbol tuples it already holds, so the
-    table adds one dict entry per word. It is never saved, compared or
+    own training words, as tuples of the symbols it merged in place, so
+    the table adds one dict entry per word. It is never saved, compared or
     copied by ``dataclasses.replace``: any other model has an empty table
     and gives the same output.
     """
@@ -147,7 +148,7 @@ def learn_bpe(
     if not token_counts:
         raise BpeError("no tokens to learn from")
 
-    words = [_word_symbols(token) for token in token_counts]
+    words = [list(_word_symbols(token)) for token in token_counts]
     freqs = list(token_counts.values())
     pair_words: defaultdict[tuple[str, str], list[int]] = defaultdict(list)  # may hold stale or repeated ids
     for wid, symbols in enumerate(words):
@@ -155,64 +156,61 @@ def learn_bpe(
             pair_words[pair].append(wid)
     pair_counts = defaultdict(int, {pair: sum(map(freqs.__getitem__, wids)) for pair, wids in pair_words.items()})
     floor = max(merge_floor, 1)  # a pair that no longer occurs is never a candidate
-    # Heap order is the pinned rule; an entry is live while its count is current.
+    # Heap order is the pinned rule. A pair is pushed whenever its count
+    # rises, so every pair at or above the floor has an entry no smaller than
+    # its count. So the first entry at the top whose count is current is the
+    # least (-count, pair); one found there that overstates its count is
+    # replaced with the current count, or popped if that is below the floor.
     heap = [(-count, pair) for pair, count in pair_counts.items() if count >= floor]
     heapq.heapify(heap)
 
     merges: list[tuple[str, str]] = []
-    while len(merges) < num_merges:
-        while heap and -heap[0][0] != pair_counts[heap[0][1]]:
-            heapq.heappop(heap)
-        if not heap:
-            break
-        best_pair = heapq.heappop(heap)[1]
+    while heap and len(merges) < num_merges:
+        entry, best_pair = heap[0]
+        count = pair_counts[best_pair]
+        if -entry != count:
+            if count >= floor:
+                heapq.heapreplace(heap, (-count, best_pair))
+            else:
+                heapq.heappop(heap)
+            continue
+        heapq.heappop(heap)
         merges.append(best_pair)
         left, right = best_pair
         merged = left + right
 
-        changed: set[tuple[str, str]] = set()
+        risen: set[tuple[str, str]] = set()
         for wid in pair_words.pop(best_pair):
             symbols = words[wid]
-            sites: list[int] = []  # non-overlapping, left to right; a stale or repeated id has none
-            i, last = 0, len(symbols) - 1
-            try:
-                while True:
-                    i = symbols.index(left, i, last)
-                    if symbols[i + 1] == right:
-                        sites.append(i)
-                        i += 2
-                    else:
-                        i += 1
-            except ValueError:
-                if not sites:
-                    continue
+            if left not in symbols:  # a stale or repeated id
+                continue
             freq = freqs[wid]
-            pair_counts[best_pair] -= freq * len(sites)
-            # Only the pairs beside a site change. Where two sites touch, the
-            # pair between them is the right one of the first and the left
-            # one of the second; it is updated once, from the second.
-            beside: list[tuple[tuple[str, str], tuple[str, str]]] = []  # (old pair, new pair)
-            out: list[str] = []
-            start = 0  # the first old symbol not yet copied to ``out``
-            for k, i in enumerate(sites):
-                out += symbols[start:i]
+            # Each site, left to right, becomes one symbol in place, and only the
+            # pairs beside it change. Two touching sites had (right, left) between
+            # them: the first leaves that pair, and the second updates it once.
+            i, after = symbols.index(left), 0  # after: the index just past the last merged symbol
+            while i < len(symbols) - 1:
+                if symbols[i] != left or symbols[i + 1] != right:
+                    i += 1
+                    continue
+                symbols[i:i + 2] = [merged]
                 if i:
-                    beside.append(((symbols[i - 1], left), (out[-1], merged)))
-                out.append(merged)
-                start = i + 2
-                if start <= last and (k + 1 == len(sites) or sites[k + 1] != start):
-                    beside.append(((right, symbols[start]), (merged, symbols[start])))
-            out += symbols[start:]
-            words[wid] = tuple(out)
-            for old, new in beside:
-                pair_counts[old] -= freq
-                pair_counts[new] += freq
-                pair_words[new].append(wid)
-                changed.add(old)
-                changed.add(new)
-        for pair in changed:
-            count = pair_counts[pair]
-            if count >= floor:
+                    pair_counts[(right, left) if i == after else (symbols[i - 1], left)] -= freq
+                    risen.add(new := (symbols[i - 1], merged))
+                    pair_counts[new] += freq
+                    pair_words[new].append(wid)
+                after = i + 1
+                if after < len(symbols):
+                    follower = symbols[after]
+                    if follower != left or after + 1 == len(symbols) or symbols[after + 1] != right:
+                        pair_counts[(right, follower)] -= freq
+                        risen.add(new := (merged, follower))
+                        pair_counts[new] += freq
+                        pair_words[new].append(wid)
+                i = after
+        del pair_counts[best_pair]  # every occurrence is merged
+        for pair in risen:
+            if (count := pair_counts[pair]) >= floor:
                 heapq.heappush(heap, (-count, pair))
 
     # Each distinct symbol is counted and rendered once. No two render
@@ -226,7 +224,7 @@ def learn_bpe(
     vocab = {_render(symbol, final): count for counts, final in ((inner_counts, False), (final_counts, True))
              for symbol, count in counts.items() if count >= min_frequency}
     model = BpeModel(tuple(merges), vocab, num_merges, min_frequency)
-    object.__setattr__(model, "training_segments", dict(zip(token_counts, words)))
+    object.__setattr__(model, "training_segments", dict(zip(token_counts, map(tuple, words))))
     return model
 
 

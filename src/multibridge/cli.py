@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--merges", type=int, default=DEFAULT_NUM_MERGES)
     p.add_argument("--min-freq", type=int, default=DEFAULT_MIN_FREQUENCY)
     p.add_argument("--merge-floor", type=int, default=DEFAULT_MERGE_FLOOR)
-    p.add_argument("--input", nargs="*", action="extend", help="input files, repeatable (default stdin)")
+    p.add_argument("--input", nargs="+", action="extend", help="input files, repeatable (default stdin)")
     p.add_argument("--model", required=True, help="codes file to write")
     p.add_argument("--vocab", help="vocabulary file to write")
     p.set_defaults(func=_cmd_learn_bpe)

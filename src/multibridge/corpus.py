@@ -210,20 +210,29 @@ def lock_dir(path: str | Path, shared: bool = False) -> Iterator[None]:
         os.close(fd)
 
 
-def write_text(path: str | Path, text: str) -> None:
+def write_text(path: str | Path, text: str, atomic: bool = False) -> None:
     """Write a whole document as UTF-8, with no newline translation.
 
     A regular file with other hard links is unlinked first, so writing one
     name never changes the others; symlinks and devices are written through.
+    With ``atomic`` the text goes to ``path`` + ``.tmp``, renamed to ``path``
+    once closed, so ``path`` never holds part of it; a failure removes the
+    temporary file.
     """
+    name = f"{path}.tmp" if atomic else path
     try:
         with contextlib.suppress(FileNotFoundError):
-            st = os.lstat(path)
+            st = os.lstat(name)
             if stat.S_ISREG(st.st_mode) and st.st_nlink > 1:
-                os.unlink(path)
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
+                os.unlink(name)
+        with open(name, "w", encoding="utf-8", newline="\n") as f:
             f.write(text)
+        if atomic:
+            os.replace(name, path)
     except OSError as exc:
+        if atomic:
+            with contextlib.suppress(OSError):
+                os.unlink(name)
         raise CorpusError(f"cannot write {path}: {exc}") from exc
 
 

@@ -219,6 +219,6 @@ def _run_stages(config: PipelineConfig) -> RunReport:
         stages["tag"] = {"directions": len(columns)}
 
     record = {"seed": config.sampling.seed, "stages": stages}  # written last: it marks a complete run
-    write_text(prep_dir / "run_report.json", json.dumps(record, indent=2, sort_keys=True) + "\n")
+    write_text(prep_dir / "run_report.json", json.dumps(record, indent=2, sort_keys=True) + "\n", atomic=True)
     return RunReport(stages, manifest, stats)
 

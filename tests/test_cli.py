@@ -1,6 +1,7 @@
 """The CLI surfaces every external interface; exercise them like a user."""
 
 import glob
+import io
 import json
 import re
 import shlex
@@ -576,6 +577,14 @@ class TestBpeCommands:
         merges = load_bpe(tmp_path / "flags.txt").merges
         assert merges == load_bpe(tmp_path / "list.txt").merges
         assert ("l", "o") in merges  # only a.txt holds an "lo"
+
+    def test_input_flag_without_a_file_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("abc abd abc\n"))
+        with pytest.raises(SystemExit) as info:
+            main(["learn-bpe", "--merges", "2", "--min-freq", "1", "--input", "--model", str(tmp_path / "m.txt")])
+        assert info.value.code == 1
+        assert "argument --input: expected at least one argument" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
 
 
 class TestTagCommand:

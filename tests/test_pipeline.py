@@ -8,6 +8,9 @@ import os
 import random
 import re
 import shutil
+import signal
+import subprocess
+import sys
 from collections import defaultdict
 from itertools import permutations
 from pathlib import Path
@@ -539,6 +542,89 @@ class TestFaultAtEveryOperation:
     def test_single_fault_at_a_drawn_operation(self, full_run, operations, tmp_path_factory, data):
         k = data.draw(st.integers(1, len(operations)), label="k")
         self._check(full_run, tmp_path_factory.mktemp("single") / "work", k, persist=False)
+
+
+class _ReportFile:
+    """The report's file object: ``write`` puts half its text in the file and then calls ``fault``,
+    or ``close`` calls it after closing, as ``method`` says."""
+
+    def __init__(self, file, method: str, fault):
+        self.file, self.method, self.fault = file, method, fault
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def write(self, text: str) -> None:
+        if self.method != "write":
+            self.file.write(text)
+            return
+        self.file.write(text[:len(text) // 2])
+        self.file.flush()
+        self.fault()
+
+    def close(self) -> None:
+        self.file.close()
+        if self.method == "close":
+            self.fault()
+
+
+def _full_disk() -> None:
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestReportWrite:
+    # run_report.json marks a complete run, so a fault inside its own write,
+    # or the process's death there, must not leave a report or part of one.
+
+    @pytest.mark.parametrize("method", ["write", "close"])
+    def test_full_disk_inside_the_report_write_leaves_no_report(self, tmp_path, monkeypatch, capsys, method):
+        work = tmp_path / "work"
+        shutil.copytree(FIXTURE, work)
+
+        def opening(file, *args, **kwargs):
+            opened = open(file, *args, **kwargs)
+            return _ReportFile(opened, method, _full_disk) if os.path.basename(file).startswith("run_report.json") \
+                else opened
+
+        monkeypatch.setattr(corpus, "open", opening, raising=False)
+        assert main(["run", "--config", str(work / "config.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("multibridge: ") and os.strerror(errno.ENOSPC) in err and "Traceback" not in err
+        golden = _tree(GOLDEN)
+        del golden["prep/run_report.json"]
+        assert _tree(work / "out") == golden  # nor the temporary file
+
+    def test_kill_inside_the_report_write_leaves_no_report(self, tmp_path):
+        work = tmp_path / "work"
+        shutil.copytree(FIXTURE, work)
+        config = str(work / "config.json")
+        child = f"""
+import os, signal, sys
+sys.path.insert(0, {str(Path(__file__).parent)!r})
+from multibridge import corpus
+from multibridge.cli import main
+from test_pipeline import _ReportFile
+
+def opening(file, *args, **kwargs):
+    opened = open(file, *args, **kwargs)
+    if os.path.basename(file).startswith("run_report.json"):
+        return _ReportFile(opened, "write", lambda: os.kill(os.getpid(), signal.SIGKILL))
+    return opened
+
+corpus.open = opening
+sys.exit(main(["run", "--config", {config!r}]))
+"""
+        # src first, so this checkout's package loads; then the caller's path, so a sitecustomize on it still runs.
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        assert not (work / "out" / "prep" / "run_report.json").exists() or _tree(work / "out") == _tree(GOLDEN)
+        assert main(["run", "--config", config]) == 0
+        assert _tree(work / "out") == _tree(GOLDEN)
 
 
 class TestConfig:
