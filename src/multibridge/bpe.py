@@ -5,13 +5,15 @@ the final character, the convention subword-nmt codes files use. Learning
 greedily merges the most frequent adjacent symbol pair; ties break to the
 lexicographically smallest (left, right) pair, a portable rule pinned
 here because insertion-order tie-breaking is not reproducible across
-implementations. The learner edits each training word in place and
-recounts only the pairs next to each merge site; a heap entry may
-overstate its pair's count, and is corrected when it reaches the top.
+implementations. A word is one list of symbols, and the learner and
+rank-order application both merge a site in place, left to right, with
+``symbols[i:i + 2] = [merged]``. The learner recounts only the pairs next
+to each merge site; a heap entry may overstate its pair's count, and is
+corrected when it reaches the top.
 
 Applied output uses the ``@@`` continuation suffix on non-final subwords.
-When a vocabulary with a frequency floor is attached, out-of-vocabulary
-subwords are re-split into characters at apply time, mirroring the
+When a vocabulary with a frequency floor is attached, an out-of-vocabulary
+symbol is re-split into its own characters at apply time, mirroring the
 vocabulary-threshold behaviour of subword-nmt.
 
 Tokens must not contain whitespace, the ``@@`` separator or the ``</w>``
@@ -81,33 +83,14 @@ class BpeModel:
         return {pair: i for i, pair in enumerate(self.merges)}
 
 
-def _word_symbols(token: str) -> tuple[str, ...]:
+def _word_symbols(token: str) -> list[str]:
     if not token:
         raise BpeError("cannot segment an empty token")
     if SEPARATOR in token:
         raise BpeError(f"token {token!r} contains the separator {SEPARATOR!r}")
     if END_OF_WORD in token:
         raise BpeError(f"token {token!r} contains the end-of-word marker {END_OF_WORD!r}")
-    if len(token) == 1:
-        return (token + END_OF_WORD,)
-    return tuple(token[:-1]) + (token[-1] + END_OF_WORD,)
-
-
-def _merge_word(symbols: Sequence[str], pair: tuple[str, str]) -> tuple[str, ...]:
-    """Replace non-overlapping occurrences of ``pair``, left to right."""
-    left, right = pair
-    merged = left + right
-    out = []
-    i = 0
-    n = len(symbols)
-    while i < n:
-        if symbols[i] == left and i + 1 < n and symbols[i + 1] == right:
-            out.append(merged)
-            i += 2
-        else:
-            out.append(symbols[i])
-            i += 1
-    return tuple(out)
+    return [*token[:-1], token[-1] + END_OF_WORD]
 
 
 def _render(symbol: str, final: bool) -> str:
@@ -148,7 +131,7 @@ def learn_bpe(
     if not token_counts:
         raise BpeError("no tokens to learn from")
 
-    words = [list(_word_symbols(token)) for token in token_counts]
+    words = [_word_symbols(token) for token in token_counts]
     freqs = list(token_counts.values())
     pair_words: defaultdict[tuple[str, str], list[int]] = defaultdict(list)  # may hold stale or repeated ids
     for wid, symbols in enumerate(words):
@@ -229,29 +212,19 @@ def learn_bpe(
 
 
 def _encode(token: str, ranks: dict[tuple[str, str], int]) -> tuple[str, ...]:
+    """Merge every site of the lowest-ranked adjacent pair, left to right, until no pair is ranked."""
     symbols = _word_symbols(token)
+    unranked = len(ranks)
     while len(symbols) > 1:
-        best = None
-        best_rank = len(ranks)
-        for pair in set(zip(symbols, symbols[1:])):
-            rank = ranks.get(pair)
-            if rank is not None and rank < best_rank:
-                best = pair
-                best_rank = rank
-        if best is None:
+        rank, (left, right) = min((ranks.get(pair, unranked), pair) for pair in zip(symbols, symbols[1:]))
+        if rank == unranked:
             break
-        symbols = _merge_word(symbols, best)
-    return symbols
-
-
-def _split_oov(subword: str, is_final: bool) -> list[str]:
-    core = subword[: -len(SEPARATOR)] if subword.endswith(SEPARATOR) and not is_final else subword
-    if len(core) <= 1:
-        return [subword]
-    chars = list(core)
-    if is_final:
-        return [c + SEPARATOR for c in chars[:-1]] + [chars[-1]]
-    return [c + SEPARATOR for c in chars]
+        i = 0
+        while i < len(symbols) - 1:
+            if symbols[i] == left and symbols[i + 1] == right:
+                symbols[i:i + 2] = [left + right]
+            i += 1
+    return tuple(symbols)
 
 
 class BpeSegmenter:
@@ -272,7 +245,11 @@ class BpeSegmenter:
     def _symbol_subwords(self, symbol: str, final: bool) -> list[str]:
         subword = _render(symbol, final)
         vocab = self.model.vocab
-        got = [subword] if vocab is None or subword in vocab else _split_oov(subword, final)
+        if vocab is None or subword in vocab:
+            got = [subword]
+        else:  # out of vocabulary: one subword per character, the last rendered as the symbol's end
+            *chars, last = symbol.removesuffix(END_OF_WORD)
+            got = [char + SEPARATOR for char in chars] + [_render(last, final)]
         self._symbol_cache[final][symbol] = got
         return got
 

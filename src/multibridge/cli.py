@@ -110,7 +110,7 @@ def _cmd_learn_bpe(args) -> int:
 
     model = learn_bpe(lines(), args.merges, args.min_freq, args.merge_floor)
     save_bpe(model, args.model, args.vocab)
-    logging.info("learned %d merges, vocabulary size %d", len(model.merges), len(model.vocab or ()))
+    logging.info("learned %d merges, vocabulary size %d", len(model.merges), len(model.vocab))
     return 0
 
 

@@ -92,12 +92,11 @@ def _table(value: object, known: set[str], where: str) -> dict:
     return value
 
 
-def _int(table: dict, key: str, default: int, where: str = "", minimum: int | None = None) -> int:
+def _int(table: dict, key: str, default: int, where: str, minimum: int) -> int:
     """``table[key]`` (or ``default``) as an integer of at least ``minimum``; ``where`` prefixes the key."""
     value = table.get(key, default)
-    if type(value) is not int or (minimum is not None and value < minimum):
-        kind = "an integer" if minimum is None else f"an integer >= {minimum}"
-        raise ConfigError(f"{where + key!r} must be {kind}, not {value!r}")
+    if type(value) is not int or value < minimum:
+        raise ConfigError(f"{where + key!r} must be an integer >= {minimum}, not {value!r}")
     return value
 
 
@@ -179,7 +178,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         sampling=parse_sampling(doc.get("sampling", {"strategy": "train-all"}), doc.get("seed", 1)),
         bpe_num_merges=_int(bpe, "num_merges", DEFAULT_NUM_MERGES, "bpe.", 0),
         bpe_min_frequency=_int(bpe, "min_frequency", DEFAULT_MIN_FREQUENCY, "bpe.", 0),
-        xprod_cap=_int(doc, "xprod_cap", DEFAULT_XPROD_CAP, minimum=0),
+        xprod_cap=_int(doc, "xprod_cap", DEFAULT_XPROD_CAP, "", 0),
     )
     if any(path.resolve().is_relative_to(stage_dir) for stage_dir in config.stage_dirs):
         raise ConfigError(f"config {path} is inside a stage directory under 'out_dir', which a run deletes")

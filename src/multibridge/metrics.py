@@ -293,12 +293,12 @@ def _load_clean(path) -> EmbeddingTable | None:
         dim, n = map(int, fields)
         ids = tuple(map(int, heads))  # exact, where the reader's float64 copy of a long id is not
         table = _parse_rows(body)
-    except ValueError:  # a bad field, or a count past int()'s limit on digits, which parse_count names
+        # Every row has an id, so the reader skipped none and the shape counts them all.
+        if dim < 1 or table.shape != (n, dim + 1):
+            return None
+        return EmbeddingTable(ids, table[:, 1:])  # checks that ids are unique and values finite
+    except (ValueError, MetricError):  # ValueError: a bad field, or a count past int()'s limit on digits
         return None
-    # Every row has an id, so the reader skipped none and the shape counts them all.
-    if dim < 1 or len(set(ids)) != len(ids) or table.shape != (n, dim + 1) or not np.isfinite(table[:, 1:]).all():
-        return None
-    return EmbeddingTable(ids, table[:, 1:])
 
 
 def _load_rows(path) -> EmbeddingTable:

@@ -124,7 +124,9 @@ def load_mined(mined_dir: Path, languages: Iterable[str]) -> dict[tuple[str, str
 def extract(english: Mapping[str, BitextCorpus], pairs: Iterable[tuple[str, str]], xprod_cap: int,
             mined_dir: Path) -> tuple[dict[tuple[str, str], BitextCorpus], StatsMatrix, dict]:
     """Mine each pair into the new directory ``mined_dir``, with ``stats.tsv``; returns corpora, table and record."""
-    pairs = sorted(set(pairs))
+    pairs = sorted(pairs)
+    if repeated := [f"{a}-{b}" for (a, b), n in Counter(pairs).items() if n > 1]:
+        raise MiningError(f"duplicate pairs in extract pair list: {', '.join(repeated)}")
     if unloaded := sorted({lang for pair in pairs for lang in pair} - english.keys()):
         raise MultibridgeError(f"no {PIVOT}-xx corpus loaded for {', '.join(unloaded)}")
     if xprod_cap < 0:  # checked before lock_dir, so a bad cap makes no directory
@@ -197,7 +199,7 @@ def _run_stages(config: PipelineConfig) -> RunReport:
         training_lines = Counter(line for _, _, lines in columns for line in lines)
         model = learn_bpe(training_lines, config.bpe_num_merges, config.bpe_min_frequency)
         save_bpe(model, prep_dir / "bpe.codes", prep_dir / "bpe.vocab")
-        stages["learn-bpe"] = {"merges": len(model.merges), "vocab": len(model.vocab or ())}
+        stages["learn-bpe"] = {"merges": len(model.merges), "vocab": len(model.vocab)}
 
     with _stage("apply-bpe"):
         segmenter = BpeSegmenter(model)

@@ -114,6 +114,10 @@ def test_learner_matches_brute_force_property(tokens, num_merges, merge_floor):
     st.integers(0, 2),
 )
 def test_training_segments_equal_rank_order_encoding(tokens, num_merges, merge_floor):
+    # This holds the segmentation contract: the learner leaves each word as
+    # rank-order application of its own merges would. It cannot see a wrong
+    # pair count, which changes which merges are chosen, not how they apply;
+    # test_learner_matches_brute_force_property holds the pair counts.
     model = learn_bpe([" ".join(tokens)], num_merges, 1, merge_floor)
     ranks = model.ranks()
     assert model.training_segments.keys() == set(tokens)

@@ -193,7 +193,8 @@ class TestExtractStatsSample:
         (["--pairs", "bn-en"], "no en-xx corpus loaded for en"),
         (["--pairs", "bn-hi,hi-hi"], "'hi-hi' names one language twice"),
         (["--pairs", "bn"], "malformed pair 'bn'"),
-    ], ids=["negative-cap", "pair-without-corpus", "pair-with-pivot", "same-language", "malformed"])
+        (["--pairs", "bn-hi,hi-bn"], "duplicate pairs in extract pair list: bn-hi"),
+    ], ids=["negative-cap", "pair-without-corpus", "pair-with-pivot", "same-language", "malformed", "duplicate-pair"])
     def test_bad_extract_arguments_are_data_errors(self, tmp_path, raw_dir, argv, message):
         out = tmp_path / "mined"
         proc = run_cli("extract", "--inputs", str(raw_dir), "--out", str(out), *argv)

@@ -597,7 +597,11 @@ class TestReportWrite:
         del golden["prep/run_report.json"]
         assert _tree(work / "out") == golden  # nor the temporary file
 
-    def test_kill_inside_the_report_write_leaves_no_report(self, tmp_path):
+    # The kill lands halfway through writing the report, or through writing
+    # bpe.codes in the middle of the tree, or at the run's first hard link.
+    @pytest.mark.parametrize("hook", ["corpus.open = opening('run_report.json')", "corpus.open = opening('bpe.codes')",
+                                      "os.link = kill"], ids=["report-write", "mid-tree-write", "first-link"])
+    def test_kill_inside_the_report_write_leaves_no_report(self, tmp_path, hook):
         work = tmp_path / "work"
         shutil.copytree(FIXTURE, work)
         config = str(work / "config.json")
@@ -608,13 +612,16 @@ from multibridge import corpus
 from multibridge.cli import main
 from test_pipeline import _ReportFile
 
-def opening(file, *args, **kwargs):
-    opened = open(file, *args, **kwargs)
-    if os.path.basename(file).startswith("run_report.json"):
-        return _ReportFile(opened, "write", lambda: os.kill(os.getpid(), signal.SIGKILL))
-    return opened
+def kill(*args):
+    os.kill(os.getpid(), signal.SIGKILL)
 
-corpus.open = opening
+def opening(name):
+    def hooked(file, *args, **kwargs):
+        opened = open(file, *args, **kwargs)
+        return _ReportFile(opened, "write", kill) if os.path.basename(file).startswith(name) else opened
+    return hooked
+
+{hook}
 sys.exit(main(["run", "--config", {config!r}]))
 """
         # src first, so this checkout's package loads; then the caller's path, so a sitecustomize on it still runs.
